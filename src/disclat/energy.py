@@ -192,7 +192,9 @@ def assemble_energy(graph, config, law):
     """
     _backend.thread_cap()     # serial loop honors any validated cap
     u = np.asarray(config, dtype=float)
-    dens = _backend.tri_energies(u, graph.tris, graph.eps, *_law_args(law))
+    # a non-finite configuration is reported below, not warned about here
+    with np.errstate(invalid="ignore", over="ignore"):
+        dens = _backend.tri_energies(u, graph.tris, graph.eps, *_law_args(law))
     total = graph.triangle_area() * float(np.sum(dens))
     if not np.isfinite(total):
         raise NonFiniteEnergyError("energy is not finite")

@@ -117,23 +117,15 @@ def prolong(coarse_graph, coarse_config, fine_graph):
             % (coarse_graph.n, fine_graph.n)
         )
     u = np.asarray(coarse_config, dtype=float)
+    i, j = fine_graph.ij[:, 0], fine_graph.ij[:, 1]
+    hi, hj, oi, oj = i // 2, j // 2, i % 2, j % 2
+    # the coarse edge (a, b) whose midpoint (i, j) is: along e1 for odd/even,
+    # along R60*e1 for even/odd, the cell diagonal for odd/odd; a == b for
+    # even/even, where 0.5*(x + x) == x exactly
     cid = coarse_graph.vertex_id
-    out = np.empty((fine_graph.n_vertices, 2))
-    for vid, (i, j) in enumerate(fine_graph.ij):
-        i, j = int(i), int(j)
-        if i % 2 == 0 and j % 2 == 0:
-            out[vid] = u[cid(i // 2, j // 2)]
-        elif j % 2 == 0:
-            out[vid] = 0.5 * (u[cid(i // 2, j // 2)] + u[cid(i // 2 + 1, j // 2)])
-        elif i % 2 == 0:
-            out[vid] = 0.5 * (u[cid(i // 2, j // 2)] + u[cid(i // 2, j // 2 + 1)])
-        else:
-            # odd/odd: midpoint of the diagonal edge between the two
-            # half-integer neighbors
-            out[vid] = 0.5 * (
-                u[cid((i + 1) // 2, (j - 1) // 2)] + u[cid((i - 1) // 2, (j + 1) // 2)]
-            )
-    return out
+    a = cid(hi + oi * oj, hj)
+    b = cid(hi + oi * (1 - oj), hj + oj)
+    return 0.5 * (u[a] + u[b])
 
 
 def estimate_rate(e_eps, e_2eps, e_4eps):

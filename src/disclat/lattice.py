@@ -28,6 +28,15 @@ def rot(angle):
     return np.array([[c, -s], [s, c]])
 
 
+def _rows(k):
+    """Index pairs (i, j) with j = 0..k-1 and i = 0..k-1-j, ordered by j,
+    then i, as two int64 arrays."""
+    counts = np.arange(k, 0, -1)
+    j = np.repeat(np.arange(k), counts)
+    starts = np.cumsum(counts) - counts
+    return np.arange(len(j)) - starts[j], j
+
+
 class LatticeSpec:
     """Lattice parameters: mismatch angle phi and subdivision count N = 1/eps.
 
@@ -76,52 +85,45 @@ class LatticeGraph:
         self.eps = eps = 1.0 / n
 
         # vertex rows ordered by j, then i; id(i, j) = offset[j] + i
-        counts = np.arange(n + 1, 0, -1)          # row j holds N+1-j vertices
-        offsets = np.concatenate([[0], np.cumsum(counts)])
-        ij = np.array(
-            [(i, j) for j in range(n + 1) for i in range(n + 1 - j)], dtype=np.int64
-        )
-        self._offsets = offsets
+        i, j = _rows(n + 1)
+        ij = np.column_stack([i, j])
         self.ij = ij
         self.pos = eps * np.column_stack(
             [ij[:, 0] + 0.5 * ij[:, 1], ij[:, 1] * (SQRT3 / 2.0)]
         )
 
+        # each corner (i, j) with i + j < N owns the three edges and the up
+        # triangle based there (the top vertex row j = N owns none)
         vid = self.vertex_id
-        edges = []
-        weights = []
-        for j in range(n + 1):                    # edges along e1
-            for i in range(n - j):
-                edges.append((vid(i, j), vid(i + 1, j)))
-                weights.append(0.5 if j == 0 else 1.0)
-        for j in range(n):                        # edges along R60*e1
-            for i in range(n - j):
-                edges.append((vid(i, j), vid(i, j + 1)))
-                weights.append(0.5 if i == 0 else 1.0)
-        for j in range(n):                        # diagonal edges of the cells
-            for i in range(n - j):
-                edges.append((vid(i + 1, j), vid(i, j + 1)))
-                weights.append(0.5 if i + j == n - 1 else 1.0)
-        self.edges = np.array(edges, dtype=np.int64)
-        self.weights = np.array(weights)
+        i, j = _rows(n)
+        o, e1, e2 = vid(i, j), vid(i + 1, j), vid(i, j + 1)
+        self.edges = np.concatenate(
+            [
+                np.column_stack([o, e1]),             # edges along e1
+                np.column_stack([o, e2]),             # edges along R60*e1
+                np.column_stack([e1, e2]),            # diagonal edges of the cells
+            ]
+        )
+        self.weights = np.where(
+            np.concatenate([j == 0, i == 0, i + j == n - 1]), 0.5, 1.0
+        )
 
-        tris = []
-        for j in range(n):                        # up triangles, CCW
-            for i in range(n - j):
-                tris.append((vid(i, j), vid(i + 1, j), vid(i, j + 1)))
-        n_up = len(tris)
-        for j in range(n - 1):                    # down triangles, CCW
-            for i in range(n - 1 - j):
-                tris.append((vid(i + 1, j), vid(i + 1, j + 1), vid(i, j + 1)))
-        self.tris = np.array(tris, dtype=np.int64)
-        self.tri_up = np.arange(len(tris)) < n_up
+        up = np.column_stack([o, e1, e2])             # up triangles, CCW
+        i, j = _rows(n - 1)
+        down = np.column_stack(                       # down triangles, CCW
+            [vid(i + 1, j), vid(i + 1, j + 1), vid(i, j + 1)]
+        )
+        self.tris = np.concatenate([up, down])
+        self.tri_up = np.arange(len(self.tris)) < len(up)
 
         self.gamma1 = ij[:, 1] == 0
         self.gamma2 = ij[:, 0] == 0
         self.gamma3 = ij.sum(axis=1) == n
 
     def vertex_id(self, i, j):
-        return int(self._offsets[j]) + int(i)
+        """Id of vertex (i, j): offset[j] + i, where row j holds N+1-j
+        vertices.  Works elementwise on integer arrays."""
+        return j * (self.n + 1) - j * (j - 1) // 2 + i
 
     @property
     def n_vertices(self):
@@ -165,25 +167,21 @@ def build_constraints(graph, phi):
     """Pair each Gamma1 vertex (i, 0), i >= 1, with the Gamma2 vertex (0, i).
 
     The apex (0, N) lies on both Gamma2 and Gamma3 and is slaved to (N, 0);
-    the corner (N, 0) on Gamma1 and Gamma3 is an ordinary master.  Raises if a
-    partner is missing, which would indicate a broken lattice.
+    the corner (N, 0) on Gamma1 and Gamma3 is an ordinary master.  Raises
+    RuntimeError if a slave does not sit at R60 times its master's reference
+    position, which would indicate a broken lattice.
     """
-    n = graph.n
-    id_of = {}
-    for vid, (i, j) in enumerate(graph.ij):
-        id_of[(int(i), int(j))] = vid
-    masters, slaves = [], []
-    r60 = rot(np.pi / 3.0)
-    for i in range(1, n + 1):
-        if (i, 0) not in id_of or (0, i) not in id_of:
-            raise RuntimeError("Gamma1 vertex (%d,0) has no Gamma2 partner" % i)
-        m, s = id_of[(i, 0)], id_of[(0, i)]
-        # the slave must sit exactly at R60 times the master reference position
-        gap = np.abs(r60 @ graph.pos[m] - graph.pos[s]).max()
-        assert gap < 1e-12, "constraint geometry broken at i=%d (gap %g)" % (i, gap)
-        masters.append(m)
-        slaves.append(s)
-    return ConstraintMap(phi, masters, slaves, id_of[(0, 0)])
+    k = np.arange(1, graph.n + 1)
+    masters, slaves = graph.vertex_id(k, 0), graph.vertex_id(0, k)
+    rotated = graph.pos[masters] @ rot(np.pi / 3.0).T
+    gap = np.abs(rotated - graph.pos[slaves]).max(axis=1)
+    broken = ~(gap < 1e-12)               # a NaN position counts as broken
+    if broken.any():
+        first = int(np.argmax(broken))
+        raise RuntimeError(
+            "constraint geometry broken at i=%d (gap %g)" % (k[first], gap[first])
+        )
+    return ConstraintMap(phi, masters, slaves, graph.vertex_id(0, 0))
 
 
 class DofLayout:
@@ -209,21 +207,23 @@ class DofLayout:
         # sparse selection matrix S (2|V| x n_reduced) with u_full = S @ q:
         # identity blocks on free vertices, R_phi blocks slaving Gamma2 to
         # Gamma1.  The pinned origin row is zero.
-        rows, cols, vals = [], [], []
-        for v in self.free_ids:
-            r = self._slot[v]
-            for c in range(2):
-                rows.append(2 * v + c)
-                cols.append(2 * r + c)
-                vals.append(1.0)
-        rp = cmap.rotation
-        for m, s in zip(cmap.masters, cmap.slaves):
-            r = self._slot[m]
-            for a in range(2):
-                for b in range(2):
-                    rows.append(2 * s + a)
-                    cols.append(2 * r + b)
-                    vals.append(rp[a, b])
+        c = np.arange(2)
+        n_free = len(self.free_ids)
+        pairs = (len(cmap.slaves), 2, 2)      # entry (k, a, b) holds R_phi[a, b]
+        slave_rows = 2 * cmap.slaves[:, None, None] + c[:, None]
+        master_cols = 2 * self._slot[cmap.masters][:, None, None] + c
+        rows = np.concatenate([
+            (2 * self.free_ids[:, None] + c).ravel(),
+            np.broadcast_to(slave_rows, pairs).ravel(),
+        ])
+        cols = np.concatenate([
+            np.arange(2 * n_free),
+            np.broadcast_to(master_cols, pairs).ravel(),
+        ])
+        vals = np.concatenate([
+            np.ones(2 * n_free),
+            np.broadcast_to(cmap.rotation, pairs).ravel(),
+        ])
         self.select = sp.csr_matrix(
             (vals, (rows, cols)), shape=(2 * nv, self.n_reduced)
         )

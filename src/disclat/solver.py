@@ -5,15 +5,21 @@ tau starts at tau0 every iteration and grows by tau_growth whenever the
 factorization fails, the solve is inaccurate, or s is not a descent
 direction; past tau = 1e8 the system is declared singular.  An Armijo
 backtracking line search (optional, on by default) guarantees energy
-descent.  Admissibility is exact at every iterate because all trial points
-go through expand().
+descent; a trial point whose energy is not finite is rejected like one
+that fails the Armijo test.  Admissibility is exact at every iterate
+because all trial points go through expand().
 """
 
 import numpy as np
 import scipy.sparse as sp
 from scipy.sparse.linalg import splu
 
-from .energy import assemble_energy, assemble_gradient, assemble_hessian
+from .energy import (
+    NonFiniteEnergyError,
+    assemble_energy,
+    assemble_gradient,
+    assemble_hessian,
+)
 from .lattice import expand
 
 TAU_LIMIT = 1e8
@@ -113,7 +119,11 @@ def _newton_step(h, g, opts):
     plain = _is_plain(opts)
     while True:
         try:
-            lu = splu((h + tau * eye).tocsc() if tau else h.tocsc())
+            # H is structurally symmetric: order on the pattern of A^T + A
+            lu = splu(
+                (h + tau * eye).tocsc() if tau else h.tocsc(),
+                permc_spec="MMD_AT_PLUS_A",
+            )
             s = lu.solve(-g)
         except RuntimeError:
             s = None
@@ -173,7 +183,10 @@ def newton_minimize(graph, law, cmap, layout, init, opts=None):
             # tiny slack absorbs roundoff when f sits at the minimum already
             slack = 1e-14 * (1.0 + abs(f))
             for _ in range(opts.max_halvings):
-                f_try = fval(q + t * s)
+                try:
+                    f_try = fval(q + t * s)
+                except NonFiniteEnergyError:
+                    f_try = np.inf            # outside the model: reject the trial
                 if f_try <= f + opts.armijo_c * t * slope + slack:
                     break
                 t *= opts.backtrack

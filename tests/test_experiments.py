@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from disclat.energy import MaterialLaw, assemble_energy
 from disclat.experiments import (
@@ -30,6 +31,28 @@ PHI7 = 2.0 * np.pi / 7.0
 LAW = MaterialLaw(p=2.0)
 R60 = rot(np.pi / 3.0)
 E1 = np.array([1.0, 0.0])
+
+coarse_sizes = st.integers(min_value=1, max_value=40)
+seeds = st.integers(min_value=0, max_value=2**32 - 1)
+
+
+def loop_prolong(coarse, u, fine):
+    """Vertex-by-vertex midpoint rule, kept as an oracle for prolong."""
+    cid = coarse.vertex_id
+    out = np.empty((fine.n_vertices, 2))
+    for vid, (i, j) in enumerate(fine.ij):
+        i, j = int(i), int(j)
+        if i % 2 == 0 and j % 2 == 0:
+            out[vid] = u[cid(i // 2, j // 2)]
+        elif j % 2 == 0:
+            out[vid] = 0.5 * (u[cid(i // 2, j // 2)] + u[cid(i // 2 + 1, j // 2)])
+        elif i % 2 == 0:
+            out[vid] = 0.5 * (u[cid(i // 2, j // 2)] + u[cid(i // 2, j // 2 + 1)])
+        else:
+            out[vid] = 0.5 * (
+                u[cid((i + 1) // 2, (j - 1) // 2)] + u[cid((i - 1) // 2, (j + 1) // 2)]
+            )
+    return out
 
 
 def grid_index(graph, point):
@@ -147,14 +170,15 @@ def test_folded_init_admissible_by_construction():
     assert np.all(u[g.vertex_id(0, 0)] == 0.0)
 
 
-def test_prolong_exact_on_affine_maps():
-    coarse = LatticeGraph(4)
-    fine = LatticeGraph(8)
-    rng = np.random.default_rng(5)
-    m = rng.normal(size=(2, 2))
-    c = rng.normal(size=2)
+@settings(max_examples=40, deadline=None)
+@given(coarse_sizes, seeds)
+def test_prolong_exact_on_affine_maps(n, seed):
+    coarse, fine = LatticeGraph(n), LatticeGraph(2 * n)
+    rng = np.random.default_rng(seed)
+    m = rng.uniform(-2.0, 2.0, size=(2, 2))
+    c = rng.uniform(-2.0, 2.0, size=2)
     u_fine = prolong(coarse, coarse.pos @ m.T + c, fine)
-    np.testing.assert_allclose(u_fine, fine.pos @ m.T + c, atol=1e-14)
+    np.testing.assert_allclose(u_fine, fine.pos @ m.T + c, rtol=0.0, atol=1e-14)
 
 
 def test_prolong_midpoint_rule():
@@ -170,6 +194,15 @@ def test_prolong_midpoint_rule():
     np.testing.assert_allclose(out[fid(1, 0)], 0.5 * (u[cid(0, 0)] + u[cid(1, 0)]), atol=1e-15)
     np.testing.assert_allclose(out[fid(0, 1)], 0.5 * (u[cid(0, 0)] + u[cid(0, 1)]), atol=1e-15)
     np.testing.assert_allclose(out[fid(1, 1)], 0.5 * (u[cid(1, 0)] + u[cid(0, 1)]), atol=1e-15)
+
+
+@settings(max_examples=40, deadline=None)
+@given(coarse_sizes, seeds)
+def test_prolong_equals_loop_midpoint_rule(n, seed):
+    coarse, fine = LatticeGraph(n), LatticeGraph(2 * n)
+    u = np.random.default_rng(seed).normal(size=(coarse.n_vertices, 2))
+    got = prolong(coarse, u, fine)
+    assert np.array_equal(got, loop_prolong(coarse, u, fine))
 
 
 def test_prolong_requires_halved_spacing():
@@ -253,3 +286,18 @@ def test_run_fold_study_structure():
     # L = 0 solves the same system as the sweep's eps = 2^-2 level
     rec = run_sweep(PHI7, 2, LAW)
     assert abs(res[0]["energy"] - rec.energies[1]) <= 1e-12
+
+
+def test_sweep_answers_pinned():
+    # iteration counts and energies recorded with the loop-built lattice
+    # set-up and the default COLAMD ordering; no speed-up may change them
+    rec = run_sweep(PHI5, 5, LAW)
+    assert rec.iterations == [4, 4, 3, 3, 3]
+    expected = [
+        0.0025823001953345077,
+        0.002002612029188707,
+        0.0018049224287764614,
+        0.0017445816259955768,
+        0.0017274018028457625,
+    ]
+    np.testing.assert_allclose(rec.energies, expected, rtol=1e-12, atol=0.0)

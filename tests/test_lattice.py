@@ -4,6 +4,8 @@ import io
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
+from hypothesis import given, settings, strategies as st
 
 from disclat.lattice import (
     DofLayout,
@@ -20,6 +22,66 @@ from disclat.lattice import (
 )
 
 PHI5 = 2.0 * np.pi / 5.0
+
+lattice_sizes = st.integers(min_value=1, max_value=40)
+
+
+def loop_lattice(n):
+    """Row-by-row enumeration of the lattice, kept as an oracle for the
+    closed-form index arithmetic of LatticeGraph."""
+    offsets = np.concatenate([[0], np.cumsum(np.arange(n + 1, 0, -1))])
+
+    def vid(i, j):
+        return int(offsets[j]) + i
+
+    ij = [(i, j) for j in range(n + 1) for i in range(n + 1 - j)]
+    edges, weights = [], []
+    for j in range(n + 1):
+        for i in range(n - j):
+            edges.append((vid(i, j), vid(i + 1, j)))
+            weights.append(0.5 if j == 0 else 1.0)
+    for j in range(n):
+        for i in range(n - j):
+            edges.append((vid(i, j), vid(i, j + 1)))
+            weights.append(0.5 if i == 0 else 1.0)
+    for j in range(n):
+        for i in range(n - j):
+            edges.append((vid(i + 1, j), vid(i, j + 1)))
+            weights.append(0.5 if i + j == n - 1 else 1.0)
+    tris = []
+    for j in range(n):
+        for i in range(n - j):
+            tris.append((vid(i, j), vid(i + 1, j), vid(i, j + 1)))
+    for j in range(n - 1):
+        for i in range(n - 1 - j):
+            tris.append((vid(i + 1, j), vid(i + 1, j + 1), vid(i, j + 1)))
+    return vid, {
+        "ij": np.array(ij, dtype=np.int64),
+        "edges": np.array(edges, dtype=np.int64),
+        "weights": np.array(weights),
+        "tris": np.array(tris, dtype=np.int64),
+    }
+
+
+def loop_select(graph, cmap):
+    """Entry-by-entry build of the selection matrix S, kept as an oracle."""
+    dependent = set(cmap.slaves.tolist()) | {cmap.pinned}
+    free = [v for v in range(graph.n_vertices) if v not in dependent]
+    slot = {v: r for r, v in enumerate(free)}
+    rows, cols, vals = [], [], []
+    for v, r in slot.items():
+        for c in range(2):
+            rows.append(2 * v + c)
+            cols.append(2 * r + c)
+            vals.append(1.0)
+    for m, s in zip(cmap.masters, cmap.slaves):
+        for a in range(2):
+            for b in range(2):
+                rows.append(2 * s + a)
+                cols.append(2 * slot[int(m)] + b)
+                vals.append(cmap.rotation[a, b])
+    shape = (2 * graph.n_vertices, 2 * len(slot))
+    return sp.csr_matrix((vals, (rows, cols)), shape=shape)
 
 
 def test_counts_match_closed_forms():
@@ -200,3 +262,43 @@ def test_spec_validation():
     spec = LatticeSpec(PHI5, 4)
     assert build_lattice(spec).n == 4
     assert build_lattice(4).n == 4       # plain N accepted too
+
+
+@settings(max_examples=40, deadline=None)
+@given(lattice_sizes)
+def test_graph_arrays_equal_loop_enumeration(n):
+    g = LatticeGraph(n)
+    vid, expected = loop_lattice(n)
+    for name, want in expected.items():
+        got = getattr(g, name)
+        assert got.dtype == want.dtype and got.shape == want.shape, name
+        assert np.array_equal(got, want), name
+    assert np.array_equal(g.tri_up, np.arange(n * n) < n * (n + 1) // 2)
+    for i, j in ((0, 0), (n, 0), (0, n), (n // 2, n - n // 2)):
+        assert g.vertex_id(i, j) == vid(i, j)
+
+
+@settings(max_examples=40, deadline=None)
+@given(lattice_sizes, st.floats(min_value=0.1, max_value=6.2))
+def test_constraints_and_select_equal_loop_build(n, phi):
+    g = LatticeGraph(n)
+    cmap = build_constraints(g, phi)
+    vid, _ = loop_lattice(n)
+    assert cmap.masters.tolist() == [vid(i, 0) for i in range(1, n + 1)]
+    assert cmap.slaves.tolist() == [vid(0, i) for i in range(1, n + 1)]
+    assert cmap.pinned == vid(0, 0)
+    got = DofLayout(g, cmap).select
+    want = loop_select(g, cmap)
+    assert got.shape == want.shape
+    for name in ("data", "indices", "indptr"):
+        assert np.array_equal(getattr(got, name), getattr(want, name)), name
+
+
+def test_constraints_reject_broken_geometry():
+    g = LatticeGraph(6)
+    g.pos[g.vertex_id(0, 3)] += [1e-9, 0.0]
+    with pytest.raises(RuntimeError, match="i=3"):
+        build_constraints(g, PHI5)
+    g.pos[g.vertex_id(0, 3)] = np.nan
+    with pytest.raises(RuntimeError, match="i=3"):
+        build_constraints(g, PHI5)

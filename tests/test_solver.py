@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from disclat.energy import MaterialLaw
+import disclat.solver
+from disclat.energy import MaterialLaw, NonFiniteEnergyError
 from disclat.experiments import linear_init
 from disclat.lattice import DofLayout, LatticeGraph, build_constraints
 from disclat.solver import (
@@ -102,3 +103,23 @@ def test_report_csv_shape():
     assert len(lines) == report.iterations + 2     # header + rows incl. iter 0
     first = lines[1].split(",")
     assert first[0] == "0" and float(first[3]) == 0.0
+
+
+def test_line_search_rejects_nonfinite_trial(monkeypatch):
+    _, _, _, _, clean = solve()
+    real = disclat.solver.assemble_energy
+    calls = []
+
+    def first_full_step_breaks_model(graph, config, law):
+        calls.append(None)
+        if len(calls) == 2:               # call 1 is the initial energy
+            raise NonFiniteEnergyError("energy is not finite")
+        return real(graph, config, law)
+
+    monkeypatch.setattr(disclat.solver, "assemble_energy", first_full_step_breaks_model)
+    _, _, _, _, report = solve()
+    assert report.converged
+    # the rejected full step was halved, and the descent went on from there
+    assert report.energy[1] < report.energy[0]
+    assert report.step_norm[1] < clean.step_norm[1]
+    assert abs(report.energy[-1] - clean.energy[-1]) <= 1e-12 * clean.energy[-1]
