@@ -94,13 +94,18 @@ def fold_reference(graph, fold_count):
     return pos
 
 
-def folded_init(graph, phi, fold_count, mode="det1"):
+def folded_init(graph, phi, fold_count, mode="det1", cmap=None, layout=None):
     """Linear map composed with the folded reference, made exactly admissible
-    by recomputing the slaved vertices from their masters."""
+    by recomputing the slaved vertices from their masters.
+
+    cmap and layout, when given, must be those of (graph, phi); otherwise
+    they are built here.
+    """
     amat = linear_matrix(phi, mode)
     u = fold_reference(graph, fold_count) @ amat.T
-    cmap = build_constraints(graph, phi)
-    layout = DofLayout(graph, cmap)
+    if layout is None:
+        cmap = build_constraints(graph, phi)
+        layout = DofLayout(graph, cmap)
     return expand(reduce_config(u, layout), cmap, layout)
 
 
@@ -192,11 +197,11 @@ class SweepRecord:
         return out
 
 
-def _solve_level(graph, phi, law, init, opts):
-    cmap = build_constraints(graph, phi)
-    layout = DofLayout(graph, cmap)
+def _solve_level(graph, cmap, layout, law, init, opts):
+    """Minimize from init made exactly admissible (masters kept, slaves
+    recomputed); returns (configuration, SolveReport)."""
     init = expand(reduce_config(np.asarray(init, dtype=float), layout), cmap, layout)
-    return newton_minimize(graph, law, cmap, layout, init, opts), cmap, layout
+    return newton_minimize(graph, law, cmap, layout, init, opts)
 
 
 def run_sweep(
@@ -227,7 +232,9 @@ def run_sweep(
         else:
             init = prolong(prev_graph, prev_config, graph)
         try:
-            (config, report), cmap, layout = _solve_level(graph, phi, law, init, opts)
+            cmap = build_constraints(graph, phi)
+            layout = DofLayout(graph, cmap)
+            config, report = _solve_level(graph, cmap, layout, law, init, opts)
         except Exception as err:
             raise RuntimeError("sweep failed at eps = 2^-%d: %s" % (k, err)) from err
         dets = triangle_dets(graph, config)
@@ -253,10 +260,12 @@ def run_fold_study(phi, law, eps_exp=2, max_folds=3, opts=None, init_mode="det1"
     if opts is None:
         opts = NewtonOptions()
     graph = LatticeGraph(2**eps_exp)
+    cmap = build_constraints(graph, phi)
+    layout = DofLayout(graph, cmap)
     results = []
     for folds in range(max_folds + 1):
-        init = folded_init(graph, phi, folds, init_mode)
-        (config, report), cmap, layout = _solve_level(graph, phi, law, init, opts)
+        init = folded_init(graph, phi, folds, init_mode, cmap, layout)
+        config, report = _solve_level(graph, cmap, layout, law, init, opts)
         dets = triangle_dets(graph, config)
         results.append(
             {

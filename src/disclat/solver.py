@@ -1,17 +1,30 @@
 """Newton minimization of the reduced energy.
 
-Each iteration solves (H + tau*I) s = -g with a sparse LU factorization.
-tau starts at tau0 every iteration and grows by tau_growth whenever the
-factorization fails, the solve is inaccurate, or s is not a descent
-direction; past tau = 1e8 the system is declared singular.  An Armijo
-backtracking line search (optional, on by default) guarantees energy
-descent; a trial point whose energy is not finite is rejected like one
-that fails the Armijo test.  Admissibility is exact at every iterate
-because all trial points go through expand().
+Each iteration solves (H + tau*I) s = -g.  The last LU factorization of a
+run is kept and tried first, as the right preconditioner of a short GMRES
+on (H + tau0*I) s = -g: near a minimizer, and from the prolonged warm
+start of a sweep level, the Hessian changes little between iterations and
+a few preconditioned iterations reach the residual bound.  GMRES gives up
+after GMRES_MAXITER iterations, or earlier when its observed residual
+reduction projects more.  The step it returns must pass the tests of a
+factored step (finite, residual bound, descent); otherwise the stale LU is
+dropped and the system is factored afresh.  The LU is kept only while
+Newton converges fast and GMRES has not failed in the run (see
+_StepSolver).
+
+A fresh factorization (sparse LU, minimum-degree ordering) starts at
+tau = tau0 and grows tau by tau_growth whenever the factorization fails,
+the solve is inaccurate, or s is not a descent direction; past tau = 1e8
+the system is declared singular.  An Armijo backtracking line search
+(optional, on by default) guarantees energy descent; a trial point whose
+energy is not finite is rejected like one that fails the Armijo test.
+Admissibility is exact at every iterate because all trial points go
+through expand().
 """
 
 import numpy as np
 import scipy.sparse as sp
+from scipy.linalg import solve_triangular
 from scipy.sparse.linalg import splu
 
 from .energy import (
@@ -23,6 +36,10 @@ from .energy import (
 from .lattice import expand
 
 TAU_LIMIT = 1e8
+GMRES_MAXITER = 10
+# warm-started sweep steps shrink the gradient 11-fold or more, the first
+# steps from folded starts only 2.7- to 5-fold
+KEEP_LU_CONTRACTION = 0.125
 
 
 class SingularSystemError(RuntimeError):
@@ -72,8 +89,11 @@ class SolveReport:
 
     Arrays energy/grad_inf/step_norm/tau hold one entry per recorded row;
     row 0 is the initial state (step_norm and tau zero), row k the state
-    after iteration k.  quadratic_ratio lists g_{k+1}/g_k^2 over the final
-    three steps.
+    after iteration k.  factorized/krylov_iters/lin_resid hold one entry
+    per iteration: whether its linear solve factored a fresh LU, the GMRES
+    iterations it took on the stale one (0 for a fresh LU), and the
+    residual norm of the Newton system it solved.  quadratic_ratio lists
+    g_{k+1}/g_k^2 over the final three steps.
     """
 
     def __init__(self):
@@ -81,6 +101,9 @@ class SolveReport:
         self.grad_inf = []
         self.step_norm = []
         self.tau = []
+        self.factorized = []
+        self.krylov_iters = []
+        self.lin_resid = []
         self.converged = False
 
     @property
@@ -92,6 +115,11 @@ class SolveReport:
         self.grad_inf.append(float(grad_inf))
         self.step_norm.append(float(step_norm))
         self.tau.append(float(tau))
+
+    def record_solve(self, factorized, krylov_iters, lin_resid):
+        self.factorized.append(bool(factorized))
+        self.krylov_iters.append(int(krylov_iters))
+        self.lin_resid.append(float(lin_resid))
 
     @property
     def quadratic_ratio(self):
@@ -108,10 +136,12 @@ class SolveReport:
             stream.write("%d,%.17g,%.17g,%.17g,%.17g\n" % (k, e, g, s, t))
 
 
-def _newton_step(h, g, opts):
-    """Solve (H + tau I)s = -g, escalating tau until the step is usable.
+def _factor_step(h, g, opts):
+    """Solve (H + tau I)s = -g by a fresh LU, escalating tau until the step
+    is usable.
 
-    Returns (s, tau).  In plain mode tau stays at tau0 and failures raise.
+    Returns (s, tau, lu, resid).  In plain mode tau stays at tau0 and
+    failures raise.
     """
     n = h.shape[0]
     tau = opts.tau0
@@ -126,7 +156,7 @@ def _newton_step(h, g, opts):
             )
             s = lu.solve(-g)
         except RuntimeError:
-            s = None
+            lu = s = None
         if s is not None and np.all(np.isfinite(s)):
             resid = np.linalg.norm((h @ s) + tau * s + g)
             ok = resid <= 1e-10 * max(1.0, np.linalg.norm(g))
@@ -136,16 +166,122 @@ def _newton_step(h, g, opts):
                     raise SingularSystemError(
                         "Newton system residual %.3g too large" % resid
                     )
-                return s, tau
+                return s, tau, lu, resid
             if ok and descent:
-                return s, tau
+                return s, tau, lu, resid
         elif plain:
             raise SingularSystemError("Hessian factorization failed")
+        lu = None                     # free it before the next attempt
         tau = max(tau * opts.tau_growth, 1e-8) if tau else 1e-8
         if tau > TAU_LIMIT:
             raise SingularSystemError(
                 "no usable step up to tau = %g" % TAU_LIMIT
             )
+
+
+def _newton_step(h, g, opts):
+    """Solve (H + tau I)s = -g by a fresh LU; returns (s, tau).
+
+    See _factor_step.
+    """
+    s, tau, _, _ = _factor_step(h, g, opts)
+    return s, tau
+
+
+def _gmres(matvec, b, precond, tol, maxiter=GMRES_MAXITER):
+    """Right-preconditioned GMRES for A x = b from x = 0 (Saad & Schultz,
+    1986), with modified Gram-Schmidt and Givens rotations.
+
+    Stops when the true residual |b - A x| is at most tol and returns
+    (x, resid, iterations).  Returns None after maxiter iterations, or from
+    the second iteration on when the mean residual reduction so far
+    projects more than maxiter iterations.
+    """
+    beta = np.linalg.norm(b)
+    basis = [b / beta]
+    zs = []                                 # precond(basis[j]): x = Z y
+    hess = np.zeros((maxiter + 1, maxiter))
+    cs = np.zeros(maxiter)
+    sn = np.zeros(maxiter)
+    rhs = np.zeros(maxiter + 1)
+    rhs[0] = beta
+    for j in range(maxiter):
+        zs.append(precond(basis[j]))
+        w = matvec(zs[j])
+        for i in range(j + 1):
+            hess[i, j] = w @ basis[i]
+            w = w - hess[i, j] * basis[i]
+        h_next = np.linalg.norm(w)
+        for i in range(j):
+            hess[i, j], hess[i + 1, j] = (
+                cs[i] * hess[i, j] + sn[i] * hess[i + 1, j],
+                -sn[i] * hess[i, j] + cs[i] * hess[i + 1, j],
+            )
+        r = np.hypot(hess[j, j], h_next)
+        if r == 0.0 or not np.isfinite(r):
+            return None
+        cs[j], sn[j] = hess[j, j] / r, h_next / r
+        hess[j, j] = r
+        rhs[j + 1] = -sn[j] * rhs[j]
+        rhs[j] = cs[j] * rhs[j]
+        k = j + 1
+        est = abs(rhs[k])                   # |b - A x_k| in exact arithmetic
+        if est <= tol or h_next == 0.0:
+            y = solve_triangular(hess[:k, :k], rhs[:k])
+            x = np.column_stack(zs) @ y
+            resid = np.linalg.norm(b - matvec(x))
+            if resid <= tol:
+                return x, resid, k
+            if h_next == 0.0:
+                return None
+        elif k >= 2:
+            rate = (est / beta) ** (1.0 / k)
+            if rate >= 1.0 or k + np.log(tol / est) / np.log(rate) > maxiter:
+                return None
+        basis.append(w / h_next)
+    return None
+
+
+class _StepSolver:
+    """Solves the Newton systems of one run and keeps the last LU.
+
+    step() first runs GMRES on (H + tau0 I)s = -g, right-preconditioned by
+    that LU.  Its step must pass the tests of a factored one: a residual
+    within the bound (which makes it finite) and descent.  Otherwise the
+    stale LU is dropped and _factor_step factors afresh.
+
+    An LU that GMRES cannot use is best freed before the next Hessian is
+    assembled: freed after it, the LU leaves a hole in the heap that the
+    next factorization does not fit, and peak memory grows.  So the LU is
+    kept only while Newton is in its fast local regime, where the Hessian
+    changes little: newton_minimize drops it after a step that shrank the
+    gradient by less than a factor 1/KEEP_LU_CONTRACTION, and the first
+    GMRES failure ends reuse for the run.
+    """
+
+    def __init__(self, opts):
+        self.opts = opts
+        self.lu = None
+        self.reuse = True
+
+    def step(self, h, g):
+        """Returns (s, tau, krylov_iters, resid); krylov_iters is 0 when
+        the step came from a fresh LU."""
+        if self.lu is not None:
+            tau = self.opts.tau0
+            gnorm = np.linalg.norm(g)
+            # the second term keeps the final steps as accurate as an LU's
+            tol = min(0.5e-10 * max(1.0, gnorm), 1e-6 * gnorm)
+            found = _gmres(lambda v: h @ v + tau * v, -g, self.lu.solve, tol)
+            if found is not None and (g @ found[0]) < 0.0:
+                s, resid, iters = found
+                return s, tau, iters, resid
+            self.lu = None             # never hold two factorizations at once
+            self.reuse = False
+        s, tau, lu, resid = _factor_step(h, g, self.opts)
+        if self.reuse:
+            self.lu = lu
+        return s, tau, 0, resid
 
 
 def newton_minimize(graph, law, cmap, layout, init, opts=None):
@@ -172,11 +308,14 @@ def newton_minimize(graph, law, cmap, layout, init, opts=None):
     g = gval(q)
     gnorm = np.abs(g).max() if len(g) else 0.0
     report.record(f, gnorm, 0.0, 0.0)
+    systems = _StepSolver(opts)
     for _ in range(opts.max_iter):
         if gnorm <= opts.grad_tol:
             break
+        h = None                       # free the last Hessian before the next
         h = assemble_hessian(graph, expand(q, cmap, layout), law, cmap, layout)
-        s, tau = _newton_step(h, g, opts)
+        s, tau, krylov_iters, resid = systems.step(h, g)
+        report.record_solve(krylov_iters == 0, krylov_iters, resid)
         if opts.line_search:
             slope = g @ s
             t = 1.0
@@ -198,7 +337,10 @@ def newton_minimize(graph, law, cmap, layout, init, opts=None):
         q = q + step
         f = fval(q)
         g = gval(q)
+        gnorm_prev = gnorm
         gnorm = np.abs(g).max() if len(g) else 0.0
+        if gnorm > KEEP_LU_CONTRACTION * gnorm_prev:
+            systems.lu = None          # too slow a step for the LU to last
         report.record(f, gnorm, np.linalg.norm(step), tau)
         if np.linalg.norm(step) == 0.0:
             break

@@ -25,6 +25,7 @@ from disclat.lattice import (
     reduce_config,
     rot,
 )
+from disclat.solver import KEEP_LU_CONTRACTION
 
 PHI5 = 2.0 * np.pi / 5.0
 PHI7 = 2.0 * np.pi / 7.0
@@ -301,3 +302,50 @@ def test_sweep_answers_pinned():
         0.0017274018028457625,
     ]
     np.testing.assert_allclose(rec.energies, expected, rtol=1e-12, atol=0.0)
+
+
+def test_sweep_factors_once_per_level():
+    # each level factors its first Hessian; the warm start lets that LU
+    # precondition GMRES for every later Newton system of the level
+    rec = run_sweep(PHI5, 5, LAW)
+    for report in rec.reports:
+        n = report.iterations
+        assert report.factorized == [True] + [False] * (n - 1)
+        assert report.krylov_iters[0] == 0
+        assert all(1 <= k <= 10 for k in report.krylov_iters[1:])
+        assert len(report.lin_resid) == n
+        assert max(report.lin_resid) <= 1e-10
+
+
+def test_fold_study_iterations_pinned(monkeypatch):
+    # per-fold Newton counts recorded with a fresh LU at every iteration
+    import disclat.experiments as experiments
+
+    builds = []
+
+    def counted(name):
+        real = getattr(experiments, name)
+
+        def build(*args):
+            builds.append(name)
+            return real(*args)
+
+        monkeypatch.setattr(experiments, name, build)
+
+    counted("build_constraints")
+    counted("DofLayout")
+    res = run_fold_study(PHI7, LAW, eps_exp=4, max_folds=7)
+    assert [r["iterations"] for r in res] == [4, 4, 4, 4, 4, 5, 5, 5]
+    assert all(r["converged"] for r in res)
+    # a step that shrank the gradient too little drops the LU, so the next
+    # iteration factors; the cold folded starts take such steps
+    slow = 0
+    for r in res:
+        g = r["report"].grad_inf
+        for k in range(1, r["iterations"]):
+            if g[k] > KEEP_LU_CONTRACTION * g[k - 1]:
+                slow += 1
+                assert r["report"].factorized[k]
+    assert slow >= len(res) - 1
+    # one constraint map and one layout serve every fold
+    assert sorted(builds) == ["DofLayout", "build_constraints"]

@@ -5,15 +5,22 @@ import io
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from scipy.sparse.linalg import splu
 
 import disclat.solver
-from disclat.energy import MaterialLaw, NonFiniteEnergyError
+from disclat.energy import (
+    MaterialLaw,
+    NonFiniteEnergyError,
+    assemble_gradient,
+    assemble_hessian,
+)
 from disclat.experiments import linear_init
 from disclat.lattice import DofLayout, LatticeGraph, build_constraints
 from disclat.solver import (
     NewtonOptions,
     SingularSystemError,
     _newton_step,
+    _StepSolver,
     newton_minimize,
 )
 
@@ -123,3 +130,35 @@ def test_line_search_rejects_nonfinite_trial(monkeypatch):
     assert report.energy[1] < report.energy[0]
     assert report.step_norm[1] < clean.step_norm[1]
     assert abs(report.energy[-1] - clean.energy[-1]) <= 1e-12 * clean.energy[-1]
+
+
+def test_stale_lu_falls_back_to_fresh_factorization(monkeypatch):
+    graph = LatticeGraph(8)
+    cmap = build_constraints(graph, PHI5)
+    layout = DofLayout(graph, cmap)
+    u = linear_init(graph, PHI5)
+    h = assemble_hessian(graph, u, LAW, cmap, layout)
+    g = assemble_gradient(graph, u, LAW, cmap, layout)
+    # the LU of an unrelated SPD matrix preconditions GMRES too poorly
+    stale = splu(sp.diags(np.linspace(1.0, 1e3, h.shape[0]), format="csc"))
+    real = disclat.solver._gmres
+    tried = []
+
+    def spy(*args):
+        tried.append(real(*args))
+        return tried[-1]
+
+    monkeypatch.setattr(disclat.solver, "_gmres", spy)
+    systems = _StepSolver(NewtonOptions())
+    systems.lu = stale
+    s, tau, krylov_iters, resid = systems.step(h, g)
+    assert tried == [None]                 # GMRES ran and gave up
+    assert krylov_iters == 0
+    s_ref, tau_ref = _newton_step(h, g, NewtonOptions())
+    assert tau == tau_ref
+    np.testing.assert_allclose(s, s_ref, rtol=0.0, atol=1e-12)
+    assert resid <= 1e-10 * max(1.0, np.linalg.norm(g))
+    # the failure ends reuse: later systems are factored and not kept
+    assert systems.lu is None
+    assert systems.step(h, g)[2] == 0 and systems.lu is None
+    assert tried == [None]
