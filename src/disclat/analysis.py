@@ -198,7 +198,7 @@ def check_rigidity(law, n_samples=10_000, seed=0, sigma_max=5.0, dist_floor=1e-8
     """
     from .energy import w_density
 
-    if law.psi_kind == 0:
+    if law.psi_name == "zero":
         raise ValueError("rigidity ratio needs a psi term (psi != zero)")
     rng = np.random.default_rng(seed)
     min_ratio = np.inf

@@ -6,9 +6,9 @@ config_eps<k>.txt, solve_eps<k>.csv, sweep_phi<sel>.csv,
 fold_phi<sel>.csv, verify.jsonl, render_eps<k>.svg); without --out,
 tabular results go to stdout.
 
-Only stdlib imports happen at module load so that environment problems
-(bad DISCL_THREADS and friends) surface as a one-line diagnostic instead
-of a traceback.
+Only stdlib imports happen at module load; each command imports the
+library when it runs.  Errors the library raises (RuntimeError, OSError)
+surface as a one-line diagnostic instead of a traceback.
 """
 
 import argparse
@@ -64,8 +64,7 @@ def make_law(args):
 def make_options(args):
     from .solver import NewtonOptions
 
-    opts = NewtonOptions.plain() if getattr(args, "plain_newton", False) \
-        else NewtonOptions()
+    opts = NewtonOptions(plain=getattr(args, "plain_newton", False))
     if getattr(args, "max_iter", None) is not None:
         opts.max_iter = args.max_iter
     if getattr(args, "grad_tol", None) is not None:
@@ -122,11 +121,11 @@ def out_path(args, name):
 
 
 def cmd_mesh(args):
-    from .lattice import DofLayout, build_constraints, build_lattice, dump_lattice
+    from .lattice import DofLayout, LatticeGraph, build_constraints, dump_lattice
 
     phi = parse_phi(args.phi)
     k = check_eps_exp(args.eps_exp)
-    graph = build_lattice(2**k)
+    graph = LatticeGraph(2**k)
     cmap = build_constraints(graph, phi)
     DofLayout(graph, cmap)    # validates the reduction
     path = out_path(args, "mesh_eps%d.txt" % k)
@@ -147,13 +146,13 @@ def cmd_minimize(args):
     from .analysis import det_summary
     from .energy import assemble_energy
     from .io import write_config
-    from .lattice import DofLayout, build_constraints, build_lattice, expand, \
+    from .lattice import DofLayout, LatticeGraph, build_constraints, expand, \
         reduce_config
     from .solver import SingularSystemError, newton_minimize
 
     phi = parse_phi(args.phi)
     k = check_eps_exp(args.eps_exp)
-    graph = build_lattice(2**k)
+    graph = LatticeGraph(2**k)
     law = make_law(args)
     opts = make_options(args)
     cmap = build_constraints(graph, phi)
@@ -357,14 +356,14 @@ def cmd_verify(args):
 def cmd_render(args):
     import numpy as np
 
-    from .lattice import DofLayout, build_constraints, build_lattice, expand, \
+    from .lattice import DofLayout, LatticeGraph, build_constraints, expand, \
         reduce_config
     from .render import render_svg
     from .solver import newton_minimize
 
     phi = parse_phi(args.phi)
     k = check_eps_exp(args.eps_exp)
-    graph = build_lattice(2**k)
+    graph = LatticeGraph(2**k)
     config = build_init(args, graph, phi)
     cmap = build_constraints(graph, phi)
     layout = DofLayout(graph, cmap)
@@ -495,9 +494,6 @@ def main(argv=None):
         parser.print_help()
         return 2
     try:
-        from . import _backend
-
-        _backend.thread_cap()     # reject a bad DISCL_THREADS up front
         return args.func(args)
     except CliError as err:
         print("error: %s" % err, file=sys.stderr)

@@ -12,12 +12,23 @@ domain, which makes the triangle sum equal sqrt(3)/2 times the weighted bond
 sum: interior edges sit in two triangles and boundary edges in one, matching
 the weights w = 1 and w = 1/2.  The full fan would count every bond of the
 medium twice.
+
+Per-triangle kernels.  Assembly evaluates, for all triangles at once, the
+density
+
+    dens(T) = Phi(l1 - 1) + Phi(l2 - 1) + Phi(l3 - 1) + Psi(det)
+
+and its derivatives, where l1, l2, l3 are the stretches |u_b - u_a|/eps,
+|u_c - u_a|/eps, |u_c - u_b|/eps of the three edges and det is the
+determinant of the cell gradient (cross(u_b - u_a, u_c - u_a) divided by the
+reference cross product sqrt(3)*eps^2/2, positive on counter-clockwise
+reference triangles).  The derivative kernels raise DegenerateCellError
+naming the first triangle with a bond at or below BOND_FLOOR.
 """
 
 import numpy as np
 import scipy.sparse as sp
 
-from . import _backend
 from .lattice import SQRT3, rot
 
 BOND_FLOOR = 1e-9
@@ -60,10 +71,6 @@ class MaterialLaw:
         self.kappa = float(kappa)
         self.delta = float(delta)
 
-    @property
-    def psi_kind(self):
-        return 0 if self.psi_name == "zero" else 1
-
     def Phi(self, r):
         return np.abs(r) ** self.p / self.p
 
@@ -74,22 +81,25 @@ class MaterialLaw:
         return (self.p - 1.0) * np.abs(r) ** (self.p - 2.0)
 
     def Psi(self, a):
-        if self.psi_kind == 0:
+        if self.psi_name == "zero":
             return np.zeros_like(np.asarray(a, dtype=float))
         t = np.asarray(a, dtype=float) - 1.0
         return self.kappa * (np.sqrt(t * t + self.delta**2) - self.delta)
 
     def dPsi(self, a):
-        if self.psi_kind == 0:
+        if self.psi_name == "zero":
             return np.zeros_like(np.asarray(a, dtype=float))
         t = np.asarray(a, dtype=float) - 1.0
         return self.kappa * t / np.sqrt(t * t + self.delta**2)
 
     def d2Psi(self, a):
-        if self.psi_kind == 0:
+        if self.psi_name == "zero":
             return np.zeros_like(np.asarray(a, dtype=float))
         t = np.asarray(a, dtype=float) - 1.0
-        return self.kappa * self.delta**2 / np.sqrt(t * t + self.delta**2) ** 3
+        return (
+            self.kappa * self.delta * self.delta
+            / np.sqrt(t * t + self.delta**2) ** 3
+        )
 
 
 def cell_gradient(xa, xb, xc, ua, ub, uc):
@@ -181,8 +191,103 @@ def w_hess(a_mat, law):
     return c.reshape(4, 4)
 
 
-def _law_args(law):
-    return law.p, law.psi_kind, law.kappa, law.delta
+def _edge_geometry(graph, u):
+    tris, eps = graph.tris, graph.eps
+    a, b, c = tris[:, 0], tris[:, 1], tris[:, 2]
+    d1 = u[b] - u[a]
+    d2 = u[c] - u[a]
+    d3 = d2 - d1
+    l1 = np.hypot(d1[:, 0], d1[:, 1]) / eps
+    l2 = np.hypot(d2[:, 0], d2[:, 1]) / eps
+    l3 = np.hypot(d3[:, 0], d3[:, 1]) / eps
+    det = (d1[:, 0] * d2[:, 1] - d1[:, 1] * d2[:, 0]) / (SQRT3 / 2.0 * eps * eps)
+    return d1, d2, d3, l1, l2, l3, det
+
+
+def _check_bonds(l1, l2, l3):
+    bad = (l1 <= BOND_FLOOR) | (l2 <= BOND_FLOOR) | (l3 <= BOND_FLOOR)
+    if bad.any():
+        raise DegenerateCellError(int(np.argmax(bad)))
+
+
+def _tri_energies(graph, u, law):
+    """Per-triangle densities, shape (|T|,).  Multiply by the cell area to
+    integrate."""
+    _, _, _, l1, l2, l3, det = _edge_geometry(graph, u)
+    p = law.p
+    # one division for the three edges: summing law.Phi per edge rounds
+    # differently
+    dens = (
+        np.abs(l1 - 1.0) ** p + np.abs(l2 - 1.0) ** p + np.abs(l3 - 1.0) ** p
+    ) / p
+    return dens + law.Psi(det)
+
+
+def _tri_gradients(graph, u, law):
+    """Per-triangle density gradients, shape (|T|, 3, 2), vertex order (a, b, c)."""
+    d1, d2, d3, l1, l2, l3, det = _edge_geometry(graph, u)
+    _check_bonds(l1, l2, l3)
+    eps = graph.eps
+    g = np.zeros(graph.tris.shape + (2,))
+    for dvec, length, s, t in ((d1, l1, 0, 1), (d2, l2, 0, 2), (d3, l3, 1, 2)):
+        # d(|dvec|/eps - 1)/du_t = unit(dvec)/eps
+        coeff = law.dPhi(length - 1.0) / (eps * eps * length)
+        pull = coeff[:, None] * dvec
+        g[:, t] += pull
+        g[:, s] -= pull
+    if law.psi_name != "zero":
+        dpsi = law.dPsi(det)
+        c0 = 2.0 / (SQRT3 * eps * eps)
+        perp2 = np.column_stack([d2[:, 1], -d2[:, 0]])   # d det / d d1 (over c0)
+        perp1 = np.column_stack([d1[:, 1], -d1[:, 0]])
+        gb = (dpsi * c0)[:, None] * perp2
+        gc = -(dpsi * c0)[:, None] * perp1
+        g[:, 1] += gb
+        g[:, 2] += gc
+        g[:, 0] -= gb + gc
+    return g
+
+
+def _tri_hessians(graph, u, law):
+    """Per-triangle density Hessians, shape (|T|, 6, 6), dof order
+    (ax, ay, bx, by, cx, cy)."""
+    d1, d2, d3, l1, l2, l3, det = _edge_geometry(graph, u)
+    _check_bonds(l1, l2, l3)
+    eps = graph.eps
+    nt = graph.n_triangles
+    h = np.zeros((nt, 3, 2, 3, 2))
+    eye = np.eye(2)
+    for dvec, length, s, t in ((d1, l1, 0, 1), (d2, l2, 0, 2), (d3, l3, 1, 2)):
+        r = length - 1.0
+        unit = dvec / (eps * length)[:, None]
+        outer = unit[:, :, None] * unit[:, None, :]
+        # spring block: Phi'' along the bond, Phi'/|bond| transversally
+        k = (
+            law.d2Phi(r)[:, None, None] / (eps * eps) * outer
+            + (law.dPhi(r) / (eps * eps * length))[:, None, None]
+            * (eye - outer)
+        )
+        h[:, t, :, t, :] += k
+        h[:, s, :, s, :] += k
+        h[:, t, :, s, :] -= k
+        h[:, s, :, t, :] -= k
+    if law.psi_name != "zero":
+        dpsi, d2psi = law.dPsi(det), law.d2Psi(det)
+        c0 = 2.0 / (SQRT3 * eps * eps)
+        gdet = np.zeros((nt, 3, 2))
+        gdet[:, 1] = c0 * np.column_stack([d2[:, 1], -d2[:, 0]])
+        gdet[:, 2] = -c0 * np.column_stack([d1[:, 1], -d1[:, 0]])
+        gdet[:, 0] = -gdet[:, 1] - gdet[:, 2]
+        h += d2psi[:, None, None, None, None] * (
+            gdet[:, :, :, None, None] * gdet[:, None, None, :, :]
+        )
+        # constant curvature of det itself: c0 * Z on the cyclic vertex pairs
+        z = np.array([[0.0, 1.0], [-1.0, 0.0]])
+        coeff = (dpsi * c0)[:, None, None]
+        for v, w in ((0, 1), (1, 2), (2, 0)):
+            h[:, v, :, w, :] += coeff * z
+            h[:, w, :, v, :] += coeff * z.T
+    return h.reshape(nt, 6, 6)
 
 
 def assemble_energy(graph, config, law):
@@ -190,11 +295,10 @@ def assemble_energy(graph, config, law):
 
     Equals sqrt(3)/2 times the weighted bond sum plus the per-cell Psi term.
     """
-    _backend.thread_cap()     # serial loop honors any validated cap
     u = np.asarray(config, dtype=float)
     # a non-finite configuration is reported below, not warned about here
     with np.errstate(invalid="ignore", over="ignore"):
-        dens = _backend.tri_energies(u, graph.tris, graph.eps, *_law_args(law))
+        dens = _tri_energies(graph, u, law)
     total = graph.triangle_area() * float(np.sum(dens))
     if not np.isfinite(total):
         raise NonFiniteEnergyError("energy is not finite")
@@ -224,11 +328,7 @@ def bond_sum_energy(graph, config, law):
 def assemble_full_gradient(graph, config, law):
     """Energy gradient with respect to every vertex position, (|V|, 2)."""
     u = np.asarray(config, dtype=float)
-    g6, bad = _backend.tri_gradients(
-        u, graph.tris, graph.eps, *_law_args(law), BOND_FLOOR
-    )
-    if bad >= 0:
-        raise DegenerateCellError(bad)
+    g6 = _tri_gradients(graph, u, law)
     g = np.zeros_like(u)
     np.add.at(g, graph.tris, graph.triangle_area() * g6)
     return g
@@ -243,12 +343,7 @@ def assemble_gradient(graph, config, law, cmap, layout):
 def assemble_hessian(graph, config, law, cmap, layout):
     """Reduced sparse symmetric Hessian."""
     u = np.asarray(config, dtype=float)
-    h6, bad = _backend.tri_hessians(
-        u, graph.tris, graph.eps, *_law_args(law), BOND_FLOOR
-    )
-    if bad >= 0:
-        raise DegenerateCellError(bad)
-    h6 = graph.triangle_area() * h6
+    h6 = graph.triangle_area() * _tri_hessians(graph, u, law)
     dof = (2 * graph.tris[:, :, None] + np.arange(2)).reshape(-1, 6)
     rows = np.repeat(dof, 6, axis=1).ravel()
     cols = np.tile(dof, (1, 6)).ravel()

@@ -16,6 +16,8 @@ Gamma1 master (i, 0), and the origin is pinned, leaving 2*(|V| - N - 1) free
 scalar unknowns.
 """
 
+import numbers
+
 import numpy as np
 import scipy.sparse as sp
 
@@ -37,27 +39,11 @@ def _rows(k):
     return np.arange(len(j)) - starts[j], j
 
 
-class LatticeSpec:
-    """Lattice parameters: mismatch angle phi and subdivision count N = 1/eps.
-
-    phi is the wedge angle of the disclination (2*pi/5 or 2*pi/7 in the
-    classical 5-/7-type cases; any value in (0, 2*pi) is accepted, and
-    phi = pi/3 gives the unfrustrated control).
-    """
-
-    def __init__(self, phi, n):
-        n = int(n)
-        if n < 1:
-            raise ValueError("need N >= 1, got %d" % n)
-        if not 0.0 < phi < 2.0 * np.pi:
-            raise ValueError("phi must lie in (0, 2*pi), got %r" % phi)
-        self.phi = float(phi)
-        self.n = n
-        self.eps = 1.0 / n
-
-
 class LatticeGraph:
     """Vertices, weighted edges and oriented triangles of the lattice.
+
+    n must be an integer >= 1 (Python or numpy); anything else raises
+    ValueError.
 
     Attributes
     ----------
@@ -81,6 +67,8 @@ class LatticeGraph:
     """
 
     def __init__(self, n):
+        if not isinstance(n, numbers.Integral) or n < 1:
+            raise ValueError("need an integer N >= 1, got %r" % (n,))
         self.n = n = int(n)
         self.eps = eps = 1.0 / n
 
@@ -157,14 +145,11 @@ class ConstraintMap:
         self.pinned = int(pinned)
 
 
-def build_lattice(spec):
-    """Construct the lattice graph for a LatticeSpec (or a plain N)."""
-    n = spec.n if isinstance(spec, LatticeSpec) else int(spec)
-    return LatticeGraph(n)
-
-
 def build_constraints(graph, phi):
     """Pair each Gamma1 vertex (i, 0), i >= 1, with the Gamma2 vertex (0, i).
+
+    phi is the wedge angle of the disclination (2*pi/5 or 2*pi/7 in the
+    classical 5-/7-type cases; phi = pi/3 gives the unfrustrated control).
 
     The apex (0, N) lies on both Gamma2 and Gamma3 and is slaved to (N, 0);
     the corner (N, 0) on Gamma1 and Gamma3 is an ordinary master.  Raises

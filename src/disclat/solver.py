@@ -2,7 +2,7 @@
 
 Each iteration solves (H + tau*I) s = -g.  The last LU factorization of a
 run is kept and tried first, as the right preconditioner of a short GMRES
-on (H + tau0*I) s = -g: near a minimizer, and from the prolonged warm
+on (H + TAU0*I) s = -g: near a minimizer, and from the prolonged warm
 start of a sweep level, the Hessian changes little between iterations and
 a few preconditioned iterations reach the residual bound.  GMRES gives up
 after GMRES_MAXITER iterations, or earlier when its observed residual
@@ -13,13 +13,14 @@ Newton converges fast and GMRES has not failed in the run (see
 _StepSolver).
 
 A fresh factorization (sparse LU, minimum-degree ordering) starts at
-tau = tau0 and grows tau by tau_growth whenever the factorization fails,
-the solve is inaccurate, or s is not a descent direction; past tau = 1e8
-the system is declared singular.  An Armijo backtracking line search
-(optional, on by default) guarantees energy descent; a trial point whose
+tau = TAU0 = 0, moves to 1e-8 and then grows tau TAU_GROWTH-fold whenever
+the factorization fails, the solve is inaccurate, or s is not a descent
+direction; past TAU_LIMIT the system is declared singular.  An Armijo
+backtracking line search guarantees energy descent; a trial point whose
 energy is not finite is rejected like one that fails the Armijo test.
-Admissibility is exact at every iterate because all trial points go
-through expand().
+NewtonOptions(plain=True) turns off both the line search and the tau
+escalation.  Admissibility is exact at every iterate because all trial
+points go through expand().
 """
 
 import numpy as np
@@ -35,7 +36,12 @@ from .energy import (
 )
 from .lattice import expand
 
+TAU0 = 0.0
+TAU_GROWTH = 10.0
 TAU_LIMIT = 1e8
+ARMIJO_C = 1e-4
+BACKTRACK = 0.5
+MAX_HALVINGS = 40
 GMRES_MAXITER = 10
 # warm-started sweep steps shrink the gradient 11-fold or more, the first
 # steps from folded starts only 2.7- to 5-fold
@@ -47,41 +53,20 @@ class SingularSystemError(RuntimeError):
 
 
 class NewtonOptions:
-    def __init__(
-        self,
-        grad_tol=1e-10,
-        max_iter=200,
-        tau0=0.0,
-        tau_growth=10.0,
-        line_search=True,
-        armijo_c=1e-4,
-        backtrack=0.5,
-        max_halvings=40,
-    ):
+    """Stopping rule and mode of one Newton run.
+
+    plain=True gives undamped Newton: no line search, no regularization
+    fallback.
+    """
+
+    def __init__(self, grad_tol=1e-10, max_iter=200, plain=False):
         if grad_tol <= 0:
             raise ValueError("grad_tol must be positive")
         if max_iter < 1:
             raise ValueError("max_iter must be >= 1")
         self.grad_tol = float(grad_tol)
         self.max_iter = int(max_iter)
-        self.tau0 = float(tau0)
-        self.tau_growth = float(tau_growth)
-        self.line_search = bool(line_search)
-        self.armijo_c = float(armijo_c)
-        self.backtrack = float(backtrack)
-        self.max_halvings = int(max_halvings)
-
-    @classmethod
-    def plain(cls, **kw):
-        """Undamped Newton: no line search, no regularization fallback."""
-        kw.setdefault("line_search", False)
-        opts = cls(**kw)
-        opts._plain = True
-        return opts
-
-
-def _is_plain(opts):
-    return getattr(opts, "_plain", False)
+        self.plain = bool(plain)
 
 
 class SolveReport:
@@ -140,13 +125,12 @@ def _factor_step(h, g, opts):
     """Solve (H + tau I)s = -g by a fresh LU, escalating tau until the step
     is usable.
 
-    Returns (s, tau, lu, resid).  In plain mode tau stays at tau0 and
+    Returns (s, tau, lu, resid).  In plain mode tau stays at TAU0 and
     failures raise.
     """
     n = h.shape[0]
-    tau = opts.tau0
+    tau = TAU0
     eye = sp.identity(n, format="csc")
-    plain = _is_plain(opts)
     while True:
         try:
             # H is structurally symmetric: order on the pattern of A^T + A
@@ -161,7 +145,7 @@ def _factor_step(h, g, opts):
             resid = np.linalg.norm((h @ s) + tau * s + g)
             ok = resid <= 1e-10 * max(1.0, np.linalg.norm(g))
             descent = (g @ s) < 0.0
-            if plain:
+            if opts.plain:
                 if not ok:
                     raise SingularSystemError(
                         "Newton system residual %.3g too large" % resid
@@ -169,10 +153,10 @@ def _factor_step(h, g, opts):
                 return s, tau, lu, resid
             if ok and descent:
                 return s, tau, lu, resid
-        elif plain:
+        elif opts.plain:
             raise SingularSystemError("Hessian factorization failed")
         lu = None                     # free it before the next attempt
-        tau = max(tau * opts.tau_growth, 1e-8) if tau else 1e-8
+        tau = max(tau * TAU_GROWTH, 1e-8) if tau else 1e-8
         if tau > TAU_LIMIT:
             raise SingularSystemError(
                 "no usable step up to tau = %g" % TAU_LIMIT
@@ -245,7 +229,7 @@ def _gmres(matvec, b, precond, tol, maxiter=GMRES_MAXITER):
 class _StepSolver:
     """Solves the Newton systems of one run and keeps the last LU.
 
-    step() first runs GMRES on (H + tau0 I)s = -g, right-preconditioned by
+    step() first runs GMRES on (H + TAU0 I)s = -g, right-preconditioned by
     that LU.  Its step must pass the tests of a factored one: a residual
     within the bound (which makes it finite) and descent.  Otherwise the
     stale LU is dropped and _factor_step factors afresh.
@@ -268,7 +252,7 @@ class _StepSolver:
         """Returns (s, tau, krylov_iters, resid); krylov_iters is 0 when
         the step came from a fresh LU."""
         if self.lu is not None:
-            tau = self.opts.tau0
+            tau = TAU0
             gnorm = np.linalg.norm(g)
             # the second term keeps the final steps as accurate as an LU's
             tol = min(0.5e-10 * max(1.0, gnorm), 1e-6 * gnorm)
@@ -316,19 +300,19 @@ def newton_minimize(graph, law, cmap, layout, init, opts=None):
         h = assemble_hessian(graph, expand(q, cmap, layout), law, cmap, layout)
         s, tau, krylov_iters, resid = systems.step(h, g)
         report.record_solve(krylov_iters == 0, krylov_iters, resid)
-        if opts.line_search:
+        if not opts.plain:
             slope = g @ s
             t = 1.0
             # tiny slack absorbs roundoff when f sits at the minimum already
             slack = 1e-14 * (1.0 + abs(f))
-            for _ in range(opts.max_halvings):
+            for _ in range(MAX_HALVINGS):
                 try:
                     f_try = fval(q + t * s)
                 except NonFiniteEnergyError:
                     f_try = np.inf            # outside the model: reject the trial
-                if f_try <= f + opts.armijo_c * t * slope + slack:
+                if f_try <= f + ARMIJO_C * t * slope + slack:
                     break
-                t *= opts.backtrack
+                t *= BACKTRACK
             else:
                 t = 0.0  # no acceptable step; stop making progress
             step = t * s

@@ -158,14 +158,6 @@ def test_missing_init_file_exits_2(tmp_path):
     assert code == 2
 
 
-def test_bad_thread_env_one_line_error(monkeypatch, capsys):
-    monkeypatch.setenv("DISCL_THREADS", "frog")
-    code = main(["mesh", "--eps-exp", "1"])
-    assert code == 2
-    err = capsys.readouterr().err
-    assert err.strip() == "error: DISCL_THREADS must be an integer, got 'frog'"
-
-
 def test_no_subcommand_prints_help(capsys):
     assert main([]) == 2
     assert "mesh" in capsys.readouterr().out

@@ -10,10 +10,8 @@ from hypothesis import given, settings, strategies as st
 from disclat.lattice import (
     DofLayout,
     LatticeGraph,
-    LatticeSpec,
     SQRT3,
     build_constraints,
-    build_lattice,
     dump_lattice,
     expand,
     parse_lattice_dump,
@@ -253,15 +251,10 @@ def test_dump_roundtrip():
 
 
 def test_spec_validation():
-    with pytest.raises(ValueError):
-        LatticeSpec(PHI5, 0)
-    with pytest.raises(ValueError):
-        LatticeSpec(0.0, 4)
-    with pytest.raises(ValueError):
-        LatticeSpec(2.0 * np.pi, 4)
-    spec = LatticeSpec(PHI5, 4)
-    assert build_lattice(spec).n == 4
-    assert build_lattice(4).n == 4       # plain N accepted too
+    for bad in (0, -1, 2.5):
+        with pytest.raises(ValueError):
+            LatticeGraph(bad)
+    assert LatticeGraph(np.int64(4)).n == 4      # numpy integers accepted too
 
 
 @settings(max_examples=40, deadline=None)

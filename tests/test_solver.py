@@ -72,7 +72,7 @@ def test_determinism():
 
 def test_plain_newton_matches_damped():
     _, _, _, c_damped, _ = solve()
-    _, _, _, c_plain, report = solve(opts=NewtonOptions.plain())
+    _, _, _, c_plain, report = solve(opts=NewtonOptions(plain=True))
     assert report.converged
     assert np.abs(c_plain - c_damped).max() <= 1e-10
 
@@ -98,7 +98,7 @@ def test_newton_step_regularizes_singular_hessian():
     assert tau > 0.0                      # had to regularize
     assert g @ s < 0.0                    # still a descent direction
     with pytest.raises(SingularSystemError):
-        _newton_step(h, g, NewtonOptions.plain())
+        _newton_step(h, g, NewtonOptions(plain=True))
 
 
 def test_report_csv_shape():
