@@ -17,8 +17,6 @@ from .energy import (
     assemble_hessian,
     cell_gradient,
     w_density,
-    w_grad,
-    w_hess,
 )
 from .solver import NewtonOptions, SolveReport, newton_minimize
 from .experiments import (

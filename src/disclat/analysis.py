@@ -1,8 +1,10 @@
 """Diagnostics on 2x2 deformation matrices: closed-form SVD, distance to the
 rotation group, triangle orientation checks, and the structural
 verifications (six-bond coercivity inequality, zero-energy laminate,
-rigidity ratio, frustration).
+rigidity ratio).
 """
+
+import functools
 
 import numpy as np
 
@@ -102,47 +104,57 @@ def dist_so2(a, p=2.0):
     return dist_so2_squared(a) ** (p / 2.0)
 
 
-def dist_so2_grid(a, n_grid=1_000_000):
-    """Brute-force min over a uniform angle grid of |a - R(theta)|_F^2.
+@functools.cache
+def _angle_table():
+    """cos and sin of the 10^6-point angle grid of dist_so2_grid (read-only)."""
+    theta = np.linspace(0.0, 2.0 * np.pi, 1_000_000, endpoint=False)
+    table = np.cos(theta), np.sin(theta)
+    for column in table:
+        column.flags.writeable = False
+    return table
+
+
+def dist_so2_grid(a):
+    """Brute-force min over a uniform 10^6-point angle grid of
+    |a - R(theta)|_F^2.
 
     Independent cross-check for dist_so2_squared.  |a - R|^2 = |a|^2 + 2
     - 2*(t cos theta + d sin theta) with t = tr a, d = a21 - a12, so the
-    scan needs only one vectorized pass.
+    scan needs only one vectorized pass over the cached cos/sin tables.
     """
     a = np.asarray(a, dtype=float)
-    theta = np.linspace(0.0, 2.0 * np.pi, n_grid, endpoint=False)
-    proj = (a[0, 0] + a[1, 1]) * np.cos(theta) + (a[1, 0] - a[0, 1]) * np.sin(theta)
+    cos, sin = _angle_table()
+    proj = (a[0, 0] + a[1, 1]) * cos
+    proj += (a[1, 0] - a[0, 1]) * sin
     return float((a * a).sum() + 2.0 - 2.0 * proj.max())
 
 
 def six_bond_sum(sigma1, sigma2, theta):
     """sum_k (|diag(s1,s2) R(theta + k pi/3) e1| - 1)^2 over the six bond
-    directions."""
-    angles = theta + np.arange(6) * (np.pi / 3.0)
-    lengths = np.sqrt(
-        (sigma1 * np.cos(angles)) ** 2 + (sigma2 * np.sin(angles)) ** 2
-    )
-    return float(((lengths - 1.0) ** 2).sum())
+    directions, elementwise on arrays."""
+    total = 0.0
+    for k in range(6):
+        angle = theta + k * (np.pi / 3.0)
+        length = np.sqrt(
+            (sigma1 * np.cos(angle)) ** 2 + (sigma2 * np.sin(angle)) ** 2
+        )
+        total += (length - 1.0) ** 2
+    return total
 
 
-def check_lemma_a1(n_samples=100_000, seed=0, sigma_max=10.0):
+def check_lemma_a1(n_samples=100_000, seed=0):
     """Sampled verification of 14 * six_bond_sum >= (s1-1)^2 + (s2-1)^2.
 
-    Draws (sigma1, sigma2) with 0 <= sigma1 <= sigma2 <= sigma_max and
-    theta in [0, pi/3).  Returns (violations, min_slack), slack = LHS - RHS.
+    Draws (sigma1, sigma2) with 0 <= sigma1 <= sigma2 <= 10 and theta in
+    [0, pi/3).  Returns (violations, min_slack), slack = LHS - RHS.
     """
     rng = np.random.default_rng(seed)
-    lo = rng.uniform(0.0, sigma_max, size=n_samples)
-    hi = rng.uniform(0.0, sigma_max, size=n_samples)
+    lo = rng.uniform(0.0, 10.0, size=n_samples)
+    hi = rng.uniform(0.0, 10.0, size=n_samples)
     sigma1 = np.minimum(lo, hi)
     sigma2 = np.maximum(lo, hi)
     theta = rng.uniform(0.0, np.pi / 3.0, size=n_samples)
-    angles = theta[:, None] + np.arange(6)[None, :] * (np.pi / 3.0)
-    lengths = np.sqrt(
-        (sigma1[:, None] * np.cos(angles)) ** 2
-        + (sigma2[:, None] * np.sin(angles)) ** 2
-    )
-    lhs = 14.0 * ((lengths - 1.0) ** 2).sum(axis=1)
+    lhs = 14.0 * six_bond_sum(sigma1, sigma2, theta)
     rhs = (sigma1 - 1.0) ** 2 + (sigma2 - 1.0) ** 2
     slack = lhs - rhs
     return int(np.sum(slack < 0.0)), float(slack.min())
@@ -155,15 +167,15 @@ def laminate_matrices():
     return [a1, a2, -a1, -a2], np.full(4, 0.25)
 
 
-def check_laminate(law=None):
+def check_laminate():
     """Verify the laminate: weighted average zero, rank-one connections at
     both lamination levels (second singular value of each difference ~ 0,
-    first one nonzero), unit bond images, and zero bond energy per matrix.
+    first one nonzero), unit bond images, and zero bond energy per matrix
+    (p = 2, psi zero).
     """
     from .energy import BOND_DIRECTIONS, MaterialLaw, w_density
 
-    if law is None:
-        law = MaterialLaw(p=2.0, psi="zero")
+    law = MaterialLaw(p=2.0, psi="zero")
     mats, weights = laminate_matrices()
     average = sum(w * m for w, m in zip(weights, mats))
     diffs = [
@@ -187,14 +199,14 @@ def check_laminate(law=None):
     }
 
 
-def check_rigidity(law, n_samples=10_000, seed=0, sigma_max=5.0, dist_floor=1e-8):
+def check_rigidity(law, n_samples=10_000, seed=0):
     """Sampled minimum of w_density(A) / dist(A, SO(2))^p.
 
     Needs a volumetric term: with psi == zero the density vanishes on all
     of O(2) while the distance to SO(2) does not, and the ratio degenerates
     on the reflection component.  Samples A = R(u) diag(s1, s2) R(v) with
-    singular values in [0, sigma_max] and a random sign flip; skips samples
-    with dist < dist_floor.  Returns (min_ratio, n_used).
+    singular values in [0, 5] and a random sign flip; skips samples with
+    dist < 1e-8.  Returns (min_ratio, n_used).
     """
     from .energy import w_density
 
@@ -204,44 +216,16 @@ def check_rigidity(law, n_samples=10_000, seed=0, sigma_max=5.0, dist_floor=1e-8
     min_ratio = np.inf
     used = 0
     for _ in range(n_samples):
-        s = rng.uniform(0.0, sigma_max, size=2)
+        s = rng.uniform(0.0, 5.0, size=2)
         u, v = rng.uniform(0.0, 2.0 * np.pi, size=2)
         mat = rot(u) @ np.diag(s) @ rot(v)
         if rng.random() < 0.5:
             mat = mat @ np.diag([1.0, -1.0])
         d2 = dist_so2_squared(mat)
-        if d2 < dist_floor**2:
+        if d2 < 1e-8**2:                  # dist below 1e-8
             continue
         ratio = w_density(mat, law) / d2 ** (law.p / 2.0)
         min_ratio = min(min_ratio, ratio)
         used += 1
     return float(min_ratio), used
 
-
-def frustration_check(energies, converged=None, energy_floor=1e-4):
-    """Check that minimizer energies stay bounded away from zero.
-
-    energies: sweep energies ordered from the coarsest level.  Reports the
-    minimum energy, whether every (converged) level clears energy_floor,
-    and an extrapolated limit from the last difference assuming geometric
-    decay of the increments.
-    """
-    energies = np.asarray(energies, dtype=float)
-    if converged is None:
-        converged = np.ones(len(energies), dtype=bool)
-    converged = np.asarray(converged, dtype=bool)
-    checked = energies[converged]
-    min_energy = float(checked.min()) if checked.size else np.nan
-    limit = float(energies[-1])
-    if len(energies) >= 3:
-        d_last = energies[-1] - energies[-2]
-        d_prev = energies[-2] - energies[-3]
-        if d_prev != 0.0 and abs(d_last) < abs(d_prev):
-            q = d_last / d_prev
-            limit = float(energies[-1] + d_last * q / (1.0 - q))
-    return {
-        "min_energy": min_energy,
-        "all_above_floor": bool(checked.size and (checked > energy_floor).all()),
-        "limit_estimate": limit,
-        "limit_positive": limit > energy_floor,
-    }

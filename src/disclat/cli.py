@@ -64,12 +64,12 @@ def make_law(args):
 def make_options(args):
     from .solver import NewtonOptions
 
-    opts = NewtonOptions(plain=getattr(args, "plain_newton", False))
-    if getattr(args, "max_iter", None) is not None:
-        opts.max_iter = args.max_iter
-    if getattr(args, "grad_tol", None) is not None:
-        opts.grad_tol = args.grad_tol
-    return opts
+    given = {name: getattr(args, name) for name in ("max_iter", "grad_tol")
+             if getattr(args, name) is not None}
+    try:
+        return NewtonOptions(plain=args.plain_newton, **given)
+    except ValueError as err:
+        raise CliError(str(err))
 
 
 def build_init(args, graph, phi):
@@ -141,13 +141,10 @@ def cmd_mesh(args):
 
 
 def cmd_minimize(args):
-    import numpy as np
-
     from .analysis import det_summary
     from .energy import assemble_energy
     from .io import write_config
-    from .lattice import DofLayout, LatticeGraph, build_constraints, expand, \
-        reduce_config
+    from .lattice import DofLayout, LatticeGraph, build_constraints
     from .solver import SingularSystemError, newton_minimize
 
     phi = parse_phi(args.phi)
@@ -158,7 +155,6 @@ def cmd_minimize(args):
     cmap = build_constraints(graph, phi)
     layout = DofLayout(graph, cmap)
     init = build_init(args, graph, phi)
-    init = expand(reduce_config(np.asarray(init), layout), cmap, layout)
     try:
         config, report = newton_minimize(graph, law, cmap, layout, init, opts)
     except SingularSystemError as err:

@@ -4,9 +4,9 @@ Density convention.  The six-bond density
 
     W(A) = sum_{e in B1} Phi(|A^T e| - 1) + Psi(det A),   Phi(r) = |r|^p / p
 
-is exposed by w_density/w_grad/w_hess and works on the gradient A of the
-piecewise-linear interpolant, for which A^T e is the stretched image of the
-unit bond e (cell_gradient returns exactly this A).  The *assembled* energy
+is exposed by w_density and works on the gradient A of the piecewise-linear
+interpolant, for which A^T e is the stretched image of the unit bond e
+(cell_gradient returns exactly this A).  The *assembled* energy
 integrates the half-fan density (1/2) sum_{e in B1} Phi + Psi over the
 domain, which makes the triangle sum equal sqrt(3)/2 times the weighted bond
 sum: interior edges sit in two triangles and boundary edges in one, matching
@@ -133,62 +133,6 @@ def w_density(a_mat, law):
     stretches = np.linalg.norm(a_mat.T @ BOND_DIRECTIONS.T, axis=0)
     det = a_mat[0, 0] * a_mat[1, 1] - a_mat[0, 1] * a_mat[1, 0]
     return float(np.sum(law.Phi(stretches - 1.0)) + law.Psi(det))
-
-
-def _bond_images(a_mat):
-    imgs = BOND_DIRECTIONS @ a_mat                  # row k = A^T e_k
-    lengths = np.linalg.norm(imgs, axis=1)
-    return imgs, lengths
-
-
-def _cofactor(a_mat):
-    return np.array(
-        [[a_mat[1, 1], -a_mat[1, 0]], [-a_mat[0, 1], a_mat[0, 0]]]
-    )
-
-
-def w_grad(a_mat, law):
-    """dW/dA as a 2x2 matrix."""
-    a_mat = np.asarray(a_mat, dtype=float)
-    imgs, lengths = _bond_images(a_mat)
-    if np.any(lengths <= BOND_FLOOR):
-        raise DegenerateCellError()
-    g = np.zeros((2, 2))
-    for e, b, l in zip(BOND_DIRECTIONS, imgs, lengths):
-        g += law.dPhi(l - 1.0) * np.outer(e, b / l)
-    det = a_mat[0, 0] * a_mat[1, 1] - a_mat[0, 1] * a_mat[1, 0]
-    g += law.dPsi(det) * _cofactor(a_mat)
-    return g
-
-
-def w_hess(a_mat, law):
-    """d2W/dA2 as a symmetric 4x4 matrix, row-major index (2i + j) over A_ij."""
-    a_mat = np.asarray(a_mat, dtype=float)
-    imgs, lengths = _bond_images(a_mat)
-    if np.any(lengths <= BOND_FLOOR):
-        raise DegenerateCellError()
-    eye = np.eye(2)
-    c = np.zeros((2, 2, 2, 2))
-    for e, b, l in zip(BOND_DIRECTIONS, imgs, lengths):
-        bhat = b / l
-        r = l - 1.0
-        ebh = np.einsum("i,j->ij", e, bhat)
-        c += law.d2Phi(r) * np.einsum("ij,kl->ijkl", ebh, ebh)
-        c += (
-            law.dPhi(r)
-            / l
-            * np.einsum("i,k,jl->ijkl", e, e, eye - np.outer(bhat, bhat))
-        )
-    det = a_mat[0, 0] * a_mat[1, 1] - a_mat[0, 1] * a_mat[1, 0]
-    cof = _cofactor(a_mat)
-    c += law.d2Psi(det) * np.einsum("ij,kl->ijkl", cof, cof)
-    dpsi = law.dPsi(det)
-    if dpsi != 0.0:
-        jt = np.zeros((2, 2, 2, 2))
-        jt[0, 0, 1, 1] = jt[1, 1, 0, 0] = 1.0
-        jt[0, 1, 1, 0] = jt[1, 0, 0, 1] = -1.0
-        c += dpsi * jt
-    return c.reshape(4, 4)
 
 
 def _edge_geometry(graph, u):

@@ -49,7 +49,7 @@ def linear_matrix(phi, mode="det1"):
         if s <= 0.0:
             raise ValueError("det1 mode needs phi in (0, pi), got %r" % phi)
         v = np.array([np.sqrt(np.sin(np.pi / 3.0) / s), 0.0])
-    elif mode in ("edge", "edge_preserving"):
+    elif mode == "edge":
         v = np.array([1.0, 0.0])
     else:
         raise ValueError("unknown linear init mode %r" % mode)
@@ -94,14 +94,14 @@ def fold_reference(graph, fold_count):
     return pos
 
 
-def folded_init(graph, phi, fold_count, mode="det1", cmap=None, layout=None):
-    """Linear map composed with the folded reference, made exactly admissible
-    by recomputing the slaved vertices from their masters.
+def folded_init(graph, phi, fold_count, cmap=None, layout=None):
+    """The det1 linear map composed with the folded reference, made exactly
+    admissible by recomputing the slaved vertices from their masters.
 
     cmap and layout, when given, must be those of (graph, phi); otherwise
     they are built here.
     """
-    amat = linear_matrix(phi, mode)
+    amat = linear_matrix(phi)
     u = fold_reference(graph, fold_count) @ amat.T
     if layout is None:
         cmap = build_constraints(graph, phi)
@@ -197,44 +197,28 @@ class SweepRecord:
         return out
 
 
-def _solve_level(graph, cmap, layout, law, init, opts):
-    """Minimize from init made exactly admissible (masters kept, slaves
-    recomputed); returns (configuration, SolveReport)."""
-    init = expand(reduce_config(np.asarray(init, dtype=float), layout), cmap, layout)
-    return newton_minimize(graph, law, cmap, layout, init, opts)
+def run_sweep(phi, k_max, law, opts=None, cold_start=False, keep_configs=False):
+    """Solve at eps = 2^-k for k = 1..k_max with prolongation warm starts.
 
-
-def run_sweep(
-    phi,
-    k_max,
-    law,
-    opts=None,
-    k_min=1,
-    cold_start=False,
-    init_mode="det1",
-    keep_configs=False,
-):
-    """Solve at eps = 2^-k for k = k_min..k_max with prolongation warm starts.
-
-    cold_start=True restarts every level from the linear initializer instead
-    (sensitivity study).  Solver failures propagate with the failing eps
-    attached.
+    cold_start=True restarts every level from the det1 linear initializer
+    instead (sensitivity study).  Solver failures propagate with the failing
+    eps attached.
     """
     if opts is None:
         opts = NewtonOptions()
     record = SweepRecord(phi)
     prev_graph = None
     prev_config = None
-    for k in range(k_min, k_max + 1):
+    for k in range(1, k_max + 1):
         graph = LatticeGraph(2**k)
         if prev_config is None or cold_start:
-            init = linear_init(graph, phi, init_mode)
+            init = linear_init(graph, phi)
         else:
             init = prolong(prev_graph, prev_config, graph)
         try:
             cmap = build_constraints(graph, phi)
             layout = DofLayout(graph, cmap)
-            config, report = _solve_level(graph, cmap, layout, law, init, opts)
+            config, report = newton_minimize(graph, law, cmap, layout, init, opts)
         except Exception as err:
             raise RuntimeError("sweep failed at eps = 2^-%d: %s" % (k, err)) from err
         dets = triangle_dets(graph, config)
@@ -251,7 +235,7 @@ def run_sweep(
     return record
 
 
-def run_fold_study(phi, law, eps_exp=2, max_folds=3, opts=None, init_mode="det1"):
+def run_fold_study(phi, law, eps_exp=2, max_folds=3, opts=None):
     """Solve from folded starts L = 0..max_folds at eps = 2^-eps_exp.
 
     Returns a list of dicts with keys folds, energy, min_det,
@@ -264,8 +248,8 @@ def run_fold_study(phi, law, eps_exp=2, max_folds=3, opts=None, init_mode="det1"
     layout = DofLayout(graph, cmap)
     results = []
     for folds in range(max_folds + 1):
-        init = folded_init(graph, phi, folds, init_mode, cmap, layout)
-        config, report = _solve_level(graph, cmap, layout, law, init, opts)
+        init = folded_init(graph, phi, folds, cmap, layout)
+        config, report = newton_minimize(graph, law, cmap, layout, init, opts)
         dets = triangle_dets(graph, config)
         results.append(
             {

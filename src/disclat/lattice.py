@@ -185,9 +185,8 @@ class DofLayout:
         self.n_full = nv
         self.n_reduced = 2 * len(self.free_ids)
         # reduced slot of each vertex (-1 for slaves/pinned)
-        self._slot = -np.ones(nv, dtype=np.int64)
-        self._slot[self.free_ids] = np.arange(len(self.free_ids))
-        self._cmap = cmap
+        slot = -np.ones(nv, dtype=np.int64)
+        slot[self.free_ids] = np.arange(len(self.free_ids))
 
         # sparse selection matrix S (2|V| x n_reduced) with u_full = S @ q:
         # identity blocks on free vertices, R_phi blocks slaving Gamma2 to
@@ -196,7 +195,7 @@ class DofLayout:
         n_free = len(self.free_ids)
         pairs = (len(cmap.slaves), 2, 2)      # entry (k, a, b) holds R_phi[a, b]
         slave_rows = 2 * cmap.slaves[:, None, None] + c[:, None]
-        master_cols = 2 * self._slot[cmap.masters][:, None, None] + c
+        master_cols = 2 * slot[cmap.masters][:, None, None] + c
         rows = np.concatenate([
             (2 * self.free_ids[:, None] + c).ravel(),
             np.broadcast_to(slave_rows, pairs).ravel(),
@@ -212,9 +211,6 @@ class DofLayout:
         self.select = sp.csr_matrix(
             (vals, (rows, cols)), shape=(2 * nv, self.n_reduced)
         )
-
-    def reduced_slot(self, vertex_id):
-        return int(self._slot[vertex_id])
 
 
 def expand(reduced, cmap, layout):

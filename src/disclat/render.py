@@ -12,6 +12,8 @@ from .analysis import triangle_dets
 from .lattice import rot
 
 _FMT = "%.6f"
+SIZE = 720.0          # pixels on the longer side, margins included
+MARGIN = 24.0
 
 FILL_POSITIVE = "#f2f2ee"
 FILL_NONPOS = "#e2908a"
@@ -22,8 +24,7 @@ def _pt(x, y):
     return (_FMT + "," + _FMT) % (x, y)
 
 
-def render_svg(stream, graph, config, phi=None, copies=False, size=720.0,
-               margin=24.0):
+def render_svg(stream, graph, config, phi=None, copies=False):
     """Write an SVG picture of the configuration.
 
     Triangles are filled according to the sign of their determinant
@@ -43,19 +44,19 @@ def render_svg(stream, graph, config, phi=None, copies=False, size=720.0,
     lo = pts.min(axis=0)
     hi = pts.max(axis=0)
     span = float(max(hi[0] - lo[0], hi[1] - lo[1], 1e-12))
-    scale = (size - 2.0 * margin) / span
+    scale = (SIZE - 2.0 * MARGIN) / span
 
     def to_px(p):
         # flip y: SVG grows downward
         return (
-            margin + (p[0] - lo[0]) * scale,
-            margin + (hi[1] - p[1]) * scale,
+            MARGIN + (p[0] - lo[0]) * scale,
+            MARGIN + (hi[1] - p[1]) * scale,
         )
 
-    width = margin * 2.0 + (hi[0] - lo[0]) * scale
-    height = margin * 2.0 + (hi[1] - lo[1]) * scale
+    width = MARGIN * 2.0 + (hi[0] - lo[0]) * scale
+    height = MARGIN * 2.0 + (hi[1] - lo[1]) * scale
     dets = triangle_dets(graph, config)
-    stroke_w = max(0.25, min(1.2, 60.0 * scale * graph.eps / size))
+    stroke_w = max(0.25, min(1.2, 60.0 * scale * graph.eps / SIZE))
 
     stream.write('<?xml version="1.0" encoding="UTF-8"?>\n')
     stream.write(

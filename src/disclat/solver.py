@@ -60,7 +60,7 @@ class NewtonOptions:
     """
 
     def __init__(self, grad_tol=1e-10, max_iter=200, plain=False):
-        if grad_tol <= 0:
+        if not grad_tol > 0:              # NaN fails too
             raise ValueError("grad_tol must be positive")
         if max_iter < 1:
             raise ValueError("max_iter must be >= 1")
@@ -74,11 +74,11 @@ class SolveReport:
 
     Arrays energy/grad_inf/step_norm/tau hold one entry per recorded row;
     row 0 is the initial state (step_norm and tau zero), row k the state
-    after iteration k.  factorized/krylov_iters/lin_resid hold one entry
-    per iteration: whether its linear solve factored a fresh LU, the GMRES
-    iterations it took on the stale one (0 for a fresh LU), and the
-    residual norm of the Newton system it solved.  quadratic_ratio lists
-    g_{k+1}/g_k^2 over the final three steps.
+    after iteration k.  krylov_iters/lin_resid hold one entry per
+    iteration: the GMRES iterations its linear solve took on the kept LU
+    (0 when it factored a fresh one) and the residual norm of the Newton
+    system it solved; factorized is derived from krylov_iters.
+    quadratic_ratio lists g_{k+1}/g_k^2 over the final three steps.
     """
 
     def __init__(self):
@@ -86,7 +86,6 @@ class SolveReport:
         self.grad_inf = []
         self.step_norm = []
         self.tau = []
-        self.factorized = []
         self.krylov_iters = []
         self.lin_resid = []
         self.converged = False
@@ -101,8 +100,12 @@ class SolveReport:
         self.step_norm.append(float(step_norm))
         self.tau.append(float(tau))
 
-    def record_solve(self, factorized, krylov_iters, lin_resid):
-        self.factorized.append(bool(factorized))
+    @property
+    def factorized(self):
+        """Per iteration, whether its linear solve factored a fresh LU."""
+        return [k == 0 for k in self.krylov_iters]
+
+    def record_solve(self, krylov_iters, lin_resid):
         self.krylov_iters.append(int(krylov_iters))
         self.lin_resid.append(float(lin_resid))
 
@@ -161,15 +164,6 @@ def _factor_step(h, g, opts):
             raise SingularSystemError(
                 "no usable step up to tau = %g" % TAU_LIMIT
             )
-
-
-def _newton_step(h, g, opts):
-    """Solve (H + tau I)s = -g by a fresh LU; returns (s, tau).
-
-    See _factor_step.
-    """
-    s, tau, _, _ = _factor_step(h, g, opts)
-    return s, tau
 
 
 def _gmres(matvec, b, precond, tol, maxiter=GMRES_MAXITER):
@@ -299,7 +293,7 @@ def newton_minimize(graph, law, cmap, layout, init, opts=None):
         h = None                       # free the last Hessian before the next
         h = assemble_hessian(graph, expand(q, cmap, layout), law, cmap, layout)
         s, tau, krylov_iters, resid = systems.step(h, g)
-        report.record_solve(krylov_iters == 0, krylov_iters, resid)
+        report.record_solve(krylov_iters, resid)
         if not opts.plain:
             slope = g @ s
             t = 1.0

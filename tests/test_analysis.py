@@ -11,7 +11,6 @@ from disclat.analysis import (
     dist_so2,
     dist_so2_grid,
     dist_so2_squared,
-    frustration_check,
     laminate_matrices,
     singular_values,
     six_bond_sum,
@@ -88,11 +87,23 @@ def test_six_bond_sum_degenerate_point():
     # all six bond images vanish: LHS = 14*6, RHS = (0-1)^2 + (0-1)^2
     assert abs(six_bond_sum(0.0, 0.0, 0.1) - 6.0) <= 1e-14
     assert 14.0 * six_bond_sum(0.0, 0.0, 0.1) == pytest.approx(84.0)
+    # elementwise on arrays: each entry equals its scalar call
+    theta = np.array([0.0, 0.1, 0.5, np.pi / 3.0])
+    got = six_bond_sum(np.zeros(4), np.zeros(4), theta)
+    assert got.shape == (4,)
+    assert got.tolist() == [six_bond_sum(0.0, 0.0, t) for t in theta]
 
 
 def test_six_bond_sum_identity_point():
-    for theta in (0.0, 0.2, np.pi / 6.0):
+    thetas = (0.0, 0.2, np.pi / 6.0)
+    for theta in thetas:
         assert six_bond_sum(1.0, 1.0, theta) <= 1e-14
+    # elementwise on arrays, with mixed singular values
+    s1 = np.array([1.0, 0.5, 1.0])
+    s2 = np.array([1.0, 2.0, 3.0])
+    got = six_bond_sum(s1, s2, np.array(thetas))
+    assert got[0] <= 1e-14
+    assert got.tolist() == [six_bond_sum(a, b, t) for a, b, t in zip(s1, s2, thetas)]
 
 
 def test_lemma_a1_holds_on_samples():
@@ -146,23 +157,3 @@ def test_triangle_dets_orientation():
     assert min_det == pytest.approx(-1.0)
     assert nonpos == g.n_triangles
 
-
-def test_frustration_check_positive_limit():
-    # decreasing sequence with geometric increments: limit stays positive
-    e = 2e-3 + 1e-3 * 0.5 ** np.arange(5)
-    rep = frustration_check(e)
-    assert rep["all_above_floor"]
-    assert rep["limit_positive"]
-    assert abs(rep["limit_estimate"] - 2e-3) <= 1e-5
-
-
-def test_frustration_check_zero_energies():
-    rep = frustration_check([1e-16, 1e-16], converged=[True, True])
-    assert not rep["all_above_floor"]
-    assert not rep["limit_positive"]
-
-
-def test_frustration_check_skips_unconverged():
-    rep = frustration_check([5e-3, 1e-16], converged=[True, False])
-    assert rep["all_above_floor"]
-    assert rep["min_energy"] == pytest.approx(5e-3)

@@ -161,3 +161,15 @@ def test_missing_init_file_exits_2(tmp_path):
 def test_no_subcommand_prints_help(capsys):
     assert main([]) == 2
     assert "mesh" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize(
+    "option", [["--grad-tol", "-1"], ["--grad-tol", "0"], ["--grad-tol", "nan"],
+               ["--max-iter", "0"]],
+)
+def test_bad_solver_option_exits_2(tmp_path, capsys, option):
+    code = main(["minimize", "--eps-exp", "2", "--out", str(tmp_path)] + option)
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert not (tmp_path / "config_eps2.txt").exists()     # nothing was solved

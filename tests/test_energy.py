@@ -16,8 +16,6 @@ from disclat.energy import (
     cell_gradient,
     cell_gradients,
     w_density,
-    w_grad,
-    w_hess,
 )
 from disclat.lattice import (
     DofLayout,
@@ -81,42 +79,6 @@ def test_bond_directions_closed_under_negation():
     dirs = {tuple(np.round(d, 12)) for d in BOND_DIRECTIONS}
     for d in BOND_DIRECTIONS:
         assert tuple(np.round(-d, 12)) in dirs
-
-
-def test_w_grad_matches_finite_differences():
-    rng = np.random.default_rng(11)
-    h = 1e-6
-    for law in (LAW2, LAW3S, MaterialLaw(p=4.0)):
-        for _ in range(10):
-            a = np.eye(2) + 0.3 * rng.normal(size=(2, 2))
-            g = w_grad(a, law)
-            fd = np.zeros((2, 2))
-            for r in range(2):
-                for c in range(2):
-                    da = np.zeros((2, 2))
-                    da[r, c] = h
-                    fd[r, c] = (w_density(a + da, law) - w_density(a - da, law)) / (
-                        2.0 * h
-                    )
-            assert np.abs(g - fd).max() <= 1e-6 * max(1.0, np.abs(g).max())
-
-
-def test_w_hess_matches_finite_differences():
-    rng = np.random.default_rng(13)
-    h = 1e-5
-    for law in (LAW2, LAW3S):
-        for _ in range(5):
-            a = np.eye(2) + 0.3 * rng.normal(size=(2, 2))
-            hess = w_hess(a, law)       # 4x4, row-major pair index 2i+j
-            for r in range(2):
-                for c in range(2):
-                    da = np.zeros((2, 2))
-                    da[r, c] = h
-                    fd = (w_grad(a + da, law) - w_grad(a - da, law)) / (2.0 * h)
-                    col = hess[:, 2 * r + c].reshape(2, 2)
-                    assert np.abs(col - fd).max() <= 1e-5 * max(
-                        1.0, np.abs(hess).max()
-                    )
 
 
 def test_cell_gradient_convention():

@@ -197,20 +197,24 @@ def test_reduced_dimension():
         assert layout.n_reduced == 2 * (g.n_vertices - n - 1)
 
 
-def test_expand_reduce_roundtrip_and_admissibility():
-    g = LatticeGraph(5)
+@settings(max_examples=40, deadline=None)
+@given(lattice_sizes, st.integers(min_value=0, max_value=2**32 - 1))
+def test_expand_reduce_roundtrip_and_admissibility(n, seed):
+    g = LatticeGraph(n)
     cmap = build_constraints(g, PHI5)
     layout = DofLayout(g, cmap)
-    rng = np.random.default_rng(3)
+    rng = np.random.default_rng(seed)
     q = rng.normal(size=layout.n_reduced)
     u = expand(q, cmap, layout)
-    assert np.array_equal(reduce_config(u, layout), q)
+    assert np.array_equal(reduce_config(u, layout), q)        # bitwise
     rphi = rot(PHI5)
     for i in range(1, g.n + 1):
         lhs = u[g.vertex_id(0, i)]
         rhs = rphi @ u[g.vertex_id(i, 0)]
-        assert np.abs(lhs - rhs).max() <= 1e-15
+        assert np.abs(lhs - rhs).max() <= 1e-15 * max(1.0, np.abs(rhs).max())
     assert np.all(u[g.vertex_id(0, 0)] == 0.0)
+    # an admissible configuration is a fixed point of the projection
+    assert np.array_equal(expand(reduce_config(u, layout), cmap, layout), u)
 
 
 def test_select_matrix_matches_expand():

@@ -19,7 +19,7 @@ from disclat.lattice import DofLayout, LatticeGraph, build_constraints
 from disclat.solver import (
     NewtonOptions,
     SingularSystemError,
-    _newton_step,
+    _factor_step,
     _StepSolver,
     newton_minimize,
 )
@@ -94,11 +94,11 @@ def test_max_iter_exhaustion_reported():
 def test_newton_step_regularizes_singular_hessian():
     h = sp.csr_matrix((2, 2))
     g = np.array([1.0, 0.0])
-    s, tau = _newton_step(h, g, NewtonOptions())
+    s, tau, _, _ = _factor_step(h, g, NewtonOptions())
     assert tau > 0.0                      # had to regularize
     assert g @ s < 0.0                    # still a descent direction
     with pytest.raises(SingularSystemError):
-        _newton_step(h, g, NewtonOptions(plain=True))
+        _factor_step(h, g, NewtonOptions(plain=True))
 
 
 def test_report_csv_shape():
@@ -154,7 +154,7 @@ def test_stale_lu_falls_back_to_fresh_factorization(monkeypatch):
     s, tau, krylov_iters, resid = systems.step(h, g)
     assert tried == [None]                 # GMRES ran and gave up
     assert krylov_iters == 0
-    s_ref, tau_ref = _newton_step(h, g, NewtonOptions())
+    s_ref, tau_ref, _, _ = _factor_step(h, g, NewtonOptions())
     assert tau == tau_ref
     np.testing.assert_allclose(s, s_ref, rtol=0.0, atol=1e-12)
     assert resid <= 1e-10 * max(1.0, np.linalg.norm(g))
