@@ -13,17 +13,28 @@ sum: interior edges sit in two triangles and boundary edges in one, matching
 the weights w = 1 and w = 1/2.  The full fan would count every bond of the
 medium twice.
 
-Per-triangle kernels.  Assembly evaluates, for all triangles at once, the
-density
+Kernels.  The energy is assembled by triangle: for all triangles at once it
+evaluates the density
 
     dens(T) = Phi(l1 - 1) + Phi(l2 - 1) + Phi(l3 - 1) + Psi(det)
 
-and its derivatives, where l1, l2, l3 are the stretches |u_b - u_a|/eps,
-|u_c - u_a|/eps, |u_c - u_b|/eps of the three edges and det is the
-determinant of the cell gradient (cross(u_b - u_a, u_c - u_a) divided by the
-reference cross product sqrt(3)*eps^2/2, positive on counter-clockwise
-reference triangles).  The derivative kernels raise DegenerateCellError
-naming the first triangle with a bond at or below BOND_FLOOR.
+where l1, l2, l3 are the stretches |u_b - u_a|/eps, |u_c - u_a|/eps,
+|u_c - u_b|/eps of the three edges and det is the determinant of the cell
+gradient (cross(u_b - u_a, u_c - u_a) divided by the reference cross product
+sqrt(3)*eps^2/2, positive on counter-clockwise reference triangles).
+
+The derivatives are assembled by term.  The Phi part is the weighted bond
+sum, so its gradient is one pull per edge and its Hessian one symmetric 2x2
+spring block per edge, each scaled by 2*|T|*w(e).  The Psi part stays per
+triangle and runs only when psi != "zero".  assemble_energy keeps the
+triangle sum, so bond_sum_energy and finite differences of the energy check
+the derivatives against an independent formula.  The derivative kernels
+raise DegenerateCellError naming the first triangle with a bond at or below
+BOND_FLOOR.
+
+Reduced Hessian.  A HessianPlan, built once per DofLayout, maps every block
+entry to its slot in the fixed pattern of S^T H S; each Hessian is then one
+np.bincount.
 """
 
 import numpy as np
@@ -148,10 +159,20 @@ def _edge_geometry(graph, u):
     return d1, d2, d3, l1, l2, l3, det
 
 
-def _check_bonds(l1, l2, l3):
-    bad = (l1 <= BOND_FLOOR) | (l2 <= BOND_FLOOR) | (l3 <= BOND_FLOOR)
-    if bad.any():
-        raise DegenerateCellError(int(np.argmax(bad)))
+def _bonds(graph, u):
+    """Edge vectors u_b - u_a, shape (|E|, 2), and stretches |u_b - u_a|/eps.
+
+    Raises DegenerateCellError naming the first triangle with a bond at or
+    below BOND_FLOOR: edges k, k + n_up and k + 2*n_up bound up triangle k,
+    and the n_up up triangles come first.
+    """
+    edges = graph.edges
+    d = u[edges[:, 1]] - u[edges[:, 0]]
+    length = np.hypot(d[:, 0], d[:, 1]) / graph.eps
+    bad = np.flatnonzero(length <= BOND_FLOOR)
+    if len(bad):
+        raise DegenerateCellError(int(np.min(bad % (graph.n_edges // 3))))
+    return d, length
 
 
 def _tri_energies(graph, u, law):
@@ -167,71 +188,157 @@ def _tri_energies(graph, u, law):
     return dens + law.Psi(det)
 
 
-def _tri_gradients(graph, u, law):
-    """Per-triangle density gradients, shape (|T|, 3, 2), vertex order (a, b, c)."""
-    d1, d2, d3, l1, l2, l3, det = _edge_geometry(graph, u)
-    _check_bonds(l1, l2, l3)
+def _bond_gradients(graph, u, law):
+    """Assembled Phi pull of every edge on its second vertex, shape (|E|, 2);
+    the first vertex gets the opposite pull."""
+    d, length = _bonds(graph, u)
     eps = graph.eps
-    g = np.zeros(graph.tris.shape + (2,))
-    for dvec, length, s, t in ((d1, l1, 0, 1), (d2, l2, 0, 2), (d3, l3, 1, 2)):
-        # d(|dvec|/eps - 1)/du_t = unit(dvec)/eps
-        coeff = law.dPhi(length - 1.0) / (eps * eps * length)
-        pull = coeff[:, None] * dvec
-        g[:, t] += pull
-        g[:, s] -= pull
-    if law.psi_name != "zero":
-        dpsi = law.dPsi(det)
-        c0 = 2.0 / (SQRT3 * eps * eps)
-        perp2 = np.column_stack([d2[:, 1], -d2[:, 0]])   # d det / d d1 (over c0)
-        perp1 = np.column_stack([d1[:, 1], -d1[:, 0]])
-        gb = (dpsi * c0)[:, None] * perp2
-        gc = -(dpsi * c0)[:, None] * perp1
-        g[:, 1] += gb
-        g[:, 2] += gc
-        g[:, 0] -= gb + gc
-    return g
+    # d(|d|/eps - 1)/du_b = unit(d)/eps, times 2*|T|*w(e) per edge
+    scale = 2.0 * graph.triangle_area() * graph.weights
+    coeff = scale * law.dPhi(length - 1.0) / (eps * eps * length)
+    return coeff[:, None] * d
 
 
-def _tri_hessians(graph, u, law):
-    """Per-triangle density Hessians, shape (|T|, 6, 6), dof order
-    (ax, ay, bx, by, cx, cy)."""
-    d1, d2, d3, l1, l2, l3, det = _edge_geometry(graph, u)
-    _check_bonds(l1, l2, l3)
+def _bond_hessians(graph, u, law):
+    """Assembled Phi spring block of every edge, shape (|E|, 2, 2): Phi''
+    along the bond, Phi'/|bond| across it, times 2*|T|*w(e)."""
+    d, length = _bonds(graph, u)
     eps = graph.eps
-    nt = graph.n_triangles
-    h = np.zeros((nt, 3, 2, 3, 2))
-    eye = np.eye(2)
-    for dvec, length, s, t in ((d1, l1, 0, 1), (d2, l2, 0, 2), (d3, l3, 1, 2)):
-        r = length - 1.0
-        unit = dvec / (eps * length)[:, None]
-        outer = unit[:, :, None] * unit[:, None, :]
-        # spring block: Phi'' along the bond, Phi'/|bond| transversally
-        k = (
-            law.d2Phi(r)[:, None, None] / (eps * eps) * outer
-            + (law.dPhi(r) / (eps * eps * length))[:, None, None]
-            * (eye - outer)
+    r = length - 1.0
+    scale = 2.0 * graph.triangle_area() * graph.weights / (eps * eps)
+    unit = d / (eps * length)[:, None]
+    outer = unit[:, :, None] * unit[:, None, :]
+    return (
+        (scale * law.d2Phi(r))[:, None, None] * outer
+        + (scale * law.dPhi(r) / length)[:, None, None] * (np.eye(2) - outer)
+    )
+
+
+def _det_gradients(graph, u):
+    """Cell determinants (|T|,) and their gradients (|T|, 3, 2) in the
+    vertex positions, vertex order (a, b, c)."""
+    d1, d2, _, _, _, _, det = _edge_geometry(graph, u)
+    c0 = 2.0 / (SQRT3 * graph.eps**2)
+    gdet = np.empty(graph.tris.shape + (2,))
+    gdet[:, 1] = c0 * np.column_stack([d2[:, 1], -d2[:, 0]])   # d det / d d1
+    gdet[:, 2] = -c0 * np.column_stack([d1[:, 1], -d1[:, 0]])
+    gdet[:, 0] = -gdet[:, 1] - gdet[:, 2]
+    return det, gdet
+
+
+def _psi_gradients(graph, u, law):
+    """Per-triangle gradients of Psi(det), shape (|T|, 3, 2)."""
+    det, gdet = _det_gradients(graph, u)
+    return law.dPsi(det)[:, None, None] * gdet
+
+
+def _psi_hessians(graph, u, law):
+    """Per-triangle Hessians of Psi(det), shape (|T|, 3, 3, 2, 2): block
+    [t, v, w] couples vertices v and w of triangle t."""
+    det, gdet = _det_gradients(graph, u)
+    h = law.d2Psi(det)[:, None, None, None, None] * (
+        gdet[:, :, None, :, None] * gdet[:, None, :, None, :]
+    )
+    # constant curvature of det itself: c0 * Z on the cyclic vertex pairs
+    z = np.array([[0.0, 1.0], [-1.0, 0.0]])
+    coeff = (law.dPsi(det) * 2.0 / (SQRT3 * graph.eps**2))[:, None, None]
+    for v, w in ((0, 1), (1, 2), (2, 0)):
+        h[:, v, w] += coeff * z
+        h[:, w, v] += coeff * z.T
+    return h
+
+
+class HessianPlan:
+    """Slots of assembled 2x2 blocks in the reduced Hessian S^T H S.
+
+    S = DofLayout.select sends the block H[v, w] of a vertex pair to the
+    reduced block (m(v), m(w)) as A_v^T H[v, w] A_w.  Here m(v) is the free
+    slot of v, or of its master when v is a slave, and A_v is R_phi on
+    slaves and the identity elsewhere; blocks at the pinned origin drop
+    out.  The pattern holds every reduced block that an edge reaches, exact
+    zeros included, so it depends only on (N, phi).  It is symmetric, and
+    the matrix is emitted in CSC form with sorted indices.
+    """
+
+    def __init__(self, graph, cmap, layout):
+        nv, nb = graph.n_vertices, len(layout.free_ids)
+        self._block = np.full(nv, -1, dtype=np.int64)
+        self._block[layout.free_ids] = np.arange(nb)
+        self._block[cmap.slaves] = self._block[cmap.masters]
+        self._slave = np.zeros(nv, dtype=bool)
+        self._slave[cmap.slaves] = True
+        self._rotation = cmap.rotation
+        self._tris = graph.tris
+        a, b = graph.edges[:, 0], graph.edges[:, 1]
+        rows, cols = np.concatenate([a, b, a, b]), np.concatenate([a, b, b, a])
+        row_block, col_block = self._block[rows], self._block[cols]
+        live = (row_block >= 0) & (col_block >= 0)
+        # column-major block keys; sorted, they list the blocks in CSC order
+        keys = np.sort(col_block[live] * nb + row_block[live])
+        self._keys = keys = keys[np.concatenate([[True], keys[1:] != keys[:-1]])]
+        block_rows, block_cols = keys % nb, keys // nb
+        count = np.bincount(block_cols, minlength=nb)
+        first = np.cumsum(count) - count
+        self.nnz = 4 * len(keys)
+        self.shape = (2 * nb, 2 * nb)
+        # scalar column 2j + d lists rows 2i and 2i + 1 of each block (i, j)
+        self.indptr = np.zeros(2 * nb + 1, dtype=np.int32)
+        np.cumsum(np.repeat(2 * count, 2), out=self.indptr[1:])
+        # data slot of entry (c, d) of block k, which lies in block column j
+        start = 2 * first[block_cols] + 2 * np.arange(len(keys))
+        stride = 2 * count[block_cols]
+        c, d = np.arange(2)[:, None], np.arange(2)
+        slots = start[:, None, None] + stride[:, None, None] * d + c
+        self._slots = slots.astype(np.int32)
+        self.indices = np.empty(self.nnz, dtype=np.int32)
+        self.indices[self._slots] = 2 * block_rows[:, None, None] + c
+        self.edge_slots = self._map(rows, cols)
+        self._tri_slots = None
+        # every matrix shares these: an in-place change would corrupt the plan
+        self.indices.flags.writeable = self.indptr.flags.writeable = False
+
+    def _map(self, rows, cols):
+        """Where the blocks (rows[k], cols[k]) go: their data slots, with the
+        pinned origin's blocks sent to the spare slot nnz, and the indices
+        of the blocks to rotate from the left and from the right."""
+        row_block, col_block = self._block[rows], self._block[cols]
+        nb = len(self.indptr) // 2
+        k = np.searchsorted(self._keys, col_block * nb + row_block)
+        pinned = (row_block < 0) | (col_block < 0)
+        k[pinned] = 0
+        slots = self._slots[k]
+        slots[pinned] = self.nnz
+        return (
+            slots,
+            np.flatnonzero(self._slave[rows]),
+            np.flatnonzero(self._slave[cols]),
         )
-        h[:, t, :, t, :] += k
-        h[:, s, :, s, :] += k
-        h[:, t, :, s, :] -= k
-        h[:, s, :, t, :] -= k
-    if law.psi_name != "zero":
-        dpsi, d2psi = law.dPsi(det), law.d2Psi(det)
-        c0 = 2.0 / (SQRT3 * eps * eps)
-        gdet = np.zeros((nt, 3, 2))
-        gdet[:, 1] = c0 * np.column_stack([d2[:, 1], -d2[:, 0]])
-        gdet[:, 2] = -c0 * np.column_stack([d1[:, 1], -d1[:, 0]])
-        gdet[:, 0] = -gdet[:, 1] - gdet[:, 2]
-        h += d2psi[:, None, None, None, None] * (
-            gdet[:, :, :, None, None] * gdet[:, None, None, :, :]
-        )
-        # constant curvature of det itself: c0 * Z on the cyclic vertex pairs
-        z = np.array([[0.0, 1.0], [-1.0, 0.0]])
-        coeff = (dpsi * c0)[:, None, None]
-        for v, w in ((0, 1), (1, 2), (2, 0)):
-            h[:, v, :, w, :] += coeff * z
-            h[:, w, :, v, :] += coeff * z.T
-    return h.reshape(nt, 6, 6)
+
+    def triangle_slots(self):
+        """Where the per-triangle blocks (|T|, 3, 3) go; built on first use."""
+        if self._tri_slots is None:
+            shape = self._tris.shape + (3,)
+            self._tri_slots = self._map(
+                np.broadcast_to(self._tris[:, :, None], shape).ravel(),
+                np.broadcast_to(self._tris[:, None, :], shape).ravel(),
+            )
+        return self._tri_slots
+
+    def scatter(self, where, blocks):
+        """Reduced data of the 2x2 blocks (any leading shape) placed by
+        where = edge_slots or triangle_slots(); blocks is overwritten."""
+        slots, left, right = where
+        blocks = blocks.reshape(-1, 2, 2)
+        blocks[left] = self._rotation.T @ blocks[left]
+        blocks[right] = blocks[right] @ self._rotation
+        return np.bincount(
+            slots.ravel(), blocks.ravel(), minlength=self.nnz + 1
+        )[: self.nnz]
+
+    def matrix(self, data):
+        """The reduced CSC matrix with these data; it shares the index
+        arrays of the plan."""
+        return sp.csc_matrix((data, self.indices, self.indptr), shape=self.shape)
 
 
 def assemble_energy(graph, config, law):
@@ -269,12 +376,22 @@ def bond_sum_energy(graph, config, law):
     return SQRT3 / 2.0 * graph.eps**2 * (bond + psi)
 
 
+def _vertex_sums(cells, values, n_vertices):
+    """Sum per-cell vertex vectors (len(cells), k, 2) onto the vertices
+    cells (len(cells), k): shape (n_vertices, 2)."""
+    dof = (2 * cells[..., None] + np.arange(2)).ravel()
+    sums = np.bincount(dof, values.ravel(), minlength=2 * n_vertices)
+    return sums.reshape(n_vertices, 2)
+
+
 def assemble_full_gradient(graph, config, law):
     """Energy gradient with respect to every vertex position, (|V|, 2)."""
     u = np.asarray(config, dtype=float)
-    g6 = _tri_gradients(graph, u, law)
-    g = np.zeros_like(u)
-    np.add.at(g, graph.tris, graph.triangle_area() * g6)
+    pull = _bond_gradients(graph, u, law)
+    g = _vertex_sums(graph.edges, np.stack([-pull, pull], axis=1), graph.n_vertices)
+    if law.psi_name != "zero":
+        psi = graph.triangle_area() * _psi_gradients(graph, u, law)
+        g += _vertex_sums(graph.tris, psi, graph.n_vertices)
     return g
 
 
@@ -285,13 +402,16 @@ def assemble_gradient(graph, config, law, cmap, layout):
 
 
 def assemble_hessian(graph, config, law, cmap, layout):
-    """Reduced sparse symmetric Hessian."""
+    """Reduced sparse symmetric Hessian in CSC form, in the fixed pattern of
+    the layout's HessianPlan (built by the first call)."""
+    if layout.hessian_plan is None:
+        layout.hessian_plan = HessianPlan(graph, cmap, layout)
+    plan = layout.hessian_plan
     u = np.asarray(config, dtype=float)
-    h6 = graph.triangle_area() * _tri_hessians(graph, u, law)
-    dof = (2 * graph.tris[:, :, None] + np.arange(2)).reshape(-1, 6)
-    rows = np.repeat(dof, 6, axis=1).ravel()
-    cols = np.tile(dof, (1, 6)).ravel()
-    nfull = 2 * graph.n_vertices
-    h_full = sp.coo_matrix((h6.ravel(), (rows, cols)), shape=(nfull, nfull)).tocsr()
-    s = layout.select
-    return (s.T @ h_full @ s).tocsr()
+    # the blocks (a, a), (b, b), (a, b) and (b, a) of every edge (a, b)
+    springs = np.multiply.outer([1.0, 1.0, -1.0, -1.0], _bond_hessians(graph, u, law))
+    data = plan.scatter(plan.edge_slots, springs)
+    if law.psi_name != "zero":
+        psi = graph.triangle_area() * _psi_hessians(graph, u, law)
+        data += plan.scatter(plan.triangle_slots(), psi)
+    return plan.matrix(data)

@@ -211,6 +211,8 @@ class DofLayout:
         self.select = sp.csr_matrix(
             (vals, (rows, cols)), shape=(2 * nv, self.n_reduced)
         )
+        # energy.HessianPlan of this layout, built by the first Hessian
+        self.hessian_plan = None
 
 
 def expand(reduced, cmap, layout):

@@ -2,9 +2,12 @@
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
+from hypothesis import given, settings, strategies as st
 
 from disclat.energy import (
     BOND_DIRECTIONS,
+    BOND_FLOOR,
     DegenerateCellError,
     MaterialLaw,
     NonFiniteEnergyError,
@@ -17,6 +20,7 @@ from disclat.energy import (
     cell_gradients,
     w_density,
 )
+from disclat.experiments import folded_init
 from disclat.lattice import (
     DofLayout,
     LatticeGraph,
@@ -27,6 +31,7 @@ from disclat.lattice import (
 )
 
 PHI5 = 2.0 * np.pi / 5.0
+SQRT3 = np.sqrt(3.0)
 LAW2 = MaterialLaw(p=2.0)
 LAW3S = MaterialLaw(p=3.0, psi="smoothed_abs")
 
@@ -161,6 +166,32 @@ def test_degenerate_cell_raises():
     assert err.value.triangle == 0
 
 
+
+def first_triangle_with(graph, a, b):
+    """Lowest index of a triangle having both a and b as vertices."""
+    both = np.any(graph.tris == a, axis=1) & np.any(graph.tris == b, axis=1)
+    return int(np.flatnonzero(both)[0])
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(min_value=1, max_value=16), st.data())
+def test_collapsed_edge_names_its_first_triangle(n, data):
+    g = LatticeGraph(n)
+    a, b = g.edges[data.draw(st.integers(min_value=0, max_value=g.n_edges - 1))]
+    u = g.pos.copy()
+    u[b] = u[a]             # collapses exactly this edge
+    expected = first_triangle_with(g, a, b)
+    cmap = build_constraints(g, PHI5)
+    layout = DofLayout(g, cmap)
+    for law in (LAW2, LAW3S):
+        with pytest.raises(DegenerateCellError) as err:
+            assemble_gradient(g, u, law, cmap, layout)
+        assert err.value.triangle == expected
+        with pytest.raises(DegenerateCellError) as err:
+            assemble_hessian(g, u, law, cmap, layout)
+        assert err.value.triangle == expected
+
+
 def test_nonfinite_energy_raises():
     g = LatticeGraph(2)
     u = g.pos.copy()
@@ -220,3 +251,121 @@ def test_hessian_symmetry():
     hess = assemble_hessian(g, u, LAW2, cmap, layout)
     assert np.abs((hess - hess.T).toarray()).max() <= 1e-13
 
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.integers(min_value=1, max_value=24),
+    st.floats(min_value=0.1, max_value=6.2),
+    st.sampled_from([2.0, 2.5, 3.0]),
+    st.sampled_from(["zero", "smoothed_abs"]),
+    st.integers(min_value=0, max_value=2**32 - 1),
+)
+def test_triangle_sum_equals_bond_sum(n, phi, p, psi, seed):
+    g = LatticeGraph(n)
+    law = MaterialLaw(p=p, psi=psi)
+    u, _, _ = random_admissible(g, phi, seed)
+    e_tri = assemble_energy(g, u, law)
+    e_bond = bond_sum_energy(g, u, law)
+    assert abs(e_tri - e_bond) <= 1e-12 * max(1.0, abs(e_tri))
+
+
+# Oracle for the bond-wise assembly: the per-triangle kernels it replaced.
+# Each triangle differentiates its density Phi(l1 - 1) + Phi(l2 - 1) +
+# Phi(l3 - 1) + Psi(det) in full; the gradient is summed with np.add.at and
+# the Hessian's dense 6x6 blocks go through a full COO matrix and S^T H S.
+
+
+def oracle_tri_geometry(graph, u):
+    a, b, c = graph.tris[:, 0], graph.tris[:, 1], graph.tris[:, 2]
+    d1, d2 = u[b] - u[a], u[c] - u[a]
+    d3 = d2 - d1
+    lengths = [np.hypot(d[:, 0], d[:, 1]) / graph.eps for d in (d1, d2, d3)]
+    det = (d1[:, 0] * d2[:, 1] - d1[:, 1] * d2[:, 0]) / (SQRT3 / 2.0 * graph.eps**2)
+    assert min(length.min() for length in lengths) > BOND_FLOOR
+    return (d1, d2, d3), lengths, det
+
+
+def oracle_gradient(graph, u, law, layout):
+    (d1, d2, d3), lengths, det = oracle_tri_geometry(graph, u)
+    eps = graph.eps
+    g = np.zeros(graph.tris.shape + (2,))
+    for dvec, length, s, t in zip((d1, d2, d3), lengths, (0, 0, 1), (1, 2, 2)):
+        pull = (law.dPhi(length - 1.0) / (eps * eps * length))[:, None] * dvec
+        g[:, t] += pull
+        g[:, s] -= pull
+    c0 = 2.0 / (SQRT3 * eps * eps)
+    gb = (law.dPsi(det) * c0)[:, None] * np.column_stack([d2[:, 1], -d2[:, 0]])
+    gc = -(law.dPsi(det) * c0)[:, None] * np.column_stack([d1[:, 1], -d1[:, 0]])
+    g[:, 1] += gb
+    g[:, 2] += gc
+    g[:, 0] -= gb + gc
+    full = np.zeros_like(u)
+    np.add.at(full, graph.tris, graph.triangle_area() * g)
+    return layout.select.T @ full.ravel()
+
+
+def oracle_hessian(graph, u, law, layout):
+    (d1, d2, d3), lengths, det = oracle_tri_geometry(graph, u)
+    eps, nt = graph.eps, graph.n_triangles
+    h = np.zeros((nt, 3, 2, 3, 2))
+    for dvec, length, s, t in zip((d1, d2, d3), lengths, (0, 0, 1), (1, 2, 2)):
+        r = length - 1.0
+        unit = dvec / (eps * length)[:, None]
+        outer = unit[:, :, None] * unit[:, None, :]
+        k = (law.d2Phi(r)[:, None, None] / (eps * eps) * outer
+             + (law.dPhi(r) / (eps * eps * length))[:, None, None] * (np.eye(2) - outer))
+        h[:, t, :, t, :] += k
+        h[:, s, :, s, :] += k
+        h[:, t, :, s, :] -= k
+        h[:, s, :, t, :] -= k
+    c0 = 2.0 / (SQRT3 * eps * eps)
+    gdet = np.zeros((nt, 3, 2))
+    gdet[:, 1] = c0 * np.column_stack([d2[:, 1], -d2[:, 0]])
+    gdet[:, 2] = -c0 * np.column_stack([d1[:, 1], -d1[:, 0]])
+    gdet[:, 0] = -gdet[:, 1] - gdet[:, 2]
+    h += law.d2Psi(det)[:, None, None, None, None] * (
+        gdet[:, :, :, None, None] * gdet[:, None, None, :, :])
+    z = np.array([[0.0, 1.0], [-1.0, 0.0]])
+    for v, w in ((0, 1), (1, 2), (2, 0)):
+        h[:, v, :, w, :] += (law.dPsi(det) * c0)[:, None, None] * z
+        h[:, w, :, v, :] += (law.dPsi(det) * c0)[:, None, None] * z.T
+    dof = (2 * graph.tris[:, :, None] + np.arange(2)).reshape(-1, 6)
+    full = sp.coo_matrix(
+        ((graph.triangle_area() * h).ravel(),
+         (np.repeat(dof, 6, axis=1).ravel(), np.tile(dof, (1, 6)).ravel())),
+        shape=(2 * graph.n_vertices,) * 2,
+    ).tocsr()
+    return (layout.select.T @ full @ layout.select).tocsr()
+
+
+def assert_matches_oracle(g, u, law, cmap, layout):
+    grad = assemble_gradient(g, u, law, cmap, layout)
+    grad_ref = oracle_gradient(g, u, law, layout)
+    assert np.abs(grad - grad_ref).max() <= 1e-13 * np.abs(grad_ref).max()
+    hess = assemble_hessian(g, u, law, cmap, layout)
+    hess_ref = oracle_hessian(g, u, law, layout)
+    assert hess.format == "csc" and hess.has_sorted_indices
+    assert abs(hess - hess_ref).max() <= 1e-13 * abs(hess_ref).max()
+    return hess
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.integers(min_value=1, max_value=24),
+    st.floats(min_value=0.1, max_value=3.0),    # folded starts need phi < pi
+    st.sampled_from([2.0, 3.0]),
+    st.sampled_from(["zero", "smoothed_abs"]),
+    st.integers(min_value=0, max_value=2**32 - 1),
+)
+def test_bond_assembly_matches_triangle_oracle(n, phi, p, psi, seed):
+    g = LatticeGraph(n)
+    law = MaterialLaw(p=p, psi=psi)
+    u, cmap, layout = random_admissible(g, phi, seed)
+    hess = assert_matches_oracle(g, u, law, cmap, layout)
+    if n > 1:
+        # a folded start has exact zeros; the pattern keeps them
+        folded = folded_init(g, phi, n // 2, cmap, layout)
+        hess_folded = assert_matches_oracle(g, folded, law, cmap, layout)
+        np.testing.assert_array_equal(hess_folded.indptr, hess.indptr)
+        np.testing.assert_array_equal(hess_folded.indices, hess.indices)
