@@ -294,7 +294,6 @@ def newton_minimize(graph, law, cmap, layout, init, opts=None):
         h = assemble_hessian(graph, expand(q, cmap, layout), law, cmap, layout)
         s, tau, krylov_iters, resid = systems.step(h, g)
         report.record_solve(krylov_iters, resid)
-        f_new = None                   # energy at q + step, when already known
         if not opts.plain:
             slope = g @ s
             t = 1.0
@@ -306,7 +305,6 @@ def newton_minimize(graph, law, cmap, layout, init, opts=None):
                 except NonFiniteEnergyError:
                     f_try = np.inf            # outside the model: reject the trial
                 if f_try <= f + ARMIJO_C * t * slope + slack:
-                    f_new = f_try             # q + t*s is the next iterate
                     break
                 t *= BACKTRACK
             else:
@@ -315,7 +313,7 @@ def newton_minimize(graph, law, cmap, layout, init, opts=None):
         else:
             step = s
         q = q + step
-        f = fval(q) if f_new is None else f_new
+        f = fval(q)
         g = gval(q)
         gnorm_prev = gnorm
         gnorm = np.abs(g).max() if len(g) else 0.0

@@ -162,38 +162,3 @@ def test_stale_lu_falls_back_to_fresh_factorization(monkeypatch):
     assert systems.lu is None
     assert systems.step(h, g)[2] == 0 and systems.lu is None
     assert tried == [None]
-
-
-@pytest.mark.parametrize("reject_first_step", [False, True])
-def test_accepted_trial_energy_is_reused(monkeypatch, reject_first_step):
-    # the energy of the accepted line-search trial is the next iterate's:
-    # one evaluation for the start and one per trial, none repeated
-    real = disclat.solver.assemble_energy
-    points = []
-
-    def counted(graph, config, law):
-        points.append(config.copy())
-        if reject_first_step and len(points) == 2:
-            raise NonFiniteEnergyError("energy is not finite")
-        return real(graph, config, law)
-
-    monkeypatch.setattr(disclat.solver, "assemble_energy", counted)
-    _, _, _, _, report = solve()
-    assert report.converged
-    rejected = 1 if reject_first_step else 0
-    assert len(points) == 1 + report.iterations + rejected
-    assert not any(np.array_equal(a, b) for a, b in zip(points, points[1:]))
-
-
-def test_plain_newton_evaluates_each_iterate_once(monkeypatch):
-    real = disclat.solver.assemble_energy
-    calls = []
-
-    def counted(graph, config, law):
-        calls.append(None)
-        return real(graph, config, law)
-
-    monkeypatch.setattr(disclat.solver, "assemble_energy", counted)
-    _, _, _, _, report = solve(opts=NewtonOptions(plain=True))
-    assert report.converged
-    assert len(calls) == 1 + report.iterations
