@@ -26,6 +26,7 @@ power-law exponents p_eps = log2((e_4eps - e_2eps)/(e_2eps - e_eps)).
 """
 
 import numpy as np
+import scipy.sparse as sp
 
 from .analysis import triangle_dets
 from .energy import assemble_energy
@@ -37,7 +38,7 @@ from .lattice import (
     reduce_config,
     rot,
 )
-from .solver import NewtonOptions, newton_minimize
+from .solver import NewtonOptions, TwoGrid, factor_minimizer, newton_minimize
 
 SQRT3 = np.sqrt(3.0)
 
@@ -109,28 +110,56 @@ def folded_init(graph, phi, fold_count, cmap=None, layout=None):
     return expand(reduce_config(u, layout), cmap, layout)
 
 
-def prolong(coarse_graph, coarse_config, fine_graph):
-    """Piecewise-linear interpolation onto the halved-spacing lattice.
+def _coarse_ends(coarse_graph, fine_graph):
+    """The coarse vertices a, b whose midpoint each fine vertex sits at.
 
-    Fine vertex (i, j): both indices even -> the coarse vertex (i/2, j/2);
-    otherwise the midpoint of the unique coarse edge whose midpoint it is.
-    Exact on linear configurations.
+    Fine vertex (i, j): both indices even -> a == b, the coarse vertex
+    (i/2, j/2); otherwise the ends of the unique coarse edge whose midpoint
+    it is.
     """
     if fine_graph.n != 2 * coarse_graph.n:
         raise ValueError(
             "fine lattice must halve the coarse spacing (N %d vs %d)"
             % (coarse_graph.n, fine_graph.n)
         )
-    u = np.asarray(coarse_config, dtype=float)
     i, j = fine_graph.ij[:, 0], fine_graph.ij[:, 1]
     hi, hj, oi, oj = i // 2, j // 2, i % 2, j % 2
     # the coarse edge (a, b) whose midpoint (i, j) is: along e1 for odd/even,
-    # along R60*e1 for even/odd, the cell diagonal for odd/odd; a == b for
-    # even/even, where 0.5*(x + x) == x exactly
+    # along R60*e1 for even/odd, the cell diagonal for odd/odd
     cid = coarse_graph.vertex_id
-    a = cid(hi + oi * oj, hj)
-    b = cid(hi + oi * (1 - oj), hj + oj)
+    return cid(hi + oi * oj, hj), cid(hi + oi * (1 - oj), hj + oj)
+
+
+def prolong(coarse_graph, coarse_config, fine_graph):
+    """Piecewise-linear interpolation onto the halved-spacing lattice.
+
+    Every fine vertex takes the mean of its two coarse ends (_coarse_ends);
+    0.5*(x + x) == x exactly where they coincide.  Exact on linear
+    configurations.
+    """
+    a, b = _coarse_ends(coarse_graph, fine_graph)
+    u = np.asarray(coarse_config, dtype=float)
     return 0.5 * (u[a] + u[b])
+
+
+def prolongation_matrix(coarse_graph, coarse_layout, fine_graph, fine_layout):
+    """prolong on reduced vectors as a sparse matrix P (CSR):
+    P @ q == reduce_config(prolong(coarse_graph, expand(q, ...), fine_graph))
+    up to roundoff.
+
+    The coarse layout's selection matrix expands q to all coarse vertices,
+    slaves included; each free fine vertex then averages its two coarse
+    ends, componentwise.
+    """
+    a, b = _coarse_ends(coarse_graph, fine_graph)
+    free = fine_layout.free_ids
+    rows = np.repeat(np.arange(len(free)), 2)
+    cols = np.column_stack([a[free], b[free]]).ravel()
+    means = sp.csr_matrix(
+        (np.full(len(rows), 0.5), (rows, cols)),
+        shape=(len(free), coarse_graph.n_vertices),
+    )
+    return (sp.kron(means, sp.identity(2), format="csr") @ coarse_layout.select).tocsr()
 
 
 def estimate_rate(e_eps, e_2eps, e_4eps):
@@ -200,15 +229,17 @@ class SweepRecord:
 def run_sweep(phi, k_max, law, opts=None, cold_start=False, keep_configs=False):
     """Solve at eps = 2^-k for k = 1..k_max with prolongation warm starts.
 
-    cold_start=True restarts every level from the det1 linear initializer
-    instead (sensitivity study).  Solver failures propagate with the failing
-    eps attached.
+    Each level but the last factors its reduced Hessian at its minimizer;
+    the next level's Newton systems are solved by GMRES on the two-grid
+    preconditioner built on that LU (solver.TwoGrid), so the finest lattice
+    is never factored.  cold_start=True restarts every level from the det1
+    linear initializer instead (sensitivity study).  Solver failures
+    propagate with the failing eps attached.
     """
     if opts is None:
         opts = NewtonOptions()
     record = SweepRecord(phi)
-    prev_graph = None
-    prev_config = None
+    prev_graph = prev_layout = prev_config = coarse = None
     for k in range(1, k_max + 1):
         graph = LatticeGraph(2**k)
         if prev_config is None or cold_start:
@@ -218,7 +249,15 @@ def run_sweep(phi, k_max, law, opts=None, cold_start=False, keep_configs=False):
         try:
             cmap = build_constraints(graph, phi)
             layout = DofLayout(graph, cmap)
-            config, report = newton_minimize(graph, law, cmap, layout, init, opts)
+            two_grid = None if coarse is None else TwoGrid(
+                *coarse, prolongation_matrix(prev_graph, prev_layout, graph, layout)
+            )
+            config, report = newton_minimize(
+                graph, law, cmap, layout, init, opts, two_grid
+            )
+            two_grid = coarse = None   # free the coarser LU before the next
+            if k < k_max:
+                coarse = factor_minimizer(graph, law, cmap, layout, config)
         except Exception as err:
             raise RuntimeError("sweep failed at eps = 2^-%d: %s" % (k, err)) from err
         dets = triangle_dets(graph, config)
@@ -231,7 +270,7 @@ def run_sweep(phi, k_max, law, opts=None, cold_start=False, keep_configs=False):
         record.reports.append(report)
         if keep_configs:
             record.configs[k] = config
-        prev_graph, prev_config = graph, config
+        prev_graph, prev_layout, prev_config = graph, layout, config
     return record
 
 

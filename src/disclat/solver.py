@@ -12,6 +12,15 @@ dropped and the system is factored afresh.  The LU is kept only while
 Newton converges fast and GMRES has not failed in the run (see
 _StepSolver).
 
+A run can also be given a TwoGrid preconditioner, which run_sweep builds
+for every level after the first: damped 2x2 block-Jacobi smoothing around
+a coarse correction through the LU of the coarser level's Hessian at its
+minimizer, with the gauge mode (a global rotation, which costs no energy)
+projected out.  GMRES on it (at most TWO_GRID_MAXITER iterations) solves
+every Newton system of such a level until it fails once; then the level
+falls back to a fresh LU, kept and reused as above.  Unless GMRES fails,
+a sweep therefore never factors its finest lattice.
+
 A fresh factorization (sparse LU, minimum-degree ordering) starts at
 tau = TAU0 = 0, moves to 1e-8 and then grows tau TAU_GROWTH-fold whenever
 the factorization fails, the solve is inaccurate, or s is not a descent
@@ -43,6 +52,9 @@ ARMIJO_C = 1e-4
 BACKTRACK = 0.5
 MAX_HALVINGS = 40
 GMRES_MAXITER = 10
+TWO_GRID_MAXITER = 20
+SMOOTH_OMEGA = 0.7
+SMOOTH_SWEEPS = 2
 # warm-started sweep steps shrink the gradient 11-fold or more, the first
 # steps from folded starts only 2.7- to 5-fold
 KEEP_LU_CONTRACTION = 0.125
@@ -220,13 +232,89 @@ def _gmres(matvec, b, precond, tol, maxiter=GMRES_MAXITER):
     return None
 
 
+class TwoGrid:
+    """Two-grid preconditioner for the Newton systems of a sweep level
+    (Briggs, Henson & McCormick, A Multigrid Tutorial, 2000).
+
+    coarse_lu factors the coarser level's reduced Hessian at its minimizer
+    u_c, gauge is reduce(J u_c) there (see factor_minimizer), and
+    prolongation is the reduced prolongation matrix P
+    (experiments.prolongation_matrix).  prolong is linear and preserves
+    energy on nested lattices, so P^T H_fine(P q) P = H_coarse(q): at the
+    prolonged warm start the coarse LU is the exact Galerkin coarse solver.
+
+    A rotation of the whole configuration costs no energy, so H_coarse(u_c)
+    annihilates the gauge vector up to the size of the gradient; that
+    direction is projected out of the restricted residual and of the coarse
+    correction, where the nearly singular LU would blow it up.
+    """
+
+    def __init__(self, coarse_lu, gauge, prolongation):
+        self.lu = coarse_lu
+        self.gauge = gauge / np.linalg.norm(gauge)
+        self.p = prolongation
+        self.pt = prolongation.T.tocsr()
+
+    def preconditioner(self, h):
+        """v -> M^-1 v for the fine matrix h: SMOOTH_SWEEPS damped 2x2
+        block-Jacobi sweeps (one block per free vertex), the coarse
+        correction P LU^-1 P^T, and SMOOTH_SWEEPS sweeps again.  None when
+        a diagonal block is not positive definite."""
+        d = h.diagonal()
+        a, c = d[0::2], d[1::2]
+        b, b_low = h.diagonal(1)[0::2], h.diagonal(-1)[0::2]
+        det = a * c - b * b_low
+        if not (np.all(a > 0.0) and np.all(det > 0.0)):
+            return None
+        w = SMOOTH_OMEGA / det
+        i00, i01, i10, i11 = w * c, -w * b, -w * b_low, w * a
+        z = self.gauge
+
+        def jacobi(r):
+            out = np.empty_like(r)
+            out[0::2] = i00 * r[0::2] + i01 * r[1::2]
+            out[1::2] = i10 * r[0::2] + i11 * r[1::2]
+            return out
+
+        def apply(v):
+            x = jacobi(v)
+            for _ in range(SMOOTH_SWEEPS - 1):
+                x += jacobi(v - h @ x)
+            rc = self.pt @ (v - h @ x)
+            rc -= (z @ rc) * z
+            ec = self.lu.solve(rc)
+            ec -= (z @ ec) * z
+            x += self.p @ ec
+            for _ in range(SMOOTH_SWEEPS):
+                x += jacobi(v - h @ x)
+            return x
+
+        return apply
+
+
+def factor_minimizer(graph, law, cmap, layout, config):
+    """(LU of the reduced Hessian at config, reduce(J config)): the coarse
+    half of a TwoGrid for the next finer level.  None when the LU fails."""
+    from .lattice import reduce_config
+
+    h = assemble_hessian(graph, config, law, cmap, layout)
+    try:
+        lu = splu(h.tocsc(), permc_spec="MMD_AT_PLUS_A")
+    except RuntimeError:
+        return None
+    gauge = np.column_stack([-config[:, 1], config[:, 0]])    # J u
+    return lu, reduce_config(gauge, layout)
+
+
 class _StepSolver:
     """Solves the Newton systems of one run and keeps the last LU.
 
     step() first runs GMRES on (H + TAU0 I)s = -g, right-preconditioned by
-    that LU.  Its step must pass the tests of a factored one: a residual
-    within the bound (which makes it finite) and descent.  Otherwise the
-    stale LU is dropped and _factor_step factors afresh.
+    that LU, or, while the run has no LU, by the two-grid preconditioner it
+    was given (under its own iteration cap TWO_GRID_MAXITER).  The step
+    must pass the tests of a factored one: a residual within the bound
+    (which makes it finite) and descent.  Otherwise the preconditioner is
+    dropped and _factor_step factors afresh.
 
     An LU that GMRES cannot use is best freed before the next Hessian is
     assembled: freed after it, the LU leaves a hole in the heap that the
@@ -234,36 +322,58 @@ class _StepSolver:
     kept only while Newton is in its fast local regime, where the Hessian
     changes little: newton_minimize drops it after a step that shrank the
     gradient by less than a factor 1/KEEP_LU_CONTRACTION, and the first
-    GMRES failure ends reuse for the run.
+    GMRES failure on it ends reuse for the run.
     """
 
-    def __init__(self, opts):
+    def __init__(self, opts, two_grid=None):
         self.opts = opts
         self.lu = None
+        self.two_grid = two_grid
         self.reuse = True
+
+    @staticmethod
+    def _krylov(h, g, precond, maxiter):
+        """(s, tau, krylov_iters, resid) from preconditioned GMRES, or None
+        when GMRES fails or s is not a descent direction."""
+        if precond is None:
+            return None
+        tau = TAU0
+        gnorm = np.linalg.norm(g)
+        # the second term keeps the final steps as accurate as an LU's
+        tol = min(0.5e-10 * max(1.0, gnorm), 1e-6 * gnorm)
+        found = _gmres(lambda v: h @ v + tau * v, -g, precond, tol, maxiter)
+        if found is None or not (g @ found[0]) < 0.0:
+            return None
+        s, resid, iters = found
+        return s, tau, iters, resid
 
     def step(self, h, g):
         """Returns (s, tau, krylov_iters, resid); krylov_iters is 0 when
         the step came from a fresh LU."""
         if self.lu is not None:
-            tau = TAU0
-            gnorm = np.linalg.norm(g)
-            # the second term keeps the final steps as accurate as an LU's
-            tol = min(0.5e-10 * max(1.0, gnorm), 1e-6 * gnorm)
-            found = _gmres(lambda v: h @ v + tau * v, -g, self.lu.solve, tol)
-            if found is not None and (g @ found[0]) < 0.0:
-                s, resid, iters = found
-                return s, tau, iters, resid
+            found = self._krylov(h, g, self.lu.solve, GMRES_MAXITER)
+            if found is not None:
+                return found
             self.lu = None             # never hold two factorizations at once
             self.reuse = False
+        if self.two_grid is not None:
+            found = self._krylov(
+                h, g, self.two_grid.preconditioner(h), TWO_GRID_MAXITER
+            )
+            if found is not None:
+                return found
+            self.two_grid = None
         s, tau, lu, resid = _factor_step(h, g, self.opts)
         if self.reuse:
             self.lu = lu
         return s, tau, 0, resid
 
 
-def newton_minimize(graph, law, cmap, layout, init, opts=None):
+def newton_minimize(graph, law, cmap, layout, init, opts=None, two_grid=None):
     """Minimize the reduced energy from an admissible initial configuration.
+
+    two_grid, a TwoGrid for this lattice, preconditions the Newton systems
+    before any LU is factored.
 
     Returns (configuration, SolveReport).  The report's converged flag is
     False when max_iter runs out before the reduced gradient infinity-norm
@@ -286,7 +396,7 @@ def newton_minimize(graph, law, cmap, layout, init, opts=None):
     g = gval(q)
     gnorm = np.abs(g).max() if len(g) else 0.0
     report.record(f, gnorm, 0.0, 0.0)
-    systems = _StepSolver(opts)
+    systems = _StepSolver(opts, two_grid)
     for _ in range(opts.max_iter):
         if gnorm <= opts.grad_tol:
             break

@@ -31,6 +31,8 @@ from disclat.lattice import (
 )
 
 PHI5 = 2.0 * np.pi / 5.0
+PHI7 = 2.0 * np.pi / 7.0
+J = np.array([[0.0, -1.0], [1.0, 0.0]])       # the infinitesimal rotation
 SQRT3 = np.sqrt(3.0)
 LAW2 = MaterialLaw(p=2.0)
 LAW3S = MaterialLaw(p=3.0, psi="smoothed_abs")
@@ -142,6 +144,31 @@ def test_frame_indifference_of_assembly():
         c = rng.normal(size=2)
         e1 = assemble_energy(g, u @ r.T + c, LAW2)
         assert abs(e1 - e0) <= 1e-12 * max(1.0, e0)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.integers(min_value=1, max_value=24),
+    st.sampled_from([PHI5, PHI7]),
+    st.sampled_from([2.0, 3.0]),
+    st.sampled_from(["zero", "smoothed_abs"]),
+    st.floats(min_value=0.0, max_value=2.0 * np.pi),
+    st.integers(min_value=0, max_value=2**32 - 1),
+)
+def test_frame_indifference_and_gauge_orthogonality(n, phi, p, psi, theta, seed):
+    # a global rotation commutes with R_phi and fixes the pinned origin, so
+    # it maps admissible configurations to admissible ones of equal energy;
+    # differentiating along it, the reduced gradient is orthogonal to the
+    # infinitesimal rotation reduce(J u) (the solver's gauge vector)
+    g = LatticeGraph(n)
+    law = MaterialLaw(p=p, psi=psi)
+    u, cmap, layout = random_admissible(g, phi, seed)
+    e = assemble_energy(g, u, law)
+    assert abs(assemble_energy(g, u @ rot(theta).T, law) - e) <= 1e-13 * e
+    grad = assemble_gradient(g, u, law, cmap, layout)
+    gauge = reduce_config(u @ J.T, layout)
+    bound = 1e-12 * np.linalg.norm(grad) * np.linalg.norm(gauge)
+    assert abs(grad @ gauge) <= bound
 
 
 def test_energy_grows_with_uniform_stretch():

@@ -14,11 +14,12 @@ from disclat.energy import (
     assemble_gradient,
     assemble_hessian,
 )
-from disclat.experiments import linear_init
-from disclat.lattice import DofLayout, LatticeGraph, build_constraints
+from disclat.experiments import linear_init, prolong, prolongation_matrix
+from disclat.lattice import DofLayout, LatticeGraph, build_constraints, reduce_config
 from disclat.solver import (
     NewtonOptions,
     SingularSystemError,
+    TwoGrid,
     _factor_step,
     _StepSolver,
     newton_minimize,
@@ -162,3 +163,35 @@ def test_stale_lu_falls_back_to_fresh_factorization(monkeypatch):
     assert systems.lu is None
     assert systems.step(h, g)[2] == 0 and systems.lu is None
     assert tried == [None]
+
+
+def test_stale_two_grid_falls_back_to_fresh_factorization(monkeypatch):
+    coarse, graph = LatticeGraph(4), LatticeGraph(8)
+    ccmap, cmap = build_constraints(coarse, PHI5), build_constraints(graph, PHI5)
+    clayout, layout = DofLayout(coarse, ccmap), DofLayout(graph, cmap)
+    u_coarse = linear_init(coarse, PHI5)
+    u = prolong(coarse, u_coarse, graph)
+    h = assemble_hessian(graph, u, LAW, cmap, layout)
+    g = assemble_gradient(graph, u, LAW, cmap, layout)
+    # a coarse correction from the LU of an unrelated SPD matrix
+    stale = splu(sp.diags(np.linspace(1.0, 1e3, clayout.n_reduced), format="csc"))
+    gauge = reduce_config(np.column_stack([-u_coarse[:, 1], u_coarse[:, 0]]), clayout)
+    two_grid = TwoGrid(stale, gauge, prolongation_matrix(coarse, clayout, graph, layout))
+    real = disclat.solver._gmres
+    tried = []
+
+    def spy(*args):
+        tried.append(real(*args))
+        return tried[-1]
+
+    monkeypatch.setattr(disclat.solver, "_gmres", spy)
+    systems = _StepSolver(NewtonOptions(), two_grid)
+    s, tau, krylov_iters, resid = systems.step(h, g)
+    assert tried == [None]                 # GMRES ran and gave up
+    assert krylov_iters == 0
+    s_ref, tau_ref, _, _ = _factor_step(h, g, NewtonOptions())
+    assert tau == tau_ref
+    np.testing.assert_allclose(s, s_ref, rtol=0.0, atol=1e-12)
+    assert resid <= 1e-10 * max(1.0, np.linalg.norm(g))
+    # the two-grid preconditioner is dropped; the fresh LU is kept instead
+    assert systems.two_grid is None and systems.lu is not None
