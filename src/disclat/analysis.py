@@ -8,7 +8,7 @@ import functools
 
 import numpy as np
 
-from .energy import cell_gradients
+from .energy import cell_dets
 from .lattice import rot
 
 SQRT3 = np.sqrt(3.0)
@@ -21,8 +21,9 @@ def triangle_dets(graph, config):
     Positive on orientation-preserving cells; the reference configuration
     gives +1 on every triangle.
     """
-    grads = cell_gradients(graph, config)
-    return np.linalg.det(grads)
+    u = np.asarray(config, dtype=float)
+    a, b, c = graph.tris[:, 0], graph.tris[:, 1], graph.tris[:, 2]
+    return cell_dets(u[b] - u[a], u[c] - u[a], graph.eps)
 
 
 def det_summary(graph, config):

@@ -99,7 +99,7 @@ def build_init(args, graph, phi):
         try:
             with open(path) as fh:
                 config, _ = read_config(fh)
-        except OSError as err:
+        except (OSError, ValueError) as err:
             raise CliError("cannot read init file %s: %s" % (path, err))
         if config.shape[0] != graph.n_vertices:
             raise CliError(

@@ -126,24 +126,20 @@ def cell_gradient(xa, xb, xc, ua, ub, uc):
     return (du @ np.linalg.inv(m)).T
 
 
-def cell_gradients(graph, config):
-    """All per-triangle gradients at once, shape (|T|, 2, 2)."""
-    u = np.asarray(config, dtype=float)
-    a, b, c = graph.tris[:, 0], graph.tris[:, 1], graph.tris[:, 2]
-    du = np.stack([u[b] - u[a], u[c] - u[a]], axis=1)          # rows d1, d2
-    dx = np.stack(
-        [graph.pos[b] - graph.pos[a], graph.pos[c] - graph.pos[a]], axis=1
-    )
-    dinv = np.linalg.inv(np.swapaxes(dx, 1, 2))                 # M_T^{-1}
-    return np.einsum("tmi,tmj->tij", dinv, du)
-
-
 def w_density(a_mat, law):
     """Six-bond density W(A) (full fan; see the module docstring)."""
     a_mat = np.asarray(a_mat, dtype=float)
     stretches = np.linalg.norm(a_mat.T @ BOND_DIRECTIONS.T, axis=0)
     det = a_mat[0, 0] * a_mat[1, 1] - a_mat[0, 1] * a_mat[1, 0]
     return float(np.sum(law.Phi(stretches - 1.0)) + law.Psi(det))
+
+
+def cell_dets(d1, d2, eps):
+    """det of the cell gradient of every triangle from its deformed edges
+    d1 = u_b - u_a and d2 = u_c - u_a: their cross product over that of the
+    reference edges, sqrt(3)*eps^2/2 (every reference triangle is
+    counter-clockwise)."""
+    return (d1[:, 0] * d2[:, 1] - d1[:, 1] * d2[:, 0]) / (SQRT3 / 2.0 * eps * eps)
 
 
 def _edge_geometry(graph, u):
@@ -155,8 +151,7 @@ def _edge_geometry(graph, u):
     l1 = np.hypot(d1[:, 0], d1[:, 1]) / eps
     l2 = np.hypot(d2[:, 0], d2[:, 1]) / eps
     l3 = np.hypot(d3[:, 0], d3[:, 1]) / eps
-    det = (d1[:, 0] * d2[:, 1] - d1[:, 1] * d2[:, 0]) / (SQRT3 / 2.0 * eps * eps)
-    return d1, d2, d3, l1, l2, l3, det
+    return d1, d2, d3, l1, l2, l3, cell_dets(d1, d2, eps)
 
 
 def _bonds(graph, u):

@@ -50,7 +50,10 @@ def read_config(stream):
         parts = line.split()
         if parts[0] != "u" or len(parts) != 4:
             raise ValueError("bad config line: %r" % line)
-        rows[int(parts[1])] = (float(parts[2]), float(parts[3]))
+        vid = int(parts[1])
+        if vid in rows:
+            raise ValueError("config vertex id %d repeats" % vid)
+        rows[vid] = (float(parts[2]), float(parts[3]))
     if sorted(rows) != list(range(len(rows))):
         raise ValueError("config vertex ids are not 0..%d" % (len(rows) - 1))
     config = np.array([rows[i] for i in range(len(rows))])

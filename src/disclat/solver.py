@@ -1,25 +1,16 @@
 """Newton minimization of the reduced energy.
 
-Each iteration solves (H + tau*I) s = -g.  The last LU factorization of a
-run is kept and tried first, as the right preconditioner of a short GMRES
-on (H + TAU0*I) s = -g: near a minimizer, and from the prolonged warm
-start of a sweep level, the Hessian changes little between iterations and
-a few preconditioned iterations reach the residual bound.  GMRES gives up
-after GMRES_MAXITER iterations, or earlier when its observed residual
-reduction projects more.  The step it returns must pass the tests of a
-factored step (finite, residual bound, descent); otherwise the stale LU is
-dropped and the system is factored afresh.  The LU is kept only while
-Newton converges fast and GMRES has not failed in the run (see
-_StepSolver).
-
-A run can also be given a TwoGrid preconditioner, which run_sweep builds
-for every level after the first: damped 2x2 block-Jacobi smoothing around
-a coarse correction through the LU of the coarser level's Hessian at its
-minimizer, with the gauge mode (a global rotation, which costs no energy)
-projected out.  GMRES on it (at most TWO_GRID_MAXITER iterations) solves
-every Newton system of such a level until it fails once; then the level
-falls back to a fresh LU, kept and reused as above.  Unless GMRES fails,
-a sweep therefore never factors its finest lattice.
+Each iteration solves (H + tau*I) s = -g.  A run can be given a TwoGrid
+preconditioner, which run_sweep builds for every level after the first:
+damped 2x2 block-Jacobi smoothing around a coarse correction through the
+LU of the coarser level's Hessian at its minimizer, with the gauge mode (a
+global rotation, which costs no energy) projected out.  GMRES on it solves
+H s = -g (tau = TAU0); it gives up after GMRES_MAXITER iterations, or earlier
+when its observed residual reduction projects more.  The step it returns
+must pass the tests of a factored step (residual bound, descent).  The
+first failure drops the two-grid for the run.  Every Newton system without
+a two-grid is factored afresh, so unless GMRES fails a sweep never factors
+its finest lattice.
 
 A fresh factorization (sparse LU, minimum-degree ordering) starts at
 tau = TAU0 = 0, moves to 1e-8 and then grows tau TAU_GROWTH-fold whenever
@@ -51,13 +42,9 @@ TAU_LIMIT = 1e8
 ARMIJO_C = 1e-4
 BACKTRACK = 0.5
 MAX_HALVINGS = 40
-GMRES_MAXITER = 10
-TWO_GRID_MAXITER = 20
+GMRES_MAXITER = 20
 SMOOTH_OMEGA = 0.7
 SMOOTH_SWEEPS = 2
-# warm-started sweep steps shrink the gradient 11-fold or more, the first
-# steps from folded starts only 2.7- to 5-fold
-KEEP_LU_CONTRACTION = 0.125
 
 
 class SingularSystemError(RuntimeError):
@@ -87,9 +74,9 @@ class SolveReport:
     Arrays energy/grad_inf/step_norm/tau hold one entry per recorded row;
     row 0 is the initial state (step_norm and tau zero), row k the state
     after iteration k.  krylov_iters/lin_resid hold one entry per
-    iteration: the GMRES iterations its linear solve took on the kept LU
-    (0 when it factored a fresh one) and the residual norm of the Newton
-    system it solved; factorized is derived from krylov_iters.
+    iteration: the GMRES iterations its linear solve took on the two-grid
+    preconditioner (0 when it factored a fresh LU) and the residual norm of
+    the Newton system it solved; factorized is derived from krylov_iters.
     quadratic_ratio lists g_{k+1}/g_k^2 over the final three steps.
     """
 
@@ -140,7 +127,7 @@ def _factor_step(h, g, opts):
     """Solve (H + tau I)s = -g by a fresh LU, escalating tau until the step
     is usable.
 
-    Returns (s, tau, lu, resid).  In plain mode tau stays at TAU0 and
+    Returns (s, tau, resid).  In plain mode tau stays at TAU0 and
     failures raise.
     """
     n = h.shape[0]
@@ -165,9 +152,9 @@ def _factor_step(h, g, opts):
                     raise SingularSystemError(
                         "Newton system residual %.3g too large" % resid
                     )
-                return s, tau, lu, resid
+                return s, tau, resid
             if ok and descent:
-                return s, tau, lu, resid
+                return s, tau, resid
         elif opts.plain:
             raise SingularSystemError("Hessian factorization failed")
         lu = None                     # free it before the next attempt
@@ -178,24 +165,24 @@ def _factor_step(h, g, opts):
             )
 
 
-def _gmres(matvec, b, precond, tol, maxiter=GMRES_MAXITER):
+def _gmres(matvec, b, precond, tol):
     """Right-preconditioned GMRES for A x = b from x = 0 (Saad & Schultz,
     1986), with modified Gram-Schmidt and Givens rotations.
 
     Stops when the true residual |b - A x| is at most tol and returns
-    (x, resid, iterations).  Returns None after maxiter iterations, or from
-    the second iteration on when the mean residual reduction so far
-    projects more than maxiter iterations.
+    (x, resid, iterations).  Returns None after GMRES_MAXITER iterations,
+    or from the second iteration on when the mean residual reduction so far
+    projects more than GMRES_MAXITER iterations.
     """
     beta = np.linalg.norm(b)
     basis = [b / beta]
     zs = []                                 # precond(basis[j]): x = Z y
-    hess = np.zeros((maxiter + 1, maxiter))
-    cs = np.zeros(maxiter)
-    sn = np.zeros(maxiter)
-    rhs = np.zeros(maxiter + 1)
+    hess = np.zeros((GMRES_MAXITER + 1, GMRES_MAXITER))
+    cs = np.zeros(GMRES_MAXITER)
+    sn = np.zeros(GMRES_MAXITER)
+    rhs = np.zeros(GMRES_MAXITER + 1)
     rhs[0] = beta
-    for j in range(maxiter):
+    for j in range(GMRES_MAXITER):
         zs.append(precond(basis[j]))
         w = matvec(zs[j])
         for i in range(j + 1):
@@ -226,7 +213,7 @@ def _gmres(matvec, b, precond, tol, maxiter=GMRES_MAXITER):
                 return None
         elif k >= 2:
             rate = (est / beta) ** (1.0 / k)
-            if rate >= 1.0 or k + np.log(tol / est) / np.log(rate) > maxiter:
+            if rate >= 1.0 or k + np.log(tol / est) / np.log(rate) > GMRES_MAXITER:
                 return None
         basis.append(w / h_next)
     return None
@@ -306,74 +293,28 @@ def factor_minimizer(graph, law, cmap, layout, config):
     return lu, reduce_config(gauge, layout)
 
 
-class _StepSolver:
-    """Solves the Newton systems of one run and keeps the last LU.
-
-    step() first runs GMRES on (H + TAU0 I)s = -g, right-preconditioned by
-    that LU, or, while the run has no LU, by the two-grid preconditioner it
-    was given (under its own iteration cap TWO_GRID_MAXITER).  The step
-    must pass the tests of a factored one: a residual within the bound
-    (which makes it finite) and descent.  Otherwise the preconditioner is
-    dropped and _factor_step factors afresh.
-
-    An LU that GMRES cannot use is best freed before the next Hessian is
-    assembled: freed after it, the LU leaves a hole in the heap that the
-    next factorization does not fit, and peak memory grows.  So the LU is
-    kept only while Newton is in its fast local regime, where the Hessian
-    changes little: newton_minimize drops it after a step that shrank the
-    gradient by less than a factor 1/KEEP_LU_CONTRACTION, and the first
-    GMRES failure on it ends reuse for the run.
-    """
-
-    def __init__(self, opts, two_grid=None):
-        self.opts = opts
-        self.lu = None
-        self.two_grid = two_grid
-        self.reuse = True
-
-    @staticmethod
-    def _krylov(h, g, precond, maxiter):
-        """(s, tau, krylov_iters, resid) from preconditioned GMRES, or None
-        when GMRES fails or s is not a descent direction."""
-        if precond is None:
-            return None
-        tau = TAU0
-        gnorm = np.linalg.norm(g)
-        # the second term keeps the final steps as accurate as an LU's
-        tol = min(0.5e-10 * max(1.0, gnorm), 1e-6 * gnorm)
-        found = _gmres(lambda v: h @ v + tau * v, -g, precond, tol, maxiter)
-        if found is None or not (g @ found[0]) < 0.0:
-            return None
-        s, resid, iters = found
-        return s, tau, iters, resid
-
-    def step(self, h, g):
-        """Returns (s, tau, krylov_iters, resid); krylov_iters is 0 when
-        the step came from a fresh LU."""
-        if self.lu is not None:
-            found = self._krylov(h, g, self.lu.solve, GMRES_MAXITER)
-            if found is not None:
-                return found
-            self.lu = None             # never hold two factorizations at once
-            self.reuse = False
-        if self.two_grid is not None:
-            found = self._krylov(
-                h, g, self.two_grid.preconditioner(h), TWO_GRID_MAXITER
-            )
-            if found is not None:
-                return found
-            self.two_grid = None
-        s, tau, lu, resid = _factor_step(h, g, self.opts)
-        if self.reuse:
-            self.lu = lu
-        return s, tau, 0, resid
+def _two_grid_step(h, g, precond):
+    """(s, resid, krylov_iters) from GMRES on H s = -g, right-preconditioned
+    by precond, or None when there is no preconditioner, GMRES fails or s
+    is not a descent direction.  So a step it returns passes the tests of a
+    factored one: the residual bound (which makes it finite) and descent."""
+    if precond is None:
+        return None
+    gnorm = np.linalg.norm(g)
+    # the second term keeps the final steps as accurate as an LU's
+    tol = min(0.5e-10 * max(1.0, gnorm), 1e-6 * gnorm)
+    found = _gmres(lambda v: h @ v, -g, precond, tol)
+    if found is None or not (g @ found[0]) < 0.0:
+        return None
+    return found
 
 
 def newton_minimize(graph, law, cmap, layout, init, opts=None, two_grid=None):
     """Minimize the reduced energy from an admissible initial configuration.
 
-    two_grid, a TwoGrid for this lattice, preconditions the Newton systems
-    before any LU is factored.
+    two_grid, a TwoGrid for this lattice, preconditions GMRES on every
+    Newton system until GMRES first fails; every other system is factored
+    afresh.
 
     Returns (configuration, SolveReport).  The report's converged flag is
     False when max_iter runs out before the reduced gradient infinity-norm
@@ -396,13 +337,22 @@ def newton_minimize(graph, law, cmap, layout, init, opts=None, two_grid=None):
     g = gval(q)
     gnorm = np.abs(g).max() if len(g) else 0.0
     report.record(f, gnorm, 0.0, 0.0)
-    systems = _StepSolver(opts, two_grid)
     for _ in range(opts.max_iter):
         if gnorm <= opts.grad_tol:
             break
         h = None                       # free the last Hessian before the next
         h = assemble_hessian(graph, expand(q, cmap, layout), law, cmap, layout)
-        s, tau, krylov_iters, resid = systems.step(h, g)
+        found = None
+        if two_grid is not None:
+            found = _two_grid_step(h, g, two_grid.preconditioner(h))
+            if found is None:
+                two_grid = None        # the first failure ends it for the run
+        if found is not None:
+            s, resid, krylov_iters = found
+            tau = TAU0
+        else:
+            s, tau, resid = _factor_step(h, g, opts)
+            krylov_iters = 0
         report.record_solve(krylov_iters, resid)
         if not opts.plain:
             slope = g @ s
@@ -425,10 +375,7 @@ def newton_minimize(graph, law, cmap, layout, init, opts=None, two_grid=None):
         q = q + step
         f = fval(q)
         g = gval(q)
-        gnorm_prev = gnorm
         gnorm = np.abs(g).max() if len(g) else 0.0
-        if gnorm > KEEP_LU_CONTRACTION * gnorm_prev:
-            systems.lu = None          # too slow a step for the LU to last
         report.record(f, gnorm, np.linalg.norm(step), tau)
         if np.linalg.norm(step) == 0.0:
             break

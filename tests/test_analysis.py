@@ -17,7 +17,8 @@ from disclat.analysis import (
     svd2,
     triangle_dets,
 )
-from disclat.energy import MaterialLaw
+from disclat.energy import MaterialLaw, cell_gradient
+from disclat.experiments import folded_init
 from disclat.lattice import LatticeGraph, rot
 
 
@@ -156,4 +157,11 @@ def test_triangle_dets_orientation():
     np.testing.assert_allclose(dets, -1.0, atol=1e-12)
     assert min_det == pytest.approx(-1.0)
     assert nonpos == g.n_triangles
+    # a folded start, with cells of both orientations
+    g = LatticeGraph(8)
+    u = folded_init(g, 2.0 * np.pi / 7.0, 3)
+    dets, _, nonpos = det_summary(g, u)
+    assert 0 < nonpos < g.n_triangles
+    expected = [np.linalg.det(cell_gradient(*g.pos[t], *u[t])) for t in g.tris]
+    np.testing.assert_allclose(dets, expected, rtol=0.0, atol=1e-13)
 

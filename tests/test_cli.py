@@ -5,6 +5,8 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
+from hypothesis.extra.numpy import arrays
 
 from disclat.cli import CliError, main, parse_phi, phi_slug
 from disclat.io import read_config, read_sweep_csv, write_config
@@ -78,15 +80,21 @@ def test_minimize_from_config_file(tmp_path):
     assert len(log) <= 3     # header + at most initial state and one step
 
 
-def test_config_roundtrip_is_bit_exact():
-    rng = np.random.default_rng(1)
-    config = rng.normal(size=(10, 2)) * 10.0 ** rng.uniform(-8, 8, size=(10, 2))
+@given(st.data())
+def test_config_roundtrip_is_bit_exact(data):
+    n = data.draw(st.integers(min_value=1, max_value=40))
+    values = st.one_of(
+        st.floats(allow_nan=False, allow_infinity=False),
+        st.sampled_from([-0.0, 5e-324, -2.2250738585072e-309, 1.7e308, -1.7e308]),
+    )
+    shape = ((n + 1) * (n + 2) // 2, 2)
+    config = data.draw(arrays(np.float64, shape, elements=values))
     buf = io.StringIO()
-    write_config(buf, config, phi=PHI5, n=3, p=2.0, psi="zero")
+    write_config(buf, config, phi=PHI5, n=n, p=2.0, psi="zero")
     buf.seek(0)
     back, meta = read_config(buf)
-    assert np.array_equal(back, config)
-    assert meta["psi"] == "zero" and meta["p"] == 2.0
+    assert back.tobytes() == config.tobytes()
+    assert meta["psi"] == "zero" and meta["p"] == 2.0 and meta["n"] == n
 
 
 def test_sweep_csv(tmp_path):
@@ -152,10 +160,20 @@ def test_bad_init_spec_exits_2(tmp_path):
     assert code == 2
 
 
-def test_missing_init_file_exits_2(tmp_path):
-    code = main(["minimize", "--eps-exp", "2", "--init", "file:/no/such/file",
+@pytest.mark.parametrize(
+    "text",
+    [None, "u 1 x 0\n", "u 0 0 0\nu 1 1 0\nu 1 0 1\n"],
+    ids=["missing", "malformed", "repeated-id"],
+)
+def test_missing_init_file_exits_2(tmp_path, capsys, text):
+    path = tmp_path / "init.txt"
+    if text is not None:
+        path.write_text(text)
+    code = main(["minimize", "--eps-exp", "1", "--init", "file:%s" % path,
                  "--out", str(tmp_path)])
     assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: cannot read init file") and err.count("\n") == 1
 
 
 def test_no_subcommand_prints_help(capsys):

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 import scipy.sparse as sp
-from hypothesis import given, settings, strategies as st
+from hypothesis import given, strategies as st
 
 from disclat.energy import (
     BOND_DIRECTIONS,
@@ -17,7 +17,6 @@ from disclat.energy import (
     assemble_hessian,
     bond_sum_energy,
     cell_gradient,
-    cell_gradients,
     w_density,
 )
 from disclat.experiments import folded_init
@@ -101,12 +100,6 @@ def test_cell_gradient_convention():
     assert abs(stretch - np.linalg.norm(m @ xb - m @ xa) / g.eps) <= 1e-13
 
 
-def test_cell_gradients_reference_identity():
-    g = LatticeGraph(3)
-    grads = cell_gradients(g, g.pos)
-    np.testing.assert_allclose(grads, np.broadcast_to(np.eye(2), grads.shape), atol=1e-13)
-
-
 def test_cell_gradient_cyclic_relabeling():
     g = LatticeGraph(2)
     rng = np.random.default_rng(17)
@@ -146,7 +139,6 @@ def test_frame_indifference_of_assembly():
         assert abs(e1 - e0) <= 1e-12 * max(1.0, e0)
 
 
-@settings(max_examples=40, deadline=None)
 @given(
     st.integers(min_value=1, max_value=24),
     st.sampled_from([PHI5, PHI7]),
@@ -200,7 +192,6 @@ def first_triangle_with(graph, a, b):
     return int(np.flatnonzero(both)[0])
 
 
-@settings(max_examples=40, deadline=None)
 @given(st.integers(min_value=1, max_value=16), st.data())
 def test_collapsed_edge_names_its_first_triangle(n, data):
     g = LatticeGraph(n)
@@ -280,7 +271,6 @@ def test_hessian_symmetry():
 
 
 
-@settings(max_examples=40, deadline=None)
 @given(
     st.integers(min_value=1, max_value=24),
     st.floats(min_value=0.1, max_value=6.2),
@@ -377,7 +367,6 @@ def assert_matches_oracle(g, u, law, cmap, layout):
     return hess
 
 
-@settings(max_examples=40, deadline=None)
 @given(
     st.integers(min_value=1, max_value=24),
     st.floats(min_value=0.1, max_value=3.0),    # folded starts need phi < pi

@@ -8,12 +8,7 @@ import scipy.sparse as sp
 from scipy.sparse.linalg import splu
 
 import disclat.solver
-from disclat.energy import (
-    MaterialLaw,
-    NonFiniteEnergyError,
-    assemble_gradient,
-    assemble_hessian,
-)
+from disclat.energy import MaterialLaw, NonFiniteEnergyError
 from disclat.experiments import linear_init, prolong, prolongation_matrix
 from disclat.lattice import DofLayout, LatticeGraph, build_constraints, reduce_config
 from disclat.solver import (
@@ -21,7 +16,6 @@ from disclat.solver import (
     SingularSystemError,
     TwoGrid,
     _factor_step,
-    _StepSolver,
     newton_minimize,
 )
 
@@ -95,7 +89,7 @@ def test_max_iter_exhaustion_reported():
 def test_newton_step_regularizes_singular_hessian():
     h = sp.csr_matrix((2, 2))
     g = np.array([1.0, 0.0])
-    s, tau, _, _ = _factor_step(h, g, NewtonOptions())
+    s, tau, _ = _factor_step(h, g, NewtonOptions())
     assert tau > 0.0                      # had to regularize
     assert g @ s < 0.0                    # still a descent direction
     with pytest.raises(SingularSystemError):
@@ -133,46 +127,12 @@ def test_line_search_rejects_nonfinite_trial(monkeypatch):
     assert abs(report.energy[-1] - clean.energy[-1]) <= 1e-12 * clean.energy[-1]
 
 
-def test_stale_lu_falls_back_to_fresh_factorization(monkeypatch):
-    graph = LatticeGraph(8)
-    cmap = build_constraints(graph, PHI5)
-    layout = DofLayout(graph, cmap)
-    u = linear_init(graph, PHI5)
-    h = assemble_hessian(graph, u, LAW, cmap, layout)
-    g = assemble_gradient(graph, u, LAW, cmap, layout)
-    # the LU of an unrelated SPD matrix preconditions GMRES too poorly
-    stale = splu(sp.diags(np.linspace(1.0, 1e3, h.shape[0]), format="csc"))
-    real = disclat.solver._gmres
-    tried = []
-
-    def spy(*args):
-        tried.append(real(*args))
-        return tried[-1]
-
-    monkeypatch.setattr(disclat.solver, "_gmres", spy)
-    systems = _StepSolver(NewtonOptions())
-    systems.lu = stale
-    s, tau, krylov_iters, resid = systems.step(h, g)
-    assert tried == [None]                 # GMRES ran and gave up
-    assert krylov_iters == 0
-    s_ref, tau_ref, _, _ = _factor_step(h, g, NewtonOptions())
-    assert tau == tau_ref
-    np.testing.assert_allclose(s, s_ref, rtol=0.0, atol=1e-12)
-    assert resid <= 1e-10 * max(1.0, np.linalg.norm(g))
-    # the failure ends reuse: later systems are factored and not kept
-    assert systems.lu is None
-    assert systems.step(h, g)[2] == 0 and systems.lu is None
-    assert tried == [None]
-
-
 def test_stale_two_grid_falls_back_to_fresh_factorization(monkeypatch):
     coarse, graph = LatticeGraph(4), LatticeGraph(8)
     ccmap, cmap = build_constraints(coarse, PHI5), build_constraints(graph, PHI5)
     clayout, layout = DofLayout(coarse, ccmap), DofLayout(graph, cmap)
     u_coarse = linear_init(coarse, PHI5)
     u = prolong(coarse, u_coarse, graph)
-    h = assemble_hessian(graph, u, LAW, cmap, layout)
-    g = assemble_gradient(graph, u, LAW, cmap, layout)
     # a coarse correction from the LU of an unrelated SPD matrix
     stale = splu(sp.diags(np.linspace(1.0, 1e3, clayout.n_reduced), format="csc"))
     gauge = reduce_config(np.column_stack([-u_coarse[:, 1], u_coarse[:, 0]]), clayout)
@@ -185,13 +145,13 @@ def test_stale_two_grid_falls_back_to_fresh_factorization(monkeypatch):
         return tried[-1]
 
     monkeypatch.setattr(disclat.solver, "_gmres", spy)
-    systems = _StepSolver(NewtonOptions(), two_grid)
-    s, tau, krylov_iters, resid = systems.step(h, g)
-    assert tried == [None]                 # GMRES ran and gave up
-    assert krylov_iters == 0
-    s_ref, tau_ref, _, _ = _factor_step(h, g, NewtonOptions())
-    assert tau == tau_ref
-    np.testing.assert_allclose(s, s_ref, rtol=0.0, atol=1e-12)
-    assert resid <= 1e-10 * max(1.0, np.linalg.norm(g))
-    # the two-grid preconditioner is dropped; the fresh LU is kept instead
-    assert systems.two_grid is None and systems.lu is not None
+    config, report = newton_minimize(graph, LAW, cmap, layout, u, two_grid=two_grid)
+    # GMRES ran once and gave up; the failure ends the two-grid for the run
+    assert tried == [None]
+    assert report.converged
+    assert report.krylov_iters == [0] * report.iterations
+    assert max(report.lin_resid) <= 1e-10
+    # every system was factored, exactly as in a run without a two-grid
+    ref_config, ref = newton_minimize(graph, LAW, cmap, layout, u)
+    assert np.array_equal(config, ref_config)
+    assert report.energy == ref.energy
