@@ -6,6 +6,7 @@ from .lattice import (
     ConstraintMap,
     DofLayout,
     LatticeGraph,
+    Level,
     build_constraints,
     expand,
     reduce_config,

@@ -47,6 +47,17 @@ def check_eps_exp(k):
     return k
 
 
+def check_det1(phi):
+    """The det1 linear map, which starts every sweep and fold study and the
+    linear:det1 and fold:<L> inits, exists only for phi in (0, pi)."""
+    from .experiments import linear_matrix
+
+    try:
+        linear_matrix(phi, "det1")
+    except ValueError as err:
+        raise CliError(str(err))
+
+
 def make_law(args):
     from .energy import MaterialLaw
 
@@ -67,22 +78,21 @@ def make_options(args):
     given = {name: getattr(args, name) for name in ("max_iter", "grad_tol")
              if getattr(args, name) is not None}
     try:
-        return NewtonOptions(plain=args.plain_newton, **given)
+        return NewtonOptions(**given)
     except ValueError as err:
         raise CliError(str(err))
 
 
-def build_init(args, graph, phi):
-    """Initial configuration from an init spec string."""
+def build_init(args, level):
+    """Initial configuration on level from an init spec string."""
     from .experiments import folded_init, linear_init
     from .io import read_config
 
     spec = args.init
+    graph, phi = level.graph, level.cmap.phi
     if spec == "linear:det1":
-        try:
-            return linear_init(graph, phi, "det1")
-        except ValueError as err:
-            raise CliError(str(err))
+        check_det1(phi)
+        return linear_init(graph, phi, "det1")
     if spec == "linear:edge":
         return linear_init(graph, phi, "edge")
     if spec.startswith("fold:"):
@@ -90,8 +100,9 @@ def build_init(args, graph, phi):
             folds = int(spec.split(":", 1)[1])
         except ValueError:
             raise CliError("fold init needs an integer count, got %r" % spec)
+        check_det1(phi)
         try:
-            return folded_init(graph, phi, folds)
+            return folded_init(graph, phi, folds, level)
         except ValueError as err:
             raise CliError(str(err))
     if spec.startswith("file:"):
@@ -121,19 +132,18 @@ def out_path(args, name):
 
 
 def cmd_mesh(args):
-    from .lattice import DofLayout, LatticeGraph, build_constraints, dump_lattice
+    from .lattice import Level, dump_lattice
 
     phi = parse_phi(args.phi)
     k = check_eps_exp(args.eps_exp)
-    graph = LatticeGraph(2**k)
-    cmap = build_constraints(graph, phi)
-    DofLayout(graph, cmap)    # validates the reduction
+    level = Level(2**k, phi)    # its layout validates the reduction
+    graph = level.graph
     path = out_path(args, "mesh_eps%d.txt" % k)
     if path is None:
-        dump_lattice(graph, cmap, sys.stdout)
+        dump_lattice(graph, level.cmap, sys.stdout)
     else:
         with open(path, "w") as fh:
-            dump_lattice(graph, cmap, fh)
+            dump_lattice(graph, level.cmap, fh)
         print("wrote %s (%d vertices, %d edges, %d triangles)"
               % (path, graph.n_vertices, graph.edges.shape[0],
                  graph.tris.shape[0]))
@@ -144,28 +154,26 @@ def cmd_minimize(args):
     from .analysis import det_summary
     from .energy import assemble_energy
     from .io import write_config
-    from .lattice import DofLayout, LatticeGraph, build_constraints
+    from .lattice import Level
     from .solver import SingularSystemError, newton_minimize
 
     phi = parse_phi(args.phi)
     k = check_eps_exp(args.eps_exp)
-    graph = LatticeGraph(2**k)
+    level = Level(2**k, phi)
     law = make_law(args)
     opts = make_options(args)
-    cmap = build_constraints(graph, phi)
-    layout = DofLayout(graph, cmap)
-    init = build_init(args, graph, phi)
+    init = build_init(args, level)
     try:
-        config, report = newton_minimize(graph, law, cmap, layout, init, opts)
+        config, report = newton_minimize(level, law, init, opts)
     except SingularSystemError as err:
         print("error: %s" % err, file=sys.stderr)
         return 1
-    _, min_det, nonpos = det_summary(graph, config)
-    energy = assemble_energy(graph, config, law)
+    _, min_det, nonpos = det_summary(level.graph, config)
+    energy = assemble_energy(level.graph, config, law)
     cfg_path = out_path(args, "config_eps%d.txt" % k)
     if cfg_path is not None:
         with open(cfg_path, "w") as fh:
-            write_config(fh, config, phi=phi, n=graph.n, p=law.p, psi=args.psi)
+            write_config(fh, config, phi=phi, n=level.n, p=law.p, psi=args.psi)
     log_path = out_path(args, "solve_eps%d.csv" % k)
     if log_path is not None:
         with open(log_path, "w") as fh:
@@ -187,6 +195,7 @@ def cmd_sweep(args):
     k_max = check_eps_exp(args.eps_max_exp)
     if k_max < 1:
         raise CliError("sweep needs eps-max-exp >= 1")
+    check_det1(phi)
     law = make_law(args)
     opts = make_options(args)
     record = run_sweep(phi, k_max, law, opts, cold_start=args.cold_start)
@@ -217,6 +226,7 @@ def cmd_fold_study(args):
         raise CliError(
             "max folds must lie in [0, %d] for eps=2^-%d" % (2**k - 1, k)
         )
+    check_det1(phi)
     law = make_law(args)
     opts = make_options(args)
     results = run_fold_study(phi, law, eps_exp=k, max_folds=args.max_folds,
@@ -325,6 +335,8 @@ ALL_CHECKS = ["svd2", "dist_so2", "lemma_a1", "laminate", "rigidity",
 def cmd_verify(args):
     from .io import write_verify_jsonl
 
+    if args.seed < 0:
+        raise CliError("seed must be >= 0, got %d" % args.seed)
     if args.all or not args.check:
         args.checks = list(ALL_CHECKS)
     else:
@@ -350,32 +362,26 @@ def cmd_verify(args):
 
 
 def cmd_render(args):
-    import numpy as np
-
-    from .lattice import DofLayout, LatticeGraph, build_constraints, expand, \
-        reduce_config
+    from .lattice import Level
     from .render import render_svg
     from .solver import newton_minimize
 
     phi = parse_phi(args.phi)
     k = check_eps_exp(args.eps_exp)
-    graph = LatticeGraph(2**k)
-    config = build_init(args, graph, phi)
-    cmap = build_constraints(graph, phi)
-    layout = DofLayout(graph, cmap)
-    config = expand(reduce_config(np.asarray(config), layout), cmap, layout)
+    level = Level(2**k, phi)
+    config = level.expand(level.reduce(build_init(args, level)))
     if args.solve:
         law = make_law(args)
         opts = make_options(args)
-        config, report = newton_minimize(graph, law, cmap, layout, config, opts)
+        config, report = newton_minimize(level, law, config, opts)
         if not report.converged:
             print("warning: solve did not converge", file=sys.stderr)
     path = out_path(args, "render_eps%d.svg" % k)
     if path is None:
-        render_svg(sys.stdout, graph, config, phi=phi, copies=args.copies)
+        render_svg(sys.stdout, level.graph, config, phi=phi, copies=args.copies)
     else:
         with open(path, "w") as fh:
-            render_svg(fh, graph, config, phi=phi, copies=args.copies)
+            render_svg(fh, level.graph, config, phi=phi, copies=args.copies)
         print("wrote %s" % path)
     return 0
 
@@ -402,8 +408,6 @@ def _add_law_args(sub):
 
 
 def _add_solver_args(sub):
-    sub.add_argument("--plain-newton", action="store_true",
-                     help="disable line search and regularization")
     sub.add_argument("--max-iter", type=int, default=None)
     sub.add_argument("--grad-tol", type=float, default=None)
 

@@ -22,7 +22,8 @@ re-expanding yields an exactly admissible folded start.
 Sweep.  run_sweep solves at eps = 2^-1 from the det1 linear start, then
 halves eps, warm-starting each level by prolongation of the previous
 minimizer, and records energies, determinant diagnostics and the empirical
-power-law exponents p_eps = log2((e_4eps - e_2eps)/(e_2eps - e_eps)).
+power-law exponents p_eps = log2((e_4eps - e_2eps)/(e_2eps - e_eps)); it
+keeps only the previous lattice.Level.  The fold study uses one Level.
 """
 
 import numpy as np
@@ -30,9 +31,13 @@ import scipy.sparse as sp
 
 from .analysis import triangle_dets
 from .energy import assemble_energy
-from .lattice import (
+# DofLayout, LatticeGraph, build_constraints, expand and reduce_config are
+# unused here, but perfbench's tracer wraps them on this module by name, and
+# its output workload builds experiments.LatticeGraph
+from .lattice import (  # noqa: F401
     DofLayout,
     LatticeGraph,
+    Level,
     build_constraints,
     expand,
     reduce_config,
@@ -95,19 +100,18 @@ def fold_reference(graph, fold_count):
     return pos
 
 
-def folded_init(graph, phi, fold_count, cmap=None, layout=None):
+def folded_init(graph, phi, fold_count, level=None):
     """The det1 linear map composed with the folded reference, made exactly
     admissible by recomputing the slaved vertices from their masters.
 
-    cmap and layout, when given, must be those of (graph, phi); otherwise
-    they are built here.
+    level, when given, must be the Level of (graph.n, phi); otherwise one
+    is built here.
     """
     amat = linear_matrix(phi)
     u = fold_reference(graph, fold_count) @ amat.T
-    if layout is None:
-        cmap = build_constraints(graph, phi)
-        layout = DofLayout(graph, cmap)
-    return expand(reduce_config(u, layout), cmap, layout)
+    if level is None:
+        level = Level(graph.n, phi)
+    return level.expand(level.reduce(u))
 
 
 def _coarse_ends(coarse_graph, fine_graph):
@@ -142,24 +146,24 @@ def prolong(coarse_graph, coarse_config, fine_graph):
     return 0.5 * (u[a] + u[b])
 
 
-def prolongation_matrix(coarse_graph, coarse_layout, fine_graph, fine_layout):
-    """prolong on reduced vectors as a sparse matrix P (CSR):
-    P @ q == reduce_config(prolong(coarse_graph, expand(q, ...), fine_graph))
-    up to roundoff.
+def prolongation_matrix(coarse, fine):
+    """prolong between two Levels on reduced vectors, as a sparse matrix P
+    (CSR): P @ q == fine.reduce(prolong(coarse.graph, coarse.expand(q),
+    fine.graph)) up to roundoff.
 
     The coarse layout's selection matrix expands q to all coarse vertices,
     slaves included; each free fine vertex then averages its two coarse
     ends, componentwise.
     """
-    a, b = _coarse_ends(coarse_graph, fine_graph)
-    free = fine_layout.free_ids
+    a, b = _coarse_ends(coarse.graph, fine.graph)
+    free = fine.layout.free_ids
     rows = np.repeat(np.arange(len(free)), 2)
     cols = np.column_stack([a[free], b[free]]).ravel()
     means = sp.csr_matrix(
         (np.full(len(rows), 0.5), (rows, cols)),
-        shape=(len(free), coarse_graph.n_vertices),
+        shape=(len(free), coarse.graph.n_vertices),
     )
-    return (sp.kron(means, sp.identity(2), format="csr") @ coarse_layout.select).tocsr()
+    return (sp.kron(means, sp.identity(2), format="csr") @ coarse.layout.select).tocsr()
 
 
 def estimate_rate(e_eps, e_2eps, e_4eps):
@@ -239,30 +243,26 @@ def run_sweep(phi, k_max, law, opts=None, cold_start=False, keep_configs=False):
     if opts is None:
         opts = NewtonOptions()
     record = SweepRecord(phi)
-    prev_graph = prev_layout = prev_config = coarse = None
+    prev = prev_config = coarse = None    # the previous level, its minimizer
     for k in range(1, k_max + 1):
-        graph = LatticeGraph(2**k)
-        if prev_config is None or cold_start:
-            init = linear_init(graph, phi)
+        level = Level(2**k, phi)
+        if prev is None or cold_start:
+            init = linear_init(level.graph, phi)
         else:
-            init = prolong(prev_graph, prev_config, graph)
+            init = prolong(prev.graph, prev_config, level.graph)
         try:
-            cmap = build_constraints(graph, phi)
-            layout = DofLayout(graph, cmap)
             two_grid = None if coarse is None else TwoGrid(
-                *coarse, prolongation_matrix(prev_graph, prev_layout, graph, layout)
+                *coarse, prolongation_matrix(prev, level)
             )
-            config, report = newton_minimize(
-                graph, law, cmap, layout, init, opts, two_grid
-            )
+            config, report = newton_minimize(level, law, init, opts, two_grid)
             two_grid = coarse = None   # free the coarser LU before the next
             if k < k_max:
-                coarse = factor_minimizer(graph, law, cmap, layout, config)
+                coarse = factor_minimizer(level, law, config)
         except Exception as err:
             raise RuntimeError("sweep failed at eps = 2^-%d: %s" % (k, err)) from err
-        dets = triangle_dets(graph, config)
+        dets = triangle_dets(level.graph, config)
         record.eps_exps.append(k)
-        record.energies.append(assemble_energy(graph, config, law))
+        record.energies.append(assemble_energy(level.graph, config, law))
         record.iterations.append(report.iterations)
         record.min_dets.append(float(dets.min()))
         record.nonpos_counts.append(int(np.sum(dets <= 0.0)))
@@ -270,7 +270,7 @@ def run_sweep(phi, k_max, law, opts=None, cold_start=False, keep_configs=False):
         record.reports.append(report)
         if keep_configs:
             record.configs[k] = config
-        prev_graph, prev_layout, prev_config = graph, layout, config
+        prev, prev_config = level, config
     return record
 
 
@@ -282,18 +282,16 @@ def run_fold_study(phi, law, eps_exp=2, max_folds=3, opts=None):
     """
     if opts is None:
         opts = NewtonOptions()
-    graph = LatticeGraph(2**eps_exp)
-    cmap = build_constraints(graph, phi)
-    layout = DofLayout(graph, cmap)
+    level = Level(2**eps_exp, phi)
     results = []
     for folds in range(max_folds + 1):
-        init = folded_init(graph, phi, folds, cmap, layout)
-        config, report = newton_minimize(graph, law, cmap, layout, init, opts)
-        dets = triangle_dets(graph, config)
+        init = folded_init(level.graph, phi, folds, level)
+        config, report = newton_minimize(level, law, init, opts)
+        dets = triangle_dets(level.graph, config)
         results.append(
             {
                 "folds": folds,
-                "energy": assemble_energy(graph, config, law),
+                "energy": assemble_energy(level.graph, config, law),
                 "min_det": float(dets.min()),
                 "nonpos_det_count": int(np.sum(dets <= 0.0)),
                 "iterations": report.iterations,

@@ -245,6 +245,24 @@ def reduce_config(config, layout):
     return config[layout.free_ids].ravel()
 
 
+class Level:
+    """One lattice of the eps-halving family, fixed by (N, phi): its graph,
+    its constraint map u(R60 x) = R_phi u(x) and the layout of its reduced
+    unknowns (which caches the energy.HessianPlan)."""
+
+    def __init__(self, n, phi):
+        self.graph = LatticeGraph(n)
+        self.cmap = build_constraints(self.graph, phi)
+        self.layout = DofLayout(self.graph, self.cmap)
+        self.n = self.graph.n
+
+    def expand(self, reduced):
+        return expand(reduced, self.cmap, self.layout)
+
+    def reduce(self, config):
+        return reduce_config(config, self.layout)
+
+
 def dump_lattice(graph, cmap, stream):
     """Write the plain-text lattice dump.
 

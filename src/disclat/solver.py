@@ -18,9 +18,9 @@ the factorization fails, the solve is inaccurate, or s is not a descent
 direction; past TAU_LIMIT the system is declared singular.  An Armijo
 backtracking line search guarantees energy descent; a trial point whose
 energy is not finite is rejected like one that fails the Armijo test.
-NewtonOptions(plain=True) turns off both the line search and the tau
-escalation.  Admissibility is exact at every iterate because all trial
-points go through expand().
+Every function here takes the lattice as one lattice.Level (graph,
+constraint map and reduced layout).  Admissibility is exact at every
+iterate because all trial points go through Level.expand.
 """
 
 import numpy as np
@@ -34,7 +34,8 @@ from .energy import (
     assemble_gradient,
     assemble_hessian,
 )
-from .lattice import expand
+# unused here, but perfbench's tracer wraps solver.expand by this name
+from .lattice import expand  # noqa: F401
 
 TAU0 = 0.0
 TAU_GROWTH = 10.0
@@ -52,20 +53,15 @@ class SingularSystemError(RuntimeError):
 
 
 class NewtonOptions:
-    """Stopping rule and mode of one Newton run.
+    """Stopping rule of one Newton run."""
 
-    plain=True gives undamped Newton: no line search, no regularization
-    fallback.
-    """
-
-    def __init__(self, grad_tol=1e-10, max_iter=200, plain=False):
+    def __init__(self, grad_tol=1e-10, max_iter=200):
         if not grad_tol > 0:              # NaN fails too
             raise ValueError("grad_tol must be positive")
         if max_iter < 1:
             raise ValueError("max_iter must be >= 1")
         self.grad_tol = float(grad_tol)
         self.max_iter = int(max_iter)
-        self.plain = bool(plain)
 
 
 class SolveReport:
@@ -123,13 +119,9 @@ class SolveReport:
             stream.write("%d,%.17g,%.17g,%.17g,%.17g\n" % (k, e, g, s, t))
 
 
-def _factor_step(h, g, opts):
+def _factor_step(h, g):
     """Solve (H + tau I)s = -g by a fresh LU, escalating tau until the step
-    is usable.
-
-    Returns (s, tau, resid).  In plain mode tau stays at TAU0 and
-    failures raise.
-    """
+    is usable; returns (s, tau, resid)."""
     n = h.shape[0]
     tau = TAU0
     eye = sp.identity(n, format="csc")
@@ -147,16 +139,8 @@ def _factor_step(h, g, opts):
             resid = np.linalg.norm((h @ s) + tau * s + g)
             ok = resid <= 1e-10 * max(1.0, np.linalg.norm(g))
             descent = (g @ s) < 0.0
-            if opts.plain:
-                if not ok:
-                    raise SingularSystemError(
-                        "Newton system residual %.3g too large" % resid
-                    )
-                return s, tau, resid
             if ok and descent:
                 return s, tau, resid
-        elif opts.plain:
-            raise SingularSystemError("Hessian factorization failed")
         lu = None                     # free it before the next attempt
         tau = max(tau * TAU_GROWTH, 1e-8) if tau else 1e-8
         if tau > TAU_LIMIT:
@@ -279,18 +263,16 @@ class TwoGrid:
         return apply
 
 
-def factor_minimizer(graph, law, cmap, layout, config):
+def factor_minimizer(level, law, config):
     """(LU of the reduced Hessian at config, reduce(J config)): the coarse
     half of a TwoGrid for the next finer level.  None when the LU fails."""
-    from .lattice import reduce_config
-
-    h = assemble_hessian(graph, config, law, cmap, layout)
+    h = assemble_hessian(level.graph, config, law, level.cmap, level.layout)
     try:
         lu = splu(h.tocsc(), permc_spec="MMD_AT_PLUS_A")
     except RuntimeError:
         return None
     gauge = np.column_stack([-config[:, 1], config[:, 0]])    # J u
-    return lu, reduce_config(gauge, layout)
+    return lu, level.reduce(gauge)
 
 
 def _two_grid_step(h, g, precond):
@@ -309,8 +291,8 @@ def _two_grid_step(h, g, precond):
     return found
 
 
-def newton_minimize(graph, law, cmap, layout, init, opts=None, two_grid=None):
-    """Minimize the reduced energy from an admissible initial configuration.
+def newton_minimize(level, law, init, opts=None, two_grid=None):
+    """Minimize the reduced energy on level from an admissible config init.
 
     two_grid, a TwoGrid for this lattice, preconditions GMRES on every
     Newton system until GMRES first fails; every other system is factored
@@ -320,17 +302,16 @@ def newton_minimize(graph, law, cmap, layout, init, opts=None, two_grid=None):
     False when max_iter runs out before the reduced gradient infinity-norm
     drops to grad_tol.
     """
-    from .lattice import reduce_config
-
     if opts is None:
         opts = NewtonOptions()
-    q = reduce_config(np.asarray(init, dtype=float), layout)
+    graph, cmap, layout = level.graph, level.cmap, level.layout
+    q = level.reduce(init)
 
     def fval(qv):
-        return assemble_energy(graph, expand(qv, cmap, layout), law)
+        return assemble_energy(graph, level.expand(qv), law)
 
     def gval(qv):
-        return assemble_gradient(graph, expand(qv, cmap, layout), law, cmap, layout)
+        return assemble_gradient(graph, level.expand(qv), law, cmap, layout)
 
     report = SolveReport()
     f = fval(q)
@@ -341,7 +322,7 @@ def newton_minimize(graph, law, cmap, layout, init, opts=None, two_grid=None):
         if gnorm <= opts.grad_tol:
             break
         h = None                       # free the last Hessian before the next
-        h = assemble_hessian(graph, expand(q, cmap, layout), law, cmap, layout)
+        h = assemble_hessian(graph, level.expand(q), law, cmap, layout)
         found = None
         if two_grid is not None:
             found = _two_grid_step(h, g, two_grid.preconditioner(h))
@@ -351,27 +332,24 @@ def newton_minimize(graph, law, cmap, layout, init, opts=None, two_grid=None):
             s, resid, krylov_iters = found
             tau = TAU0
         else:
-            s, tau, resid = _factor_step(h, g, opts)
+            s, tau, resid = _factor_step(h, g)
             krylov_iters = 0
         report.record_solve(krylov_iters, resid)
-        if not opts.plain:
-            slope = g @ s
-            t = 1.0
-            # tiny slack absorbs roundoff when f sits at the minimum already
-            slack = 1e-14 * (1.0 + abs(f))
-            for _ in range(MAX_HALVINGS):
-                try:
-                    f_try = fval(q + t * s)
-                except NonFiniteEnergyError:
-                    f_try = np.inf            # outside the model: reject the trial
-                if f_try <= f + ARMIJO_C * t * slope + slack:
-                    break
-                t *= BACKTRACK
-            else:
-                t = 0.0  # no acceptable step; stop making progress
-            step = t * s
+        slope = g @ s
+        t = 1.0
+        # tiny slack absorbs roundoff when f sits at the minimum already
+        slack = 1e-14 * (1.0 + abs(f))
+        for _ in range(MAX_HALVINGS):
+            try:
+                f_try = fval(q + t * s)
+            except NonFiniteEnergyError:
+                f_try = np.inf            # outside the model: reject the trial
+            if f_try <= f + ARMIJO_C * t * slope + slack:
+                break
+            t *= BACKTRACK
         else:
-            step = s
+            t = 0.0  # no acceptable step; stop making progress
+        step = t * s
         q = q + step
         f = fval(q)
         g = gval(q)
@@ -380,4 +358,4 @@ def newton_minimize(graph, law, cmap, layout, init, opts=None, two_grid=None):
         if np.linalg.norm(step) == 0.0:
             break
     report.converged = gnorm <= opts.grad_tol
-    return expand(q, cmap, layout), report
+    return level.expand(q), report

@@ -191,3 +191,48 @@ def test_bad_solver_option_exits_2(tmp_path, capsys, option):
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
     assert not (tmp_path / "config_eps2.txt").exists()     # nothing was solved
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["sweep", "--eps-max-exp", "2"],
+     ["fold-study", "--eps-exp", "2", "--max-folds", "1"],
+     ["minimize", "--eps-exp", "2"],
+     ["render", "--eps-exp", "2", "--init", "fold:1"]],
+    ids=["sweep", "fold-study", "minimize", "render"],
+)
+def test_phi_without_det1_map_exits_2(tmp_path, capsys, argv):
+    # the det1 linear start needs sin(phi) > 0; phi = 4 lies in [pi, 2pi)
+    code = main(argv + ["--phi", "4", "--out", str(tmp_path)])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: det1 mode needs phi in (0, pi)")
+    assert err.count("\n") == 1
+    assert not any(tmp_path.iterdir())        # nothing was written
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["--seed", "-1", "verify", "--check", "svd2"],
+     ["verify", "--seed", "-2", "--check", "svd2"]],
+    ids=["before", "after"],
+)
+def test_negative_seed_exits_2(tmp_path, capsys, argv):
+    assert main(argv + ["--out", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: seed must be >= 0") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("command", ["minimize", "render"])
+def test_fold_init_builds_one_level(tmp_path, lattice_builds, command):
+    # the fold:<L> start reuses the command's level
+    assert main([command, "--eps-exp", "2", "--init", "fold:2",
+                 "--out", str(tmp_path)]) == 0
+    assert lattice_builds == ["LatticeGraph", "ConstraintMap", "DofLayout"]
+
+
+def test_plain_newton_flag_is_gone(tmp_path):
+    with pytest.raises(SystemExit) as exc:
+        main(["minimize", "--eps-exp", "2", "--plain-newton",
+              "--out", str(tmp_path)])
+    assert exc.value.code == 2

@@ -381,7 +381,7 @@ def test_bond_assembly_matches_triangle_oracle(n, phi, p, psi, seed):
     hess = assert_matches_oracle(g, u, law, cmap, layout)
     if n > 1:
         # a folded start has exact zeros; the pattern keeps them
-        folded = folded_init(g, phi, n // 2, cmap, layout)
+        folded = folded_init(g, phi, n // 2)
         hess_folded = assert_matches_oracle(g, folded, law, cmap, layout)
         np.testing.assert_array_equal(hess_folded.indptr, hess.indptr)
         np.testing.assert_array_equal(hess_folded.indices, hess.indices)

@@ -18,14 +18,7 @@ from disclat.experiments import (
     run_fold_study,
     run_sweep,
 )
-from disclat.lattice import (
-    DofLayout,
-    LatticeGraph,
-    build_constraints,
-    expand,
-    reduce_config,
-    rot,
-)
+from disclat.lattice import LatticeGraph, Level, rot
 import disclat.solver
 from disclat.solver import GMRES_MAXITER
 
@@ -225,22 +218,17 @@ def test_prolong_preserves_energy_and_admissibility():
     rng = np.random.default_rng(11)
     for law in (MaterialLaw(p=2.0), MaterialLaw(p=3.0, psi="smoothed_abs")):
         for n in (2, 4, 8, 16):
-            coarse, fine = LatticeGraph(n), LatticeGraph(2 * n)
-            ccmap = build_constraints(coarse, PHI5)
-            clayout = DofLayout(coarse, ccmap)
-            q = reduce_config(linear_init(coarse, PHI5), clayout)
-            q = q + 0.2 * coarse.eps * rng.normal(size=q.shape)   # non-affine
-            u = expand(q, ccmap, clayout)
-            uf = prolong(coarse, u, fine)
-            e_coarse = assemble_energy(coarse, u, law)
-            e_fine = assemble_energy(fine, uf, law)
+            coarse, fine = Level(n, PHI5), Level(2 * n, PHI5)
+            q = coarse.reduce(linear_init(coarse.graph, PHI5))
+            q = q + 0.2 * coarse.graph.eps * rng.normal(size=q.shape)   # non-affine
+            u = coarse.expand(q)
+            uf = prolong(coarse.graph, u, fine.graph)
+            e_coarse = assemble_energy(coarse.graph, u, law)
+            e_fine = assemble_energy(fine.graph, uf, law)
             assert abs(e_fine - e_coarse) <= 1e-12 * e_coarse
-            fcmap = build_constraints(fine, PHI5)
-            flayout = DofLayout(fine, fcmap)
             # slaves are R_phi times masters up to roundoff in the midpoints
             np.testing.assert_allclose(
-                expand(reduce_config(uf, flayout), fcmap, flayout), uf,
-                rtol=0.0, atol=1e-14,
+                fine.expand(fine.reduce(uf)), uf, rtol=0.0, atol=1e-14,
             )
 
 
@@ -258,19 +246,18 @@ def test_prolongation_matrix_and_galerkin_identity(n, phi, p, psi, seed):
     # P^T H_fine(P q) P = H_coarse(q): the coarse Hessian is the Galerkin
     # operator of the fine one
     law = MaterialLaw(p=p, psi=psi)
-    coarse, fine = LatticeGraph(n), LatticeGraph(2 * n)
-    ccmap, fcmap = build_constraints(coarse, phi), build_constraints(fine, phi)
-    clayout, flayout = DofLayout(coarse, ccmap), DofLayout(fine, fcmap)
+    coarse, fine = Level(n, phi), Level(2 * n, phi)
     rng = np.random.default_rng(seed)
-    q = reduce_config(linear_init(coarse, phi), clayout)
-    q = q + 0.2 * coarse.eps * rng.normal(size=q.shape)      # non-affine
-    p_mat = prolongation_matrix(coarse, clayout, fine, flayout)
-    u = expand(q, ccmap, clayout)
-    expected = reduce_config(prolong(coarse, u, fine), flayout)
+    q = coarse.reduce(linear_init(coarse.graph, phi))
+    q = q + 0.2 * coarse.graph.eps * rng.normal(size=q.shape)      # non-affine
+    p_mat = prolongation_matrix(coarse, fine)
+    u = coarse.expand(q)
+    expected = fine.reduce(prolong(coarse.graph, u, fine.graph))
     assert np.abs(p_mat @ q - expected).max() <= 1e-14 * max(1.0, np.abs(q).max())
-    h_coarse = assemble_hessian(coarse, u, law, ccmap, clayout)
-    uf = expand(p_mat @ q, fcmap, flayout)
-    galerkin = p_mat.T @ assemble_hessian(fine, uf, law, fcmap, flayout) @ p_mat
+    h_coarse = assemble_hessian(coarse.graph, u, law, coarse.cmap, coarse.layout)
+    uf = fine.expand(p_mat @ q)
+    galerkin = p_mat.T @ assemble_hessian(
+        fine.graph, uf, law, fine.cmap, fine.layout) @ p_mat
     assert abs(galerkin - h_coarse).max() <= 1e-12 * abs(h_coarse).max()
 
 
@@ -364,27 +351,12 @@ def test_sweep_factors_first_level_and_hand_overs(monkeypatch):
     assert sizes == [reduced(1)] * first.iterations + [reduced(k) for k in range(1, 5)]
 
 
-def test_fold_study_iterations_pinned(monkeypatch):
+def test_fold_study_iterations_pinned(lattice_builds):
     # per-fold Newton counts recorded with a fresh LU at every iteration
-    import disclat.experiments as experiments
-
-    builds = []
-
-    def counted(name):
-        real = getattr(experiments, name)
-
-        def build(*args):
-            builds.append(name)
-            return real(*args)
-
-        monkeypatch.setattr(experiments, name, build)
-
-    counted("build_constraints")
-    counted("DofLayout")
     res = run_fold_study(PHI7, LAW, eps_exp=4, max_folds=7)
     assert [r["iterations"] for r in res] == [4, 4, 4, 4, 4, 5, 5, 5]
     assert all(r["converged"] for r in res)
     # no coarser level: every Newton iteration factors afresh
     assert all(all(r["report"].factorized) for r in res)
-    # one constraint map and one layout serve every fold
-    assert sorted(builds) == ["DofLayout", "build_constraints"]
+    # one graph, constraint map and layout serve every fold
+    assert lattice_builds == ["LatticeGraph", "ConstraintMap", "DofLayout"]

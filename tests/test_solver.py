@@ -10,10 +10,9 @@ from scipy.sparse.linalg import splu
 import disclat.solver
 from disclat.energy import MaterialLaw, NonFiniteEnergyError
 from disclat.experiments import linear_init, prolong, prolongation_matrix
-from disclat.lattice import DofLayout, LatticeGraph, build_constraints, reduce_config
+from disclat.lattice import Level
 from disclat.solver import (
     NewtonOptions,
-    SingularSystemError,
     TwoGrid,
     _factor_step,
     newton_minimize,
@@ -24,12 +23,10 @@ LAW = MaterialLaw(p=2.0)
 
 
 def solve(n=4, phi=PHI5, opts=None):
-    g = LatticeGraph(n)
-    cmap = build_constraints(g, phi)
-    layout = DofLayout(g, cmap)
-    init = linear_init(g, phi)
-    config, report = newton_minimize(g, LAW, cmap, layout, init, opts)
-    return g, cmap, layout, config, report
+    level = Level(n, phi)
+    init = linear_init(level.graph, phi)
+    config, report = newton_minimize(level, LAW, init, opts)
+    return level, config, report
 
 
 def test_options_validation():
@@ -40,7 +37,7 @@ def test_options_validation():
 
 
 def test_descent_and_stationarity():
-    _, _, _, _, report = solve()
+    _, _, report = solve()
     assert report.converged
     assert report.grad_inf[-1] <= 1e-10
     energies = np.array(report.energy)
@@ -51,29 +48,22 @@ def test_descent_and_stationarity():
 
 
 def test_reentry_costs_at_most_one_iteration():
-    g, cmap, layout, config, _ = solve()
-    config2, report2 = newton_minimize(g, LAW, cmap, layout, config)
+    level, config, _ = solve()
+    config2, report2 = newton_minimize(level, LAW, config)
     assert report2.iterations <= 1
     assert report2.converged
     assert np.abs(config2 - config).max() <= 1e-12
 
 
 def test_determinism():
-    _, _, _, c1, r1 = solve()
-    _, _, _, c2, r2 = solve()
+    _, c1, r1 = solve()
+    _, c2, r2 = solve()
     assert np.array_equal(c1, c2)
     assert r1.energy == r2.energy and r1.grad_inf == r2.grad_inf
 
 
-def test_plain_newton_matches_damped():
-    _, _, _, c_damped, _ = solve()
-    _, _, _, c_plain, report = solve(opts=NewtonOptions(plain=True))
-    assert report.converged
-    assert np.abs(c_plain - c_damped).max() <= 1e-10
-
-
 def test_quadratic_ratio_bounded():
-    _, _, _, _, report = solve()
+    _, _, report = solve()
     ratios = report.quadratic_ratio
     assert len(ratios) == 3
     assert all(np.isfinite(r) and r <= 1e8 for r in ratios)
@@ -81,7 +71,7 @@ def test_quadratic_ratio_bounded():
 
 def test_max_iter_exhaustion_reported():
     opts = NewtonOptions(max_iter=1, grad_tol=1e-14)
-    _, _, _, _, report = solve(opts=opts)
+    _, _, report = solve(opts=opts)
     assert not report.converged
     assert report.iterations == 1
 
@@ -89,15 +79,13 @@ def test_max_iter_exhaustion_reported():
 def test_newton_step_regularizes_singular_hessian():
     h = sp.csr_matrix((2, 2))
     g = np.array([1.0, 0.0])
-    s, tau, _ = _factor_step(h, g, NewtonOptions())
+    s, tau, _ = _factor_step(h, g)
     assert tau > 0.0                      # had to regularize
     assert g @ s < 0.0                    # still a descent direction
-    with pytest.raises(SingularSystemError):
-        _factor_step(h, g, NewtonOptions(plain=True))
 
 
 def test_report_csv_shape():
-    _, _, _, _, report = solve()
+    _, _, report = solve()
     buf = io.StringIO()
     report.write_csv(buf)
     lines = buf.getvalue().strip().split("\n")
@@ -108,7 +96,7 @@ def test_report_csv_shape():
 
 
 def test_line_search_rejects_nonfinite_trial(monkeypatch):
-    _, _, _, _, clean = solve()
+    _, _, clean = solve()
     real = disclat.solver.assemble_energy
     calls = []
 
@@ -119,7 +107,7 @@ def test_line_search_rejects_nonfinite_trial(monkeypatch):
         return real(graph, config, law)
 
     monkeypatch.setattr(disclat.solver, "assemble_energy", first_full_step_breaks_model)
-    _, _, _, _, report = solve()
+    _, _, report = solve()
     assert report.converged
     # the rejected full step was halved, and the descent went on from there
     assert report.energy[1] < report.energy[0]
@@ -128,15 +116,13 @@ def test_line_search_rejects_nonfinite_trial(monkeypatch):
 
 
 def test_stale_two_grid_falls_back_to_fresh_factorization(monkeypatch):
-    coarse, graph = LatticeGraph(4), LatticeGraph(8)
-    ccmap, cmap = build_constraints(coarse, PHI5), build_constraints(graph, PHI5)
-    clayout, layout = DofLayout(coarse, ccmap), DofLayout(graph, cmap)
-    u_coarse = linear_init(coarse, PHI5)
-    u = prolong(coarse, u_coarse, graph)
+    coarse, level = Level(4, PHI5), Level(8, PHI5)
+    u_coarse = linear_init(coarse.graph, PHI5)
+    u = prolong(coarse.graph, u_coarse, level.graph)
     # a coarse correction from the LU of an unrelated SPD matrix
-    stale = splu(sp.diags(np.linspace(1.0, 1e3, clayout.n_reduced), format="csc"))
-    gauge = reduce_config(np.column_stack([-u_coarse[:, 1], u_coarse[:, 0]]), clayout)
-    two_grid = TwoGrid(stale, gauge, prolongation_matrix(coarse, clayout, graph, layout))
+    stale = splu(sp.diags(np.linspace(1.0, 1e3, coarse.layout.n_reduced), format="csc"))
+    gauge = coarse.reduce(np.column_stack([-u_coarse[:, 1], u_coarse[:, 0]]))
+    two_grid = TwoGrid(stale, gauge, prolongation_matrix(coarse, level))
     real = disclat.solver._gmres
     tried = []
 
@@ -145,13 +131,13 @@ def test_stale_two_grid_falls_back_to_fresh_factorization(monkeypatch):
         return tried[-1]
 
     monkeypatch.setattr(disclat.solver, "_gmres", spy)
-    config, report = newton_minimize(graph, LAW, cmap, layout, u, two_grid=two_grid)
+    config, report = newton_minimize(level, LAW, u, two_grid=two_grid)
     # GMRES ran once and gave up; the failure ends the two-grid for the run
     assert tried == [None]
     assert report.converged
     assert report.krylov_iters == [0] * report.iterations
     assert max(report.lin_resid) <= 1e-10
     # every system was factored, exactly as in a run without a two-grid
-    ref_config, ref = newton_minimize(graph, LAW, cmap, layout, u)
+    ref_config, ref = newton_minimize(level, LAW, u)
     assert np.array_equal(config, ref_config)
     assert report.energy == ref.energy

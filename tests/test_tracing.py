@@ -1,0 +1,30 @@
+"""The benchmark's tracer (perfbench/tracing.py) against the library: every
+wrapped name must exist, and every Newton span must record its lattice."""
+
+import importlib.util
+import pathlib
+
+import numpy as np
+
+from disclat import experiments
+from disclat.energy import MaterialLaw
+
+TRACING = pathlib.Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+
+
+def load_tracing():
+    spec = importlib.util.spec_from_file_location("perfbench_tracing", TRACING)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_traced_sweep_and_fold_study_record_newton_sizes():
+    tracing = load_tracing()
+    law = MaterialLaw(p=2.0)
+    with tracing.installed(tracing.Tracer()) as tracer:
+        experiments.run_sweep(2.0 * np.pi / 5.0, 3, law)
+        experiments.run_fold_study(2.0 * np.pi / 7.0, law, eps_exp=2, max_folds=1)
+    newton = [s for s in tracer.spans if s[2] == "solver.newton"]
+    assert [s[5]["n"] for s in newton] == [2, 4, 8, 4, 4]
+    assert all(s[5]["iters"] >= 1 for s in newton)
