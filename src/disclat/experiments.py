@@ -26,6 +26,9 @@ power-law exponents p_eps = log2((e_4eps - e_2eps)/(e_2eps - e_eps)); it
 keeps only the previous lattice.Level.  The fold study uses one Level.
 """
 
+import contextlib
+import ctypes
+
 import numpy as np
 import scipy.sparse as sp
 
@@ -212,22 +215,10 @@ class SweepRecord:
 
     def rows(self):
         """CSV rows: phi,eps_exp,energy,p_eps,min_det,nonpos_det_count,iters,converged."""
-        out = []
-        for k in range(len(self.eps_exps)):
-            p = self.p_eps(k)
-            out.append(
-                (
-                    self.phi,
-                    self.eps_exps[k],
-                    self.energies[k],
-                    p,
-                    self.min_dets[k],
-                    self.nonpos_counts[k],
-                    self.iterations[k],
-                    self.converged[k],
-                )
-            )
-        return out
+        columns = zip(self.eps_exps, self.energies, self.min_dets,
+                      self.nonpos_counts, self.iterations, self.converged)
+        return [(self.phi, k, e, self.p_eps(i), d, c, it, conv)
+                for i, (k, e, d, c, it, conv) in enumerate(columns)]
 
 
 def run_sweep(phi, k_max, law, opts=None, cold_start=False, keep_configs=False):
@@ -238,11 +229,16 @@ def run_sweep(phi, k_max, law, opts=None, cold_start=False, keep_configs=False):
     preconditioner built on that LU (solver.TwoGrid), so the finest lattice
     is never factored.  cold_start=True restarts every level from the det1
     linear initializer instead (sensitivity study).  Solver failures
-    propagate with the failing eps attached.
+    propagate with the failing eps attached.  It first returns the C heap's
+    free pages to the OS (glibc only), so its peak memory is its own.
     """
     if opts is None:
         opts = NewtonOptions()
     record = SweepRecord(phi)
+    # glibc keeps freed heap pages resident while a small live block sits
+    # above them; hand them back so the peak does not depend on earlier work
+    with contextlib.suppress(AttributeError, OSError, TypeError):
+        ctypes.CDLL(None).malloc_trim(0)
     prev = prev_config = coarse = None    # the previous level, its minimizer
     for k in range(1, k_max + 1):
         level = Level(2**k, phi)

@@ -19,6 +19,7 @@ from disclat.experiments import (
     run_sweep,
 )
 from disclat.lattice import LatticeGraph, Level, rot
+import disclat.experiments
 import disclat.solver
 from disclat.solver import GMRES_MAXITER
 
@@ -284,9 +285,24 @@ def test_run_sweep_structure():
     assert rec.p_eps(0) is None and rec.p_eps(1) is None
     assert set(rec.configs) == {1, 2}
     rows = rec.rows()
-    assert len(rows) == 2 and rows[0][0] == PHI5
+    assert rows == [
+        (PHI5, k, rec.energies[i], None, rec.min_dets[i], rec.nonpos_counts[i],
+         rec.iterations[i], rec.converged[i])
+        for i, k in enumerate([1, 2])
+    ]
     # first-level energies pinned loosely; acceptance checks the digits
     assert abs(rec.energies[0] - 2.5823e-3) <= 1e-6
+
+
+def test_run_sweep_without_malloc_trim(monkeypatch):
+    # a C library without malloc_trim (musl, macOS) only skips the trim
+    class NoTrim:
+        def __init__(self, name):
+            pass
+
+    monkeypatch.setattr(disclat.experiments.ctypes, "CDLL", NoTrim)
+    rec = run_sweep(PHI5, 2, LAW)
+    assert rec.iterations == [4, 4] and all(rec.converged)
 
 
 def test_run_sweep_cold_start_same_basin():
