@@ -377,11 +377,19 @@ def cmd_render(args):
         if not report.converged:
             print("warning: solve did not converge", file=sys.stderr)
     path = out_path(args, "render_eps%d.svg" % k)
-    if path is None:
-        render_svg(sys.stdout, level.graph, config, phi=phi, copies=args.copies)
-    else:
-        with open(path, "w") as fh:
-            render_svg(fh, level.graph, config, phi=phi, copies=args.copies)
+    try:
+        if path is None:
+            render_svg(sys.stdout, level.graph, config, phi=phi,
+                       copies=args.copies)
+        else:
+            with open(path, "w") as fh:
+                render_svg(fh, level.graph, config, phi=phi, copies=args.copies)
+    except ValueError as err:
+        # render_svg checks before it writes, so the file is still empty
+        if path is not None:
+            os.remove(path)
+        raise CliError(str(err))
+    if path is not None:
         print("wrote %s" % path)
     return 0
 

@@ -1,7 +1,9 @@
 """File formats: configuration dumps, experiment CSVs, verification JSONL.
 
 All floats are printed with %.17g so that a dump/parse round trip
-reproduces the binary float64 values exactly.
+reproduces the binary float64 values exactly.  The large tables (config and
+lattice dumps) go through write_rows, which formats a chunk of rows per
+write, so their memory stays bounded by one chunk.
 """
 
 import json
@@ -9,10 +11,26 @@ import json
 import numpy as np
 
 FLOAT_FMT = "%.17g"
+CHUNK_ROWS = 2048
 
 
 def _fmt(x):
     return FLOAT_FMT % float(x)
+
+
+def write_rows(stream, line, *columns):
+    """Write `line % row` for each row of the equal-length 1-D columns, one
+    stream.write per CHUNK_ROWS rows.
+
+    A column is a numpy array or a range (row ids).  Arrays are converted a
+    chunk at a time with .tolist(); the Python ints and floats it returns
+    print exactly as the numpy scalars would.
+    """
+    for start in range(0, len(columns[0]), CHUNK_ROWS):
+        part = slice(start, start + CHUNK_ROWS)
+        rows = zip(*[c[part] if isinstance(c, range) else c[part].tolist()
+                     for c in columns])
+        stream.write("".join([line % row for row in rows]))
 
 
 def write_config(stream, config, phi=None, n=None, p=None, psi=None):
@@ -29,8 +47,8 @@ def write_config(stream, config, phi=None, n=None, p=None, psi=None):
         meta.append("psi=%s" % psi)
     if meta:
         stream.write("# " + " ".join(meta) + "\n")
-    for vid, (ux, uy) in enumerate(np.asarray(config, dtype=float)):
-        stream.write("u %d %s %s\n" % (vid, _fmt(ux), _fmt(uy)))
+    ux, uy = np.asarray(config, dtype=float).T
+    write_rows(stream, "u %d %.17g %.17g\n", range(len(ux)), ux, uy)
 
 
 def read_config(stream):

@@ -21,6 +21,8 @@ import numbers
 import numpy as np
 import scipy.sparse as sp
 
+from .io import write_rows
+
 SQRT3 = np.sqrt(3.0)
 
 
@@ -270,14 +272,13 @@ def dump_lattice(graph, cmap, stream):
     `t <id> <v1> <v2> <v3>`, `c <master> <slave>`, `pin <id>`.  Floats carry
     17 significant digits so they round-trip bit-exactly.
     """
-    for vid, ((i, j), (x, y)) in enumerate(zip(graph.ij, graph.pos)):
-        stream.write("v %d %d %d %.17g %.17g\n" % (vid, i, j, x, y))
-    for eid, ((a, b), w) in enumerate(zip(graph.edges, graph.weights)):
-        stream.write("e %d %d %d %.17g\n" % (eid, a, b, w))
-    for tid, (a, b, c) in enumerate(graph.tris):
-        stream.write("t %d %d %d %d\n" % (tid, a, b, c))
-    for m, s in zip(cmap.masters, cmap.slaves):
-        stream.write("c %d %d\n" % (m, s))
+    ij, pos, edges = graph.ij, graph.pos, graph.edges
+    write_rows(stream, "v %d %d %d %.17g %.17g\n",
+               range(len(ij)), ij[:, 0], ij[:, 1], pos[:, 0], pos[:, 1])
+    write_rows(stream, "e %d %d %d %.17g\n",
+               range(len(edges)), edges[:, 0], edges[:, 1], graph.weights)
+    write_rows(stream, "t %d %d %d %d\n", range(len(graph.tris)), *graph.tris.T)
+    write_rows(stream, "c %d %d\n", cmap.masters, cmap.slaves)
     stream.write("pin %d\n" % cmap.pinned)
 
 

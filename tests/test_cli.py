@@ -1,5 +1,6 @@
 """End-to-end CLI runs (in-process), file formats, and exit codes."""
 
+import hashlib
 import io
 import json
 
@@ -9,6 +10,7 @@ from hypothesis import given, strategies as st
 from hypothesis.extra.numpy import arrays
 
 from disclat.cli import CliError, main, parse_phi, phi_slug
+from disclat.experiments import folded_init
 from disclat.io import read_config, read_sweep_csv, write_config
 from disclat.lattice import LatticeGraph, build_constraints, parse_lattice_dump
 
@@ -152,6 +154,44 @@ def test_render_deterministic_and_copies(tmp_path):
     assert composite != one
     # five rotated copies of the 16 cells at phi = 2pi/5
     assert composite.count(b"<polygon") == 5 * one.count(b"<polygon")
+
+
+@pytest.mark.parametrize(
+    "argv, name, digest",
+    [(["mesh", "--phi", "5", "--eps-exp", "3"], "mesh_eps3.txt",
+      "6d8113815bb70fe59a54fbb28536bc70940f159822ec551287a224b9c45e4779"),
+     (["render", "--phi", "5", "--eps-exp", "3", "--init", "fold:3", "--copies"],
+      "render_eps3.svg",
+      "b9b9e97c2d622800c2c3f4d0ed52169023cd760cc9987470fb0b41e8a79ac172")],
+    ids=["mesh", "render"],
+)
+def test_output_bytes_are_pinned(tmp_path, argv, name, digest):
+    assert main(argv + ["--out", str(tmp_path)]) == 0
+    assert hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() == digest
+
+
+def test_config_dump_bytes_are_pinned():
+    graph = LatticeGraph(8)
+    buf = io.StringIO()
+    write_config(buf, folded_init(graph, PHI5, 3), phi=PHI5, n=8, p=2.0, psi="zero")
+    assert (hashlib.sha256(buf.getvalue().encode()).hexdigest()
+            == "b110995dec50100095981681ffb87e5814a54739d50089674630e22047cfc232")
+
+
+@pytest.mark.parametrize("bad", ["nan", "inf"])
+def test_render_nonfinite_config_exits_2(tmp_path, capsys, bad):
+    main(["minimize", "--phi", "5", "--eps-exp", "2", "--out", str(tmp_path)])
+    lines = (tmp_path / "config_eps2.txt").read_text().splitlines()
+    lines[7] = "u 6 %s 0.25" % bad       # vertex 6 is free at N = 4
+    init = tmp_path / "init.txt"
+    init.write_text("\n".join(lines) + "\n")
+    out = tmp_path / "svg"
+    code = main(["render", "--phi", "5", "--eps-exp", "2",
+                 "--init", "file:%s" % init, "--out", str(out)])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert not (out / "render_eps2.svg").exists()
 
 
 def test_bad_init_spec_exits_2(tmp_path):
