@@ -289,6 +289,7 @@ class HessianPlan:
         self.indices[self._slots] = 2 * block_rows[:, None, None] + c
         self.edge_slots = self._map(rows, cols)
         self._tri_slots = None
+        self.band = None             # solver.BandLayout, built by its first use
         # every matrix shares these: an in-place change would corrupt the plan
         self.indices.flags.writeable = self.indptr.flags.writeable = False
 

@@ -12,20 +12,27 @@ first failure drops the two-grid for the run.  Every Newton system without
 a two-grid is factored afresh, so unless GMRES fails a sweep never factors
 its finest lattice.
 
-A fresh factorization (sparse LU, minimum-degree ordering) starts at
-tau = TAU0 = 0, moves to 1e-8 and then grows tau TAU_GROWTH-fold whenever
-the factorization fails, the solve is inaccurate, or s is not a descent
-direction; past TAU_LIMIT the system is declared singular.  An Armijo
-backtracking line search guarantees energy descent; a trial point whose
-energy is not finite is rejected like one that fails the Armijo test.
-Every function here takes the lattice as one lattice.Level (graph,
-constraint map and reduced layout).  Admissibility is exact at every
-iterate because all trial points go through Level.expand.
+A fresh factorization is a banded Cholesky: LAPACK's dpbsv on the lower
+band of H + tau*I under a reverse Cuthill-McKee ordering (George & Liu,
+Computer Solution of Large Sparse Positive Definite Systems, 1981), laid
+out once per HessianPlan as a BandLayout.  When H + tau*I is not positive
+definite, or the Cholesky step fails the tests, the same system goes to a
+sparse LU (minimum-degree ordering, threshold pivoting at
+DIAG_PIVOT_THRESH), so an indefinite system that the LU solves keeps the
+LU's step.  The search starts at tau = TAU0 = 0, moves to 1e-8 and then
+grows tau TAU_GROWTH-fold whenever neither factorization gives a finite,
+accurate descent direction; past TAU_LIMIT the system is declared
+singular.  An Armijo backtracking line search guarantees energy descent; a
+trial point whose energy is not finite is rejected like one that fails the
+Armijo test.  Every function here takes the lattice as one lattice.Level
+(graph, constraint map and reduced layout).  Admissibility is exact at
+every iterate because all trial points go through Level.expand.
 """
 
 import numpy as np
 import scipy.sparse as sp
 from scipy.linalg import solve_triangular
+from scipy.linalg.lapack import dpbsv
 from scipy.sparse.linalg import splu
 
 from .energy import (
@@ -46,6 +53,10 @@ MAX_HALVINGS = 40
 GMRES_MAXITER = 20
 SMOOTH_OMEGA = 0.7
 SMOOTH_SWEEPS = 2
+# SuperLU's threshold partial pivoting for indefinite Newton systems: 1.0, its
+# default, leaves the symmetric ordering on the penalized law and fills
+# several times more
+DIAG_PIVOT_THRESH = 0.1
 
 
 class SingularSystemError(RuntimeError):
@@ -71,7 +82,7 @@ class SolveReport:
     row 0 is the initial state (step_norm and tau zero), row k the state
     after iteration k.  krylov_iters/lin_resid hold one entry per
     iteration: the GMRES iterations its linear solve took on the two-grid
-    preconditioner (0 when it factored a fresh LU) and the residual norm of
+    preconditioner (0 when it factored afresh) and the residual norm of
     the Newton system it solved; factorized is derived from krylov_iters.
     quadratic_ratio lists g_{k+1}/g_k^2 over the final three steps.
     """
@@ -97,7 +108,7 @@ class SolveReport:
 
     @property
     def factorized(self):
-        """Per iteration, whether its linear solve factored a fresh LU."""
+        """Per iteration, whether its linear solve factored afresh."""
         return [k == 0 for k in self.krylov_iters]
 
     def record_solve(self, krylov_iters, lin_resid):
@@ -119,29 +130,79 @@ class SolveReport:
             stream.write("%d,%.17g,%.17g,%.17g,%.17g\n" % (k, e, g, s, t))
 
 
-def _factor_step(h, g):
-    """Solve (H + tau I)s = -g by a fresh LU, escalating tau until the step
-    is usable; returns (s, tau, resid)."""
-    n = h.shape[0]
+class BandLayout:
+    """The lower band of a symmetric sparse pattern under the reverse
+    Cuthill-McKee ordering perm, for LAPACK's banded Cholesky.
+
+    Built from a CSC matrix of that pattern without duplicate entries.
+    Data slot src[k], at row perm[i] and column perm[j] with i >= j, goes to
+    slot dst[k] = j*(width+1) + i-j of a C-ordered (n, width+1) array, whose
+    transpose is the Fortran band ab[i-j, j] that dpbsv reads with lower=1.
+    """
+
+    def __init__(self, a):
+        from scipy.sparse.csgraph import reverse_cuthill_mckee
+
+        n = a.shape[0]
+        self.perm = reverse_cuthill_mckee(a, symmetric_mode=True)
+        rank = np.empty(n, dtype=np.int64)
+        rank[self.perm] = np.arange(n)
+        i = rank[a.indices]
+        j = rank[np.repeat(np.arange(n), np.diff(a.indptr))]
+        lower = np.flatnonzero(i >= j)
+        i, j = i[lower], j[lower]
+        self.width = int((i - j).max(initial=0))
+        # int32 reaches 2^31 band slots, a 17 GB band
+        self.src = lower.astype(np.int32)
+        self.dst = (j * (self.width + 1) + i - j).astype(np.int32)
+
+    def solve(self, h, tau, b):
+        """(H + tau I)^-1 b for a matrix h in this pattern, or None when
+        H + tau I is not positive definite."""
+        band = np.zeros((len(self.perm), self.width + 1))
+        band.ravel()[self.dst] = h.data[self.src]
+        band[:, 0] += tau
+        # the transposed C array is the Fortran band: f2py copies neither
+        _, x, info = dpbsv(band.T, b[self.perm], lower=1, overwrite_ab=1,
+                           overwrite_b=1)
+        if info != 0:
+            return None
+        s = np.empty_like(x)
+        s[self.perm] = x
+        return s
+
+
+def _lu_solve(h, tau, b):
+    """(H + tau I)^-1 b by a sparse LU, or None when the LU fails."""
+    a = (h + tau * sp.identity(h.shape[0], format="csc")).tocsc() if tau else h
+    try:
+        # H is structurally symmetric: order on the pattern of A^T + A
+        lu = splu(a, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=DIAG_PIVOT_THRESH)
+        return lu.solve(b)
+    except RuntimeError:
+        return None
+
+
+def _factor_step(h, g, band=None):
+    """Solve (H + tau I)s = -g by a fresh factorization, escalating tau until
+    the step is usable; returns (s, tau, resid).
+
+    At each tau the banded Cholesky of band, the BandLayout of h's pattern
+    (built here when None), comes first; when H + tau I is not positive
+    definite or its step fails the residual or descent test, the sparse LU
+    of the same matrix is tried before tau grows."""
+    h = h.tocsc()
+    if band is None:
+        band = BandLayout(h)
+    bound = 1e-10 * max(1.0, np.linalg.norm(g))
     tau = TAU0
-    eye = sp.identity(n, format="csc")
     while True:
-        try:
-            # H is structurally symmetric: order on the pattern of A^T + A
-            lu = splu(
-                (h + tau * eye).tocsc() if tau else h.tocsc(),
-                permc_spec="MMD_AT_PLUS_A",
-            )
-            s = lu.solve(-g)
-        except RuntimeError:
-            lu = s = None
-        if s is not None and np.all(np.isfinite(s)):
-            resid = np.linalg.norm((h @ s) + tau * s + g)
-            ok = resid <= 1e-10 * max(1.0, np.linalg.norm(g))
-            descent = (g @ s) < 0.0
-            if ok and descent:
-                return s, tau, resid
-        lu = None                     # free it before the next attempt
+        for solve in (band.solve, _lu_solve):
+            s = solve(h, tau, -g)
+            if s is not None and np.all(np.isfinite(s)):
+                resid = np.linalg.norm((h @ s) + tau * s + g)
+                if resid <= bound and (g @ s) < 0.0:
+                    return s, tau, resid
         tau = max(tau * TAU_GROWTH, 1e-8) if tau else 1e-8
         if tau > TAU_LIMIT:
             raise SingularSystemError(
@@ -265,7 +326,13 @@ class TwoGrid:
 
 def factor_minimizer(level, law, config):
     """(LU of the reduced Hessian at config, reduce(J config)): the coarse
-    half of a TwoGrid for the next finer level.  None when the LU fails."""
+    half of a TwoGrid for the next finer level.  None when the LU fails.
+
+    It stays a SuperLU factorization: TwoGrid solves with it hundreds of
+    times, where a banded solve is slower.  The matrix is singular along
+    the gauge mode, so it keeps SuperLU's full partial pivoting; with the
+    diagonal preferred (DIAG_PIVOT_THRESH) it hit an exactly zero pivot at
+    N = 4 for 2pi/5, and the next level lost its two-grid."""
     h = assemble_hessian(level.graph, config, law, level.cmap, level.layout)
     try:
         lu = splu(h.tocsc(), permc_spec="MMD_AT_PLUS_A")
@@ -332,7 +399,10 @@ def newton_minimize(level, law, init, opts=None, two_grid=None):
             s, resid, krylov_iters = found
             tau = TAU0
         else:
-            s, tau, resid = _factor_step(h, g)
+            plan = layout.hessian_plan
+            if plan.band is None:
+                plan.band = BandLayout(h)
+            s, tau, resid = _factor_step(h, g, plan.band)
             krylov_iters = 0
         report.record_solve(krylov_iters, resid)
         slope = g @ s

@@ -337,19 +337,42 @@ def test_sweep_answers_pinned():
     np.testing.assert_allclose(rec.energies, expected, rtol=1e-12, atol=0.0)
 
 
+def test_penalized_sweep_answers_pinned():
+    # the paper's model with its volume penalty; recorded with SuperLU at
+    # every fresh factorization.  Some of its Newton systems are indefinite
+    # and keep the LU's step through the fallback, so no tau is raised
+    rec = run_sweep(PHI5, 5, MaterialLaw(p=2.0, psi="smoothed_abs"))
+    assert rec.iterations == [3, 4, 6, 8, 11]
+    assert all(max(report.tau) == 0.0 for report in rec.reports)
+    expected = [
+        0.004087809852036642,
+        0.003981079125424778,
+        0.0036591219416333767,
+        0.0031526299901463387,
+        0.0028152895944371075,
+    ]
+    np.testing.assert_allclose(rec.energies, expected, rtol=1e-12, atol=0.0)
+
+
 def test_sweep_factors_first_level_and_hand_overs(monkeypatch):
-    # level 1 has no coarser level and factors every Newton system.  Each
-    # level but the last then factors its Hessian at its minimizer, and the
-    # next level solves every Newton system by GMRES on the two-grid
-    # preconditioner built on that LU, so splu never sees the finest lattice.
-    real = disclat.solver.splu
-    sizes = []
+    # level 1 has no coarser level and factors every Newton system afresh,
+    # by banded Cholesky (dpbsv).  Each level but the last then factors its
+    # Hessian at its minimizer by SuperLU, and the next level solves every
+    # Newton system by GMRES on the two-grid preconditioner built on that
+    # LU, so neither routine ever sees the finest lattice.
+    factored = []
 
-    def counted(a, **kwargs):
-        sizes.append(a.shape[0])
-        return real(a, **kwargs)
+    def counted(routine, size):
+        real = getattr(disclat.solver, routine)
 
-    monkeypatch.setattr(disclat.solver, "splu", counted)
+        def count(a, *args, **kwargs):
+            factored.append((routine, size(a)))
+            return real(a, *args, **kwargs)
+
+        monkeypatch.setattr(disclat.solver, routine, count)
+
+    counted("dpbsv", lambda ab: ab.shape[1])      # ab is the (width+1, n) band
+    counted("splu", lambda a: a.shape[0])
     rec = run_sweep(PHI5, 5, LAW)
     first = rec.reports[0]
     assert first.factorized == [True] * first.iterations
@@ -364,11 +387,15 @@ def test_sweep_factors_first_level_and_hand_overs(monkeypatch):
         n = 2**k
         return 2 * (LatticeGraph(n).n_vertices - n - 1)
 
-    assert sizes == [reduced(1)] * first.iterations + [reduced(k) for k in range(1, 5)]
+    assert factored == (
+        [("dpbsv", reduced(1))] * first.iterations
+        + [("splu", reduced(k)) for k in range(1, 5)]
+    )
 
 
 def test_fold_study_iterations_pinned(lattice_builds):
-    # per-fold Newton counts recorded with a fresh LU at every iteration
+    # per-fold Newton counts recorded with a fresh factorization at every
+    # iteration (SuperLU then; the banded Cholesky reproduced them)
     res = run_fold_study(PHI7, LAW, eps_exp=4, max_folds=7)
     assert [r["iterations"] for r in res] == [4, 4, 4, 4, 4, 5, 5, 5]
     assert all(r["converged"] for r in res)

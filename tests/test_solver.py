@@ -5,13 +5,16 @@ import io
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from hypothesis import given, strategies as st
 from scipy.sparse.linalg import splu
 
 import disclat.solver
-from disclat.energy import MaterialLaw, NonFiniteEnergyError
+from disclat.energy import MaterialLaw, NonFiniteEnergyError, assemble_hessian
 from disclat.experiments import linear_init, prolong, prolongation_matrix
 from disclat.lattice import Level
 from disclat.solver import (
+    DIAG_PIVOT_THRESH,
+    BandLayout,
     NewtonOptions,
     TwoGrid,
     _factor_step,
@@ -82,6 +85,73 @@ def test_newton_step_regularizes_singular_hessian():
     s, tau, _ = _factor_step(h, g)
     assert tau > 0.0                      # had to regularize
     assert g @ s < 0.0                    # still a descent direction
+
+
+def plan_pattern(n, phi):
+    """The HessianPlan of Level(n, phi) and the (row, column) of each of
+    its data slots."""
+    level = Level(n, phi)
+    assemble_hessian(level.graph, linear_init(level.graph, phi), LAW,
+                     level.cmap, level.layout)
+    plan = level.layout.hessian_plan
+    cols = np.repeat(np.arange(plan.shape[0]), np.diff(plan.indptr))
+    return plan, plan.indices, cols
+
+
+def symmetric_in_pattern(plan, rng):
+    """A random symmetric matrix in the plan's pattern, dense, with its
+    eigen-decomposition."""
+    a = plan.matrix(rng.standard_normal(plan.nnz)).toarray()
+    a += a.T
+    return a, np.linalg.eigh(a)
+
+
+def lu_step(h, g):
+    return splu(h, permc_spec="MMD_AT_PLUS_A",
+                diag_pivot_thresh=DIAG_PIVOT_THRESH).solve(-g)
+
+
+@given(
+    st.integers(min_value=1, max_value=8),
+    st.sampled_from([PHI5, 2.0 * np.pi / 7.0]),
+    st.floats(min_value=1e-2, max_value=1.0),
+    st.integers(min_value=0, max_value=2**32 - 1),
+)
+def test_banded_step_matches_lu_on_spd_systems(n, phi, gap, seed):
+    plan, rows, cols = plan_pattern(n, phi)
+    rng = np.random.default_rng(seed)
+    a, (lam, _) = symmetric_in_pattern(plan, rng)
+    # spectrum [gap, 1 + gap] times its spread: SPD, condition at most 101
+    a += (gap * (lam[-1] - lam[0]) - lam[0]) * np.eye(len(a))
+    h = plan.matrix(a[rows, cols])
+    g = rng.standard_normal(len(a))
+    s, tau, resid = _factor_step(h, g, BandLayout(h))
+    expected = lu_step(h, g)
+    assert tau == 0.0
+    assert np.linalg.norm(s - expected) <= 1e-12 * np.linalg.norm(expected)
+    assert resid <= 1e-10 * max(1.0, np.linalg.norm(g))
+
+
+def test_indefinite_system_takes_the_lu_step(monkeypatch):
+    plan, rows, cols = plan_pattern(4, PHI5)
+    a, (lam, vec) = symmetric_in_pattern(plan, np.random.default_rng(5))
+    # one negative eigenvalue; g = H v for the top eigenvector v, so the
+    # Newton step -v is a descent direction all the same
+    a -= 0.5 * (lam[0] + lam[1]) * np.eye(len(a))
+    h = plan.matrix(a[rows, cols])
+    g = h @ vec[:, -1]
+    band = BandLayout(h)
+    assert band.solve(h, 0.0, -g) is None            # not positive definite
+    real, calls = disclat.solver.splu, []
+
+    def counted(m, **kwargs):
+        calls.append(m.shape[0])
+        return real(m, **kwargs)
+
+    monkeypatch.setattr(disclat.solver, "splu", counted)
+    s, tau, _ = _factor_step(h, g, band)
+    assert calls == [len(a)] and tau == 0.0
+    assert np.array_equal(s, lu_step(h, g))
 
 
 def test_report_csv_shape():
