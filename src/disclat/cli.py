@@ -503,10 +503,7 @@ def main(argv=None):
         return 2
     try:
         return args.func(args)
-    except CliError as err:
-        print("error: %s" % err, file=sys.stderr)
-        return 2
-    except RuntimeError as err:
+    except (CliError, RuntimeError) as err:
         print("error: %s" % err, file=sys.stderr)
         return 2
     except OSError as err:

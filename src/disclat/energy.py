@@ -71,12 +71,13 @@ class MaterialLaw:
     """
 
     def __init__(self, p=2.0, psi="zero", kappa=1.0, delta=1e-2):
-        if p < 2:
-            raise ValueError("bond exponent p must be >= 2, got %r" % p)
+        # the negated range tests reject NaN as well as inf
+        if not 2 <= p < np.inf:
+            raise ValueError("bond exponent p must be finite and >= 2, got %r" % p)
         if psi not in ("zero", "smoothed_abs"):
             raise ValueError("unknown psi variant %r" % psi)
-        if psi == "smoothed_abs" and (kappa <= 0 or delta <= 0):
-            raise ValueError("smoothed_abs needs kappa > 0 and delta > 0")
+        if psi == "smoothed_abs" and not (0 < kappa < np.inf and 0 < delta < np.inf):
+            raise ValueError("smoothed_abs needs finite kappa > 0 and delta > 0")
         self.p = float(p)
         self.psi_name = psi
         self.kappa = float(kappa)

@@ -225,7 +225,7 @@ def run_sweep(phi, k_max, law, opts=None, cold_start=False, keep_configs=False):
     """Solve at eps = 2^-k for k = 1..k_max with prolongation warm starts.
 
     Each level but the last factors its reduced Hessian at its minimizer;
-    the next level's Newton systems are solved by GMRES on the two-grid
+    the next level's Newton systems are solved by CG on the two-grid
     preconditioner built on that LU (solver.TwoGrid), so the finest lattice
     is never factored.  cold_start=True restarts every level from the det1
     linear initializer instead (sensitivity study).  Solver failures

@@ -4,13 +4,14 @@ Each iteration solves (H + tau*I) s = -g.  A run can be given a TwoGrid
 preconditioner, which run_sweep builds for every level after the first:
 damped 2x2 block-Jacobi smoothing around a coarse correction through the
 LU of the coarser level's Hessian at its minimizer, with the gauge mode (a
-global rotation, which costs no energy) projected out.  GMRES on it solves
-H s = -g (tau = TAU0); it gives up after GMRES_MAXITER iterations, or earlier
-when its observed residual reduction projects more.  The step it returns
-must pass the tests of a factored step (residual bound, descent).  The
-first failure drops the two-grid for the run.  Every Newton system without
-a two-grid is factored afresh, so unless GMRES fails a sweep never factors
-its finest lattice.
+global rotation, which costs no energy) projected out.  H and the
+preconditioner are symmetric, so preconditioned CG on it solves H s = -g
+(tau = TAU0); it gives up after CG_MAXITER iterations, or at non-positive
+curvature: at a warm start H can have one slightly negative eigenvalue
+along the gauge mode.  The step it returns must pass the tests of a
+factored step (residual bound, descent).  The first failure drops the
+two-grid for the run.  Every Newton system without a two-grid is factored
+afresh, so unless CG fails a sweep never factors its finest lattice.
 
 A fresh factorization is a banded Cholesky: LAPACK's dpbsv on the lower
 band of H + tau*I under a reverse Cuthill-McKee ordering (George & Liu,
@@ -31,7 +32,6 @@ every iterate because all trial points go through Level.expand.
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.linalg import solve_triangular
 from scipy.linalg.lapack import dpbsv
 from scipy.sparse.linalg import splu
 
@@ -50,7 +50,7 @@ TAU_LIMIT = 1e8
 ARMIJO_C = 1e-4
 BACKTRACK = 0.5
 MAX_HALVINGS = 40
-GMRES_MAXITER = 20
+CG_MAXITER = 20
 SMOOTH_OMEGA = 0.7
 SMOOTH_SWEEPS = 2
 # SuperLU's threshold partial pivoting for indefinite Newton systems: 1.0, its
@@ -81,7 +81,7 @@ class SolveReport:
     Arrays energy/grad_inf/step_norm/tau hold one entry per recorded row;
     row 0 is the initial state (step_norm and tau zero), row k the state
     after iteration k.  krylov_iters/lin_resid hold one entry per
-    iteration: the GMRES iterations its linear solve took on the two-grid
+    iteration: the CG iterations its linear solve took on the two-grid
     preconditioner (0 when it factored afresh) and the residual norm of
     the Newton system it solved; factorized is derived from krylov_iters.
     quadratic_ratio lists g_{k+1}/g_k^2 over the final three steps.
@@ -210,57 +210,36 @@ def _factor_step(h, g, band=None):
             )
 
 
-def _gmres(matvec, b, precond, tol):
-    """Right-preconditioned GMRES for A x = b from x = 0 (Saad & Schultz,
-    1986), with modified Gram-Schmidt and Givens rotations.
+def _cg(a, b, precond, tol):
+    """Preconditioned conjugate gradients for A x = b from x = 0 (Hestenes &
+    Stiefel, J. Res. NBS 49, 1952), for symmetric A and a symmetric
+    positive definite preconditioner.
 
     Stops when the true residual |b - A x| is at most tol and returns
-    (x, resid, iterations).  Returns None after GMRES_MAXITER iterations,
-    or from the second iteration on when the mean residual reduction so far
-    projects more than GMRES_MAXITER iterations.
+    (x, resid, iterations).  Returns None after CG_MAXITER iterations, or
+    at non-positive curvature (p.Ap <= 0 or r.z <= 0, NaN included), where
+    A or the preconditioner is not positive definite.
     """
-    beta = np.linalg.norm(b)
-    basis = [b / beta]
-    zs = []                                 # precond(basis[j]): x = Z y
-    hess = np.zeros((GMRES_MAXITER + 1, GMRES_MAXITER))
-    cs = np.zeros(GMRES_MAXITER)
-    sn = np.zeros(GMRES_MAXITER)
-    rhs = np.zeros(GMRES_MAXITER + 1)
-    rhs[0] = beta
-    for j in range(GMRES_MAXITER):
-        zs.append(precond(basis[j]))
-        w = matvec(zs[j])
-        for i in range(j + 1):
-            hess[i, j] = w @ basis[i]
-            w = w - hess[i, j] * basis[i]
-        h_next = np.linalg.norm(w)
-        for i in range(j):
-            hess[i, j], hess[i + 1, j] = (
-                cs[i] * hess[i, j] + sn[i] * hess[i + 1, j],
-                -sn[i] * hess[i, j] + cs[i] * hess[i + 1, j],
-            )
-        r = np.hypot(hess[j, j], h_next)
-        if r == 0.0 or not np.isfinite(r):
+    x = np.zeros_like(b)
+    r = b
+    z = precond(r)
+    rz = r @ z
+    p = z
+    for k in range(1, CG_MAXITER + 1):
+        ap = a @ p
+        curvature = p @ ap
+        if not (rz > 0.0 and curvature > 0.0):
             return None
-        cs[j], sn[j] = hess[j, j] / r, h_next / r
-        hess[j, j] = r
-        rhs[j + 1] = -sn[j] * rhs[j]
-        rhs[j] = cs[j] * rhs[j]
-        k = j + 1
-        est = abs(rhs[k])                   # |b - A x_k| in exact arithmetic
-        if est <= tol or h_next == 0.0:
-            y = solve_triangular(hess[:k, :k], rhs[:k])
-            x = np.column_stack(zs) @ y
-            resid = np.linalg.norm(b - matvec(x))
+        alpha = rz / curvature
+        x = x + alpha * p
+        r = r - alpha * ap
+        if np.linalg.norm(r) <= tol:
+            resid = np.linalg.norm(b - a @ x)
             if resid <= tol:
                 return x, resid, k
-            if h_next == 0.0:
-                return None
-        elif k >= 2:
-            rate = (est / beta) ** (1.0 / k)
-            if rate >= 1.0 or k + np.log(tol / est) / np.log(rate) > GMRES_MAXITER:
-                return None
-        basis.append(w / h_next)
+        z = precond(r)
+        rz, rz_old = r @ z, rz
+        p = z + (rz / rz_old) * p
     return None
 
 
@@ -343,8 +322,8 @@ def factor_minimizer(level, law, config):
 
 
 def _two_grid_step(h, g, precond):
-    """(s, resid, krylov_iters) from GMRES on H s = -g, right-preconditioned
-    by precond, or None when there is no preconditioner, GMRES fails or s
+    """(s, resid, krylov_iters) from CG on H s = -g, preconditioned by
+    precond, or None when there is no preconditioner, CG fails or s
     is not a descent direction.  So a step it returns passes the tests of a
     factored one: the residual bound (which makes it finite) and descent."""
     if precond is None:
@@ -352,7 +331,7 @@ def _two_grid_step(h, g, precond):
     gnorm = np.linalg.norm(g)
     # the second term keeps the final steps as accurate as an LU's
     tol = min(0.5e-10 * max(1.0, gnorm), 1e-6 * gnorm)
-    found = _gmres(lambda v: h @ v, -g, precond, tol)
+    found = _cg(h, -g, precond, tol)
     if found is None or not (g @ found[0]) < 0.0:
         return None
     return found
@@ -361,8 +340,8 @@ def _two_grid_step(h, g, precond):
 def newton_minimize(level, law, init, opts=None, two_grid=None):
     """Minimize the reduced energy on level from an admissible config init.
 
-    two_grid, a TwoGrid for this lattice, preconditions GMRES on every
-    Newton system until GMRES first fails; every other system is factored
+    two_grid, a TwoGrid for this lattice, preconditions CG on every
+    Newton system until CG first fails; every other system is factored
     afresh.
 
     Returns (configuration, SolveReport).  The report's converged flag is

@@ -234,6 +234,24 @@ def test_bad_solver_option_exits_2(tmp_path, capsys, option):
 
 
 @pytest.mark.parametrize(
+    "option, message",
+    [(["--p", "inf"], "bond exponent"), (["--p", "nan"], "bond exponent"),
+     (["--psi", "smoothed_abs", "--kappa", "nan"], "smoothed_abs"),
+     (["--psi", "smoothed_abs", "--kappa", "inf"], "smoothed_abs"),
+     (["--psi", "smoothed_abs", "--delta", "nan"], "smoothed_abs"),
+     (["--psi", "smoothed_abs", "--delta", "inf"], "smoothed_abs")],
+    ids=["p-inf", "p-nan", "kappa-nan", "kappa-inf", "delta-nan", "delta-inf"],
+)
+def test_nonfinite_material_law_exits_2(tmp_path, capsys, option, message):
+    code = main(["sweep", "--phi", "5", "--eps-max-exp", "2", "--out", str(tmp_path)]
+                + option)
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: " + message) and err.count("\n") == 1
+    assert not any(tmp_path.iterdir())        # nothing was solved
+
+
+@pytest.mark.parametrize(
     "argv",
     [["sweep", "--eps-max-exp", "2"],
      ["fold-study", "--eps-exp", "2", "--max-folds", "1"],

@@ -21,7 +21,7 @@ from disclat.experiments import (
 from disclat.lattice import LatticeGraph, Level, rot
 import disclat.experiments
 import disclat.solver
-from disclat.solver import GMRES_MAXITER
+from disclat.solver import CG_MAXITER
 
 PHI5 = 2.0 * np.pi / 5.0
 PHI7 = 2.0 * np.pi / 7.0
@@ -358,7 +358,7 @@ def test_sweep_factors_first_level_and_hand_overs(monkeypatch):
     # level 1 has no coarser level and factors every Newton system afresh,
     # by banded Cholesky (dpbsv).  Each level but the last then factors its
     # Hessian at its minimizer by SuperLU, and the next level solves every
-    # Newton system by GMRES on the two-grid preconditioner built on that
+    # Newton system by CG on the two-grid preconditioner built on that
     # LU, so neither routine ever sees the finest lattice.
     factored = []
 
@@ -378,7 +378,7 @@ def test_sweep_factors_first_level_and_hand_overs(monkeypatch):
     assert first.factorized == [True] * first.iterations
     for report in rec.reports[1:]:
         assert not any(report.factorized)
-        assert all(1 <= k <= GMRES_MAXITER for k in report.krylov_iters)
+        assert all(1 <= k <= CG_MAXITER for k in report.krylov_iters)
     for report in rec.reports:
         assert len(report.lin_resid) == report.iterations
         assert max(report.lin_resid) <= 1e-10

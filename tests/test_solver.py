@@ -13,11 +13,14 @@ from disclat.energy import MaterialLaw, NonFiniteEnergyError, assemble_hessian
 from disclat.experiments import linear_init, prolong, prolongation_matrix
 from disclat.lattice import Level
 from disclat.solver import (
+    CG_MAXITER,
     DIAG_PIVOT_THRESH,
     BandLayout,
     NewtonOptions,
     TwoGrid,
+    _cg,
     _factor_step,
+    factor_minimizer,
     newton_minimize,
 )
 
@@ -193,16 +196,16 @@ def test_stale_two_grid_falls_back_to_fresh_factorization(monkeypatch):
     stale = splu(sp.diags(np.linspace(1.0, 1e3, coarse.layout.n_reduced), format="csc"))
     gauge = coarse.reduce(np.column_stack([-u_coarse[:, 1], u_coarse[:, 0]]))
     two_grid = TwoGrid(stale, gauge, prolongation_matrix(coarse, level))
-    real = disclat.solver._gmres
+    real = disclat.solver._cg
     tried = []
 
     def spy(*args):
         tried.append(real(*args))
         return tried[-1]
 
-    monkeypatch.setattr(disclat.solver, "_gmres", spy)
+    monkeypatch.setattr(disclat.solver, "_cg", spy)
     config, report = newton_minimize(level, LAW, u, two_grid=two_grid)
-    # GMRES ran once and gave up; the failure ends the two-grid for the run
+    # CG ran once and gave up; the failure ends the two-grid for the run
     assert tried == [None]
     assert report.converged
     assert report.krylov_iters == [0] * report.iterations
@@ -211,3 +214,41 @@ def test_stale_two_grid_falls_back_to_fresh_factorization(monkeypatch):
     ref_config, ref = newton_minimize(level, LAW, u)
     assert np.array_equal(config, ref_config)
     assert report.energy == ref.energy
+
+
+def test_cg_solves_spd_system_within_cap():
+    rng = np.random.default_rng(3)
+    q, _ = np.linalg.qr(rng.normal(size=(12, 12)))
+    a = q @ np.diag(np.geomspace(1.0, 1e3, 12)) @ q.T
+    b = rng.normal(size=12)
+    tol = 1e-10 * np.linalg.norm(b)
+    x, resid, iterations = _cg(a, b, lambda r: r / np.diag(a), tol)
+    assert resid <= tol and 1 <= iterations <= CG_MAXITER
+    np.testing.assert_allclose(x, np.linalg.solve(a, b), rtol=0.0, atol=tol)
+
+
+@pytest.mark.parametrize("diag", [[4.0, 3.0, 2.0, 1.0, -1.0], [1.0, -3.0]])
+def test_cg_rejects_indefinite_matrix(diag):
+    # distinct eigenvalues and a right-hand side that meets each: no Krylov
+    # space short of the whole one holds the solution, and CG over the whole
+    # space with positive curvature throughout would make the matrix SPD
+    a = np.diag(diag)
+    assert _cg(a, np.ones(len(diag)), lambda r: r, 1e-12) is None
+
+
+@pytest.mark.parametrize("psi", ["zero", "smoothed_abs"])
+@pytest.mark.parametrize("phi", [PHI5, 2.0 * np.pi / 7.0], ids=["2pi/5", "2pi/7"])
+def test_two_grid_preconditioner_is_spd_at_warm_start(phi, psi):
+    # CG needs a symmetric positive definite preconditioner; check the dense
+    # M^-1 at the prolonged warm start of N = 8, where a sweep first uses it
+    law = MaterialLaw(p=2.0, psi=psi)
+    coarse, level = Level(4, phi), Level(8, phi)
+    u_coarse, _ = newton_minimize(coarse, law, linear_init(coarse.graph, phi))
+    u = prolong(coarse.graph, u_coarse, level.graph)
+    two_grid = TwoGrid(*factor_minimizer(coarse, law, u_coarse),
+                       prolongation_matrix(coarse, level))
+    h = assemble_hessian(level.graph, u, law, level.cmap, level.layout)
+    apply = two_grid.preconditioner(h)
+    m_inv = np.column_stack([apply(e) for e in np.eye(h.shape[0])])
+    assert np.abs(m_inv - m_inv.T).max() <= 1e-12 * np.abs(m_inv).max()
+    assert np.linalg.eigvalsh(0.5 * (m_inv + m_inv.T)).min() > 0.0
