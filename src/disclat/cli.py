@@ -65,8 +65,8 @@ def make_law(args):
         return MaterialLaw(
             p=args.p,
             psi=args.psi,
-            kappa=getattr(args, "kappa", 1.0),
-            delta=getattr(args, "delta", 1e-2),
+            kappa=args.kappa,
+            delta=args.delta,
         )
     except ValueError as err:
         raise CliError(str(err))
@@ -337,14 +337,11 @@ def cmd_verify(args):
 
     if args.seed < 0:
         raise CliError("seed must be >= 0, got %d" % args.seed)
-    if args.all or not args.check:
-        args.checks = list(ALL_CHECKS)
-    else:
-        bad = [c for c in args.check if c not in ALL_CHECKS]
-        if bad:
-            raise CliError("unknown checks: %s (known: %s)"
-                           % (",".join(bad), ",".join(ALL_CHECKS)))
-        args.checks = args.check
+    bad = [c for c in args.check or [] if c not in ALL_CHECKS]
+    if bad:
+        raise CliError("unknown checks: %s (known: %s)"
+                       % (",".join(bad), ",".join(ALL_CHECKS)))
+    args.checks = ALL_CHECKS if args.all or not args.check else args.check
     results = []
     all_pass = True
     for row in _verify_checks(args):
@@ -399,8 +396,6 @@ def _add_common_args(sub):
     # clobbering a value given at the top level
     sub.add_argument("--out", default=argparse.SUPPRESS,
                      help="output directory (default: print to stdout)")
-    sub.add_argument("--seed", type=int, default=argparse.SUPPRESS,
-                     help="seed for sampled checks (default 0)")
 
 
 def _add_law_args(sub):
@@ -473,6 +468,9 @@ def build_parser():
 
     p_ver = sub.add_parser("verify", help="run the structural checks")
     _add_common_args(p_ver)
+    # like --out, also accepted before the subcommand
+    p_ver.add_argument("--seed", type=int, default=argparse.SUPPRESS,
+                       help="seed for sampled checks (default 0)")
     p_ver.add_argument("--all", action="store_true",
                        help="run every check (default when none named)")
     p_ver.add_argument("--check", action="append",

@@ -152,7 +152,7 @@ def _edge_geometry(graph, u):
     l1 = np.hypot(d1[:, 0], d1[:, 1]) / eps
     l2 = np.hypot(d2[:, 0], d2[:, 1]) / eps
     l3 = np.hypot(d3[:, 0], d3[:, 1]) / eps
-    return d1, d2, d3, l1, l2, l3, cell_dets(d1, d2, eps)
+    return l1, l2, l3, cell_dets(d1, d2, eps)
 
 
 def _bonds(graph, u):
@@ -174,7 +174,7 @@ def _bonds(graph, u):
 def _tri_energies(graph, u, law):
     """Per-triangle densities, shape (|T|,).  Multiply by the cell area to
     integrate."""
-    _, _, _, l1, l2, l3, det = _edge_geometry(graph, u)
+    l1, l2, l3, det = _edge_geometry(graph, u)
     p = law.p
     # one division for the three edges: summing law.Phi per edge rounds
     # differently
@@ -213,7 +213,10 @@ def _bond_hessians(graph, u, law):
 def _det_gradients(graph, u):
     """Cell determinants (|T|,) and their gradients (|T|, 3, 2) in the
     vertex positions, vertex order (a, b, c)."""
-    d1, d2, _, _, _, _, det = _edge_geometry(graph, u)
+    a, b, c = graph.tris.T
+    d1 = u[b] - u[a]
+    d2 = u[c] - u[a]
+    det = cell_dets(d1, d2, graph.eps)
     c0 = 2.0 / (SQRT3 * graph.eps**2)
     gdet = np.empty(graph.tris.shape + (2,))
     gdet[:, 1] = c0 * np.column_stack([d2[:, 1], -d2[:, 0]])   # d det / d d1

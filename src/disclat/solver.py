@@ -6,12 +6,13 @@ damped 2x2 block-Jacobi smoothing around a coarse correction through the
 LU of the coarser level's Hessian at its minimizer, with the gauge mode (a
 global rotation, which costs no energy) projected out.  H and the
 preconditioner are symmetric, so preconditioned CG on it solves H s = -g
-(tau = TAU0); it gives up after CG_MAXITER iterations, or at non-positive
+(tau = 0); it gives up after CG_MAXITER iterations, or at non-positive
 curvature: at a warm start H can have one slightly negative eigenvalue
 along the gauge mode.  The step it returns must pass the tests of a
 factored step (residual bound, descent).  The first failure drops the
-two-grid for the run.  Every Newton system without a two-grid is factored
-afresh, so unless CG fails a sweep never factors its finest lattice.
+two-grid for the run.  TwoGrid.solve makes that attempt; every Newton
+system without a two-grid is factored afresh, so unless CG fails a sweep
+never factors its finest lattice.
 
 A fresh factorization is a banded Cholesky: LAPACK's dpbsv on the lower
 band of H + tau*I under a reverse Cuthill-McKee ordering (George & Liu,
@@ -20,7 +21,7 @@ out once per HessianPlan as a BandLayout.  When H + tau*I is not positive
 definite, or the Cholesky step fails the tests, the same system goes to a
 sparse LU (minimum-degree ordering, threshold pivoting at
 DIAG_PIVOT_THRESH), so an indefinite system that the LU solves keeps the
-LU's step.  The search starts at tau = TAU0 = 0, moves to 1e-8 and then
+LU's step.  The search starts at tau = 0, moves to 1e-8 and then
 grows tau TAU_GROWTH-fold whenever neither factorization gives a finite,
 accurate descent direction; past TAU_LIMIT the system is declared
 singular.  An Armijo backtracking line search guarantees energy descent; a
@@ -44,7 +45,6 @@ from .energy import (
 # unused here, but perfbench's tracer wraps solver.expand by this name
 from .lattice import expand  # noqa: F401
 
-TAU0 = 0.0
 TAU_GROWTH = 10.0
 TAU_LIMIT = 1e8
 ARMIJO_C = 1e-4
@@ -83,7 +83,7 @@ class SolveReport:
     after iteration k.  krylov_iters/lin_resid hold one entry per
     iteration: the CG iterations its linear solve took on the two-grid
     preconditioner (0 when it factored afresh) and the residual norm of
-    the Newton system it solved; factorized is derived from krylov_iters.
+    the Newton system it solved.
     quadratic_ratio lists g_{k+1}/g_k^2 over the final three steps.
     """
 
@@ -105,11 +105,6 @@ class SolveReport:
         self.grad_inf.append(float(grad_inf))
         self.step_norm.append(float(step_norm))
         self.tau.append(float(tau))
-
-    @property
-    def factorized(self):
-        """Per iteration, whether its linear solve factored afresh."""
-        return [k == 0 for k in self.krylov_iters]
 
     def record_solve(self, krylov_iters, lin_resid):
         self.krylov_iters.append(int(krylov_iters))
@@ -183,19 +178,17 @@ def _lu_solve(h, tau, b):
         return None
 
 
-def _factor_step(h, g, band=None):
+def _factor_step(h, g, band):
     """Solve (H + tau I)s = -g by a fresh factorization, escalating tau until
     the step is usable; returns (s, tau, resid).
 
-    At each tau the banded Cholesky of band, the BandLayout of h's pattern
-    (built here when None), comes first; when H + tau I is not positive
-    definite or its step fails the residual or descent test, the sparse LU
-    of the same matrix is tried before tau grows."""
+    At each tau the banded Cholesky of band, the BandLayout of h's pattern,
+    comes first; when H + tau I is not positive definite or its step fails
+    the residual or descent test, the sparse LU of the same matrix is tried
+    before tau grows."""
     h = h.tocsc()
-    if band is None:
-        band = BandLayout(h)
     bound = 1e-10 * max(1.0, np.linalg.norm(g))
-    tau = TAU0
+    tau = 0.0
     while True:
         for solve in (band.solve, _lu_solve):
             s = solve(h, tau, -g)
@@ -203,7 +196,7 @@ def _factor_step(h, g, band=None):
                 resid = np.linalg.norm((h @ s) + tau * s + g)
                 if resid <= bound and (g @ s) < 0.0:
                     return s, tau, resid
-        tau = max(tau * TAU_GROWTH, 1e-8) if tau else 1e-8
+        tau = tau * TAU_GROWTH if tau else 1e-8
         if tau > TAU_LIMIT:
             raise SingularSystemError(
                 "no usable step up to tau = %g" % TAU_LIMIT
@@ -302,12 +295,29 @@ class TwoGrid:
 
         return apply
 
+    def solve(self, h, g):
+        """(s, resid, krylov_iters) from CG on H s = -g, preconditioned by
+        preconditioner(h), or None when h has no preconditioner, CG fails or
+        s is not a descent direction.  So a step it returns passes the tests
+        of a factored one: the residual bound (which makes it finite) and
+        descent."""
+        precond = self.preconditioner(h)
+        if precond is None:
+            return None
+        gnorm = np.linalg.norm(g)
+        # the second term keeps the final steps as accurate as an LU's
+        tol = min(0.5e-10 * max(1.0, gnorm), 1e-6 * gnorm)
+        found = _cg(h, -g, precond, tol)
+        if found is None or not (g @ found[0]) < 0.0:
+            return None
+        return found
+
 
 def factor_minimizer(level, law, config):
     """(LU of the reduced Hessian at config, reduce(J config)): the coarse
     half of a TwoGrid for the next finer level.  None when the LU fails.
 
-    It stays a SuperLU factorization: TwoGrid solves with it hundreds of
+    It stays a SuperLU factorization: TwoGrid solves with it tens of
     times, where a banded solve is slower.  The matrix is singular along
     the gauge mode, so it keeps SuperLU's full partial pivoting; with the
     diagonal preferred (DIAG_PIVOT_THRESH) it hit an exactly zero pivot at
@@ -321,27 +331,11 @@ def factor_minimizer(level, law, config):
     return lu, level.reduce(gauge)
 
 
-def _two_grid_step(h, g, precond):
-    """(s, resid, krylov_iters) from CG on H s = -g, preconditioned by
-    precond, or None when there is no preconditioner, CG fails or s
-    is not a descent direction.  So a step it returns passes the tests of a
-    factored one: the residual bound (which makes it finite) and descent."""
-    if precond is None:
-        return None
-    gnorm = np.linalg.norm(g)
-    # the second term keeps the final steps as accurate as an LU's
-    tol = min(0.5e-10 * max(1.0, gnorm), 1e-6 * gnorm)
-    found = _cg(h, -g, precond, tol)
-    if found is None or not (g @ found[0]) < 0.0:
-        return None
-    return found
-
-
 def newton_minimize(level, law, init, opts=None, two_grid=None):
     """Minimize the reduced energy on level from an admissible config init.
 
-    two_grid, a TwoGrid for this lattice, preconditions CG on every
-    Newton system until CG first fails; every other system is factored
+    two_grid, a TwoGrid for this lattice, solves every Newton system by
+    TwoGrid.solve until that first fails; every other system is factored
     afresh.
 
     Returns (configuration, SolveReport).  The report's converged flag is
@@ -362,22 +356,19 @@ def newton_minimize(level, law, init, opts=None, two_grid=None):
     report = SolveReport()
     f = fval(q)
     g = gval(q)
-    gnorm = np.abs(g).max() if len(g) else 0.0
+    gnorm = np.abs(g).max()
     report.record(f, gnorm, 0.0, 0.0)
     for _ in range(opts.max_iter):
         if gnorm <= opts.grad_tol:
             break
         h = None                       # free the last Hessian before the next
         h = assemble_hessian(graph, level.expand(q), law, cmap, layout)
-        found = None
-        if two_grid is not None:
-            found = _two_grid_step(h, g, two_grid.preconditioner(h))
-            if found is None:
-                two_grid = None        # the first failure ends it for the run
-        if found is not None:
+        found = two_grid and two_grid.solve(h, g)
+        if found:
             s, resid, krylov_iters = found
-            tau = TAU0
+            tau = 0.0
         else:
+            two_grid = None            # the first failure ends it for the run
             plan = layout.hessian_plan
             if plan.band is None:
                 plan.band = BandLayout(h)
@@ -402,7 +393,7 @@ def newton_minimize(level, law, init, opts=None, two_grid=None):
         q = q + step
         f = fval(q)
         g = gval(q)
-        gnorm = np.abs(g).max() if len(g) else 0.0
+        gnorm = np.abs(g).max()
         report.record(f, gnorm, np.linalg.norm(step), tau)
         if np.linalg.norm(step) == 0.0:
             break

@@ -137,8 +137,14 @@ def test_verify_subset_jsonl(tmp_path):
         assert "min_slack" in r
 
 
-def test_verify_unknown_check(tmp_path):
+def test_verify_unknown_check(tmp_path, capsys):
     assert main(["verify", "--check", "bogus", "--out", str(tmp_path)]) == 2
+    # the names are checked before --all runs anything
+    assert main(["verify", "--all", "--check", "bogus",
+                 "--out", str(tmp_path)]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.count("error: unknown checks: bogus") == 2
+    assert not any(tmp_path.iterdir())
 
 
 def test_render_deterministic_and_copies(tmp_path):
@@ -294,3 +300,33 @@ def test_plain_newton_flag_is_gone(tmp_path):
         main(["minimize", "--eps-exp", "2", "--plain-newton",
               "--out", str(tmp_path)])
     assert exc.value.code == 2
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["mesh", "--eps-exp", "1"], ["minimize", "--eps-exp", "1"], ["sweep"],
+     ["fold-study"], ["render", "--eps-exp", "1"]],
+    ids=["mesh", "minimize", "sweep", "fold-study", "render"],
+)
+def test_seed_is_a_verify_option(tmp_path, argv):
+    # only verify samples anything
+    with pytest.raises(SystemExit) as exc:
+        main(argv + ["--seed", "3", "--out", str(tmp_path)])
+    assert exc.value.code == 2
+
+
+def test_render_solve_writes_svg(tmp_path, capsys):
+    argv = ["render", "--phi", "5", "--eps-exp", "2", "--init", "fold:1",
+            "--solve", "--out", str(tmp_path)]
+    assert main(argv) == 0
+    assert capsys.readouterr().err == ""
+    svg = (tmp_path / "render_eps2.svg").read_bytes()
+    assert svg.startswith(b"<?xml") and b"<polygon" in svg
+
+
+def test_render_solve_warns_when_not_converged(tmp_path, capsys):
+    argv = ["render", "--phi", "5", "--eps-exp", "2", "--init", "fold:1",
+            "--solve", "--max-iter", "1", "--out", str(tmp_path)]
+    assert main(argv) == 0
+    assert capsys.readouterr().err == "warning: solve did not converge\n"
+    assert (tmp_path / "render_eps2.svg").read_bytes().startswith(b"<?xml")

@@ -85,7 +85,7 @@ def test_max_iter_exhaustion_reported():
 def test_newton_step_regularizes_singular_hessian():
     h = sp.csr_matrix((2, 2))
     g = np.array([1.0, 0.0])
-    s, tau, _ = _factor_step(h, g)
+    s, tau, _ = _factor_step(h, g, BandLayout(h))
     assert tau > 0.0                      # had to regularize
     assert g @ s < 0.0                    # still a descent direction
 
