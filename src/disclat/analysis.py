@@ -51,6 +51,19 @@ class Svd2:
         return self.p1 @ np.diag(self.sigma) @ self.p2
 
 
+def _singular_values(a):
+    """Closed-form numbers of a (..., 2, 2) stack: the block coordinates
+    e, f, g, h of svd2 and the signed singular values q - r <= q + r
+    (q - r carries the sign of det a)."""
+    e = (a[..., 0, 0] + a[..., 1, 1]) / 2.0
+    f = (a[..., 0, 0] - a[..., 1, 1]) / 2.0
+    g = (a[..., 1, 0] + a[..., 0, 1]) / 2.0
+    h = (a[..., 1, 0] - a[..., 0, 1]) / 2.0
+    q = np.hypot(e, h)
+    r = np.hypot(f, g)
+    return e, f, g, h, q - r, q + r
+
+
 def svd2(a):
     """Closed-form SVD of a 2x2 matrix (no iteration).
 
@@ -60,14 +73,7 @@ def svd2(a):
     rotation angles come from atan2 of the same four numbers.
     """
     a = np.asarray(a, dtype=float)
-    e = (a[0, 0] + a[1, 1]) / 2.0
-    f = (a[0, 0] - a[1, 1]) / 2.0
-    g = (a[1, 0] + a[0, 1]) / 2.0
-    h = (a[1, 0] - a[0, 1]) / 2.0
-    q = np.hypot(e, h)
-    r = np.hypot(f, g)
-    s_big = q + r
-    s_small = q - r          # carries the sign of det a
+    e, f, g, h, s_small, s_big = _singular_values(a)
     theta_u = (np.arctan2(h, e) + np.arctan2(g, f)) / 2.0
     theta_v = (np.arctan2(h, e) - np.arctan2(g, f)) / 2.0
     # a = rot(theta_u) @ diag(s_big, s_small) @ rot(theta_v); reorder to
@@ -91,18 +97,25 @@ def dist_so2_squared(a):
 
     (sigma1 - 1)^2 + (sigma2 - 1)^2 when det a >= 0; when det a < 0 the
     small singular value enters as (sigma1 + 1)^2 (one direction must be
-    flipped, cheapest along the weakest axis).
+    flipped, cheapest along the weakest axis).  A (..., 2, 2) stack gives
+    an array of shape (...); a single matrix gives a float.
     """
-    dec = svd2(np.asarray(a, dtype=float))
-    s1, s2 = dec.sigma
-    if dec.det_sign >= 0.0:
-        return float((s1 - 1.0) ** 2 + (s2 - 1.0) ** 2)
-    return float((s1 + 1.0) ** 2 + (s2 - 1.0) ** 2)
+    a = np.asarray(a, dtype=float)
+    *_, s_small, s_big = _singular_values(a)
+    s1 = np.abs(s_small)
+    off1 = np.where(np.linalg.det(a) >= 0.0, s1 - 1.0, s1 + 1.0)
+    d2 = np.square(off1) + np.square(s_big - 1.0)
+    return float(d2) if d2.ndim == 0 else d2
 
 
 def dist_so2(a, p=2.0):
     """dist(a, SO(2))^p for a 2x2 matrix."""
     return dist_so2_squared(a) ** (p / 2.0)
+
+
+# angles per block of the dist_so2_grid scan: two buffers of this many
+# doubles stay in cache while the tables stream past
+GRID_BLOCK = 1 << 15
 
 
 @functools.cache
@@ -121,13 +134,22 @@ def dist_so2_grid(a):
 
     Independent cross-check for dist_so2_squared.  |a - R|^2 = |a|^2 + 2
     - 2*(t cos theta + d sin theta) with t = tr a, d = a21 - a12, so the
-    scan needs only one vectorized pass over the cached cos/sin tables.
+    scan needs only t*cos + d*sin over the cached cos/sin tables, taken
+    GRID_BLOCK angles at a time into two reused buffers.
     """
     a = np.asarray(a, dtype=float)
+    t = a[0, 0] + a[1, 1]
+    d = a[1, 0] - a[0, 1]
     cos, sin = _angle_table()
-    proj = (a[0, 0] + a[1, 1]) * cos
-    proj += (a[1, 0] - a[0, 1]) * sin
-    return float((a * a).sum() + 2.0 - 2.0 * proj.max())
+    proj = np.empty(GRID_BLOCK)
+    term = np.empty(GRID_BLOCK)
+    peaks = []
+    for start in range(0, len(cos), GRID_BLOCK):
+        n = min(GRID_BLOCK, len(cos) - start)
+        p = np.multiply(t, cos[start:start + n], out=proj[:n])
+        p += np.multiply(d, sin[start:start + n], out=term[:n])
+        peaks.append(p.max())
+    return float((a * a).sum() + 2.0 - 2.0 * np.max(peaks))
 
 
 def six_bond_sum(sigma1, sigma2, theta):
@@ -143,12 +165,19 @@ def six_bond_sum(sigma1, sigma2, theta):
     return total
 
 
+def _check_sample_count(n_samples):
+    # a minimum over no samples is no check: it would read as a pass
+    if n_samples < 1:
+        raise ValueError("need at least one sample, got %r" % n_samples)
+
+
 def check_lemma_a1(n_samples=100_000, seed=0):
     """Sampled verification of 14 * six_bond_sum >= (s1-1)^2 + (s2-1)^2.
 
     Draws (sigma1, sigma2) with 0 <= sigma1 <= sigma2 <= 10 and theta in
     [0, pi/3).  Returns (violations, min_slack), slack = LHS - RHS.
     """
+    _check_sample_count(n_samples)
     rng = np.random.default_rng(seed)
     lo = rng.uniform(0.0, 10.0, size=n_samples)
     hi = rng.uniform(0.0, 10.0, size=n_samples)
@@ -208,25 +237,22 @@ def check_rigidity(law, n_samples=10_000, seed=0):
     on the reflection component.  Samples A = R(u) diag(s1, s2) R(v) with
     singular values in [0, 5] and a random sign flip; skips samples with
     dist < 1e-8.  Returns (min_ratio, n_used).
+
+    All samples are drawn at once, in the order of a per-sample loop that
+    takes s1, s2, u, v and the flip from one rng.random((n_samples, 5)).
     """
     from .energy import w_density
 
     if law.psi_name == "zero":
         raise ValueError("rigidity ratio needs a psi term (psi != zero)")
-    rng = np.random.default_rng(seed)
-    min_ratio = np.inf
-    used = 0
-    for _ in range(n_samples):
-        s = rng.uniform(0.0, 5.0, size=2)
-        u, v = rng.uniform(0.0, 2.0 * np.pi, size=2)
-        mat = rot(u) @ np.diag(s) @ rot(v)
-        if rng.random() < 0.5:
-            mat = mat @ np.diag([1.0, -1.0])
-        d2 = dist_so2_squared(mat)
-        if d2 < 1e-8**2:                  # dist below 1e-8
-            continue
-        ratio = w_density(mat, law) / d2 ** (law.p / 2.0)
-        min_ratio = min(min_ratio, ratio)
-        used += 1
-    return float(min_ratio), used
-
+    _check_sample_count(n_samples)
+    draws = np.random.default_rng(seed).random((n_samples, 5))
+    diag_s = 5.0 * draws[:, :2, None] * np.eye(2)
+    rot_u, rot_v = (np.moveaxis(rot(2.0 * np.pi * draws[:, k]), -1, 0) for k in (2, 3))
+    mats = rot_u @ diag_s @ rot_v
+    flip = draws[:, 4] < 0.5
+    mats[flip] = mats[flip] @ np.diag([1.0, -1.0])
+    d2 = dist_so2_squared(mats)
+    keep = d2 >= 1e-8**2                  # dist below 1e-8 is skipped
+    ratio = w_density(mats[keep], law) / d2[keep] ** (law.p / 2.0)
+    return float(ratio.min(initial=np.inf)), int(keep.sum())

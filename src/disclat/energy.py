@@ -128,11 +128,16 @@ def cell_gradient(xa, xb, xc, ua, ub, uc):
 
 
 def w_density(a_mat, law):
-    """Six-bond density W(A) (full fan; see the module docstring)."""
+    """Six-bond density W(A) (full fan; see the module docstring).
+
+    A (..., 2, 2) stack gives an array of shape (...); a single matrix
+    gives a float.
+    """
     a_mat = np.asarray(a_mat, dtype=float)
-    stretches = np.linalg.norm(a_mat.T @ BOND_DIRECTIONS.T, axis=0)
-    det = a_mat[0, 0] * a_mat[1, 1] - a_mat[0, 1] * a_mat[1, 0]
-    return float(np.sum(law.Phi(stretches - 1.0)) + law.Psi(det))
+    stretches = np.linalg.norm(np.swapaxes(a_mat, -1, -2) @ BOND_DIRECTIONS.T, axis=-2)
+    det = a_mat[..., 0, 0] * a_mat[..., 1, 1] - a_mat[..., 0, 1] * a_mat[..., 1, 0]
+    w = np.sum(law.Phi(stretches - 1.0), axis=-1) + law.Psi(det)
+    return float(w) if w.ndim == 0 else w
 
 
 def cell_dets(d1, d2, eps):

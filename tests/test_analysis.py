@@ -2,8 +2,12 @@
 
 import numpy as np
 import pytest
+from hypothesis import example, given, strategies as st
 
+from disclat import analysis, energy
 from disclat.analysis import (
+    GRID_BLOCK,
+    _angle_table,
     check_laminate,
     check_lemma_a1,
     check_rigidity,
@@ -17,7 +21,7 @@ from disclat.analysis import (
     svd2,
     triangle_dets,
 )
-from disclat.energy import MaterialLaw, cell_gradient
+from disclat.energy import MaterialLaw, cell_gradient, w_density
 from disclat.experiments import folded_init
 from disclat.lattice import LatticeGraph, rot
 
@@ -84,6 +88,42 @@ def test_dist_so2_matches_grid_oracle():
             done += 1
 
 
+def one_pass_dist_so2_grid(a):
+    """The single-pass scan dist_so2_grid replaced, kept as its oracle."""
+    a = np.asarray(a, dtype=float)
+    cos, sin = _angle_table()
+    proj = (a[0, 0] + a[1, 1]) * cos
+    proj += (a[1, 0] - a[0, 1]) * sin
+    return float((a * a).sum() + 2.0 - 2.0 * proj.max())
+
+
+def _scaled(entries, exponent, negative):
+    a = np.reshape(entries, (2, 2)) * 10.0**exponent
+    if (np.linalg.det(a) < 0.0) != negative:
+        a = a[::-1].copy()      # swap rows to flip the sign
+    return a
+
+
+# the grid maximum of this rotation, at index 999995, lies in the final
+# partial block of the scan
+LAST_BLOCK_ROTATION = rot(2.0 * np.pi * (1.0 - 5e-6))
+
+
+@given(a=st.builds(_scaled, st.lists(st.floats(-1.0, 1.0), min_size=4, max_size=4),
+                   st.floats(-3.0, 3.0), st.booleans()))
+@example(a=LAST_BLOCK_ROTATION)
+@example(a=LAST_BLOCK_ROTATION @ np.diag([1.0, -1.0]))
+def test_dist_so2_grid_blocks_match_one_pass(a):
+    assert dist_so2_grid(a) == one_pass_dist_so2_grid(a)
+
+
+def test_last_block_rotation_peaks_in_the_partial_block():
+    cos, sin = _angle_table()
+    assert len(cos) % GRID_BLOCK != 0
+    peak = np.argmax(np.trace(LAST_BLOCK_ROTATION) * cos + 2.0 * LAST_BLOCK_ROTATION[1, 0] * sin)
+    assert peak >= len(cos) - len(cos) % GRID_BLOCK
+
+
 def test_six_bond_sum_degenerate_point():
     # all six bond images vanish: LHS = 14*6, RHS = (0-1)^2 + (0-1)^2
     assert abs(six_bond_sum(0.0, 0.0, 0.1) - 6.0) <= 1e-14
@@ -133,8 +173,6 @@ def test_rigidity_requires_psi():
 def test_rigidity_reflection_point():
     # A = diag(1, -1): all bonds unit, so W = Psi(-1) > 0 while dist^2 = 4
     law = MaterialLaw(p=2.0, psi="smoothed_abs")
-    from disclat.energy import w_density
-
     a = np.diag([1.0, -1.0])
     ratio = w_density(a, law) / dist_so2(a, law.p)
     expected = law.Psi(-1.0) / 4.0
@@ -147,6 +185,69 @@ def test_rigidity_sampled_minimum_positive():
     min_ratio, used = check_rigidity(law, 2000, seed=0)
     assert used > 1500
     assert min_ratio > 0.0
+
+
+def test_sampled_checks_need_a_sample():
+    # a minimum over no samples would read as a pass
+    law = MaterialLaw(p=2.0, psi="smoothed_abs")
+    for n_samples in (0, -1):
+        with pytest.raises(ValueError, match="at least one sample"):
+            check_rigidity(law, n_samples)
+        with pytest.raises(ValueError, match="at least one sample"):
+            check_lemma_a1(n_samples)
+
+
+def loop_check_rigidity(law, n_samples=10_000, seed=0):
+    """The per-sample loop check_rigidity replaced, kept as its oracle; it
+    also returns every sample matrix and the density of each used one."""
+    rng = np.random.default_rng(seed)
+    min_ratio = np.inf
+    used = 0
+    mats, densities = [], []
+    for _ in range(n_samples):
+        s = rng.uniform(0.0, 5.0, size=2)
+        u, v = rng.uniform(0.0, 2.0 * np.pi, size=2)
+        mat = rot(u) @ np.diag(s) @ rot(v)
+        if rng.random() < 0.5:
+            mat = mat @ np.diag([1.0, -1.0])
+        mats.append(mat)
+        d2 = dist_so2_squared(mat)
+        if d2 < 1e-8**2:                  # dist below 1e-8
+            continue
+        densities.append(w_density(mat, law))
+        ratio = densities[-1] / d2 ** (law.p / 2.0)
+        min_ratio = min(min_ratio, ratio)
+        used += 1
+    return float(min_ratio), used, np.array(mats), np.array(densities)
+
+
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n_samples=st.integers(1, 400),
+    p=st.floats(2.0, 6.0),
+    kappa=st.floats(1e-3, 1e3),
+    delta=st.floats(1e-4, 1.0),
+)
+def test_rigidity_batch_matches_loop(seed, n_samples, p, kappa, delta):
+    law = MaterialLaw(p=p, psi="smoothed_abs", kappa=kappa, delta=delta)
+    seen = {}
+
+    def spy(name, fn):
+        def wrapped(*args):
+            seen[name] = (args[0], fn(*args))
+            return seen[name][1]
+        return wrapped
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(analysis, "dist_so2_squared", spy("d2", dist_so2_squared))
+        mp.setattr(energy, "w_density", spy("w", w_density))
+        min_ratio, used = check_rigidity(law, n_samples, seed=seed)
+    want_ratio, want_used, want_mats, want_w = loop_check_rigidity(law, n_samples, seed)
+    assert seen["d2"][0].tobytes() == want_mats.tobytes()
+    assert seen["w"][1].tobytes() == want_w.tobytes()
+    assert used == want_used
+    # the loop takes d2 ** (p/2) by libm pow, the batch by numpy's power: an ulp apart
+    assert abs(min_ratio - want_ratio) <= 1e-15 * want_ratio
 
 
 def test_triangle_dets_orientation():

@@ -168,8 +168,12 @@ def test_render_deterministic_and_copies(tmp_path):
       "6d8113815bb70fe59a54fbb28536bc70940f159822ec551287a224b9c45e4779"),
      (["render", "--phi", "5", "--eps-exp", "3", "--init", "fold:3", "--copies"],
       "render_eps3.svg",
-      "b9b9e97c2d622800c2c3f4d0ed52169023cd760cc9987470fb0b41e8a79ac172")],
-    ids=["mesh", "render"],
+      "b9b9e97c2d622800c2c3f4d0ed52169023cd760cc9987470fb0b41e8a79ac172"),
+     (["verify", "--check", "svd2", "--check", "lemma_a1", "--check", "laminate",
+       "--check", "rigidity", "--seed", "0"],
+      "verify.jsonl",
+      "20a85c5ee77f7d67db8b4c3a81f72b7a5ec7f10070eeb7892a5f112590191f18")],
+    ids=["mesh", "render", "verify"],
 )
 def test_output_bytes_are_pinned(tmp_path, argv, name, digest):
     assert main(argv + ["--out", str(tmp_path)]) == 0
