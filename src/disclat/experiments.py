@@ -46,9 +46,13 @@ from .lattice import (  # noqa: F401
     reduce_config,
     rot,
 )
-from .solver import NewtonOptions, TwoGrid, factor_minimizer, newton_minimize
+from .solver import NewtonOptions, TwoGrid, hand_over, newton_minimize
 
 SQRT3 = np.sqrt(3.0)
+# the largest sweep level that hands its minimizer over as an LU; every finer
+# one hands over its own two-grid cycle, since the LU's fill outgrows the
+# level (2M entries at N = 128) and it was the sweep's largest object
+COARSE_LU_MAX = 32
 
 
 def linear_matrix(phi, mode="det1"):
@@ -224,13 +228,18 @@ class SweepRecord:
 def run_sweep(phi, k_max, law, opts=None, cold_start=False, keep_configs=False):
     """Solve at eps = 2^-k for k = 1..k_max with prolongation warm starts.
 
-    Each level but the last factors its reduced Hessian at its minimizer;
-    the next level's Newton systems are solved by CG on the two-grid
-    preconditioner built on that LU (solver.TwoGrid), so the finest lattice
-    is never factored.  cold_start=True restarts every level from the det1
-    linear initializer instead (sensitivity study).  Solver failures
-    propagate with the failing eps attached.  It first returns the C heap's
-    free pages to the OS (glibc only), so its peak memory is its own.
+    Each level but the last hands the next one the coarse solve of a
+    two-grid preconditioner (solver.hand_over, solver.TwoGrid), and the
+    next level solves its Newton systems by CG on it, so the finest lattice
+    is never factored.  A level of N <= COARSE_LU_MAX hands over the LU of
+    its reduced Hessian at its minimizer; a finer one hands over its own
+    two-grid preconditioner there, so the nested cycles factor no level
+    above COARSE_LU_MAX, unless a level ran without a two-grid or its
+    Hessian has no preconditioner.  cold_start=True restarts every level
+    from the det1 linear initializer instead (sensitivity study).  Solver
+    failures propagate with the failing eps attached.  It first returns the
+    C heap's free pages to the OS (glibc only), so its peak memory is its
+    own.
     """
     if opts is None:
         opts = NewtonOptions()
@@ -251,9 +260,9 @@ def run_sweep(phi, k_max, law, opts=None, cold_start=False, keep_configs=False):
                 *coarse, prolongation_matrix(prev, level)
             )
             config, report = newton_minimize(level, law, init, opts, two_grid)
-            two_grid = coarse = None   # free the coarser LU before the next
             if k < k_max:
-                coarse = factor_minimizer(level, law, config)
+                coarse = hand_over(level, law, config,
+                                   two_grid if level.n > COARSE_LU_MAX else None)
         except Exception as err:
             raise RuntimeError("sweep failed at eps = 2^-%d: %s" % (k, err)) from err
         dets = triangle_dets(level.graph, config)

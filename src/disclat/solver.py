@@ -3,13 +3,16 @@
 Each iteration solves (H + tau*I) s = -g.  A run can be given a TwoGrid
 preconditioner, which run_sweep builds for every level after the first:
 damped 2x2 block-Jacobi smoothing around a coarse correction through the
-LU of the coarser level's Hessian at its minimizer, with the gauge mode (a
-global rotation, which costs no energy) projected out.  H and the
-preconditioner are symmetric, so preconditioned CG on it solves H s = -g
-(tau = 0); it gives up after CG_MAXITER iterations, or at non-positive
-curvature: at a warm start H can have one slightly negative eigenvalue
-along the gauge mode.  The step it returns must pass the tests of a
-factored step (residual bound, descent).  The first failure drops the
+coarse solve the coarser level handed over (hand_over), with the gauge mode
+(a global rotation, which costs no energy) projected out.  That coarse solve
+is the LU of the coarser level's Hessian at its minimizer or, above
+experiments.COARSE_LU_MAX, the coarser level's own two-grid preconditioner
+there; nested, these make a V-cycle with an LU only on a small level.  H
+and the preconditioner are symmetric, so preconditioned CG on it solves
+H s = -g (tau = 0); it gives up after CG_MAXITER iterations, or at
+non-positive curvature: at a warm start H can have one slightly negative
+eigenvalue along the gauge mode.  The step it returns must pass the tests
+of a factored step (residual bound, descent).  The first failure drops the
 two-grid for the run.  TwoGrid.solve makes that attempt; every Newton
 system without a two-grid is factored afresh, so unless CG fails a sweep
 never factors its finest lattice.
@@ -240,21 +243,23 @@ class TwoGrid:
     """Two-grid preconditioner for the Newton systems of a sweep level
     (Briggs, Henson & McCormick, A Multigrid Tutorial, 2000).
 
-    coarse_lu factors the coarser level's reduced Hessian at its minimizer
-    u_c, gauge is reduce(J u_c) there (see factor_minimizer), and
-    prolongation is the reduced prolongation matrix P
-    (experiments.prolongation_matrix).  prolong is linear and preserves
-    energy on nested lattices, so P^T H_fine(P q) P = H_coarse(q): at the
-    prolonged warm start the coarse LU is the exact Galerkin coarse solver.
+    coarse_solve maps a coarse residual r to a correction e for the
+    coarser level's reduced Hessian H_coarse at its minimizer u_c, gauge is
+    reduce(J u_c) there (see hand_over), and prolongation is the reduced
+    prolongation matrix P (experiments.prolongation_matrix).  prolong is
+    linear and preserves energy on nested lattices, so
+    P^T H_fine(P q) P = H_coarse(q): at the prolonged warm start an LU of
+    H_coarse is the exact Galerkin coarse solver, and the coarser level's
+    own preconditioner a symmetric approximation of it.
 
     A rotation of the whole configuration costs no energy, so H_coarse(u_c)
     annihilates the gauge vector up to the size of the gradient; that
     direction is projected out of the restricted residual and of the coarse
-    correction, where the nearly singular LU would blow it up.
+    correction, where the nearly singular coarse solve would blow it up.
     """
 
-    def __init__(self, coarse_lu, gauge, prolongation):
-        self.lu = coarse_lu
+    def __init__(self, coarse_solve, gauge, prolongation):
+        self.coarse_solve = coarse_solve
         self.gauge = gauge / np.linalg.norm(gauge)
         self.p = prolongation
         self.pt = prolongation.T.tocsr()
@@ -262,8 +267,8 @@ class TwoGrid:
     def preconditioner(self, h):
         """v -> M^-1 v for the fine matrix h: SMOOTH_SWEEPS damped 2x2
         block-Jacobi sweeps (one block per free vertex), the coarse
-        correction P LU^-1 P^T, and SMOOTH_SWEEPS sweeps again.  None when
-        a diagonal block is not positive definite."""
+        correction P coarse_solve P^T, and SMOOTH_SWEEPS sweeps again.  None
+        when a diagonal block is not positive definite."""
         d = h.diagonal()
         a, c = d[0::2], d[1::2]
         b, b_low = h.diagonal(1)[0::2], h.diagonal(-1)[0::2]
@@ -286,7 +291,7 @@ class TwoGrid:
                 x += jacobi(v - h @ x)
             rc = self.pt @ (v - h @ x)
             rc -= (z @ rc) * z
-            ec = self.lu.solve(rc)
+            ec = self.coarse_solve(rc)
             ec -= (z @ ec) * z
             x += self.p @ ec
             for _ in range(SMOOTH_SWEEPS):
@@ -313,22 +318,31 @@ class TwoGrid:
         return found
 
 
-def factor_minimizer(level, law, config):
-    """(LU of the reduced Hessian at config, reduce(J config)): the coarse
-    half of a TwoGrid for the next finer level.  None when the LU fails.
+def hand_over(level, law, config, two_grid=None):
+    """(coarse_solve, reduce(J config)): the coarse half of a TwoGrid for
+    the next finer level, from the reduced Hessian H at config, this level's
+    minimizer.
 
-    It stays a SuperLU factorization: TwoGrid solves with it tens of
+    coarse_solve is two_grid.preconditioner(H) when two_grid, the TwoGrid
+    this level ran with, is given and H has one: a cycle whose own coarse
+    solve may be a cycle again, so the chain keeps each coarse level's H and
+    P but factors only its coarsest level.  Otherwise it is the solve of the
+    LU of H.  None when that LU fails.
+
+    The LU stays a SuperLU factorization: TwoGrid solves with it tens of
     times, where a banded solve is slower.  The matrix is singular along
     the gauge mode, so it keeps SuperLU's full partial pivoting; with the
     diagonal preferred (DIAG_PIVOT_THRESH) it hit an exactly zero pivot at
     N = 4 for 2pi/5, and the next level lost its two-grid."""
     h = assemble_hessian(level.graph, config, law, level.cmap, level.layout)
-    try:
-        lu = splu(h.tocsc(), permc_spec="MMD_AT_PLUS_A")
-    except RuntimeError:
-        return None
+    coarse_solve = None if two_grid is None else two_grid.preconditioner(h)
+    if coarse_solve is None:
+        try:
+            coarse_solve = splu(h.tocsc(), permc_spec="MMD_AT_PLUS_A").solve
+        except RuntimeError:
+            return None
     gauge = np.column_stack([-config[:, 1], config[:, 0]])    # J u
-    return lu, level.reduce(gauge)
+    return coarse_solve, level.reduce(gauge)
 
 
 def newton_minimize(level, law, init, opts=None, two_grid=None):

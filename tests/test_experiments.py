@@ -322,19 +322,31 @@ def test_run_fold_study_structure():
     assert abs(res[0]["energy"] - rec.energies[1]) <= 1e-12
 
 
+# run_sweep(PHI5, 5, LAW): iteration counts and energies recorded with the
+# loop-built lattice set-up and the default COLAMD ordering; no speed-up may
+# change them
+SWEEP_ITERATIONS = [4, 4, 3, 3, 3]
+SWEEP_ENERGIES = [
+    0.0025823001953345077,
+    0.002002612029188707,
+    0.0018049224287764614,
+    0.0017445816259955768,
+    0.0017274018028457625,
+]
+
+
+def assert_sweep_answers_pinned(rec):
+    assert rec.iterations == SWEEP_ITERATIONS
+    np.testing.assert_allclose(rec.energies, SWEEP_ENERGIES, rtol=1e-12, atol=0.0)
+
+
+def reduced(k):             # 2 unknowns per vertex off Gamma2 and the origin
+    n = 2**k
+    return 2 * (LatticeGraph(n).n_vertices - n - 1)
+
+
 def test_sweep_answers_pinned():
-    # iteration counts and energies recorded with the loop-built lattice
-    # set-up and the default COLAMD ordering; no speed-up may change them
-    rec = run_sweep(PHI5, 5, LAW)
-    assert rec.iterations == [4, 4, 3, 3, 3]
-    expected = [
-        0.0025823001953345077,
-        0.002002612029188707,
-        0.0018049224287764614,
-        0.0017445816259955768,
-        0.0017274018028457625,
-    ]
-    np.testing.assert_allclose(rec.energies, expected, rtol=1e-12, atol=0.0)
+    assert_sweep_answers_pinned(run_sweep(PHI5, 5, LAW))
 
 
 def test_penalized_sweep_answers_pinned():
@@ -356,10 +368,11 @@ def test_penalized_sweep_answers_pinned():
 
 def test_sweep_factors_first_level_and_hand_overs(monkeypatch):
     # level 1 has no coarser level and factors every Newton system afresh,
-    # by banded Cholesky (dpbsv).  Each level but the last then factors its
-    # Hessian at its minimizer by SuperLU, and the next level solves every
-    # Newton system by CG on the two-grid preconditioner built on that
-    # LU, so neither routine ever sees the finest lattice.
+    # by banded Cholesky (dpbsv).  Each level but the last (none above
+    # COARSE_LU_MAX here) then factors its Hessian at its minimizer by
+    # SuperLU, and the next level solves every Newton system by CG on the
+    # two-grid preconditioner built on that LU, so neither routine ever sees
+    # the finest lattice.
     factored = []
 
     def counted(routine, size):
@@ -382,14 +395,70 @@ def test_sweep_factors_first_level_and_hand_overs(monkeypatch):
         assert len(report.lin_resid) == report.iterations
         assert max(report.lin_resid) <= 1e-10
 
-    def reduced(k):             # 2 unknowns per vertex off Gamma2 and the origin
-        n = 2**k
-        return 2 * (LatticeGraph(n).n_vertices - n - 1)
-
     assert factored == (
         [("dpbsv", reduced(1))] * first.iterations
         + [("splu", reduced(k)) for k in range(1, 5)]
     )
+
+
+def counted_splu(monkeypatch, fails_at=None):
+    """The sizes of the matrices splu is asked to factor; a matrix of
+    fails_at rows fails as a singular one would."""
+    real, sizes = disclat.solver.splu, []
+
+    def splu(a, **kwargs):
+        sizes.append(a.shape[0])
+        if a.shape[0] == fails_at:
+            raise RuntimeError("Factor is exactly singular")
+        return real(a, **kwargs)
+
+    monkeypatch.setattr(disclat.solver, "splu", splu)
+    return sizes
+
+
+def test_sweep_hands_over_cycles_above_the_cap(monkeypatch):
+    # with the cap at N = 4 the N = 8 and N = 16 levels hand over their own
+    # two-grid cycles, so N = 32 runs on a V-cycle over the LU of N = 4
+    monkeypatch.setattr(disclat.experiments, "COARSE_LU_MAX", 4)
+    factored = counted_splu(monkeypatch)
+    rec = run_sweep(PHI5, 5, LAW)
+    assert_sweep_answers_pinned(rec)
+    assert factored == [reduced(1), reduced(2)]
+    for report in rec.reports[1:]:
+        assert all(1 <= k <= CG_MAXITER for k in report.krylov_iters)
+
+
+@pytest.mark.parametrize("lu_fails", [False, True], ids=["lu", "no-lu"])
+def test_sweep_level_without_cycle_hands_over_lu(monkeypatch, lu_fails):
+    # a level above the cap whose Hessian at its minimizer has no
+    # preconditioner (a 2x2 diagonal block not positive definite) hands over
+    # its LU instead; when that LU fails too, the next level runs without a
+    # two-grid and factors its own Newton systems
+    monkeypatch.setattr(disclat.experiments, "COARSE_LU_MAX", 4)
+    factored = counted_splu(monkeypatch, reduced(3) if lu_fails else None)
+    real = disclat.experiments.hand_over
+
+    def hand_over(level, *args):
+        with monkeypatch.context() as m:
+            if level.n == 8:
+                m.setattr(disclat.solver.TwoGrid, "preconditioner",
+                          lambda self, h: None)
+            return real(level, *args)
+
+    monkeypatch.setattr(disclat.experiments, "hand_over", hand_over)
+    rec = run_sweep(PHI5, 5, LAW)
+    assert_sweep_answers_pinned(rec)
+    krylov = [report.krylov_iters for report in rec.reports]
+    assert factored[:3] == [reduced(k) for k in range(1, 4)]
+    if lu_fails:
+        # N = 16 factors its own Newton systems and, with no two-grid to
+        # build a cycle on, hands over its LU
+        assert krylov.pop(3) == [0] * rec.iterations[3]
+        assert factored[3:] and set(factored[3:]) == {reduced(4)}
+    else:
+        assert len(factored) == 3
+    for iters in krylov[1:]:
+        assert all(1 <= k <= CG_MAXITER for k in iters)
 
 
 def test_fold_study_iterations_pinned(lattice_builds):

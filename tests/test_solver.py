@@ -20,7 +20,7 @@ from disclat.solver import (
     TwoGrid,
     _cg,
     _factor_step,
-    factor_minimizer,
+    hand_over,
     newton_minimize,
 )
 
@@ -195,7 +195,7 @@ def test_stale_two_grid_falls_back_to_fresh_factorization(monkeypatch):
     # a coarse correction from the LU of an unrelated SPD matrix
     stale = splu(sp.diags(np.linspace(1.0, 1e3, coarse.layout.n_reduced), format="csc"))
     gauge = coarse.reduce(np.column_stack([-u_coarse[:, 1], u_coarse[:, 0]]))
-    two_grid = TwoGrid(stale, gauge, prolongation_matrix(coarse, level))
+    two_grid = TwoGrid(stale.solve, gauge, prolongation_matrix(coarse, level))
     real = disclat.solver._cg
     tried = []
 
@@ -240,15 +240,27 @@ def test_cg_rejects_indefinite_matrix(diag):
 @pytest.mark.parametrize("phi", [PHI5, 2.0 * np.pi / 7.0], ids=["2pi/5", "2pi/7"])
 def test_two_grid_preconditioner_is_spd_at_warm_start(phi, psi):
     # CG needs a symmetric positive definite preconditioner; check the dense
-    # M^-1 at the prolonged warm start of N = 8, where a sweep first uses it
+    # M^-1 at the prolonged warm start of N = 8, where a sweep first uses it,
+    # on the LU of N = 4 and on the nested chain a sweep hands over above
+    # experiments.COARSE_LU_MAX: the N = 4 level's own cycle, built on the
+    # two-grid it ran with, around an LU at N = 2
     law = MaterialLaw(p=2.0, psi=psi)
-    coarse, level = Level(4, phi), Level(8, phi)
-    u_coarse, _ = newton_minimize(coarse, law, linear_init(coarse.graph, phi))
+    tiny, coarse, level = Level(2, phi), Level(4, phi), Level(8, phi)
+    u_tiny, _ = newton_minimize(tiny, law, linear_init(tiny.graph, phi))
+    coarse_two_grid = TwoGrid(*hand_over(tiny, law, u_tiny),
+                              prolongation_matrix(tiny, coarse))
+    u_coarse, _ = newton_minimize(coarse, law, prolong(tiny.graph, u_tiny, coarse.graph),
+                                  two_grid=coarse_two_grid)
+    lu, gauge = hand_over(coarse, law, u_coarse)
+    cycle, cycle_gauge = hand_over(coarse, law, u_coarse, coarse_two_grid)
+    assert lu.__qualname__ == "SuperLU.solve"
+    assert cycle.__qualname__.startswith("TwoGrid.preconditioner.")
+    assert np.array_equal(gauge, cycle_gauge)
     u = prolong(coarse.graph, u_coarse, level.graph)
-    two_grid = TwoGrid(*factor_minimizer(coarse, law, u_coarse),
-                       prolongation_matrix(coarse, level))
     h = assemble_hessian(level.graph, u, law, level.cmap, level.layout)
-    apply = two_grid.preconditioner(h)
-    m_inv = np.column_stack([apply(e) for e in np.eye(h.shape[0])])
-    assert np.abs(m_inv - m_inv.T).max() <= 1e-12 * np.abs(m_inv).max()
-    assert np.linalg.eigvalsh(0.5 * (m_inv + m_inv.T)).min() > 0.0
+    for coarse_solve in (lu, cycle):
+        two_grid = TwoGrid(coarse_solve, gauge, prolongation_matrix(coarse, level))
+        apply = two_grid.preconditioner(h)
+        m_inv = np.column_stack([apply(e) for e in np.eye(h.shape[0])])
+        assert np.abs(m_inv - m_inv.T).max() <= 1e-12 * np.abs(m_inv).max()
+        assert np.linalg.eigvalsh(0.5 * (m_inv + m_inv.T)).min() > 0.0
