@@ -9,13 +9,17 @@ is the LU of the coarser level's Hessian at its minimizer or, above
 experiments.COARSE_LU_MAX, the coarser level's own two-grid preconditioner
 there; nested, these make a V-cycle with an LU only on a small level.  H
 and the preconditioner are symmetric, so preconditioned CG on it solves
-H s = -g (tau = 0); it gives up after CG_MAXITER iterations, or at
-non-positive curvature: at a warm start H can have one slightly negative
-eigenvalue along the gauge mode.  The step it returns must pass the tests
-of a factored step (residual bound, descent).  The first failure drops the
-two-grid for the run.  TwoGrid.solve makes that attempt; every Newton
-system without a two-grid is factored afresh, so unless CG fails a sweep
-never factors its finest lattice.
+H s = -g (tau = 0) to a relative residual of CG_FORCING: an inexact Newton
+step (Dembo, Eisenstat & Steihaug, SIAM J. Numer. Anal. 19, 1982), which
+converges locally at least linearly at rate CG_FORCING.  The sweep's
+Newton counts are those of exact solves, and CG buys no accuracy that the
+next iteration would discard.  CG gives up after CG_MAXITER iterations,
+or at non-positive curvature: at a warm start H can have one slightly
+negative eigenvalue along the gauge mode.  The step it returns must be a descent
+direction.  The first failure drops the two-grid for the run.
+TwoGrid.solve makes that attempt; every Newton system without a two-grid
+is factored afresh, so unless CG fails a sweep never factors its finest
+lattice.
 
 A fresh factorization is a banded Cholesky: LAPACK's dpbsv on the lower
 band of H + tau*I under a reverse Cuthill-McKee ordering (George & Liu,
@@ -54,6 +58,8 @@ ARMIJO_C = 1e-4
 BACKTRACK = 0.5
 MAX_HALVINGS = 40
 CG_MAXITER = 20
+# relative residual |H s + g| / |g| a CG step is solved to (inexact Newton)
+CG_FORCING = 1e-4
 SMOOTH_OMEGA = 0.7
 SMOOTH_SWEEPS = 2
 # SuperLU's threshold partial pivoting for indefinite Newton systems: 1.0, its
@@ -303,16 +309,13 @@ class TwoGrid:
     def solve(self, h, g):
         """(s, resid, krylov_iters) from CG on H s = -g, preconditioned by
         preconditioner(h), or None when h has no preconditioner, CG fails or
-        s is not a descent direction.  So a step it returns passes the tests
-        of a factored one: the residual bound (which makes it finite) and
-        descent."""
+        s is not a descent direction.  A step it returns is finite, a
+        descent direction and inexact: resid = |H s + g| is at most
+        CG_FORCING |g|, where a factored step meets 1e-10 max(1, |g|)."""
         precond = self.preconditioner(h)
         if precond is None:
             return None
-        gnorm = np.linalg.norm(g)
-        # the second term keeps the final steps as accurate as an LU's
-        tol = min(0.5e-10 * max(1.0, gnorm), 1e-6 * gnorm)
-        found = _cg(h, -g, precond, tol)
+        found = _cg(h, -g, precond, CG_FORCING * np.linalg.norm(g))
         if found is None or not (g @ found[0]) < 0.0:
             return None
         return found
@@ -329,11 +332,13 @@ def hand_over(level, law, config, two_grid=None):
     P but factors only its coarsest level.  Otherwise it is the solve of the
     LU of H.  None when that LU fails.
 
-    The LU stays a SuperLU factorization: TwoGrid solves with it tens of
-    times, where a banded solve is slower.  The matrix is singular along
-    the gauge mode, so it keeps SuperLU's full partial pivoting; with the
-    diagonal preferred (DIAG_PIVOT_THRESH) it hit an exactly zero pivot at
-    N = 4 for 2pi/5, and the next level lost its two-grid."""
+    The LU stays a SuperLU factorization: TwoGrid solves with it about a
+    dozen times per level it serves (30-50 times for the LU of N = 32 in a
+    sweep to 2^-8, which the nested cycles use up to N = 256), where a
+    banded solve is slower.  The matrix is singular along the gauge mode,
+    so it keeps SuperLU's full partial pivoting; with the diagonal
+    preferred (DIAG_PIVOT_THRESH) it hit an exactly zero pivot at N = 4 for
+    2pi/5, and the next level lost its two-grid."""
     h = assemble_hessian(level.graph, config, law, level.cmap, level.layout)
     coarse_solve = None if two_grid is None else two_grid.preconditioner(h)
     if coarse_solve is None:

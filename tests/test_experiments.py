@@ -21,7 +21,7 @@ from disclat.experiments import (
 from disclat.lattice import LatticeGraph, Level, rot
 import disclat.experiments
 import disclat.solver
-from disclat.solver import CG_MAXITER
+from disclat.solver import CG_FORCING, CG_MAXITER
 
 PHI5 = 2.0 * np.pi / 5.0
 PHI7 = 2.0 * np.pi / 7.0
@@ -386,19 +386,43 @@ def test_sweep_factors_first_level_and_hand_overs(monkeypatch):
 
     counted("dpbsv", lambda ab: ab.shape[1])      # ab is the (width+1, n) band
     counted("splu", lambda a: a.shape[0])
+    real_cg, cg_steps = disclat.solver._cg, []
+
+    def spy_cg(a, b, precond, tol):
+        cg_steps.append((b, real_cg(a, b, precond, tol)))
+        return cg_steps[-1][1]
+
+    monkeypatch.setattr(disclat.solver, "_cg", spy_cg)
     rec = run_sweep(PHI5, 5, LAW)
     first = rec.reports[0]
     assert first.krylov_iters == [0] * first.iterations
+    assert max(first.lin_resid) <= 1e-10
     for report in rec.reports[1:]:
         assert all(1 <= k <= CG_MAXITER for k in report.krylov_iters)
     for report in rec.reports:
         assert len(report.lin_resid) == report.iterations
-        assert max(report.lin_resid) <= 1e-10
+    # a CG step is inexact: its residual is at most CG_FORCING |g|, and the
+    # report records that residual
+    assert all(found is not None for _, found in cg_steps)
+    assert all(found[1] <= CG_FORCING * np.linalg.norm(b) for b, found in cg_steps)
+    assert [found[1] for _, found in cg_steps] == [
+        resid for report in rec.reports[1:] for resid in report.lin_resid
+    ]
 
     assert factored == (
         [("dpbsv", reduced(1))] * first.iterations
         + [("splu", reduced(k)) for k in range(1, 5)]
     )
+
+
+def test_sweep_cg_iterations_flat_in_n():
+    # the gate of a mesh-independent multilevel solve: solved to CG_FORCING,
+    # no warm-started Newton system takes more CG iterations at N = 128 than
+    # at N = 4 (3-6 per level; solves to 1e-6 relative took up to 10 at 128)
+    rec = run_sweep(PHI5, 7, LAW)
+    assert rec.iterations == [4, 4, 3, 3, 3, 3, 3]
+    for report in rec.reports[1:]:
+        assert all(1 <= k <= 6 for k in report.krylov_iters)
 
 
 def counted_splu(monkeypatch, fails_at=None):

@@ -9,10 +9,16 @@ from hypothesis import given, strategies as st
 from scipy.sparse.linalg import splu
 
 import disclat.solver
-from disclat.energy import MaterialLaw, NonFiniteEnergyError, assemble_hessian
+from disclat.energy import (
+    MaterialLaw,
+    NonFiniteEnergyError,
+    assemble_gradient,
+    assemble_hessian,
+)
 from disclat.experiments import linear_init, prolong, prolongation_matrix
 from disclat.lattice import Level
 from disclat.solver import (
+    CG_FORCING,
     CG_MAXITER,
     DIAG_PIVOT_THRESH,
     BandLayout,
@@ -192,8 +198,10 @@ def test_stale_two_grid_falls_back_to_fresh_factorization(monkeypatch):
     coarse, level = Level(4, PHI5), Level(8, PHI5)
     u_coarse = linear_init(coarse.graph, PHI5)
     u = prolong(coarse.graph, u_coarse, level.graph)
-    # a coarse correction from the LU of an unrelated SPD matrix
-    stale = splu(sp.diags(np.linspace(1.0, 1e3, coarse.layout.n_reduced), format="csc"))
+    # a coarse correction from the LU of an unrelated SPD matrix whose
+    # spectrum spans eight decades: CG needs over 100 iterations to reach
+    # CG_FORCING on it (a milder one, up to 1e3, converges in about 10)
+    stale = splu(sp.diags(np.geomspace(1e-8, 1.0, coarse.layout.n_reduced), format="csc"))
     gauge = coarse.reduce(np.column_stack([-u_coarse[:, 1], u_coarse[:, 0]]))
     two_grid = TwoGrid(stale.solve, gauge, prolongation_matrix(coarse, level))
     real = disclat.solver._cg
@@ -214,6 +222,24 @@ def test_stale_two_grid_falls_back_to_fresh_factorization(monkeypatch):
     ref_config, ref = newton_minimize(level, LAW, u)
     assert np.array_equal(config, ref_config)
     assert report.energy == ref.energy
+
+
+@pytest.mark.parametrize("phi", [PHI5, 2.0 * np.pi / 7.0], ids=["2pi/5", "2pi/7"])
+def test_two_grid_step_is_inexact_descent_at_warm_start(phi):
+    # the first Newton system of a sweep's N = 8 level, on the LU the N = 4
+    # level hands over at its minimizer
+    coarse, level = Level(4, phi), Level(8, phi)
+    u_coarse, _ = newton_minimize(coarse, LAW, linear_init(coarse.graph, phi))
+    two_grid = TwoGrid(*hand_over(coarse, LAW, u_coarse),
+                       prolongation_matrix(coarse, level))
+    u = prolong(coarse.graph, u_coarse, level.graph)
+    h = assemble_hessian(level.graph, u, LAW, level.cmap, level.layout)
+    g = assemble_gradient(level.graph, u, LAW, level.cmap, level.layout)
+    s, resid, iterations = two_grid.solve(h, g)
+    assert resid <= CG_FORCING * np.linalg.norm(g)
+    assert resid == pytest.approx(np.linalg.norm(h @ s + g), rel=1e-12)
+    assert g @ s < 0.0
+    assert 1 <= iterations <= CG_MAXITER
 
 
 def test_cg_solves_spd_system_within_cap():
