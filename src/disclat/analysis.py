@@ -35,17 +35,14 @@ def det_summary(graph, config):
 class Svd2:
     """Singular value decomposition of a 2x2 matrix, a = p1 @ diag(sigma) @ p2.
 
-    sigma is ascending (sigma[0] <= sigma[1], both >= 0), p1 and p2 are
-    orthogonal (possibly reflections), det_sign is +1 for det a >= 0 and -1
-    otherwise.
+    sigma is ascending (sigma[0] <= sigma[1], both >= 0); p1 and p2 are
+    orthogonal (possibly reflections).
     """
 
-    def __init__(self, sigma, p1, p2, det):
+    def __init__(self, sigma, p1, p2):
         self.sigma = sigma
         self.p1 = p1
         self.p2 = p2
-        self.det = det
-        self.det_sign = 1.0 if det >= 0.0 else -1.0
 
     def reconstruct(self):
         return self.p1 @ np.diag(self.sigma) @ self.p2
@@ -82,9 +79,7 @@ def svd2(a):
     p2 = _SWAP @ rot(theta_v)
     if s_small < 0.0:
         p1 = p1 @ np.diag([-1.0, 1.0])
-    return Svd2(
-        np.array([abs(s_small), s_big]), p1, p2, float(np.linalg.det(a))
-    )
+    return Svd2(np.array([abs(s_small), s_big]), p1, p2)
 
 
 def singular_values(a):

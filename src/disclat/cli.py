@@ -152,7 +152,6 @@ def cmd_mesh(args):
 
 def cmd_minimize(args):
     from .analysis import det_summary
-    from .energy import assemble_energy
     from .io import write_config
     from .lattice import Level
     from .solver import SingularSystemError, newton_minimize
@@ -169,7 +168,7 @@ def cmd_minimize(args):
         print("error: %s" % err, file=sys.stderr)
         return 1
     _, min_det, nonpos = det_summary(level.graph, config)
-    energy = assemble_energy(level.graph, config, law)
+    energy = report.energy[-1]
     cfg_path = out_path(args, "config_eps%d.txt" % k)
     if cfg_path is not None:
         with open(cfg_path, "w") as fh:

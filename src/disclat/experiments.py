@@ -32,11 +32,12 @@ import ctypes
 import numpy as np
 import scipy.sparse as sp
 
-from .analysis import triangle_dets
-from .energy import assemble_energy
-# DofLayout, LatticeGraph, build_constraints, expand and reduce_config are
-# unused here, but perfbench's tracer wraps them on this module by name, and
-# its output workload builds experiments.LatticeGraph
+# assemble_energy, triangle_dets, DofLayout, LatticeGraph, build_constraints,
+# expand and reduce_config are unused here, but perfbench's tracer wraps them
+# on this module by name, and its output workload builds
+# experiments.LatticeGraph
+from .analysis import det_summary, triangle_dets  # noqa: F401
+from .energy import assemble_energy  # noqa: F401
 from .lattice import (  # noqa: F401
     DofLayout,
     LatticeGraph,
@@ -235,8 +236,10 @@ def run_sweep(phi, k_max, law, opts=None, cold_start=False, keep_configs=False):
     its reduced Hessian at its minimizer; a finer one hands over its own
     two-grid preconditioner there, so the nested cycles factor no level
     above COARSE_LU_MAX, unless a level ran without a two-grid or its
-    Hessian has no preconditioner.  cold_start=True restarts every level
-    from the det1 linear initializer instead (sensitivity study).  Solver
+    Hessian has no preconditioner.  Each level's energy is the last one its
+    SolveReport recorded, and its determinant diagnostics come from one
+    analysis.det_summary of its minimizer.  cold_start=True restarts every
+    level from the det1 linear initializer instead (sensitivity study).  Solver
     failures propagate with the failing eps attached.  It first returns the
     C heap's free pages to the OS (glibc only), so its peak memory is its
     own.
@@ -260,17 +263,20 @@ def run_sweep(phi, k_max, law, opts=None, cold_start=False, keep_configs=False):
                 *coarse, prolongation_matrix(prev, level)
             )
             config, report = newton_minimize(level, law, init, opts, two_grid)
+            # the hand-over runs before the finer Level is built: building
+            # that first, so that hand_over could return the TwoGrid itself,
+            # raised the sweep's peak RSS from about 156 to 163 MB
             if k < k_max:
                 coarse = hand_over(level, law, config,
                                    two_grid if level.n > COARSE_LU_MAX else None)
         except Exception as err:
             raise RuntimeError("sweep failed at eps = 2^-%d: %s" % (k, err)) from err
-        dets = triangle_dets(level.graph, config)
+        _, min_det, nonpos = det_summary(level.graph, config)
         record.eps_exps.append(k)
-        record.energies.append(assemble_energy(level.graph, config, law))
+        record.energies.append(report.energy[-1])
         record.iterations.append(report.iterations)
-        record.min_dets.append(float(dets.min()))
-        record.nonpos_counts.append(int(np.sum(dets <= 0.0)))
+        record.min_dets.append(min_det)
+        record.nonpos_counts.append(nonpos)
         record.converged.append(report.converged)
         record.reports.append(report)
         if keep_configs:
@@ -283,7 +289,8 @@ def run_fold_study(phi, law, eps_exp=2, max_folds=3, opts=None):
     """Solve from folded starts L = 0..max_folds at eps = 2^-eps_exp.
 
     Returns a list of dicts with keys folds, energy, min_det,
-    nonpos_det_count, iterations, converged, config.
+    nonpos_det_count, iterations, converged, config, report; energy is the
+    last one the report recorded.
     """
     if opts is None:
         opts = NewtonOptions()
@@ -292,13 +299,13 @@ def run_fold_study(phi, law, eps_exp=2, max_folds=3, opts=None):
     for folds in range(max_folds + 1):
         init = folded_init(level.graph, phi, folds, level)
         config, report = newton_minimize(level, law, init, opts)
-        dets = triangle_dets(level.graph, config)
+        _, min_det, nonpos = det_summary(level.graph, config)
         results.append(
             {
                 "folds": folds,
-                "energy": assemble_energy(level.graph, config, law),
-                "min_det": float(dets.min()),
-                "nonpos_det_count": int(np.sum(dets <= 0.0)),
+                "energy": report.energy[-1],
+                "min_det": min_det,
+                "nonpos_det_count": nonpos,
                 "iterations": report.iterations,
                 "converged": report.converged,
                 "config": config,

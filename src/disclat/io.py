@@ -140,20 +140,8 @@ def write_fold_csv(stream, phi, results):
         )
 
 
-def _jsonable(value):
-    # numpy scalars leak in from the checks; json refuses them
-    if isinstance(value, np.bool_):
-        return bool(value)
-    if isinstance(value, np.integer):
-        return int(value)
-    if isinstance(value, np.floating):
-        return float(value)
-    return value
-
-
 def write_verify_jsonl(stream, results):
     """One JSON object per check: {"check": ..., "pass": ..., "min_slack": ...}
     plus any extra keys the check reported."""
     for row in results:
-        clean = {k: _jsonable(v) for k, v in row.items()}
-        stream.write(json.dumps(clean, sort_keys=True) + "\n")
+        stream.write(json.dumps(row, sort_keys=True) + "\n")

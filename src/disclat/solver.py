@@ -357,7 +357,12 @@ def newton_minimize(level, law, init, opts=None, two_grid=None):
     TwoGrid.solve until that first fails; every other system is factored
     afresh.
 
-    Returns (configuration, SolveReport).  The report's converged flag is
+    Each accepted iterate is expanded once: its energy, its gradient, the
+    next Hessian and, for the last one, the returned configuration all come
+    from that expansion, and each line-search trial expands its own point.
+
+    Returns (configuration, SolveReport).  The report's last energy is that
+    of the returned configuration, bit for bit.  Its converged flag is
     False when max_iter runs out before the reduced gradient infinity-norm
     drops to grad_tol.
     """
@@ -365,23 +370,17 @@ def newton_minimize(level, law, init, opts=None, two_grid=None):
         opts = NewtonOptions()
     graph, cmap, layout = level.graph, level.cmap, level.layout
     q = level.reduce(init)
-
-    def fval(qv):
-        return assemble_energy(graph, level.expand(qv), law)
-
-    def gval(qv):
-        return assemble_gradient(graph, level.expand(qv), law, cmap, layout)
-
     report = SolveReport()
-    f = fval(q)
-    g = gval(q)
+    u = level.expand(q)
+    f = assemble_energy(graph, u, law)
+    g = assemble_gradient(graph, u, law, cmap, layout)
     gnorm = np.abs(g).max()
     report.record(f, gnorm, 0.0, 0.0)
     for _ in range(opts.max_iter):
         if gnorm <= opts.grad_tol:
             break
         h = None                       # free the last Hessian before the next
-        h = assemble_hessian(graph, level.expand(q), law, cmap, layout)
+        h = assemble_hessian(graph, u, law, cmap, layout)
         found = two_grid and two_grid.solve(h, g)
         if found:
             s, resid, krylov_iters = found
@@ -400,7 +399,7 @@ def newton_minimize(level, law, init, opts=None, two_grid=None):
         slack = 1e-14 * (1.0 + abs(f))
         for _ in range(MAX_HALVINGS):
             try:
-                f_try = fval(q + t * s)
+                f_try = assemble_energy(graph, level.expand(q + t * s), law)
             except NonFiniteEnergyError:
                 f_try = np.inf            # outside the model: reject the trial
             if f_try <= f + ARMIJO_C * t * slope + slack:
@@ -410,11 +409,12 @@ def newton_minimize(level, law, init, opts=None, two_grid=None):
             t = 0.0  # no acceptable step; stop making progress
         step = t * s
         q = q + step
-        f = fval(q)
-        g = gval(q)
+        u = level.expand(q)
+        f = assemble_energy(graph, u, law)
+        g = assemble_gradient(graph, u, law, cmap, layout)
         gnorm = np.abs(g).max()
         report.record(f, gnorm, np.linalg.norm(step), tau)
         if np.linalg.norm(step) == 0.0:
             break
     report.converged = gnorm <= opts.grad_tol
-    return level.expand(q), report
+    return u, report

@@ -292,6 +292,9 @@ def test_run_sweep_structure():
     ]
     # first-level energies pinned loosely; acceptance checks the digits
     assert abs(rec.energies[0] - 2.5823e-3) <= 1e-6
+    # each level's energy is read from its report: bit for bit its minimizer's
+    for k, energy in zip(rec.eps_exps, rec.energies):
+        assert energy == assemble_energy(LatticeGraph(2**k), rec.configs[k], LAW)
 
 
 def test_run_sweep_without_malloc_trim(monkeypatch):
@@ -317,6 +320,9 @@ def test_run_fold_study_structure():
     assert all(r["converged"] for r in res)
     assert res[1]["energy"] < res[0]["energy"]
     assert res[1]["nonpos_det_count"] > 0
+    graph = LatticeGraph(4)
+    for r in res:
+        assert r["energy"] == assemble_energy(graph, r["config"], LAW)
     # L = 0 solves the same system as the sweep's eps = 2^-2 level
     rec = run_sweep(PHI7, 2, LAW)
     assert abs(res[0]["energy"] - rec.energies[1]) <= 1e-12

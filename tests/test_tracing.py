@@ -28,3 +28,20 @@ def test_traced_sweep_and_fold_study_record_newton_sizes():
     newton = [s for s in tracer.spans if s[2] == "solver.newton"]
     assert [s[5]["n"] for s in newton] == [2, 4, 8, 4, 4]
     assert all(s[5]["iters"] >= 1 for s in newton)
+
+    # each span's enclosing Newton span, or None outside every solve
+    parents = {s[0]: s[1] for s in tracer.spans}
+    names = {s[0]: s[2] for s in tracer.spans}
+
+    def newton_of(span_id):
+        while span_id is not None and names[span_id] != "solver.newton":
+            span_id = parents[span_id]
+        return span_id
+
+    # energies are assembled only inside Newton, one expansion per energy:
+    # the studies read their final energies from the reports
+    energy_owners = [newton_of(s[0]) for s in tracer.spans if s[2] == "energy.energy"]
+    assert None not in energy_owners
+    expand_owners = [newton_of(s[0]) for s in tracer.spans if s[2] == "lattice.expand"]
+    for s in newton:
+        assert expand_owners.count(s[0]) == energy_owners.count(s[0]) > 0
