@@ -22,8 +22,9 @@ def triangle_dets(graph, config):
     gives +1 on every triangle.
     """
     u = np.asarray(config, dtype=float)
-    a, b, c = graph.tris[:, 0], graph.tris[:, 1], graph.tris[:, 2]
-    return cell_dets(u[b] - u[a], u[c] - u[a], graph.eps)
+    ua = u.take(graph.tris[:, 0], axis=0)
+    return cell_dets(u.take(graph.tris[:, 1], axis=0) - ua,
+                     u.take(graph.tris[:, 2], axis=0) - ua, graph.eps)
 
 
 def det_summary(graph, config):

@@ -151,7 +151,7 @@ def prolong(coarse_graph, coarse_config, fine_graph):
     """
     a, b = _coarse_ends(coarse_graph, fine_graph)
     u = np.asarray(coarse_config, dtype=float)
-    return 0.5 * (u[a] + u[b])
+    return 0.5 * (u.take(a, axis=0) + u.take(b, axis=0))
 
 
 def prolongation_matrix(coarse, fine):
@@ -290,11 +290,17 @@ def run_fold_study(phi, law, eps_exp=2, max_folds=3, opts=None):
 
     Returns a list of dicts with keys folds, energy, min_det,
     nonpos_det_count, iterations, converged, config, report; energy is the
-    last one the report recorded.
+    last one the report recorded.  Raises ValueError before any solve
+    unless 0 <= max_folds <= N - 1.
     """
     if opts is None:
         opts = NewtonOptions()
-    level = Level(2**eps_exp, phi)
+    n = 2**eps_exp
+    if not 0 <= max_folds <= n - 1:
+        raise ValueError(
+            "max_folds must lie in [0, N-1] = [0, %d], got %r" % (n - 1, max_folds)
+        )
+    level = Level(n, phi)
     results = []
     for folds in range(max_folds + 1):
         init = folded_init(level.graph, phi, folds, level)

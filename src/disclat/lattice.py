@@ -230,9 +230,11 @@ def expand(reduced, cmap, layout):
             "reduced vector has shape %r, expected (%d,)"
             % (reduced.shape, layout.n_reduced)
         )
-    u = np.zeros((layout.n_full, 2))
-    u[layout.free_ids] = reduced.reshape(-1, 2)
-    u[cmap.slaves] = u[cmap.masters] @ cmap.rotation.T
+    # one complex128 per vertex row, so the rows scatter by a 1-D index
+    u = np.zeros(layout.n_full, dtype=np.complex128)
+    u[layout.free_ids] = np.ascontiguousarray(reduced).view(np.complex128)
+    u = u.view(float).reshape(-1, 2)
+    u[cmap.slaves] = u.take(cmap.masters, axis=0) @ cmap.rotation.T
     u[cmap.pinned] = 0.0
     return u
 
@@ -244,7 +246,7 @@ def reduce_config(config, layout):
         raise ValueError(
             "config has shape %r, expected (%d, 2)" % (config.shape, layout.n_full)
         )
-    return config[layout.free_ids].ravel()
+    return config.take(layout.free_ids, axis=0).ravel()
 
 
 class Level:

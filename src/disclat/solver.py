@@ -156,9 +156,11 @@ class BandLayout:
         lower = np.flatnonzero(i >= j)
         i, j = i[lower], j[lower]
         self.width = int((i - j).max(initial=0))
-        # int32 reaches 2^31 band slots, a 17 GB band
         self.src = lower.astype(np.int32)
-        self.dst = (j * (self.width + 1) + i - j).astype(np.int32)
+        # int32 reaches 2^31 band slots, a 17 GB band; a wider index would
+        # wrap to negative slots, which numpy accepts
+        fits = n * (self.width + 1) < 2**31
+        self.dst = (j * (self.width + 1) + i - j).astype(np.int32 if fits else np.int64)
 
     def solve(self, h, tau, b):
         """(H + tau I)^-1 b for a matrix h in this pattern, or None when

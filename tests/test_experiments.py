@@ -328,6 +328,27 @@ def test_run_fold_study_structure():
     assert abs(res[0]["energy"] - rec.energies[1]) <= 1e-12
 
 
+def test_run_fold_study_checks_max_folds_before_solving(monkeypatch):
+    calls = {"newton": 0, "init": 0}
+
+    def counting(name, real):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return real(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(disclat.experiments, "newton_minimize",
+                        counting("newton", disclat.experiments.newton_minimize))
+    monkeypatch.setattr(disclat.experiments, "folded_init",
+                        counting("init", disclat.experiments.folded_init))
+    for max_folds in (-1, 4):                 # N - 1 = 3 at eps = 2^-2
+        with pytest.raises(ValueError, match="max_folds"):
+            run_fold_study(PHI7, LAW, eps_exp=2, max_folds=max_folds)
+    assert calls == {"newton": 0, "init": 0}
+    assert len(run_fold_study(PHI7, LAW, eps_exp=2, max_folds=3)) == 4
+    assert calls == {"newton": 4, "init": 4}
+
+
 # run_sweep(PHI5, 5, LAW): iteration counts and energies recorded with the
 # loop-built lattice set-up and the default COLAMD ordering; no speed-up may
 # change them

@@ -96,6 +96,28 @@ def test_newton_step_regularizes_singular_hessian():
     assert g @ s < 0.0                    # still a descent direction
 
 
+def star_pattern(n):
+    """CSC pattern of vertex 0 joined to every other vertex, diagonal
+    included: under reverse Cuthill-McKee its band is n - 2 wide."""
+    k = np.arange(1, n)
+    rows = np.concatenate([np.arange(n), np.zeros(n - 1, dtype=int), k])
+    cols = np.concatenate([np.arange(n), k, np.zeros(n - 1, dtype=int)])
+    return sp.csc_matrix((np.ones(len(rows)), (rows, cols)), shape=(n, n))
+
+
+def test_band_slots_widen_past_int32():
+    # 70000 * 69999 band slots do not fit int32; solve, which would
+    # allocate the 39 GB band, is not called
+    n = 70000
+    band = BandLayout(star_pattern(n))
+    assert band.width == n - 2
+    assert band.dst.dtype == np.int64
+    assert band.dst.min() >= 0 and band.dst.max() < n * (band.width + 1)
+    # the last diagonal entry starts the band's last row
+    assert band.dst.max() == (n - 1) * (band.width + 1)
+    assert BandLayout(star_pattern(100)).dst.dtype == np.int32
+
+
 def plan_pattern(n, phi):
     """The HessianPlan of Level(n, phi) and the (row, column) of each of
     its data slots."""
