@@ -7,8 +7,8 @@ fold_phi<sel>.csv, verify.jsonl, render_eps<k>.svg); without --out,
 tabular results go to stdout.
 
 Only stdlib imports happen at module load; each command imports the
-library when it runs.  Errors the library raises (RuntimeError, OSError)
-surface as a one-line diagnostic instead of a traceback.
+library when it runs.  Errors the library raises (ValueError, RuntimeError,
+OSError) surface as a one-line diagnostic instead of a traceback.
 """
 
 import argparse
@@ -47,29 +47,15 @@ def check_eps_exp(k):
     return k
 
 
-def check_det1(phi):
-    """The det1 linear map, which starts every sweep and fold study and the
-    linear:det1 and fold:<L> inits, exists only for phi in (0, pi)."""
-    from .experiments import linear_matrix
-
-    try:
-        linear_matrix(phi, "det1")
-    except ValueError as err:
-        raise CliError(str(err))
-
-
 def make_law(args):
     from .energy import MaterialLaw
 
-    try:
-        return MaterialLaw(
-            p=args.p,
-            psi=args.psi,
-            kappa=args.kappa,
-            delta=args.delta,
-        )
-    except ValueError as err:
-        raise CliError(str(err))
+    return MaterialLaw(
+        p=args.p,
+        psi=args.psi,
+        kappa=args.kappa,
+        delta=args.delta,
+    )
 
 
 def make_options(args):
@@ -77,10 +63,7 @@ def make_options(args):
 
     given = {name: getattr(args, name) for name in ("max_iter", "grad_tol")
              if getattr(args, name) is not None}
-    try:
-        return NewtonOptions(**given)
-    except ValueError as err:
-        raise CliError(str(err))
+    return NewtonOptions(**given)
 
 
 def build_init(args, level):
@@ -91,7 +74,6 @@ def build_init(args, level):
     spec = args.init
     graph, phi = level.graph, level.cmap.phi
     if spec == "linear:det1":
-        check_det1(phi)
         return linear_init(graph, phi, "det1")
     if spec == "linear:edge":
         return linear_init(graph, phi, "edge")
@@ -100,11 +82,7 @@ def build_init(args, level):
             folds = int(spec.split(":", 1)[1])
         except ValueError:
             raise CliError("fold init needs an integer count, got %r" % spec)
-        check_det1(phi)
-        try:
-            return folded_init(graph, phi, folds, level)
-        except ValueError as err:
-            raise CliError(str(err))
+        return folded_init(graph, phi, folds, level)
     if spec.startswith("file:"):
         path = spec.split(":", 1)[1]
         try:
@@ -192,9 +170,6 @@ def cmd_sweep(args):
 
     phi = parse_phi(args.phi)
     k_max = check_eps_exp(args.eps_max_exp)
-    if k_max < 1:
-        raise CliError("sweep needs eps-max-exp >= 1")
-    check_det1(phi)
     law = make_law(args)
     opts = make_options(args)
     record = run_sweep(phi, k_max, law, opts, cold_start=args.cold_start)
@@ -221,11 +196,6 @@ def cmd_fold_study(args):
 
     phi = parse_phi(args.phi)
     k = check_eps_exp(args.eps_exp)
-    if args.max_folds < 0 or args.max_folds > 2**k - 1:
-        raise CliError(
-            "max folds must lie in [0, %d] for eps=2^-%d" % (2**k - 1, k)
-        )
-    check_det1(phi)
     law = make_law(args)
     opts = make_options(args)
     results = run_fold_study(phi, law, eps_exp=k, max_folds=args.max_folds,
@@ -313,14 +283,13 @@ def _verify_checks(args):
 
     if "frustration" in names:
         from .experiments import run_sweep
-        from .solver import NewtonOptions
 
         law = MaterialLaw(p=2.0, psi="zero")
         margins = []
         for phi in (2.0 * math.pi / 5.0, 2.0 * math.pi / 7.0):
-            rec = run_sweep(phi, 4, law, NewtonOptions())
+            rec = run_sweep(phi, 4, law)
             margins.append(min(rec.energies) - 1e-4)
-        control = run_sweep(math.pi / 3.0, 2, law, NewtonOptions())
+        control = run_sweep(math.pi / 3.0, 2, law)
         control_energy = max(control.energies)
         margins.append(1e-14 - control_energy)
         yield {"check": "frustration", "pass": min(margins) > 0.0,
@@ -380,11 +349,11 @@ def cmd_render(args):
         else:
             with open(path, "w") as fh:
                 render_svg(fh, level.graph, config, phi=phi, copies=args.copies)
-    except ValueError as err:
+    except ValueError:
         # render_svg checks before it writes, so the file is still empty
         if path is not None:
             os.remove(path)
-        raise CliError(str(err))
+        raise
     if path is not None:
         print("wrote %s" % path)
     return 0
@@ -500,7 +469,7 @@ def main(argv=None):
         return 2
     try:
         return args.func(args)
-    except (CliError, RuntimeError) as err:
+    except (CliError, RuntimeError, ValueError) as err:
         print("error: %s" % err, file=sys.stderr)
         return 2
     except OSError as err:

@@ -242,8 +242,10 @@ def run_sweep(phi, k_max, law, opts=None, cold_start=False, keep_configs=False):
     level from the det1 linear initializer instead (sensitivity study).  Solver
     failures propagate with the failing eps attached.  It first returns the
     C heap's free pages to the OS (glibc only), so its peak memory is its
-    own.
+    own.  Raises ValueError before any solve unless k_max >= 1.
     """
+    if k_max < 1:
+        raise ValueError("k_max must be >= 1, got %r" % k_max)
     if opts is None:
         opts = NewtonOptions()
     record = SweepRecord(phi)

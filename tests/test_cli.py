@@ -119,10 +119,24 @@ def test_fold_study_csv(tmp_path):
     assert len(lines) == 3
 
 
-def test_fold_study_rejects_too_many_folds(tmp_path):
-    code = main(["fold-study", "--phi", "7", "--eps-exp", "2", "--max-folds", "9",
-                 "--out", str(tmp_path)])
+def test_fold_study_rejects_too_many_folds(tmp_path, capsys):
+    # run_fold_study owns the range [0, 2^k - 1]; -1 and 2^k = 4 sit just outside
+    for folds in ("9", "-1", "4"):
+        code = main(["fold-study", "--phi", "7", "--eps-exp", "2",
+                     "--max-folds", folds, "--out", str(tmp_path)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: max_folds must lie in")
+        assert err.count("\n") == 1
+        assert not any(tmp_path.iterdir())    # nothing was solved
+
+
+def test_sweep_rejects_no_levels(tmp_path, capsys):
+    code = main(["sweep", "--eps-max-exp", "0", "--out", str(tmp_path)])
     assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: k_max must be >= 1") and err.count("\n") == 1
+    assert not any(tmp_path.iterdir())
 
 
 def test_verify_subset_jsonl(tmp_path):

@@ -349,6 +349,16 @@ def test_run_fold_study_checks_max_folds_before_solving(monkeypatch):
     assert calls == {"newton": 4, "init": 4}
 
 
+def test_run_sweep_checks_k_max_before_solving(monkeypatch, lattice_builds):
+    calls = []
+    monkeypatch.setattr(disclat.experiments, "newton_minimize",
+                        lambda *args: calls.append(args))
+    for k_max in (0, -3):
+        with pytest.raises(ValueError, match="k_max"):
+            run_sweep(PHI5, k_max, LAW)
+    assert calls == [] and lattice_builds == []
+
+
 # run_sweep(PHI5, 5, LAW): iteration counts and energies recorded with the
 # loop-built lattice set-up and the default COLAMD ordering; no speed-up may
 # change them
