@@ -169,10 +169,9 @@ def cmd_sweep(args):
     from .io import write_sweep_csv
 
     phi = parse_phi(args.phi)
-    k_max = check_eps_exp(args.eps_max_exp)
     law = make_law(args)
     opts = make_options(args)
-    record = run_sweep(phi, k_max, law, opts, cold_start=args.cold_start)
+    record = run_sweep(phi, args.eps_max_exp, law, opts, cold_start=args.cold_start)
     path = out_path(args, "sweep_phi%s.csv" % phi_slug(args.phi))
     if path is None:
         write_sweep_csv(sys.stdout, record)

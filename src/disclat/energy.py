@@ -25,12 +25,12 @@ sqrt(3)*eps^2/2, positive on counter-clockwise reference triangles).
 
 The derivatives are assembled by term.  The Phi part is the weighted bond
 sum, so its gradient is one pull per edge and its Hessian one symmetric 2x2
-spring block per edge, each scaled by 2*|T|*w(e).  The Psi part stays per
-triangle and runs only when psi != "zero".  assemble_energy keeps the
-triangle sum, so bond_sum_energy and finite differences of the energy check
-the derivatives against an independent formula.  The derivative kernels
-raise DegenerateCellError naming the first triangle with a bond at or below
-BOND_FLOOR.
+spring block per edge, each scaled by 2*|T|*w(e).  The Psi part runs only
+when psi != "zero"; its gradient is per triangle, its Hessian per edge.
+assemble_energy keeps the triangle sum, so bond_sum_energy and finite
+differences of the energy check the derivatives against an independent
+formula.  The derivative kernels raise DegenerateCellError naming the first
+triangle with a bond at or below BOND_FLOOR.
 
 Gathers.  The kernels read vertex rows by u.take(ids, axis=0), never by
 u[ids]: on the (|V|, 2) array numpy's fancy indexing takes a slow path
@@ -38,9 +38,9 @@ u[ids]: on the (|V|, 2) array numpy's fancy indexing takes a slow path
 Xeon host), and take gives the same bits.  _vertex_sums adds by one np.bincount per component, which
 keeps every vertex's summation order.
 
-Reduced Hessian.  A HessianPlan, built once per DofLayout, maps every block
-entry to its slot in the fixed pattern of S^T H S; each Hessian is then one
-np.bincount.
+Reduced Hessian.  A HessianPlan, built once per DofLayout, maps the four
+blocks of every edge to their slots in the fixed pattern of S^T H S; each
+Hessian, Phi and Psi terms together, is then one np.bincount.
 """
 
 import numpy as np
@@ -243,20 +243,35 @@ def _psi_gradients(graph, u, law):
     return law.dPsi(det)[:, None, None] * gdet
 
 
-def _psi_hessians(graph, u, law):
-    """Per-triangle Hessians of Psi(det), shape (|T|, 3, 3, 2, 2): block
-    [t, v, w] couples vertices v and w of triangle t."""
+def _psi_edge_hessians(graph, u, law):
+    """Psi Hessian of every edge (a, b), shape (|E|, 2, 2): block [a, b] of
+    the cells on it, summed.  Up cell k holds edges k, 2*n_up + k and
+    n_up + k, the last reversed; down cell (A, B, C) holds n_up + corner(A),
+    corner(C) reversed and 2*n_up + corner(A) - 1 reversed, where
+    corner(v) = v - j(v) is the number of the up cell based at v."""
     det, gdet = _det_gradients(graph, u)
-    h = law.d2Psi(det)[:, None, None, None, None] * (
-        gdet[:, :, None, :, None] * gdet[:, None, :, None, :]
-    )
-    # constant curvature of det itself: c0 * Z on the cyclic vertex pairs
-    z = np.array([[0.0, 1.0], [-1.0, 0.0]])
-    coeff = (law.dPsi(det) * 2.0 / (SQRT3 * graph.eps**2))[:, None, None]
-    for v, w in ((0, 1), (1, 2), (2, 0)):
-        h[:, v, w] += coeff * z
-        h[:, w, v] += coeff * z.T
-    return h
+    area = graph.triangle_area()
+    d2 = area * law.d2Psi(det)
+    # constant curvature of det itself: c0 * Z on the cyclic vertex pairs,
+    # Z^T = -Z on the reversed ones
+    curl = area * law.dPsi(det) * 2.0 / (SQRT3 * graph.eps**2)
+
+    def block(cells, v, w):
+        h = d2[cells, None, None] * gdet[cells, v, :, None] * gdet[cells, w, None, :]
+        z = curl[cells] if (w - v) % 3 == 1 else -curl[cells]
+        h[:, 0, 1] += z
+        h[:, 1, 0] -= z
+        return h
+
+    n_up = graph.n_edges // 3
+    up, down = slice(None, n_up), slice(n_up, None)
+    p = np.concatenate([block(up, 0, 1), block(up, 0, 2), block(up, 1, 2)])
+    # each edge lies in at most one down cell, so the += below is exact
+    corner = graph.tris[down] - graph.ij[:, 1].take(graph.tris[down])
+    p[n_up + corner[:, 0]] += block(down, 0, 1)
+    p[corner[:, 2]] += block(down, 2, 1)
+    p[2 * n_up + corner[:, 0] - 1] += block(down, 0, 2)
+    return p
 
 
 class HessianPlan:
@@ -273,20 +288,22 @@ class HessianPlan:
 
     def __init__(self, graph, cmap, layout):
         nv, nb = graph.n_vertices, len(layout.free_ids)
-        self._block = np.full(nv, -1, dtype=np.int64)
-        self._block[layout.free_ids] = np.arange(nb)
-        self._block[cmap.slaves] = self._block[cmap.masters]
-        self._slave = np.zeros(nv, dtype=bool)
-        self._slave[cmap.slaves] = True
+        block = np.full(nv, -1, dtype=np.int64)
+        block[layout.free_ids] = np.arange(nb)
+        block[cmap.slaves] = block[cmap.masters]
+        slave = np.zeros(nv, dtype=bool)
+        slave[cmap.slaves] = True
         self._rotation = cmap.rotation
-        self._tris = graph.tris
+        # the blocks (a, a), (b, b), (a, b) and (b, a) of every edge (a, b)
         a, b = graph.edges[:, 0], graph.edges[:, 1]
         rows, cols = np.concatenate([a, b, a, b]), np.concatenate([a, b, b, a])
-        row_block, col_block = self._block[rows], self._block[cols]
-        live = (row_block >= 0) & (col_block >= 0)
+        row_block, col_block = block.take(rows), block.take(cols)
+        pinned = (row_block < 0) | (col_block < 0)
         # column-major block keys; sorted, they list the blocks in CSC order
-        keys = np.sort(col_block[live] * nb + row_block[live])
-        self._keys = keys = keys[np.concatenate([[True], keys[1:] != keys[:-1]])]
+        edge_keys = col_block * nb + row_block
+        del row_block, col_block
+        keys = np.sort(edge_keys[~pinned])
+        keys = keys[np.concatenate([[True], keys[1:] != keys[:-1]])]
         block_rows, block_cols = keys % nb, keys // nb
         count = np.bincount(block_cols, minlength=nb)
         first = np.cumsum(count) - count
@@ -299,47 +316,25 @@ class HessianPlan:
         start = 2 * first[block_cols] + 2 * np.arange(len(keys))
         stride = 2 * count[block_cols]
         c, d = np.arange(2)[:, None], np.arange(2)
-        slots = start[:, None, None] + stride[:, None, None] * d + c
-        self._slots = slots.astype(np.int32)
+        slots = (start[:, None, None] + stride[:, None, None] * d + c).astype(np.int32)
         self.indices = np.empty(self.nnz, dtype=np.int32)
-        self.indices[self._slots] = 2 * block_rows[:, None, None] + c
-        self.edge_slots = self._map(rows, cols)
-        self._tri_slots = None
+        self.indices[slots] = 2 * block_rows[:, None, None] + c
+        # edge block slots (the pinned origin's go to the spare slot nnz) and
+        # the indices of the blocks to rotate from the left and the right
+        k = np.searchsorted(keys, edge_keys)
+        k[pinned] = 0
+        edge_slots = slots.take(k, axis=0)
+        edge_slots[pinned] = self.nnz
+        self.edge_slots = (edge_slots, np.flatnonzero(slave.take(rows)),
+                           np.flatnonzero(slave.take(cols)))
         self.band = None             # solver.BandLayout, built by its first use
         # every matrix shares these: an in-place change would corrupt the plan
         self.indices.flags.writeable = self.indptr.flags.writeable = False
 
-    def _map(self, rows, cols):
-        """Where the blocks (rows[k], cols[k]) go: their data slots, with the
-        pinned origin's blocks sent to the spare slot nnz, and the indices
-        of the blocks to rotate from the left and from the right."""
-        row_block, col_block = self._block[rows], self._block[cols]
-        nb = len(self.indptr) // 2
-        k = np.searchsorted(self._keys, col_block * nb + row_block)
-        pinned = (row_block < 0) | (col_block < 0)
-        k[pinned] = 0
-        slots = self._slots.take(k, axis=0)
-        slots[pinned] = self.nnz
-        return (
-            slots,
-            np.flatnonzero(self._slave[rows]),
-            np.flatnonzero(self._slave[cols]),
-        )
-
-    def triangle_slots(self):
-        """Where the per-triangle blocks (|T|, 3, 3) go; built on first use."""
-        if self._tri_slots is None:
-            shape = self._tris.shape + (3,)
-            self._tri_slots = self._map(
-                np.broadcast_to(self._tris[:, :, None], shape).ravel(),
-                np.broadcast_to(self._tris[:, None, :], shape).ravel(),
-            )
-        return self._tri_slots
-
-    def scatter(self, where, blocks):
-        """Reduced data of the 2x2 blocks (any leading shape) placed by
-        where = edge_slots or triangle_slots(); blocks is overwritten."""
-        slots, left, right = where
+    def scatter(self, blocks):
+        """Reduced data of the edge blocks (4, |E|, 2, 2), in the order of
+        edge_slots; blocks is overwritten."""
+        slots, left, right = self.edge_slots
         blocks = blocks.reshape(-1, 2, 2)
         blocks[left] = self._rotation.T @ blocks[left]
         blocks[right] = blocks[right] @ self._rotation
@@ -425,8 +420,12 @@ def assemble_hessian(graph, config, law, cmap, layout):
     u = np.asarray(config, dtype=float)
     # the blocks (a, a), (b, b), (a, b) and (b, a) of every edge (a, b)
     springs = np.multiply.outer([1.0, 1.0, -1.0, -1.0], _bond_hessians(graph, u, law))
-    data = plan.scatter(plan.edge_slots, springs)
     if law.psi_name != "zero":
-        psi = graph.triangle_area() * _psi_hessians(graph, u, law)
-        data += plan.scatter(plan.triangle_slots(), psi)
-    return plan.matrix(data)
+        # det is translation invariant, so each cell's Psi Hessian is a sum
+        # over its edges (a, b) of -P at (a, a), -P^T at (b, b), P at (a, b)
+        # and P^T at (b, a), where P is the cell's block [a, b]
+        psi = _psi_edge_hessians(graph, u, law)
+        psi = np.stack([psi, psi.swapaxes(1, 2)])
+        springs[:2] -= psi
+        springs[2:] += psi
+    return plan.matrix(plan.scatter(springs))

@@ -132,11 +132,13 @@ def test_fold_study_rejects_too_many_folds(tmp_path, capsys):
 
 
 def test_sweep_rejects_no_levels(tmp_path, capsys):
-    code = main(["sweep", "--eps-max-exp", "0", "--out", str(tmp_path)])
-    assert code == 2
-    err = capsys.readouterr().err
-    assert err.startswith("error: k_max must be >= 1") and err.count("\n") == 1
-    assert not any(tmp_path.iterdir())
+    # one rule, the library's, for every exponent below 1
+    for k_max in ("0", "-1"):
+        code = main(["sweep", "--eps-max-exp", k_max, "--out", str(tmp_path)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: k_max must be >= 1") and err.count("\n") == 1
+        assert not any(tmp_path.iterdir())
 
 
 def test_verify_subset_jsonl(tmp_path):

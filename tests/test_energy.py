@@ -385,3 +385,26 @@ def test_bond_assembly_matches_triangle_oracle(n, phi, p, psi, seed):
         hess_folded = assert_matches_oracle(g, folded, law, cmap, layout)
         np.testing.assert_array_equal(hess_folded.indptr, hess.indptr)
         np.testing.assert_array_equal(hess_folded.indices, hess.indices)
+
+
+@given(
+    st.integers(min_value=1, max_value=24),
+    st.sampled_from([2.0, 3.0]),
+    st.sampled_from(["zero", "smoothed_abs"]),
+    st.integers(min_value=0, max_value=2**32 - 1),
+    st.tuples(*[st.floats(min_value=-1.0, max_value=1.0)] * 2),
+)
+def test_gradient_is_translation_invariant(n, p, psi, seed, c):
+    # W depends on edge vectors only.  A gradient that does not move under
+    # u -> u + c means zero block-row sums of the full Hessian, which the
+    # per-edge Psi blocks rely on; an energy that does not move means the
+    # gradient's rows sum to zero.
+    g = LatticeGraph(n)
+    law = MaterialLaw(p=p, psi=psi)
+    rng = np.random.default_rng(seed)
+    u = g.pos + 0.1 * g.eps * rng.normal(size=g.pos.shape)
+    grad = assemble_full_gradient(g, u, law)
+    scale = np.abs(grad).max()
+    moved = assemble_full_gradient(g, u + np.array(c), law)
+    assert np.abs(moved - grad).max() <= 1e-12 * scale
+    assert np.abs(grad.sum(axis=0)).max() <= 1e-12 * scale

@@ -2,15 +2,15 @@
 replaced, bit for bit.
 
 The kernels gather vertex rows with ndarray.take and scatter them through
-1-D indices; the oracles below index the (|V|, 2) arrays, and the plan's
-(K, 2, 2) slot array, with fancy indexing."""
+1-D indices; the oracles below index the (|V|, 2) arrays with fancy
+indexing."""
 
 import numpy as np
 from hypothesis import given, strategies as st
 
 from disclat import energy
 from disclat.analysis import triangle_dets
-from disclat.energy import HessianPlan, MaterialLaw
+from disclat.energy import MaterialLaw
 from disclat.experiments import _coarse_ends, prolong
 from disclat.lattice import LatticeGraph, Level, expand, reduce_config
 
@@ -85,22 +85,6 @@ def oracle_expand(reduced, cmap, layout):
     return u
 
 
-def oracle_map(plan, rows, cols):
-    """HessianPlan._map with its slot rows gathered by fancy indexing."""
-    row_block, col_block = plan._block[rows], plan._block[cols]
-    nb = len(plan.indptr) // 2
-    k = np.searchsorted(plan._keys, col_block * nb + row_block)
-    pinned = (row_block < 0) | (col_block < 0)
-    k[pinned] = 0
-    slots = plan._slots[k]
-    slots[pinned] = plan.nnz
-    return (
-        slots,
-        np.flatnonzero(plan._slave[rows]),
-        np.flatnonzero(plan._slave[cols]),
-    )
-
-
 @given(sizes, angles, seeds)
 def test_geometry_kernels_match_fancy_indexing(n, phi, seed):
     level = Level(n, phi)
@@ -162,19 +146,3 @@ def test_expand_of_a_strided_vector_equals_its_contiguous_copy():
     got = expand(strided, level.cmap, level.layout)
     assert_same_bits(got, expand(strided.copy(), level.cmap, level.layout))
     assert_same_bits(got, oracle_expand(strided, level.cmap, level.layout))
-
-
-@given(sizes, angles)
-def test_hessian_plan_slots_match_fancy_indexing(n, phi):
-    level = Level(n, phi)
-    graph = level.graph
-    plan = HessianPlan(graph, level.cmap, level.layout)
-    a, b = graph.edges[:, 0], graph.edges[:, 1]
-    expected = oracle_map(plan, np.concatenate([a, b, a, b]), np.concatenate([a, b, b, a]))
-    for got, want in zip(plan.edge_slots, expected):
-        assert_same_bits(got, want)
-    shape = graph.tris.shape + (3,)
-    expected = oracle_map(plan, np.broadcast_to(graph.tris[:, :, None], shape).ravel(),
-                          np.broadcast_to(graph.tris[:, None, :], shape).ravel())
-    for got, want in zip(plan.triangle_slots(), expected):
-        assert_same_bits(got, want)
