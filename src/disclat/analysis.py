@@ -8,10 +8,9 @@ import functools
 
 import numpy as np
 
-from .energy import cell_dets
+from .energy import cell_dets, cell_edges
 from .lattice import rot
 
-SQRT3 = np.sqrt(3.0)
 _SWAP = np.array([[0.0, 1.0], [1.0, 0.0]])
 
 
@@ -21,10 +20,8 @@ def triangle_dets(graph, config):
     Positive on orientation-preserving cells; the reference configuration
     gives +1 on every triangle.
     """
-    u = np.asarray(config, dtype=float)
-    ua = u.take(graph.tris[:, 0], axis=0)
-    return cell_dets(u.take(graph.tris[:, 1], axis=0) - ua,
-                     u.take(graph.tris[:, 2], axis=0) - ua, graph.eps)
+    d1, d2 = cell_edges(graph, np.asarray(config, dtype=float))
+    return cell_dets(d1, d2, graph.eps)
 
 
 def det_summary(graph, config):

@@ -391,8 +391,6 @@ def build_parser():
     )
     parser.add_argument("--out", default=None,
                         help="output directory (default: print to stdout)")
-    parser.add_argument("--seed", type=int, default=0,
-                        help="seed for sampled checks (default 0)")
     sub = parser.add_subparsers(dest="command")
 
     p_mesh = sub.add_parser("mesh", help="dump the reference lattice")
@@ -435,8 +433,7 @@ def build_parser():
 
     p_ver = sub.add_parser("verify", help="run the structural checks")
     _add_common_args(p_ver)
-    # like --out, also accepted before the subcommand
-    p_ver.add_argument("--seed", type=int, default=argparse.SUPPRESS,
+    p_ver.add_argument("--seed", type=int, default=0,
                        help="seed for sampled checks (default 0)")
     p_ver.add_argument("--all", action="store_true",
                        help="run every check (default when none named)")

@@ -154,11 +154,17 @@ def cell_dets(d1, d2, eps):
     return (d1[:, 0] * d2[:, 1] - d1[:, 1] * d2[:, 0]) / (SQRT3 / 2.0 * eps * eps)
 
 
-def _edge_geometry(graph, u):
-    tris, eps = graph.tris, graph.eps
+def cell_edges(graph, u):
+    """Deformed edges d1 = u_b - u_a and d2 = u_c - u_a of every triangle
+    (a, b, c), each of shape (|T|, 2)."""
+    tris = graph.tris
     ua = u.take(tris[:, 0], axis=0)
-    d1 = u.take(tris[:, 1], axis=0) - ua
-    d2 = u.take(tris[:, 2], axis=0) - ua
+    return u.take(tris[:, 1], axis=0) - ua, u.take(tris[:, 2], axis=0) - ua
+
+
+def _edge_geometry(graph, u):
+    eps = graph.eps
+    d1, d2 = cell_edges(graph, u)
     d3 = d2 - d1
     l1 = np.hypot(d1[:, 0], d1[:, 1]) / eps
     l2 = np.hypot(d2[:, 0], d2[:, 1]) / eps
@@ -224,10 +230,7 @@ def _bond_hessians(graph, u, law):
 def _det_gradients(graph, u):
     """Cell determinants (|T|,) and their gradients (|T|, 3, 2) in the
     vertex positions, vertex order (a, b, c)."""
-    a, b, c = graph.tris.T
-    ua = u.take(a, axis=0)
-    d1 = u.take(b, axis=0) - ua
-    d2 = u.take(c, axis=0) - ua
+    d1, d2 = cell_edges(graph, u)
     det = cell_dets(d1, d2, graph.eps)
     c0 = 2.0 / (SQRT3 * graph.eps**2)
     gdet = np.empty(graph.tris.shape + (2,))
@@ -278,19 +281,16 @@ class HessianPlan:
     """Slots of assembled 2x2 blocks in the reduced Hessian S^T H S.
 
     S = DofLayout.select sends the block H[v, w] of a vertex pair to the
-    reduced block (m(v), m(w)) as A_v^T H[v, w] A_w.  Here m(v) is the free
-    slot of v, or of its master when v is a slave, and A_v is R_phi on
-    slaves and the identity elsewhere; blocks at the pinned origin drop
-    out.  The pattern holds every reduced block that an edge reaches, exact
-    zeros included, so it depends only on (N, phi).  It is symmetric, and
-    the matrix is emitted in CSC form with sorted indices.
+    reduced block (m(v), m(w)) as A_v^T H[v, w] A_w.  Here m = DofLayout.block
+    and A_v is R_phi on slaves and the identity elsewhere; blocks at the
+    pinned origin (m = -1) drop out.  The pattern holds every reduced block
+    that an edge reaches, exact zeros included, so it depends only on
+    (N, phi).  It is symmetric, and the matrix is emitted in CSC form with
+    sorted indices.
     """
 
     def __init__(self, graph, cmap, layout):
-        nv, nb = graph.n_vertices, len(layout.free_ids)
-        block = np.full(nv, -1, dtype=np.int64)
-        block[layout.free_ids] = np.arange(nb)
-        block[cmap.slaves] = block[cmap.masters]
+        nv, nb, block = graph.n_vertices, len(layout.free_ids), layout.block
         slave = np.zeros(nv, dtype=bool)
         slave[cmap.slaves] = True
         self._rotation = cmap.rotation

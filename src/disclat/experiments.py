@@ -39,6 +39,7 @@ import scipy.sparse as sp
 from .analysis import det_summary, triangle_dets  # noqa: F401
 from .energy import assemble_energy  # noqa: F401
 from .lattice import (  # noqa: F401
+    SQRT3,
     DofLayout,
     LatticeGraph,
     Level,
@@ -49,7 +50,6 @@ from .lattice import (  # noqa: F401
 )
 from .solver import NewtonOptions, TwoGrid, hand_over, newton_minimize
 
-SQRT3 = np.sqrt(3.0)
 # the largest sweep level that hands its minimizer over as an LU; every finer
 # one hands over its own two-grid cycle, since the LU's fill outgrows the
 # level (2M entries at N = 128) and it was the sweep's largest object
@@ -293,16 +293,16 @@ def run_fold_study(phi, law, eps_exp=2, max_folds=3, opts=None):
     Returns a list of dicts with keys folds, energy, min_det,
     nonpos_det_count, iterations, converged, config, report; energy is the
     last one the report recorded.  Raises ValueError before any solve
-    unless 0 <= max_folds <= N - 1.
+    unless N = 2^eps_exp is an integer >= 1 and 0 <= max_folds <= N - 1.
     """
     if opts is None:
         opts = NewtonOptions()
-    n = 2**eps_exp
-    if not 0 <= max_folds <= n - 1:
+    level = Level(2**eps_exp, phi)
+    if not 0 <= max_folds <= level.n - 1:
         raise ValueError(
-            "max_folds must lie in [0, N-1] = [0, %d], got %r" % (n - 1, max_folds)
+            "max_folds must lie in [0, N-1] = [0, %d], got %r"
+            % (level.n - 1, max_folds)
         )
-    level = Level(n, phi)
     results = []
     for folds in range(max_folds + 1):
         init = folded_init(level.graph, phi, folds, level)

@@ -102,28 +102,6 @@ def write_sweep_csv(stream, record):
         )
 
 
-def read_sweep_csv(stream):
-    """Parse the sweep CSV back into a list of dicts."""
-    header = stream.readline().strip().split(",")
-    out = []
-    for line in stream:
-        line = line.strip()
-        if not line:
-            continue
-        vals = line.split(",")
-        row = dict(zip(header, vals))
-        row["phi"] = float(row["phi"])
-        row["eps_exp"] = int(row["eps_exp"])
-        row["energy"] = float(row["energy"])
-        row["p_eps"] = float(row["p_eps"]) if row["p_eps"] else None
-        row["min_det"] = float(row["min_det"])
-        row["nonpos_det_count"] = int(row["nonpos_det_count"])
-        row["iters"] = int(row["iters"])
-        row["converged"] = row["converged"] == "1"
-        out.append(row)
-    return out
-
-
 def write_fold_csv(stream, phi, results):
     """phi,folds,energy,min_det,nonpos_det_count"""
     stream.write("phi,folds,energy,min_det,nonpos_det_count\n")

@@ -61,11 +61,8 @@ class LatticeGraph:
     weights : (|E|,) float array
         1/2 on boundary edges, 1 on interior edges.
     tris : (|T|, 3) int array
-        Counter-clockwise vertex triples; "up" triangles first.
-    tri_up : (|T|,) bool array
-        True for up triangles (their edge vectors are e1 and R60*e1).
-    gamma1, gamma2, gamma3 : (|V|,) bool arrays
-        Boundary membership of each vertex.
+        Counter-clockwise vertex triples; the n_edges // 3 "up" triangles
+        (edge vectors e1 and R60*e1) first.
     """
 
     def __init__(self, n):
@@ -104,11 +101,6 @@ class LatticeGraph:
             [vid(i + 1, j), vid(i + 1, j + 1), vid(i, j + 1)]
         )
         self.tris = np.concatenate([up, down])
-        self.tri_up = np.arange(len(self.tris)) < len(up)
-
-        self.gamma1 = ij[:, 1] == 0
-        self.gamma2 = ij[:, 0] == 0
-        self.gamma3 = ij.sum(axis=1) == n
 
     def vertex_id(self, i, j):
         """Id of vertex (i, j): offset[j] + i, where row j holds N+1-j
@@ -176,6 +168,8 @@ class DofLayout:
 
     free_ids lists the vertices carrying 2 unknowns each (everything except
     the slaved Gamma2 vertices and the pinned origin), in ascending id order.
+    block[v] is the reduced block of vertex v: the place of v in free_ids,
+    that of its master when v is a slave, and -1 at the pinned origin.
     """
 
     def __init__(self, graph, cmap):
@@ -186,9 +180,9 @@ class DofLayout:
         self.free_ids = np.flatnonzero(~dependent)
         self.n_full = nv
         self.n_reduced = 2 * len(self.free_ids)
-        # reduced slot of each vertex (-1 for slaves/pinned)
-        slot = -np.ones(nv, dtype=np.int64)
-        slot[self.free_ids] = np.arange(len(self.free_ids))
+        self.block = np.full(nv, -1, dtype=np.int64)
+        self.block[self.free_ids] = np.arange(len(self.free_ids))
+        self.block[cmap.slaves] = self.block.take(cmap.masters)
 
         # sparse selection matrix S (2|V| x n_reduced) with u_full = S @ q:
         # identity blocks on free vertices, R_phi blocks slaving Gamma2 to
@@ -197,7 +191,7 @@ class DofLayout:
         n_free = len(self.free_ids)
         pairs = (len(cmap.slaves), 2, 2)      # entry (k, a, b) holds R_phi[a, b]
         slave_rows = 2 * cmap.slaves[:, None, None] + c[:, None]
-        master_cols = 2 * slot[cmap.masters][:, None, None] + c
+        master_cols = 2 * self.block[cmap.slaves][:, None, None] + c
         rows = np.concatenate([
             (2 * self.free_ids[:, None] + c).ravel(),
             np.broadcast_to(slave_rows, pairs).ravel(),
@@ -283,39 +277,3 @@ def dump_lattice(graph, cmap, stream):
     write_rows(stream, "c %d %d\n", cmap.masters, cmap.slaves)
     stream.write("pin %d\n" % cmap.pinned)
 
-
-def parse_lattice_dump(stream):
-    """Read a lattice dump back into plain arrays (for round-trip checks).
-
-    Returns a dict with keys ij, pos, edges, weights, tris, pairs, pinned.
-    """
-    ij, pos, edges, weights, tris, pairs = [], [], [], [], [], []
-    pinned = None
-    for line in stream:
-        parts = line.split()
-        if not parts:
-            continue
-        tag = parts[0]
-        if tag == "v":
-            ij.append((int(parts[2]), int(parts[3])))
-            pos.append((float(parts[4]), float(parts[5])))
-        elif tag == "e":
-            edges.append((int(parts[2]), int(parts[3])))
-            weights.append(float(parts[4]))
-        elif tag == "t":
-            tris.append((int(parts[2]), int(parts[3]), int(parts[4])))
-        elif tag == "c":
-            pairs.append((int(parts[1]), int(parts[2])))
-        elif tag == "pin":
-            pinned = int(parts[1])
-        else:
-            raise ValueError("unrecognized dump record %r" % tag)
-    return {
-        "ij": np.array(ij, dtype=np.int64),
-        "pos": np.array(pos),
-        "edges": np.array(edges, dtype=np.int64),
-        "weights": np.array(weights),
-        "tris": np.array(tris, dtype=np.int64),
-        "pairs": np.array(pairs, dtype=np.int64),
-        "pinned": pinned,
-    }

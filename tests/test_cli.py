@@ -1,5 +1,6 @@
 """End-to-end CLI runs (in-process), file formats, and exit codes."""
 
+import csv
 import hashlib
 import io
 import json
@@ -11,8 +12,8 @@ from hypothesis.extra.numpy import arrays
 
 from disclat.cli import CliError, main, parse_phi, phi_slug
 from disclat.experiments import folded_init
-from disclat.io import read_config, read_sweep_csv, write_config
-from disclat.lattice import LatticeGraph, build_constraints, parse_lattice_dump
+from disclat.io import read_config, write_config
+from disclat.lattice import LatticeGraph, build_constraints, dump_lattice
 
 PHI5 = 2.0 * np.pi / 5.0
 
@@ -37,17 +38,12 @@ def test_phi_slug():
 
 def test_mesh_roundtrip(tmp_path):
     assert main(["mesh", "--eps-exp", "2", "--out", str(tmp_path)]) == 0
-    with open(tmp_path / "mesh_eps2.txt") as fh:
-        parsed = parse_lattice_dump(fh)
     g = LatticeGraph(4)
-    cmap = build_constraints(g, PHI5)
-    assert np.array_equal(parsed["ij"], g.ij)
-    assert np.array_equal(parsed["pos"], g.pos)
-    assert np.array_equal(parsed["edges"], g.edges)
-    assert np.array_equal(parsed["weights"], g.weights)
-    assert np.array_equal(parsed["tris"], g.tris)
-    assert parsed["pinned"] == cmap.pinned
-    assert len(parsed["ij"]) == 15     # (4+1)(4+2)/2
+    buf = io.StringIO()
+    dump_lattice(g, build_constraints(g, PHI5), buf)
+    assert (tmp_path / "mesh_eps2.txt").read_text() == buf.getvalue()
+    vertices = [line for line in buf.getvalue().splitlines() if line.startswith("v ")]
+    assert len(vertices) == 15     # (4+1)(4+2)/2
 
 
 def test_mesh_out_after_or_before_subcommand(tmp_path):
@@ -102,12 +98,12 @@ def test_config_roundtrip_is_bit_exact(data):
 def test_sweep_csv(tmp_path):
     code = main(["sweep", "--phi", "5", "--eps-max-exp", "2", "--out", str(tmp_path)])
     assert code == 0
-    with open(tmp_path / "sweep_phi5.csv") as fh:
-        rows = read_sweep_csv(fh)
-    assert [r["eps_exp"] for r in rows] == [1, 2]
-    assert all(r["converged"] for r in rows)
-    assert rows[0]["p_eps"] is None
-    assert rows[1]["energy"] == pytest.approx(2.0026120e-3, rel=1e-5)
+    with open(tmp_path / "sweep_phi5.csv", newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    assert [r["eps_exp"] for r in rows] == ["1", "2"]
+    assert all(r["converged"] == "1" for r in rows)
+    assert rows[0]["p_eps"] == ""
+    assert float(rows[1]["energy"]) == pytest.approx(2.0026120e-3, rel=1e-5)
 
 
 def test_fold_study_csv(tmp_path):
@@ -297,9 +293,8 @@ def test_phi_without_det1_map_exits_2(tmp_path, capsys, argv):
 
 @pytest.mark.parametrize(
     "argv",
-    [["--seed", "-1", "verify", "--check", "svd2"],
-     ["verify", "--seed", "-2", "--check", "svd2"]],
-    ids=["before", "after"],
+    [["verify", "--seed", "-2", "--check", "svd2"]],
+    ids=["after"],
 )
 def test_negative_seed_exits_2(tmp_path, capsys, argv):
     assert main(argv + ["--out", str(tmp_path)]) == 2
@@ -322,16 +317,25 @@ def test_plain_newton_flag_is_gone(tmp_path):
     assert exc.value.code == 2
 
 
+SUBCOMMANDS = {"mesh": ["mesh", "--eps-exp", "1"],
+               "minimize": ["minimize", "--eps-exp", "1"],
+               "sweep": ["sweep"],
+               "fold-study": ["fold-study"],
+               "render": ["render", "--eps-exp", "1"]}
+
+
 @pytest.mark.parametrize(
     "argv",
-    [["mesh", "--eps-exp", "1"], ["minimize", "--eps-exp", "1"], ["sweep"],
-     ["fold-study"], ["render", "--eps-exp", "1"]],
-    ids=["mesh", "minimize", "sweep", "fold-study", "render"],
+    [argv + ["--seed", "3"] for argv in SUBCOMMANDS.values()]
+    + [["--seed", "3"] + argv for argv in SUBCOMMANDS.values()]
+    + [["--seed", "-1", "verify", "--check", "svd2"]],
+    ids=list(SUBCOMMANDS) + ["before-" + name for name in SUBCOMMANDS]
+    + ["before-verify"],
 )
 def test_seed_is_a_verify_option(tmp_path, argv):
-    # only verify samples anything
+    # only verify samples anything, and it takes --seed after its name
     with pytest.raises(SystemExit) as exc:
-        main(argv + ["--seed", "3", "--out", str(tmp_path)])
+        main(argv + ["--out", str(tmp_path)])
     assert exc.value.code == 2
 
 

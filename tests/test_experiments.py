@@ -1,5 +1,7 @@
 """Linear/folded starts, prolongation, rate estimation, and the two studies."""
 
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -347,6 +349,19 @@ def test_run_fold_study_checks_max_folds_before_solving(monkeypatch):
     assert calls == {"newton": 0, "init": 0}
     assert len(run_fold_study(PHI7, LAW, eps_exp=2, max_folds=3)) == 4
     assert calls == {"newton": 4, "init": 4}
+
+
+def test_run_fold_study_rejects_a_fractional_lattice_before_solving(monkeypatch):
+    # max_folds = 0 is valid on every lattice; N = 2^eps_exp is the error
+    calls = []
+    for name in ("newton_minimize", "folded_init"):
+        monkeypatch.setattr(disclat.experiments, name,
+                            lambda *args, _name=name: calls.append(_name))
+    for eps_exp in (-1, -3):
+        message = "need an integer N >= 1, got %r" % 2.0**eps_exp
+        with pytest.raises(ValueError, match=re.escape(message)):
+            run_fold_study(PHI7, LAW, eps_exp=eps_exp, max_folds=0)
+    assert calls == []
 
 
 def test_run_sweep_checks_k_max_before_solving(monkeypatch, lattice_builds):

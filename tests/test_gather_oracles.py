@@ -102,6 +102,17 @@ def test_geometry_kernels_match_fancy_indexing(n, phi, seed):
 
 
 @given(sizes, angles, seeds)
+def test_cell_edges_match_fancy_indexing(n, phi, seed):
+    level = Level(n, phi)
+    graph = level.graph
+    u = random_config(level, seed)
+    a, b, c = graph.tris[:, 0], graph.tris[:, 1], graph.tris[:, 2]
+    d1, d2 = energy.cell_edges(graph, u)
+    assert_same_bits(d1, u[b] - u[a])
+    assert_same_bits(d2, u[c] - u[a])
+
+
+@given(sizes, angles, seeds)
 def test_vertex_sums_match_the_dof_bincount(n, phi, seed):
     level = Level(n, phi)
     graph = level.graph

@@ -14,7 +14,6 @@ from disclat.lattice import (
     build_constraints,
     dump_lattice,
     expand,
-    parse_lattice_dump,
     reduce_config,
     rot,
 )
@@ -22,6 +21,13 @@ from disclat.lattice import (
 PHI5 = 2.0 * np.pi / 5.0
 
 lattice_sizes = st.integers(min_value=1, max_value=40)
+
+
+def up_triangles(g):
+    """Mask of the up triangles, found from ij: their first edge runs
+    along e1 (a down triangle's runs along R60*e1)."""
+    step = g.ij[g.tris[:, 1]] - g.ij[g.tris[:, 0]]
+    return (step == [1, 0]).all(axis=1)
 
 
 def loop_lattice(n):
@@ -93,7 +99,7 @@ def test_counts_match_closed_forms():
         # 3N boundary edges, each with weight 1/2
         assert np.sum(g.weights == 0.5) == 3 * n
         assert np.sum(g.weights == 1.0) == g.n_edges - 3 * n
-        assert np.sum(g.tri_up) == n * (n + 1) // 2
+        assert np.sum(up_triangles(g)) == n * (n + 1) // 2
 
 
 def test_hand_enumeration_n1():
@@ -144,11 +150,13 @@ def test_positions_and_vertex_ids():
 def test_boundary_masks():
     n = 6
     g = LatticeGraph(n)
-    assert g.gamma1.sum() == n + 1
-    assert g.gamma2.sum() == n + 1
-    assert g.gamma3.sum() == n + 1
+    i, j = g.ij.T
+    gamma1, gamma2, gamma3 = j == 0, i == 0, i + j == n
+    assert gamma1.sum() == n + 1
+    assert gamma2.sum() == n + 1
+    assert gamma3.sum() == n + 1
     # each corner sits on exactly two segments
-    corners = g.gamma1 & g.gamma2 | g.gamma2 & g.gamma3 | g.gamma1 & g.gamma3
+    corners = gamma1 & gamma2 | gamma2 & gamma3 | gamma1 & gamma3
     assert corners.sum() == 3
 
 
@@ -167,7 +175,7 @@ def test_up_triangle_edge_vectors():
     g = LatticeGraph(3)
     e1 = np.array([1.0, 0.0])
     r60 = rot(np.pi / 3.0)
-    for t, up in zip(g.tris, g.tri_up):
+    for t, up in zip(g.tris, up_triangles(g)):
         a, b, c = g.pos[t]
         if up:
             np.testing.assert_allclose(b - a, g.eps * e1, atol=1e-15)
@@ -242,16 +250,33 @@ def test_dump_roundtrip(n, phi):
     cmap = build_constraints(g, phi)
     buf = io.StringIO()
     dump_lattice(g, cmap, buf)
-    buf.seek(0)
-    parsed = parse_lattice_dump(buf)
+    records = {}
+    for line in buf.getvalue().splitlines():
+        tag, *fields = line.split()
+        records.setdefault(tag, []).append(fields)
+    assert sorted(records) == ["c", "e", "pin", "t", "v"]
+
+    def columns(tag, first, stop, kind):
+        return np.array([[kind(x) for x in f[first:stop]] for f in records[tag]])
+
+    # v, e and t records lead with their row id
+    for tag in "vet":
+        assert columns(tag, 0, 1, int).ravel().tolist() == list(range(len(records[tag])))
+    parsed = {
+        "ij": columns("v", 1, 3, int),
+        "pos": columns("v", 3, 5, float),
+        "edges": columns("e", 1, 3, int),
+        "weights": columns("e", 3, 4, float).ravel(),
+        "tris": columns("t", 1, 4, int),
+    }
     # %.17g round-trips every float64 exactly
-    for key in ("ij", "pos", "edges", "weights", "tris"):
+    for key, got in parsed.items():
         want = np.asarray(getattr(g, key))
-        assert parsed[key].dtype == want.dtype
-        assert parsed[key].tobytes() == want.tobytes()
+        assert got.dtype == want.dtype
+        assert got.tobytes() == want.tobytes()
     pairs = np.column_stack([cmap.masters, cmap.slaves]).astype(np.int64)
-    assert parsed["pairs"].tobytes() == pairs.tobytes()
-    assert parsed["pinned"] == cmap.pinned
+    assert columns("c", 0, 2, int).tobytes() == pairs.tobytes()
+    assert records["pin"] == [[str(cmap.pinned)]]
 
 
 def test_spec_validation():
@@ -269,7 +294,7 @@ def test_graph_arrays_equal_loop_enumeration(n):
         got = getattr(g, name)
         assert got.dtype == want.dtype and got.shape == want.shape, name
         assert np.array_equal(got, want), name
-    assert np.array_equal(g.tri_up, np.arange(n * n) < n * (n + 1) // 2)
+    assert np.array_equal(up_triangles(g), np.arange(n * n) < n * (n + 1) // 2)
     for i, j in ((0, 0), (n, 0), (0, n), (n // 2, n - n // 2)):
         assert g.vertex_id(i, j) == vid(i, j)
 
@@ -287,6 +312,20 @@ def test_constraints_and_select_equal_loop_build(n, phi):
     assert got.shape == want.shape
     for name in ("data", "indices", "indptr"):
         assert np.array_equal(getattr(got, name), getattr(want, name)), name
+
+
+@given(lattice_sizes, st.sampled_from([PHI5, 2.0 * np.pi / 7.0]))
+def test_layout_block_of_every_vertex(n, phi):
+    g = LatticeGraph(n)
+    block = DofLayout(g, build_constraints(g, phi)).block
+    assert block.dtype == np.int64 and block.shape == (g.n_vertices,)
+    # the free vertices, all off Gamma2, number 0..nb-1 in id order
+    free = g.ij[:, 0] > 0
+    assert block[free].tolist() == list(range(np.count_nonzero(free)))
+    # the slave (0, k) shares the block of its master (k, 0)
+    k = np.arange(1, n + 1)
+    assert np.array_equal(block[g.vertex_id(0, k)], block[g.vertex_id(k, 0)])
+    assert block[g.vertex_id(0, 0)] == -1
 
 
 def test_constraints_reject_broken_geometry():
