@@ -48,7 +48,7 @@ from .lattice import (  # noqa: F401
     reduce_config,
     rot,
 )
-from .solver import NewtonOptions, TwoGrid, hand_over, newton_minimize
+from .solver import TwoGrid, hand_over, newton_minimize
 
 # the largest sweep level that hands its minimizer over as an LU; every finer
 # one hands over its own two-grid cycle, since the LU's fill outgrows the
@@ -246,8 +246,6 @@ def run_sweep(phi, k_max, law, opts=None, cold_start=False, keep_configs=False):
     """
     if k_max < 1:
         raise ValueError("k_max must be >= 1, got %r" % k_max)
-    if opts is None:
-        opts = NewtonOptions()
     record = SweepRecord(phi)
     # glibc keeps freed heap pages resident while a small live block sits
     # above them; hand them back so the peak does not depend on earlier work
@@ -287,7 +285,7 @@ def run_sweep(phi, k_max, law, opts=None, cold_start=False, keep_configs=False):
     return record
 
 
-def run_fold_study(phi, law, eps_exp=2, max_folds=3, opts=None):
+def run_fold_study(phi, law, eps_exp, max_folds, opts=None):
     """Solve from folded starts L = 0..max_folds at eps = 2^-eps_exp.
 
     Returns a list of dicts with keys folds, energy, min_det,
@@ -295,8 +293,6 @@ def run_fold_study(phi, law, eps_exp=2, max_folds=3, opts=None):
     last one the report recorded.  Raises ValueError before any solve
     unless N = 2^eps_exp is an integer >= 1 and 0 <= max_folds <= N - 1.
     """
-    if opts is None:
-        opts = NewtonOptions()
     level = Level(2**eps_exp, phi)
     if not 0 <= max_folds <= level.n - 1:
         raise ValueError(

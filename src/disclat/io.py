@@ -33,9 +33,11 @@ def write_rows(stream, line, *columns):
         stream.write("".join([line % row for row in rows]))
 
 
-def write_config(stream, config, phi=None, n=None, p=None, psi=None):
+def write_config(stream, config, phi=None, n=None, p=None, psi=None,
+                 kappa=None, delta=None):
     """Write a configuration: a comment header with the run parameters, then
-    one `u <id> <ux> <uy>` line per vertex."""
+    one `u <id> <ux> <uy>` line per vertex.  kappa and delta are written
+    only after psi=smoothed_abs, the one penalty they parametrize."""
     meta = []
     if phi is not None:
         meta.append("phi=" + _fmt(phi))
@@ -45,6 +47,11 @@ def write_config(stream, config, phi=None, n=None, p=None, psi=None):
         meta.append("p=" + _fmt(p))
     if psi is not None:
         meta.append("psi=%s" % psi)
+    if psi == "smoothed_abs":
+        if kappa is not None:
+            meta.append("kappa=" + _fmt(kappa))
+        if delta is not None:
+            meta.append("delta=" + _fmt(delta))
     if meta:
         stream.write("# " + " ".join(meta) + "\n")
     ux, uy = np.asarray(config, dtype=float).T
@@ -75,7 +82,7 @@ def read_config(stream):
     if sorted(rows) != list(range(len(rows))):
         raise ValueError("config vertex ids are not 0..%d" % (len(rows) - 1))
     config = np.array([rows[i] for i in range(len(rows))])
-    for key in ("phi", "p"):
+    for key in ("phi", "p", "kappa", "delta"):
         if key in meta:
             meta[key] = float(meta[key])
     if "n" in meta:

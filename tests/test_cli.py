@@ -10,7 +10,9 @@ import pytest
 from hypothesis import given, strategies as st
 from hypothesis.extra.numpy import arrays
 
-from disclat.cli import CliError, main, parse_phi, phi_slug
+import disclat.analysis
+import disclat.solver
+from disclat.cli import main, parse_phi, phi_slug
 from disclat.experiments import folded_init
 from disclat.io import read_config, write_config
 from disclat.lattice import LatticeGraph, build_constraints, dump_lattice
@@ -22,11 +24,11 @@ def test_parse_phi_selectors():
     assert parse_phi("5") == pytest.approx(2.0 * np.pi / 5.0)
     assert parse_phi("7") == pytest.approx(2.0 * np.pi / 7.0)
     assert parse_phi("1.0472") == pytest.approx(1.0472)
-    with pytest.raises(CliError):
+    with pytest.raises(ValueError):
         parse_phi("x")
-    with pytest.raises(CliError):
+    with pytest.raises(ValueError):
         parse_phi("7.0")       # radians out of (0, 2pi)
-    with pytest.raises(CliError):
+    with pytest.raises(ValueError):
         parse_phi("0")
 
 
@@ -76,6 +78,19 @@ def test_minimize_from_config_file(tmp_path):
     assert code == 0
     log = (tmp_path / "solve_eps2.csv").read_text().strip().split("\n")
     assert len(log) <= 3     # header + at most initial state and one step
+
+
+def test_penalized_minimize_dump_names_its_penalty(tmp_path):
+    code = main(["minimize", "--eps-exp", "2", "--psi", "smoothed_abs",
+                 "--kappa", "3", "--out", str(tmp_path)])
+    assert code == 0
+    with open(tmp_path / "config_eps2.txt") as fh:
+        header = fh.readline()
+        fh.seek(0)
+        _, meta = read_config(fh)
+    assert header.endswith(" p=2 psi=smoothed_abs kappa=3 delta=0.01\n")
+    assert meta["psi"] == "smoothed_abs"
+    assert meta["kappa"] == 3.0 and meta["delta"] == 0.01
 
 
 @given(st.data())
@@ -147,6 +162,25 @@ def test_verify_subset_jsonl(tmp_path):
     for r in rows:
         assert r["pass"] is True
         assert "min_slack" in r
+
+
+@pytest.mark.parametrize("off, code", [(0.0, 0), (2e-6, 1)], ids=["exact", "off"])
+def test_verify_dist_so2_and_frustration(tmp_path, monkeypatch, off, code):
+    # the grid oracle (seconds per run) is replaced by the closed form,
+    # scaled off by the relative error `off`; 1e-6 is the check's bound
+    exact = disclat.analysis.dist_so2_squared
+    monkeypatch.setattr(disclat.analysis, "dist_so2_grid",
+                        lambda a: exact(a) * (1.0 + off))
+    assert main(["verify", "--check", "dist_so2", "--check", "frustration",
+                 "--out", str(tmp_path)]) == code
+    rows = [json.loads(line)
+            for line in (tmp_path / "verify.jsonl").read_text().splitlines()]
+    assert [r["check"] for r in rows] == ["dist_so2_oracle", "frustration"]
+    assert [r["pass"] for r in rows] == [off == 0.0, True]
+    assert set(rows[0]) == {"check", "pass", "min_slack", "max_rel_err"}
+    assert set(rows[1]) == {"check", "pass", "min_slack", "control_energy"}
+    assert rows[0]["max_rel_err"] == pytest.approx(off, rel=1e-6, abs=1e-15)
+    assert rows[1]["control_energy"] <= 1e-14 and rows[1]["min_slack"] > 0.0
 
 
 def test_verify_unknown_check(tmp_path, capsys):
@@ -238,6 +272,44 @@ def test_missing_init_file_exits_2(tmp_path, capsys, text):
     assert err.startswith("error: cannot read init file") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [(["minimize", "--init", "linear:foo"], "unknown linear init mode 'foo'"),
+     (["minimize", "--init", "file:{big}"],
+      "config has shape (153, 2), expected (15, 2)"),
+     (["render", "--init", "file:{big}"],
+      "config has shape (153, 2), expected (15, 2)"),
+     (["render", "--p", "1"], "bond exponent p must be finite and >= 2"),
+     (["render", "--psi", "bogus"], "unknown psi variant 'bogus'"),
+     (["render", "--grad-tol", "-3"], "grad_tol must be positive")],
+    ids=["linear-mode", "minimize-file-size", "render-file-size", "render-p",
+         "render-psi", "render-grad-tol"],
+)
+def test_library_rejects_input_exits_2(tmp_path, capsys, argv, message):
+    # a 153-vertex (N = 16) dump against the 15 vertices of N = 4; render
+    # checks its law and solver options without --solve
+    big = tmp_path / "big.txt"
+    with open(big, "w") as fh:
+        write_config(fh, LatticeGraph(16).pos, n=16)
+    out = tmp_path / "out"
+    argv = [a.format(big=big) for a in argv]
+    assert main(argv + ["--eps-exp", "2", "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: " + message) and err.count("\n") == 1
+    assert not out.exists()
+
+
+def test_minimize_reports_singular_system(tmp_path, monkeypatch, capsys):
+    # neither factorization yields a step, so the solve gives up
+    monkeypatch.setattr(disclat.solver, "_lu_solve", lambda h, tau, b: None)
+    monkeypatch.setattr(disclat.solver.BandLayout, "solve",
+                        lambda self, h, tau, b: None)
+    assert main(["minimize", "--eps-exp", "2", "--out", str(tmp_path)]) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and err == "error: no usable step up to tau = 1e+08\n"
+    assert not any(tmp_path.iterdir())
+
+
 def test_no_subcommand_prints_help(capsys):
     assert main([]) == 2
     assert "mesh" in capsys.readouterr().out
@@ -261,8 +333,10 @@ def test_bad_solver_option_exits_2(tmp_path, capsys, option):
      (["--psi", "smoothed_abs", "--kappa", "nan"], "smoothed_abs"),
      (["--psi", "smoothed_abs", "--kappa", "inf"], "smoothed_abs"),
      (["--psi", "smoothed_abs", "--delta", "nan"], "smoothed_abs"),
-     (["--psi", "smoothed_abs", "--delta", "inf"], "smoothed_abs")],
-    ids=["p-inf", "p-nan", "kappa-nan", "kappa-inf", "delta-nan", "delta-inf"],
+     (["--psi", "smoothed_abs", "--delta", "inf"], "smoothed_abs"),
+     (["--psi", "bogus"], "unknown psi variant 'bogus'")],
+    ids=["p-inf", "p-nan", "kappa-nan", "kappa-inf", "delta-nan", "delta-inf",
+         "psi-bogus"],
 )
 def test_nonfinite_material_law_exits_2(tmp_path, capsys, option, message):
     code = main(["sweep", "--phi", "5", "--eps-max-exp", "2", "--out", str(tmp_path)]

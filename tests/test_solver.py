@@ -23,6 +23,7 @@ from disclat.solver import (
     DIAG_PIVOT_THRESH,
     BandLayout,
     NewtonOptions,
+    SingularSystemError,
     TwoGrid,
     _cg,
     _factor_step,
@@ -94,6 +95,31 @@ def test_newton_step_regularizes_singular_hessian():
     s, tau, _ = _factor_step(h, g, BandLayout(h))
     assert tau > 0.0                      # had to regularize
     assert g @ s < 0.0                    # still a descent direction
+
+
+def test_factor_step_gives_up_past_tau_limit(monkeypatch):
+    # neither factorization yields a step at any tau
+    monkeypatch.setattr(disclat.solver, "_lu_solve", lambda h, tau, b: None)
+    monkeypatch.setattr(BandLayout, "solve", lambda self, h, tau, b: None)
+    h = sp.identity(3, format="csr")
+    with pytest.raises(SingularSystemError, match="no usable step"):
+        _factor_step(h, np.ones(3), BandLayout(h))
+
+
+def test_line_search_that_rejects_every_trial_stops_at_the_start(monkeypatch):
+    level = Level(4, PHI5)
+    start = level.expand(level.reduce(linear_init(level.graph, PHI5)))
+    real = disclat.solver.assemble_energy
+
+    def only_the_start_is_finite(graph, config, law):
+        return real(graph, config, law) if np.array_equal(config, start) else np.inf
+
+    monkeypatch.setattr(disclat.solver, "assemble_energy", only_the_start_is_finite)
+    config, report = newton_minimize(level, LAW, start)
+    assert config.tobytes() == start.tobytes()
+    assert not report.converged
+    assert report.iterations == 1 and report.step_norm == [0.0, 0.0]
+    assert report.energy[0] == report.energy[1] == real(level.graph, start, LAW)
 
 
 def star_pattern(n):

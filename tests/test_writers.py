@@ -80,7 +80,8 @@ def loop_dump_lattice(graph, cmap, stream):
     stream.write("pin %d\n" % cmap.pinned)
 
 
-def loop_write_config(stream, config, phi=None, n=None, p=None, psi=None):
+def loop_write_config(stream, config, phi=None, n=None, p=None, psi=None,
+                      kappa=None, delta=None):
     """The per-line config dump, kept as the oracle for write_config."""
     meta = []
     if phi is not None:
@@ -91,6 +92,10 @@ def loop_write_config(stream, config, phi=None, n=None, p=None, psi=None):
         meta.append("p=%.17g" % float(p))
     if psi is not None:
         meta.append("psi=%s" % psi)
+    if psi == "smoothed_abs" and kappa is not None:
+        meta.append("kappa=%.17g" % float(kappa))
+    if psi == "smoothed_abs" and delta is not None:
+        meta.append("delta=%.17g" % float(delta))
     if meta:
         stream.write("# " + " ".join(meta) + "\n")
     for vid, (ux, uy) in enumerate(np.asarray(config, dtype=float)):
@@ -152,7 +157,9 @@ def test_write_config_matches_loop(data):
     config = data.draw(arrays(np.float64, shape, elements=values))
     meta = dict(phi=data.draw(st.none() | st.floats()), n=n,
                 p=data.draw(st.none() | st.floats()),
-                psi=data.draw(st.none() | st.just("zero")))
+                psi=data.draw(st.none() | st.sampled_from(["zero", "smoothed_abs"])),
+                kappa=data.draw(st.none() | st.floats()),
+                delta=data.draw(st.none() | st.floats()))
     assert (written(write_config, config, **meta)
             == written(loop_write_config, config, **meta))
 
