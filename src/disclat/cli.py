@@ -4,15 +4,16 @@ Subcommands: mesh, minimize, sweep, fold-study, verify, render.  All file
 outputs land under --out with fixed names (mesh_eps<k>.txt,
 config_eps<k>.txt, solve_eps<k>.csv, sweep_phi<sel>.csv,
 fold_phi<sel>.csv, verify.jsonl, render_eps<k>.svg); without --out,
-tabular results go to stdout.
+tabular results go to stdout.  render only draws its --init; a minimizer
+is drawn from minimize's dump, --init file:<out>/config_eps<k>.txt.
 
 Only stdlib imports happen at module load; each command imports the
 library names it uses when it runs, so it calls whatever those names are
 bound to then (perfbench's tracer rebinds them on their defining modules to
 time each layer).  The library owns the defaults of the material law and
 the solver options and checks every value: an option the user did not give
-is not passed, and the errors the library raises (ValueError, RuntimeError,
-OSError) surface as a one-line diagnostic instead of a traceback.
+is not passed.  An error is one `error:` line instead of a traceback, with
+exit status 2 for a rejected input and 1 for a failed solve or write.
 """
 
 import argparse
@@ -84,20 +85,34 @@ def build_init(args, level):
         path = spec.split(":", 1)[1]
         try:
             with open(path) as fh:
-                config, _ = read_config(fh)
+                config, meta = read_config(fh)
         except (OSError, ValueError) as err:
             raise ValueError("cannot read init file %s: %s" % (path, err))
+        if meta.get("phi", phi) != phi:
+            raise ValueError("init file %s is for phi = %r, not %r"
+                             % (path, meta["phi"], phi))
         return config
     raise ValueError(
         "init must be linear:<mode>, fold:<L>, or file:<path>, got %r" % spec
     )
 
 
-def out_path(args, name):
+def write_output(args, name, write):
+    """Call write(stream) on stdout without --out, else on the file name
+    under --out, and print its path; a file that write fails on is removed."""
     if args.out is None:
-        return None
+        write(sys.stdout)
+        return
     os.makedirs(args.out, exist_ok=True)
-    return os.path.join(args.out, name)
+    path = os.path.join(args.out, name)
+    fh = open(path, "w")
+    try:
+        with fh:
+            write(fh)
+    except BaseException:
+        os.remove(path)
+        raise
+    print("wrote %s" % path)
 
 
 def cmd_mesh(args):
@@ -106,16 +121,8 @@ def cmd_mesh(args):
     phi = parse_phi(args.phi)
     k = check_eps_exp(args.eps_exp)
     level = Level(2**k, phi)    # its layout validates the reduction
-    graph = level.graph
-    path = out_path(args, "mesh_eps%d.txt" % k)
-    if path is None:
-        dump_lattice(graph, level.cmap, sys.stdout)
-    else:
-        with open(path, "w") as fh:
-            dump_lattice(graph, level.cmap, fh)
-        print("wrote %s (%d vertices, %d edges, %d triangles)"
-              % (path, graph.n_vertices, graph.edges.shape[0],
-                 graph.tris.shape[0]))
+    write_output(args, "mesh_eps%d.txt" % k,
+                 lambda fh: dump_lattice(level.graph, level.cmap, fh))
     return 0
 
 
@@ -123,7 +130,7 @@ def cmd_minimize(args):
     from .analysis import det_summary
     from .io import write_config
     from .lattice import Level
-    from .solver import SingularSystemError, newton_minimize
+    from .solver import newton_minimize
 
     phi = parse_phi(args.phi)
     k = check_eps_exp(args.eps_exp)
@@ -131,22 +138,14 @@ def cmd_minimize(args):
     law = make_law(args)
     opts = make_options(args)
     init = build_init(args, level)
-    try:
-        config, report = newton_minimize(level, law, init, opts)
-    except SingularSystemError as err:
-        print("error: %s" % err, file=sys.stderr)
-        return 1
+    config, report = newton_minimize(level, law, init, opts)
     _, min_det, nonpos = det_summary(level.graph, config)
     energy = report.energy[-1]
-    cfg_path = out_path(args, "config_eps%d.txt" % k)
-    if cfg_path is not None:
-        with open(cfg_path, "w") as fh:
-            write_config(fh, config, phi=phi, n=level.n, p=law.p,
-                         psi=law.psi_name, kappa=law.kappa, delta=law.delta)
-    log_path = out_path(args, "solve_eps%d.csv" % k)
-    if log_path is not None:
-        with open(log_path, "w") as fh:
-            report.write_csv(fh)
+    if args.out is not None:
+        write_output(args, "config_eps%d.txt" % k, lambda fh: write_config(
+            fh, config, phi=phi, n=level.n, p=law.p, psi=law.psi_name,
+            kappa=law.kappa, delta=law.delta))
+        write_output(args, "solve_eps%d.csv" % k, report.write_csv)
     print(
         "phi=%.6f eps=2^-%d energy=%.10e iters=%d grad_inf=%.3e "
         "min_det=%.6f nonpos_dets=%d converged=%s"
@@ -164,13 +163,8 @@ def cmd_sweep(args):
     law = make_law(args)
     opts = make_options(args)
     record = run_sweep(phi, args.eps_max_exp, law, opts, cold_start=args.cold_start)
-    path = out_path(args, "sweep_phi%s.csv" % phi_slug(args.phi))
-    if path is None:
-        write_sweep_csv(sys.stdout, record)
-    else:
-        with open(path, "w") as fh:
-            write_sweep_csv(fh, record)
-        print("wrote %s" % path)
+    write_output(args, "sweep_phi%s.csv" % phi_slug(args.phi),
+                 lambda fh: write_sweep_csv(fh, record))
     for _, k, energy, p_eps, min_det, _, iters, conv in record.rows():
         print(
             "eps=2^-%d energy=%.10e p_eps=%s min_det=%.6f iters=%d%s"
@@ -191,13 +185,8 @@ def cmd_fold_study(args):
     opts = make_options(args)
     results = run_fold_study(phi, law, eps_exp=k, max_folds=args.max_folds,
                              opts=opts)
-    path = out_path(args, "fold_phi%s.csv" % phi_slug(args.phi))
-    if path is None:
-        write_fold_csv(sys.stdout, phi, results)
-    else:
-        with open(path, "w") as fh:
-            write_fold_csv(fh, phi, results)
-        print("wrote %s" % path)
+    write_output(args, "fold_phi%s.csv" % phi_slug(args.phi),
+                 lambda fh: write_fold_csv(fh, phi, results))
     for row in results:
         print(
             "folds=%d energy=%.10e min_det=%.6f nonpos_dets=%d iters=%d%s"
@@ -300,7 +289,7 @@ def cmd_verify(args):
     if bad:
         raise ValueError("unknown checks: %s (known: %s)"
                          % (",".join(bad), ",".join(ALL_CHECKS)))
-    args.checks = ALL_CHECKS if args.all or not args.check else args.check
+    args.checks = args.check or ALL_CHECKS
     results = []
     all_pass = True
     for row in _verify_checks(args):
@@ -309,69 +298,43 @@ def cmd_verify(args):
         print("%-22s %s  min_slack=%.3e"
               % (row["check"], "PASS" if row["pass"] else "FAIL",
                  row["min_slack"]))
-    path = out_path(args, "verify.jsonl")
-    if path is not None:
-        with open(path, "w") as fh:
-            write_verify_jsonl(fh, results)
-        print("wrote %s" % path)
+    if args.out is not None:
+        write_output(args, "verify.jsonl",
+                     lambda fh: write_verify_jsonl(fh, results))
     return 0 if all_pass else 1
 
 
 def cmd_render(args):
     from .lattice import Level
     from .render import render_svg
-    from .solver import newton_minimize
 
     phi = parse_phi(args.phi)
     k = check_eps_exp(args.eps_exp)
     level = Level(2**k, phi)
-    law = make_law(args)
-    opts = make_options(args)
     config = level.expand(level.reduce(build_init(args, level)))
-    if args.solve:
-        config, report = newton_minimize(level, law, config, opts)
-        if not report.converged:
-            print("warning: solve did not converge", file=sys.stderr)
-    path = out_path(args, "render_eps%d.svg" % k)
-    try:
-        if path is None:
-            render_svg(sys.stdout, level.graph, config, phi=phi,
-                       copies=args.copies)
-        else:
-            with open(path, "w") as fh:
-                render_svg(fh, level.graph, config, phi=phi, copies=args.copies)
-    except ValueError:
-        # render_svg checks before it writes, so the file is still empty
-        if path is not None:
-            os.remove(path)
-        raise
-    if path is not None:
-        print("wrote %s" % path)
+    write_output(args, "render_eps%d.svg" % k, lambda fh: render_svg(
+        fh, level.graph, config, phi=phi, copies=args.copies))
     return 0
 
 
-def _add_common_args(sub):
+def build_parser():
+    # a parent's actions are shared by its subparsers, so --phi, whose
+    # default differs (7 for fold-study), is added per subparser
+    out = argparse.ArgumentParser(add_help=False)
     # also accepted before the subcommand; SUPPRESS keeps the subparser from
     # clobbering a value given at the top level
-    sub.add_argument("--out", default=argparse.SUPPRESS,
+    out.add_argument("--out", default=argparse.SUPPRESS,
                      help="output directory (default: print to stdout)")
-
-
-def _add_law_args(sub):
+    solve = argparse.ArgumentParser(add_help=False)
     # no defaults here: an option left out is not passed, so MaterialLaw's
     # and NewtonOptions' own defaults apply
-    sub.add_argument("--p", type=float, help="bond potential exponent, >= 2")
-    sub.add_argument("--psi", help="volumetric penalty: zero or smoothed_abs")
-    sub.add_argument("--kappa", type=float, help="smoothed_abs strength")
-    sub.add_argument("--delta", type=float, help="smoothed_abs smoothing width")
+    solve.add_argument("--p", type=float, help="bond potential exponent, >= 2")
+    solve.add_argument("--psi", help="volumetric penalty: zero or smoothed_abs")
+    solve.add_argument("--kappa", type=float, help="smoothed_abs strength")
+    solve.add_argument("--delta", type=float, help="smoothed_abs smoothing width")
+    solve.add_argument("--max-iter", type=int)
+    solve.add_argument("--grad-tol", type=float)
 
-
-def _add_solver_args(sub):
-    sub.add_argument("--max-iter", type=int)
-    sub.add_argument("--grad-tol", type=float)
-
-
-def build_parser():
     parser = argparse.ArgumentParser(
         prog="disclat",
         description="Wedge disclination energies on a triangular lattice: "
@@ -382,66 +345,54 @@ def build_parser():
                         help="output directory (default: print to stdout)")
     sub = parser.add_subparsers(dest="command")
 
-    p_mesh = sub.add_parser("mesh", help="dump the reference lattice")
-    _add_common_args(p_mesh)
+    p_mesh = sub.add_parser("mesh", parents=[out],
+                            help="dump the reference lattice")
     p_mesh.add_argument("--phi", default="5")
     p_mesh.add_argument("--eps-exp", type=int, required=True,
                         help="lattice spacing exponent k, eps = 2^-k")
     p_mesh.set_defaults(func=cmd_mesh)
 
-    p_min = sub.add_parser("minimize", help="Newton-minimize one system")
-    _add_common_args(p_min)
+    p_min = sub.add_parser("minimize", parents=[out, solve],
+                           help="Newton-minimize one system")
     p_min.add_argument("--phi", default="5")
     p_min.add_argument("--eps-exp", type=int, required=True)
     p_min.add_argument("--init", default="linear:det1",
                        help="linear:det1 | linear:edge | fold:<L> | "
                             "file:<path>")
-    _add_law_args(p_min)
-    _add_solver_args(p_min)
     p_min.set_defaults(func=cmd_minimize)
 
-    p_sweep = sub.add_parser("sweep", help="eps-halving refinement sweep")
-    _add_common_args(p_sweep)
+    p_sweep = sub.add_parser("sweep", parents=[out, solve],
+                             help="eps-halving refinement sweep")
     p_sweep.add_argument("--phi", default="5")
     p_sweep.add_argument("--eps-max-exp", type=int, default=8)
     p_sweep.add_argument("--cold-start", action="store_true",
                          help="restart each level from the linear init "
                               "instead of prolongation")
-    _add_law_args(p_sweep)
-    _add_solver_args(p_sweep)
     p_sweep.set_defaults(func=cmd_sweep)
 
-    p_fold = sub.add_parser("fold-study", help="folded initial conditions")
-    _add_common_args(p_fold)
+    p_fold = sub.add_parser("fold-study", parents=[out, solve],
+                            help="folded initial conditions")
     p_fold.add_argument("--phi", default="7")
     p_fold.add_argument("--eps-exp", type=int, default=2)
     p_fold.add_argument("--max-folds", type=int, default=3)
-    _add_law_args(p_fold)
-    _add_solver_args(p_fold)
     p_fold.set_defaults(func=cmd_fold_study)
 
-    p_ver = sub.add_parser("verify", help="run the structural checks")
-    _add_common_args(p_ver)
+    p_ver = sub.add_parser("verify", parents=[out],
+                           help="run the structural checks")
     p_ver.add_argument("--seed", type=int, default=0,
                        help="seed for sampled checks (default 0)")
-    p_ver.add_argument("--all", action="store_true",
-                       help="run every check (default when none named)")
     p_ver.add_argument("--check", action="append",
-                       help="run one named check (repeatable): "
-                            + ",".join(ALL_CHECKS))
+                       help="run one named check (repeatable; default: all "
+                            "of " + ",".join(ALL_CHECKS) + ")")
     p_ver.set_defaults(func=cmd_verify)
 
-    p_ren = sub.add_parser("render", help="SVG picture of a configuration")
-    _add_common_args(p_ren)
+    p_ren = sub.add_parser("render", parents=[out],
+                           help="SVG picture of a configuration")
     p_ren.add_argument("--phi", default="5")
     p_ren.add_argument("--eps-exp", type=int, required=True)
     p_ren.add_argument("--init", default="linear:det1")
-    p_ren.add_argument("--solve", action="store_true",
-                       help="minimize before rendering")
     p_ren.add_argument("--copies", action="store_true",
                        help="composite all floor(2pi/phi) rotated copies")
-    _add_law_args(p_ren)
-    _add_solver_args(p_ren)
     p_ren.set_defaults(func=cmd_render)
     return parser
 
@@ -454,12 +405,13 @@ def main(argv=None):
         return 2
     try:
         return args.func(args)
-    except (RuntimeError, ValueError) as err:
+    except (RuntimeError, ValueError, OSError) as err:
+        from .solver import SingularSystemError
+
         print("error: %s" % err, file=sys.stderr)
-        return 2
-    except OSError as err:
-        print("error: %s" % err, file=sys.stderr)
-        return 1
+        # run_sweep re-raises a failed solve as the cause of its RuntimeError
+        failed = (OSError, SingularSystemError)
+        return 1 if any(isinstance(e, failed) for e in (err, err.__cause__)) else 2
 
 
 if __name__ == "__main__":

@@ -11,8 +11,9 @@ from hypothesis import given, strategies as st
 from hypothesis.extra.numpy import arrays
 
 import disclat.analysis
+import disclat.io
 import disclat.solver
-from disclat.cli import main, parse_phi, phi_slug
+from disclat.cli import build_parser, main, parse_phi, phi_slug
 from disclat.experiments import folded_init
 from disclat.io import read_config, write_config
 from disclat.lattice import LatticeGraph, build_constraints, dump_lattice
@@ -142,6 +143,19 @@ def test_fold_study_rejects_too_many_folds(tmp_path, capsys):
         assert not any(tmp_path.iterdir())    # nothing was solved
 
 
+def test_sweep_leaves_no_partial_csv(tmp_path, monkeypatch, capsys):
+    # a writer that fails after its first line takes its file with it
+    def failing_writer(fh, record):
+        fh.write("phi,eps_exp\n")
+        raise OSError("disk full")
+
+    monkeypatch.setattr(disclat.io, "write_sweep_csv", failing_writer)
+    code = main(["sweep", "--eps-max-exp", "2", "--out", str(tmp_path)])
+    assert code == 1
+    assert capsys.readouterr().err == "error: disk full\n"
+    assert not (tmp_path / "sweep_phi5.csv").exists()
+
+
 def test_sweep_rejects_no_levels(tmp_path, capsys):
     # one rule, the library's, for every exponent below 1
     for k_max in ("0", "-1"):
@@ -185,8 +199,8 @@ def test_verify_dist_so2_and_frustration(tmp_path, monkeypatch, off, code):
 
 def test_verify_unknown_check(tmp_path, capsys):
     assert main(["verify", "--check", "bogus", "--out", str(tmp_path)]) == 2
-    # the names are checked before --all runs anything
-    assert main(["verify", "--all", "--check", "bogus",
+    # the names are checked before any check runs
+    assert main(["verify", "--check", "svd2", "--check", "bogus",
                  "--out", str(tmp_path)]) == 2
     out, err = capsys.readouterr()
     assert out == "" and err.count("error: unknown checks: bogus") == 2
@@ -278,16 +292,11 @@ def test_missing_init_file_exits_2(tmp_path, capsys, text):
      (["minimize", "--init", "file:{big}"],
       "config has shape (153, 2), expected (15, 2)"),
      (["render", "--init", "file:{big}"],
-      "config has shape (153, 2), expected (15, 2)"),
-     (["render", "--p", "1"], "bond exponent p must be finite and >= 2"),
-     (["render", "--psi", "bogus"], "unknown psi variant 'bogus'"),
-     (["render", "--grad-tol", "-3"], "grad_tol must be positive")],
-    ids=["linear-mode", "minimize-file-size", "render-file-size", "render-p",
-         "render-psi", "render-grad-tol"],
+      "config has shape (153, 2), expected (15, 2)")],
+    ids=["linear-mode", "minimize-file-size", "render-file-size"],
 )
 def test_library_rejects_input_exits_2(tmp_path, capsys, argv, message):
-    # a 153-vertex (N = 16) dump against the 15 vertices of N = 4; render
-    # checks its law and solver options without --solve
+    # a 153-vertex (N = 16) dump against the 15 vertices of N = 4
     big = tmp_path / "big.txt"
     with open(big, "w") as fh:
         write_config(fh, LatticeGraph(16).pos, n=16)
@@ -299,14 +308,22 @@ def test_library_rejects_input_exits_2(tmp_path, capsys, argv, message):
     assert not out.exists()
 
 
-def test_minimize_reports_singular_system(tmp_path, monkeypatch, capsys):
-    # neither factorization yields a step, so the solve gives up
+@pytest.mark.parametrize(
+    "argv",
+    [["minimize", "--eps-exp", "2"], ["sweep", "--eps-max-exp", "2"],
+     ["fold-study", "--eps-exp", "2", "--max-folds", "1"]],
+    ids=["minimize", "sweep", "fold-study"],
+)
+def test_minimize_reports_singular_system(tmp_path, monkeypatch, capsys, argv):
+    # neither factorization yields a step, so the solve gives up: a failed
+    # solve exits 1 from every command, not 2 like a rejected input
     monkeypatch.setattr(disclat.solver, "_lu_solve", lambda h, tau, b: None)
     monkeypatch.setattr(disclat.solver.BandLayout, "solve",
                         lambda self, h, tau, b: None)
-    assert main(["minimize", "--eps-exp", "2", "--out", str(tmp_path)]) == 1
+    assert main(argv + ["--out", str(tmp_path)]) == 1
     out, err = capsys.readouterr()
-    assert out == "" and err == "error: no usable step up to tau = 1e+08\n"
+    assert out == "" and err.startswith("error: ") and err.count("\n") == 1
+    assert err.endswith("no usable step up to tau = 1e+08\n")
     assert not any(tmp_path.iterdir())
 
 
@@ -398,6 +415,14 @@ SUBCOMMANDS = {"mesh": ["mesh", "--eps-exp", "1"],
                "render": ["render", "--eps-exp", "1"]}
 
 
+def test_default_phi_per_subcommand():
+    # the subcommands share parent parsers, whose actions are shared
+    # objects; a default set through one would change every subcommand's
+    parser = build_parser()
+    assert {name: parser.parse_args(argv).phi for name, argv in SUBCOMMANDS.items()} == {
+        "mesh": "5", "minimize": "5", "sweep": "5", "fold-study": "7", "render": "5"}
+
+
 @pytest.mark.parametrize(
     "argv",
     [argv + ["--seed", "3"] for argv in SUBCOMMANDS.values()]
@@ -413,18 +438,35 @@ def test_seed_is_a_verify_option(tmp_path, argv):
     assert exc.value.code == 2
 
 
-def test_render_solve_writes_svg(tmp_path, capsys):
-    argv = ["render", "--phi", "5", "--eps-exp", "2", "--init", "fold:1",
-            "--solve", "--out", str(tmp_path)]
-    assert main(argv) == 0
-    assert capsys.readouterr().err == ""
-    svg = (tmp_path / "render_eps2.svg").read_bytes()
-    assert svg.startswith(b"<?xml") and b"<polygon" in svg
+def test_render_draws_a_minimize_dump(tmp_path):
+    # the way to draw a minimizer; these are the bytes that the former
+    # render --solve wrote for the same run
+    d = tmp_path / "d"
+    assert main(["minimize", "--phi", "5", "--eps-exp", "3", "--init", "fold:1",
+                 "--out", str(d)]) == 0
+    assert main(["render", "--phi", "5", "--eps-exp", "3",
+                 "--init", "file:%s" % (d / "config_eps3.txt"),
+                 "--out", str(tmp_path)]) == 0
+    assert (hashlib.sha256((tmp_path / "render_eps3.svg").read_bytes()).hexdigest()
+            == "580e6c67cf5a71ac96de9326a2be6ec50db1ed1202c755e46edc41516bc7d773")
 
 
-def test_render_solve_warns_when_not_converged(tmp_path, capsys):
-    argv = ["render", "--phi", "5", "--eps-exp", "2", "--init", "fold:1",
-            "--solve", "--max-iter", "1", "--out", str(tmp_path)]
-    assert main(argv) == 0
-    assert capsys.readouterr().err == "warning: solve did not converge\n"
-    assert (tmp_path / "render_eps2.svg").read_bytes().startswith(b"<?xml")
+@pytest.mark.parametrize("keep_header, code", [(True, 2), (False, 0)],
+                         ids=["other-phi", "no-phi"])
+def test_file_init_must_match_phi(tmp_path, capsys, keep_header, code):
+    # a 2pi/7 dump is refused as a 2pi/5 start; without a header it is taken
+    main(["minimize", "--phi", "7", "--eps-exp", "2", "--out", str(tmp_path)])
+    lines = (tmp_path / "config_eps2.txt").read_text().splitlines(keepends=True)
+    assert lines[0].startswith("# phi=0.897")
+    init = tmp_path / "init.txt"
+    init.write_text("".join(lines if keep_header else lines[1:]))
+    out = tmp_path / "out"
+    capsys.readouterr()
+    assert main(["minimize", "--phi", "5", "--eps-exp", "2",
+                 "--init", "file:%s" % init, "--out", str(out)]) == code
+    err = capsys.readouterr().err
+    if keep_header:
+        assert err.startswith("error: init file %s is for phi = 0.897" % init)
+        assert err.count("\n") == 1 and not out.exists()
+    else:
+        assert err == "" and (out / "config_eps2.txt").exists()
