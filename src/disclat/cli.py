@@ -48,6 +48,13 @@ def check_eps_exp(k):
     return k
 
 
+def misplaced_seed(text):
+    """Type of the top-level --seed, which only refuses: argparse would
+    otherwise read its value as the subcommand."""
+    raise argparse.ArgumentTypeError(
+        "goes after verify: disclat verify --seed %s" % text)
+
+
 def given_options(args, names):
     """The options among names that the user gave, by name."""
     return {name: getattr(args, name) for name in names
@@ -313,7 +320,7 @@ def cmd_render(args):
     level = Level(2**k, phi)
     config = level.expand(level.reduce(build_init(args, level)))
     write_output(args, "render_eps%d.svg" % k, lambda fh: render_svg(
-        fh, level.graph, config, phi=phi, copies=args.copies))
+        fh, level.graph, config, phi=phi if args.copies else None))
     return 0
 
 
@@ -343,6 +350,8 @@ def build_parser():
     )
     parser.add_argument("--out", default=None,
                         help="output directory (default: print to stdout)")
+    parser.add_argument("--seed", type=misplaced_seed, default=argparse.SUPPRESS,
+                        help=argparse.SUPPRESS)
     sub = parser.add_subparsers(dest="command")
 
     p_mesh = sub.add_parser("mesh", parents=[out],

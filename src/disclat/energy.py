@@ -74,20 +74,29 @@ class MaterialLaw:
     psi is "zero" (Psi == 0, the setting of all convergence and fold runs) or
     "smoothed_abs": Psi(a) = kappa*(sqrt((a-1)^2 + delta^2) - delta), a smooth
     stand-in for |a - 1| that keeps Psi >= 0 with equality iff a = 1.
+    kappa and delta parametrize only that penalty: under smoothed_abs they
+    default to 1 and 1e-2, under zero they stay None and giving either one
+    raises ValueError.
     """
 
-    def __init__(self, p=2.0, psi="zero", kappa=1.0, delta=1e-2):
+    def __init__(self, p=2.0, psi="zero", kappa=None, delta=None):
         # the negated range tests reject NaN as well as inf
         if not 2 <= p < np.inf:
             raise ValueError("bond exponent p must be finite and >= 2, got %r" % p)
         if psi not in ("zero", "smoothed_abs"):
             raise ValueError("unknown psi variant %r" % psi)
-        if psi == "smoothed_abs" and not (0 < kappa < np.inf and 0 < delta < np.inf):
-            raise ValueError("smoothed_abs needs finite kappa > 0 and delta > 0")
+        if psi == "zero":
+            if kappa is not None or delta is not None:
+                raise ValueError("kappa and delta need psi = smoothed_abs")
+        else:
+            kappa = 1.0 if kappa is None else float(kappa)
+            delta = 1e-2 if delta is None else float(delta)
+            if not (0 < kappa < np.inf and 0 < delta < np.inf):
+                raise ValueError("smoothed_abs needs finite kappa > 0 and delta > 0")
         self.p = float(p)
         self.psi_name = psi
-        self.kappa = float(kappa)
-        self.delta = float(delta)
+        self.kappa = kappa
+        self.delta = delta
 
     def Phi(self, r):
         return np.abs(r) ** self.p / self.p

@@ -36,8 +36,9 @@ def write_rows(stream, line, *columns):
 def write_config(stream, config, phi=None, n=None, p=None, psi=None,
                  kappa=None, delta=None):
     """Write a configuration: a comment header with the run parameters, then
-    one `u <id> <ux> <uy>` line per vertex.  kappa and delta are written
-    only after psi=smoothed_abs, the one penalty they parametrize."""
+    one `u <id> <ux> <uy>` line per vertex.  A parameter left at None is
+    not written; MaterialLaw keeps kappa and delta None unless psi is
+    smoothed_abs, the one penalty they parametrize."""
     meta = []
     if phi is not None:
         meta.append("phi=" + _fmt(phi))
@@ -47,11 +48,10 @@ def write_config(stream, config, phi=None, n=None, p=None, psi=None,
         meta.append("p=" + _fmt(p))
     if psi is not None:
         meta.append("psi=%s" % psi)
-    if psi == "smoothed_abs":
-        if kappa is not None:
-            meta.append("kappa=" + _fmt(kappa))
-        if delta is not None:
-            meta.append("delta=" + _fmt(delta))
+    if kappa is not None:
+        meta.append("kappa=" + _fmt(kappa))
+    if delta is not None:
+        meta.append("delta=" + _fmt(delta))
     if meta:
         stream.write("# " + " ".join(meta) + "\n")
     ux, uy = np.asarray(config, dtype=float).T

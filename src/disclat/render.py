@@ -28,25 +28,20 @@ FILL_NONPOS = "#e2908a"
 STROKE = "#30302c"
 
 
-def render_svg(stream, graph, config, phi=None, copies=False):
+def render_svg(stream, graph, config, phi=None):
     """Write an SVG picture of the configuration.
 
     Triangles are filled according to the sign of their determinant
-    (nonpositive cells stand out), edges stroked on top.  With copies=True
-    (needs phi) the floor(2*pi/phi) rotated images are drawn in sequence.
-    Raises ValueError, before writing anything, if a coordinate is not
-    finite.
+    (nonpositive cells stand out), edges stroked on top.  With phi=None the
+    wedge alone is drawn; with a phi, its floor(2*pi/phi) rotated images
+    are drawn in sequence.  Raises ValueError, before writing anything, if
+    a coordinate is not finite.
     """
     config = np.asarray(config, dtype=float)
     if not np.isfinite(config).all():
         raise ValueError("cannot render a configuration with non-finite "
                          "coordinates")
-    if copies:
-        if phi is None:
-            raise ValueError("composite render needs phi")
-        n_copies = int(np.floor(2.0 * np.pi / phi))
-    else:
-        n_copies = 1
+    n_copies = 1 if phi is None else int(np.floor(2.0 * np.pi / phi))
 
     def frame(k):
         return config @ rot(k * phi).T if k else config

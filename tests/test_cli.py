@@ -364,6 +364,24 @@ def test_nonfinite_material_law_exits_2(tmp_path, capsys, option, message):
     assert not any(tmp_path.iterdir())        # nothing was solved
 
 
+@pytest.mark.parametrize("option", [["--kappa", "3"], ["--delta", "-7"]],
+                         ids=["kappa", "delta"])
+@pytest.mark.parametrize(
+    "argv",
+    [["minimize", "--eps-exp", "2"],
+     ["sweep", "--eps-max-exp", "2"],
+     ["fold-study", "--eps-exp", "2", "--max-folds", "1"]],
+    ids=["minimize", "sweep", "fold-study"],
+)
+def test_penalty_parameters_without_penalty_exit_2(tmp_path, capsys, argv, option):
+    # without --psi smoothed_abs the bond law would silently ignore them
+    assert main(argv + option + ["--out", str(tmp_path)]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "error: kappa and delta need psi = smoothed_abs\n"
+    assert not any(tmp_path.iterdir())        # nothing was solved
+
+
 @pytest.mark.parametrize(
     "argv",
     [["sweep", "--eps-max-exp", "2"],
@@ -427,15 +445,20 @@ def test_default_phi_per_subcommand():
     "argv",
     [argv + ["--seed", "3"] for argv in SUBCOMMANDS.values()]
     + [["--seed", "3"] + argv for argv in SUBCOMMANDS.values()]
-    + [["--seed", "-1", "verify", "--check", "svd2"]],
+    + [["--seed", "-1", "verify", "--check", "svd2"], ["--seed", "3"]],
     ids=list(SUBCOMMANDS) + ["before-" + name for name in SUBCOMMANDS]
-    + ["before-verify"],
+    + ["before-verify", "before-nothing"],
 )
-def test_seed_is_a_verify_option(tmp_path, argv):
+def test_seed_is_a_verify_option(tmp_path, capsys, argv):
     # only verify samples anything, and it takes --seed after its name
     with pytest.raises(SystemExit) as exc:
         main(argv + ["--out", str(tmp_path)])
     assert exc.value.code == 2
+    if argv[0] == "--seed":
+        # refused where it stands, not read as the subcommand
+        err = capsys.readouterr().err
+        assert "error: argument --seed: goes after verify" in err
+        assert not any(tmp_path.iterdir())
 
 
 def test_render_draws_a_minimize_dump(tmp_path):

@@ -56,6 +56,17 @@ def test_law_validation():
         MaterialLaw(psi="smoothed_abs", kappa=0.0)
     with pytest.raises(ValueError):
         MaterialLaw(psi="smoothed_abs", delta=-1.0)
+    # kappa and delta parametrize only smoothed_abs; under zero they are inert
+    with pytest.raises(ValueError, match="need psi = smoothed_abs"):
+        MaterialLaw(kappa=2.0)
+    with pytest.raises(ValueError, match="need psi = smoothed_abs"):
+        MaterialLaw(psi="zero", delta=0.1)
+
+
+def test_penalty_parameters_default_only_with_the_penalty():
+    law = MaterialLaw(psi="smoothed_abs")
+    assert (law.kappa, law.delta) == (1.0, 0.01)
+    assert (LAW2.kappa, LAW2.delta) == (None, None)
 
 
 def test_density_zero_on_rotations():

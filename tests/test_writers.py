@@ -20,10 +20,10 @@ from disclat.render import (FILL_NONPOS, FILL_POSITIVE, MARGIN, SIZE, STROKE,
 PHI5 = 2.0 * np.pi / 5.0
 
 
-def loop_render_svg(stream, graph, config, phi=None, copies=False):
+def loop_render_svg(stream, graph, config, phi=None):
     """The per-polygon writer, kept as the oracle for render_svg."""
     config = np.asarray(config, dtype=float)
-    n_copies = int(np.floor(2.0 * np.pi / phi)) if copies else 1
+    n_copies = 1 if phi is None else int(np.floor(2.0 * np.pi / phi))
     frames = [config @ rot(k * phi).T if k else config for k in range(n_copies)]
 
     pts = np.vstack(frames)
@@ -92,9 +92,9 @@ def loop_write_config(stream, config, phi=None, n=None, p=None, psi=None,
         meta.append("p=%.17g" % float(p))
     if psi is not None:
         meta.append("psi=%s" % psi)
-    if psi == "smoothed_abs" and kappa is not None:
+    if kappa is not None:
         meta.append("kappa=%.17g" % float(kappa))
-    if psi == "smoothed_abs" and delta is not None:
+    if delta is not None:
         meta.append("delta=%.17g" % float(delta))
     if meta:
         stream.write("# " + " ".join(meta) + "\n")
@@ -111,9 +111,8 @@ def written(writer, *args, **kwargs):
 @given(st.data())
 def test_render_svg_matches_loop(data):
     n = data.draw(st.integers(min_value=1, max_value=12))
-    phi = data.draw(st.floats(min_value=0.2, max_value=2.0 * np.pi,
-                              exclude_min=True, exclude_max=True))
-    copies = data.draw(st.booleans())
+    phi = data.draw(st.none() | st.floats(min_value=0.2, max_value=2.0 * np.pi,
+                                          exclude_min=True, exclude_max=True))
     # lattice positions, jittered up to scrambled (inverted cells), then
     # scaled so that coordinates run from about 1e-8 to 1e6
     graph = LatticeGraph(n)
@@ -122,17 +121,17 @@ def test_render_svg_matches_loop(data):
     amplitude = data.draw(st.sampled_from([0.0, 0.3 / n, 3.0]))
     scale = 10.0 ** data.draw(st.integers(min_value=-8, max_value=6))
     config = (graph.pos + amplitude * jitter) * scale
-    assert (written(render_svg, graph, config, phi=phi, copies=copies)
-            == written(loop_render_svg, graph, config, phi=phi, copies=copies))
+    assert (written(render_svg, graph, config, phi=phi)
+            == written(loop_render_svg, graph, config, phi=phi))
 
 
 def test_render_svg_marks_inverted_cells():
     graph = LatticeGraph(4)
     config = graph.pos.copy()
     config[[1, 2]] = config[[2, 1]]          # swapping two vertices inverts cells
-    svg = written(render_svg, graph, config, phi=PHI5, copies=True)
+    svg = written(render_svg, graph, config, phi=PHI5)
     assert FILL_NONPOS in svg and FILL_POSITIVE in svg
-    assert svg == written(loop_render_svg, graph, config, phi=PHI5, copies=True)
+    assert svg == written(loop_render_svg, graph, config, phi=PHI5)
 
 
 @given(st.integers(min_value=1, max_value=40))
@@ -183,7 +182,7 @@ def test_writer_memory_is_a_chunk_not_the_file(writer):
     tracemalloc.start()
     try:
         if writer == "render":
-            render_svg(sink, graph, config, phi=PHI5, copies=True)
+            render_svg(sink, graph, config, phi=PHI5)
         else:
             dump_lattice(graph, cmap, sink)
         peak = tracemalloc.get_traced_memory()[1]
