@@ -33,7 +33,6 @@ from .analysis import (
     check_laminate,
     check_lemma_a1,
     check_rigidity,
-    dist_so2,
     svd2,
     triangle_dets,
 )

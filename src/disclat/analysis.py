@@ -80,11 +80,6 @@ def svd2(a):
     return Svd2(np.array([abs(s_small), s_big]), p1, p2)
 
 
-def singular_values(a):
-    """Singular values of a 2x2 matrix, ascending."""
-    return svd2(a).sigma
-
-
 def dist_so2_squared(a):
     """Squared Frobenius distance from a 2x2 matrix to the rotation group.
 
@@ -99,11 +94,6 @@ def dist_so2_squared(a):
     off1 = np.where(np.linalg.det(a) >= 0.0, s1 - 1.0, s1 + 1.0)
     d2 = np.square(off1) + np.square(s_big - 1.0)
     return float(d2) if d2.ndim == 0 else d2
-
-
-def dist_so2(a, p=2.0):
-    """dist(a, SO(2))^p for a 2x2 matrix."""
-    return dist_so2_squared(a) ** (p / 2.0)
 
 
 # angles per block of the dist_so2_grid scan: two buffers of this many
@@ -206,8 +196,8 @@ def check_laminate():
         mats[2] - mats[3],
         0.5 * (mats[0] + mats[1]) - 0.5 * (mats[2] + mats[3]),
     ]
-    rank_one_defects = [float(singular_values(d)[0]) for d in diffs]
-    rank_one_strengths = [float(singular_values(d)[1]) for d in diffs]
+    rank_one_defects = [float(svd2(d).sigma[0]) for d in diffs]
+    rank_one_strengths = [float(svd2(d).sigma[1]) for d in diffs]
     bond_errs = [
         float(np.abs(np.linalg.norm(BOND_DIRECTIONS @ m.T, axis=1) - 1.0).max())
         for m in mats

@@ -13,7 +13,8 @@ bound to then (perfbench's tracer rebinds them on their defining modules to
 time each layer).  The library owns the defaults of the material law and
 the solver options and checks every value: an option the user did not give
 is not passed.  An error is one `error:` line instead of a traceback, with
-exit status 2 for a rejected input and 1 for a failed solve or write.
+exit status 2 for a rejected input and 1 for a failed solve, write or
+allocation.
 """
 
 import argparse
@@ -40,12 +41,6 @@ def parse_phi(text):
 def phi_slug(text):
     """Token used in output filenames for the phi selector."""
     return text.replace(".", "p").replace("-", "m")
-
-
-def check_eps_exp(k):
-    if k < 0:
-        raise ValueError("eps exponent must be >= 0, got %d" % k)
-    return k
 
 
 def misplaced_seed(text):
@@ -123,13 +118,14 @@ def write_output(args, name, write):
 
 
 def cmd_mesh(args):
-    from .lattice import Level, dump_lattice
+    from .lattice import LatticeGraph, build_constraints, dump_lattice
 
     phi = parse_phi(args.phi)
-    k = check_eps_exp(args.eps_exp)
-    level = Level(2**k, phi)    # its layout validates the reduction
+    k = args.eps_exp
+    graph = LatticeGraph(2**k)
+    cmap = build_constraints(graph, phi)
     write_output(args, "mesh_eps%d.txt" % k,
-                 lambda fh: dump_lattice(level.graph, level.cmap, fh))
+                 lambda fh: dump_lattice(graph, cmap, fh))
     return 0
 
 
@@ -140,7 +136,7 @@ def cmd_minimize(args):
     from .solver import newton_minimize
 
     phi = parse_phi(args.phi)
-    k = check_eps_exp(args.eps_exp)
+    k = args.eps_exp
     level = Level(2**k, phi)
     law = make_law(args)
     opts = make_options(args)
@@ -187,11 +183,10 @@ def cmd_fold_study(args):
     from .io import write_fold_csv
 
     phi = parse_phi(args.phi)
-    k = check_eps_exp(args.eps_exp)
     law = make_law(args)
     opts = make_options(args)
-    results = run_fold_study(phi, law, eps_exp=k, max_folds=args.max_folds,
-                             opts=opts)
+    results = run_fold_study(phi, law, eps_exp=args.eps_exp,
+                             max_folds=args.max_folds, opts=opts)
     write_output(args, "fold_phi%s.csv" % phi_slug(args.phi),
                  lambda fh: write_fold_csv(fh, phi, results))
     for row in results:
@@ -316,7 +311,7 @@ def cmd_render(args):
     from .render import render_svg
 
     phi = parse_phi(args.phi)
-    k = check_eps_exp(args.eps_exp)
+    k = args.eps_exp
     level = Level(2**k, phi)
     config = level.expand(level.reduce(build_init(args, level)))
     write_output(args, "render_eps%d.svg" % k, lambda fh: render_svg(
@@ -414,12 +409,12 @@ def main(argv=None):
         return 2
     try:
         return args.func(args)
-    except (RuntimeError, ValueError, OSError) as err:
+    except (RuntimeError, ValueError, OSError, MemoryError) as err:
         from .solver import SingularSystemError
 
         print("error: %s" % err, file=sys.stderr)
         # run_sweep re-raises a failed solve as the cause of its RuntimeError
-        failed = (OSError, SingularSystemError)
+        failed = (OSError, MemoryError, SingularSystemError)
         return 1 if any(isinstance(e, failed) for e in (err, err.__cause__)) else 2
 
 

@@ -58,10 +58,10 @@ class DegenerateCellError(RuntimeError):
     """Some bond of a cell collapsed below BOND_FLOOR; derivatives of |.|
     are meaningless there."""
 
-    def __init__(self, triangle=None):
+    def __init__(self, triangle):
         self.triangle = triangle
-        where = "" if triangle is None else " (triangle %d)" % triangle
-        super().__init__("degenerate cell: bond length at or below %g%s" % (BOND_FLOOR, where))
+        super().__init__("degenerate cell: bond length at or below %g (triangle %d)"
+                         % (BOND_FLOOR, triangle))
 
 
 class NonFiniteEnergyError(RuntimeError):
@@ -293,9 +293,9 @@ class HessianPlan:
     reduced block (m(v), m(w)) as A_v^T H[v, w] A_w.  Here m = DofLayout.block
     and A_v is R_phi on slaves and the identity elsewhere; blocks at the
     pinned origin (m = -1) drop out.  The pattern holds every reduced block
-    that an edge reaches, exact zeros included, so it depends only on
-    (N, phi).  It is symmetric, and the matrix is emitted in CSC form with
-    sorted indices.
+    that an edge reaches, exact zeros included, so it depends only on N:
+    phi enters only through the rotation R_phi applied to the data.  It is
+    symmetric, and the matrix is emitted in CSC form with sorted indices.
     """
 
     def __init__(self, graph, cmap, layout):

@@ -115,10 +115,6 @@ class LatticeGraph:
     def n_edges(self):
         return len(self.edges)
 
-    @property
-    def n_triangles(self):
-        return len(self.tris)
-
     def triangle_area(self):
         """Reference area of every triangle: sqrt(3)*eps^2/4."""
         return SQRT3 * self.eps**2 / 4.0

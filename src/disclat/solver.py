@@ -142,6 +142,8 @@ class BandLayout:
     Data slot src[k], at row perm[i] and column perm[j] with i >= j, goes to
     slot dst[k] = j*(width+1) + i-j of a C-ordered (n, width+1) array, whose
     transpose is the Fortran band ab[i-j, j] that dpbsv reads with lower=1.
+    A band of 2^31 slots or more (17 GB) raises SingularSystemError: a level
+    that large is not factored, and int32 slots reach no further.
     """
 
     def __init__(self, a):
@@ -156,11 +158,13 @@ class BandLayout:
         lower = np.flatnonzero(i >= j)
         i, j = i[lower], j[lower]
         self.width = int((i - j).max(initial=0))
+        # a slot past int32 would wrap to a negative one, which numpy accepts
+        if n * (self.width + 1) >= 2**31:
+            raise SingularSystemError(
+                "band of n = %d rows and width %d has 2^31 slots or more; "
+                "not factored" % (n, self.width))
         self.src = lower.astype(np.int32)
-        # int32 reaches 2^31 band slots, a 17 GB band; a wider index would
-        # wrap to negative slots, which numpy accepts
-        fits = n * (self.width + 1) < 2**31
-        self.dst = (j * (self.width + 1) + i - j).astype(np.int32 if fits else np.int64)
+        self.dst = (j * (self.width + 1) + i - j).astype(np.int32)
 
     def solve(self, h, tau, b):
         """(H + tau I)^-1 b for a matrix h in this pattern, or None when

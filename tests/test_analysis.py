@@ -12,11 +12,9 @@ from disclat.analysis import (
     check_lemma_a1,
     check_rigidity,
     det_summary,
-    dist_so2,
     dist_so2_grid,
     dist_so2_squared,
     laminate_matrices,
-    singular_values,
     six_bond_sum,
     svd2,
     triangle_dets,
@@ -34,8 +32,8 @@ def test_svd2_identity():
 
 def test_svd2_rotation_invariance():
     a = np.diag([3.0, 1.0]) @ rot(0.7)
-    np.testing.assert_allclose(singular_values(a), [1.0, 3.0], atol=1e-12)
-    np.testing.assert_allclose(singular_values(rot(1.2) @ a), [1.0, 3.0], atol=1e-12)
+    np.testing.assert_allclose(svd2(a).sigma, [1.0, 3.0], atol=1e-12)
+    np.testing.assert_allclose(svd2(rot(1.2) @ a).sigma, [1.0, 3.0], atol=1e-12)
 
 
 def test_svd2_random_against_eigensolve():
@@ -59,10 +57,9 @@ def test_svd2_random_against_eigensolve():
 
 
 def test_dist_so2_reference_points():
-    assert dist_so2(np.eye(2)) == 0.0
-    for p in (2.0, 3.0):
-        # dist(0, SO(2)) = sqrt(2)
-        assert abs(dist_so2(np.zeros((2, 2)), p) - 2.0 ** (p / 2.0)) <= 1e-14
+    assert dist_so2_squared(np.eye(2)) == 0.0
+    # dist(0, SO(2)) = sqrt(2)
+    assert abs(dist_so2_squared(np.zeros((2, 2))) - 2.0) <= 1e-14
 
 
 def test_dist_so2_reflection_branch():
@@ -173,7 +170,7 @@ def test_rigidity_reflection_point():
     # A = diag(1, -1): all bonds unit, so W = Psi(-1) > 0 while dist^2 = 4
     law = MaterialLaw(p=2.0, psi="smoothed_abs")
     a = np.diag([1.0, -1.0])
-    ratio = w_density(a, law) / dist_so2(a, law.p)
+    ratio = w_density(a, law) / dist_so2_squared(a) ** (law.p / 2.0)
     expected = law.Psi(-1.0) / 4.0
     assert abs(ratio - expected) <= 1e-12
     assert ratio > 0.0
@@ -256,12 +253,12 @@ def test_triangle_dets_orientation():
     dets, min_det, nonpos = det_summary(g, flipped)
     np.testing.assert_allclose(dets, -1.0, atol=1e-12)
     assert min_det == pytest.approx(-1.0)
-    assert nonpos == g.n_triangles
+    assert nonpos == len(g.tris)
     # a folded start, with cells of both orientations
     g = LatticeGraph(8)
     u = folded_init(g, 2.0 * np.pi / 7.0, 3)
     dets, _, nonpos = det_summary(g, u)
-    assert 0 < nonpos < g.n_triangles
+    assert 0 < nonpos < len(g.tris)
     expected = [np.linalg.det(cell_gradient(*g.pos[t], *u[t])) for t in g.tris]
     np.testing.assert_allclose(dets, expected, rtol=0.0, atol=1e-13)
 

@@ -11,6 +11,7 @@ from hypothesis import given, strategies as st
 from hypothesis.extra.numpy import arrays
 
 import disclat.analysis
+import disclat.experiments
 import disclat.io
 import disclat.solver
 from disclat.cli import build_parser, main, parse_phi, phi_slug
@@ -417,6 +418,43 @@ def test_fold_init_builds_one_level(tmp_path, lattice_builds, command):
     assert main([command, "--eps-exp", "2", "--init", "fold:2",
                  "--out", str(tmp_path)]) == 0
     assert lattice_builds == ["LatticeGraph", "ConstraintMap", "DofLayout"]
+
+
+def test_mesh_builds_no_layout(tmp_path, lattice_builds):
+    # the dump reads the graph and the constraint map only
+    assert main(["mesh", "--eps-exp", "2", "--out", str(tmp_path)]) == 0
+    assert lattice_builds == ["LatticeGraph", "ConstraintMap"]
+
+
+@pytest.mark.parametrize("command", ["mesh", "minimize", "fold-study", "render"])
+def test_negative_eps_exp_is_refused_by_the_lattice(tmp_path, capsys, command):
+    # N = 2^-1 meets LatticeGraph's own rule; the CLI keeps no copy of it
+    out = tmp_path / "out"
+    assert main([command, "--eps-exp", "-1", "--out", str(out)]) == 2
+    assert capsys.readouterr().err == "error: need an integer N >= 1, got 0.5\n"
+    assert not out.exists()
+
+
+def test_unallocatable_lattice_is_a_failed_run(tmp_path, capsys):
+    # N = 2^50 asks numpy for 8 PiB, past the address space, so the
+    # request fails at once without allocating
+    out = tmp_path / "out"
+    assert main(["mesh", "--eps-exp", "50", "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert not out.exists()
+
+
+def test_sweep_memory_error_is_a_failed_run(tmp_path, monkeypatch, capsys):
+    # run_sweep re-raises it as the cause of its RuntimeError
+    def out_of_memory(*args):
+        raise MemoryError("cannot allocate the band")
+
+    monkeypatch.setattr(disclat.experiments, "newton_minimize", out_of_memory)
+    assert main(["sweep", "--eps-max-exp", "2", "--out", str(tmp_path)]) == 1
+    assert capsys.readouterr().err == (
+        "error: sweep failed at eps = 2^-1: cannot allocate the band\n")
+    assert not any(tmp_path.iterdir())
 
 
 def test_plain_newton_flag_is_gone(tmp_path):

@@ -335,7 +335,7 @@ def oracle_gradient(graph, u, law, layout):
 
 def oracle_hessian(graph, u, law, layout):
     (d1, d2, d3), lengths, det = oracle_tri_geometry(graph, u)
-    eps, nt = graph.eps, graph.n_triangles
+    eps, nt = graph.eps, len(graph.tris)
     h = np.zeros((nt, 3, 2, 3, 2))
     for dvec, length, s, t in zip((d1, d2, d3), lengths, (0, 0, 1), (1, 2, 2)):
         r = length - 1.0

@@ -93,9 +93,9 @@ def test_counts_match_closed_forms():
         g = LatticeGraph(n)
         assert g.n_vertices == (n + 1) * (n + 2) // 2
         assert g.n_edges == 3 * n * (n + 1) // 2
-        assert g.n_triangles == n * n
+        assert len(g.tris) == n * n
         # planar Euler characteristic of a disk
-        assert g.n_vertices - g.n_edges + g.n_triangles == 1
+        assert g.n_vertices - g.n_edges + len(g.tris) == 1
         # 3N boundary edges, each with weight 1/2
         assert np.sum(g.weights == 0.5) == 3 * n
         assert np.sum(g.weights == 1.0) == g.n_edges - 3 * n
@@ -104,7 +104,7 @@ def test_counts_match_closed_forms():
 
 def test_hand_enumeration_n1():
     g = LatticeGraph(1)
-    assert g.n_vertices == 3 and g.n_edges == 3 and g.n_triangles == 1
+    assert g.n_vertices == 3 and g.n_edges == 3 and len(g.tris) == 1
     assert np.all(g.weights == 0.5)
     np.testing.assert_allclose(
         g.pos,

@@ -131,17 +131,19 @@ def star_pattern(n):
     return sp.csc_matrix((np.ones(len(rows)), (rows, cols)), shape=(n, n))
 
 
-def test_band_slots_widen_past_int32():
-    # 70000 * 69999 band slots do not fit int32; solve, which would
-    # allocate the 39 GB band, is not called
-    n = 70000
+def test_band_refuses_past_int32_slots():
+    # 70000 * 69999 band slots (a 39 GB band) do not fit int32: the layout
+    # is refused before any slot is computed
+    with pytest.raises(SingularSystemError,
+                       match="band of n = 70000 rows and width 69998 "):
+        BandLayout(star_pattern(70000))
+    n = 100
     band = BandLayout(star_pattern(n))
     assert band.width == n - 2
-    assert band.dst.dtype == np.int64
+    assert band.dst.dtype == np.int32
     assert band.dst.min() >= 0 and band.dst.max() < n * (band.width + 1)
     # the last diagonal entry starts the band's last row
     assert band.dst.max() == (n - 1) * (band.width + 1)
-    assert BandLayout(star_pattern(100)).dst.dtype == np.int32
 
 
 def plan_pattern(n, phi):
