@@ -4,7 +4,8 @@ Subcommands: mesh, minimize, sweep, fold-study, verify, render.  All file
 outputs land under --out with fixed names (mesh_eps<k>.txt,
 config_eps<k>.txt, solve_eps<k>.csv, sweep_phi<sel>.csv,
 fold_phi<sel>.csv, verify.jsonl, render_eps<k>.svg); without --out,
-tabular results go to stdout.  render only draws its --init; a minimizer
+tabular results go to stdout, and sweep and fold-study print their CSV
+there with no summary lines.  render only draws its --init; a minimizer
 is drawn from minimize's dump, --init file:<out>/config_eps<k>.txt.
 
 Only stdlib imports happen at module load; each command imports the
@@ -168,7 +169,9 @@ def cmd_sweep(args):
     record = run_sweep(phi, args.eps_max_exp, law, opts, cold_start=args.cold_start)
     write_output(args, "sweep_phi%s.csv" % phi_slug(args.phi),
                  lambda fh: write_sweep_csv(fh, record))
-    for _, k, energy, p_eps, min_det, _, iters, conv in record.rows():
+    # the summary follows a CSV file; without --out stdout is the CSV alone
+    rows = record.rows() if args.out is not None else []
+    for _, k, energy, p_eps, min_det, _, iters, conv in rows:
         print(
             "eps=2^-%d energy=%.10e p_eps=%s min_det=%.6f iters=%d%s"
             % (k, energy,
@@ -189,7 +192,9 @@ def cmd_fold_study(args):
                              max_folds=args.max_folds, opts=opts)
     write_output(args, "fold_phi%s.csv" % phi_slug(args.phi),
                  lambda fh: write_fold_csv(fh, phi, results))
-    for row in results:
+    # the summary follows a CSV file; without --out stdout is the CSV alone
+    rows = results if args.out is not None else []
+    for row in rows:
         print(
             "folds=%d energy=%.10e min_det=%.6f nonpos_dets=%d iters=%d%s"
             % (row["folds"], row["energy"], row["min_det"],
@@ -396,7 +401,8 @@ def build_parser():
     p_ren.add_argument("--eps-exp", type=int, required=True)
     p_ren.add_argument("--init", default="linear:det1")
     p_ren.add_argument("--copies", action="store_true",
-                       help="composite all floor(2pi/phi) rotated copies")
+                       help="composite all floor(2pi/phi) rotated copies "
+                            "(round(2pi/phi) within 1e-9 of an integer)")
     p_ren.set_defaults(func=cmd_render)
     return parser
 

@@ -46,7 +46,7 @@ Hessian, Phi and Psi terms together, is then one np.bincount.
 import numpy as np
 import scipy.sparse as sp
 
-from .lattice import SQRT3, rot
+from .lattice import SQRT3, reduce_gradient, rot
 
 BOND_FLOOR = 1e-9
 
@@ -289,13 +289,14 @@ def _psi_edge_hessians(graph, u, law):
 class HessianPlan:
     """Slots of assembled 2x2 blocks in the reduced Hessian S^T H S.
 
-    S = DofLayout.select sends the block H[v, w] of a vertex pair to the
-    reduced block (m(v), m(w)) as A_v^T H[v, w] A_w.  Here m = DofLayout.block
-    and A_v is R_phi on slaves and the identity elsewhere; blocks at the
-    pinned origin (m = -1) drop out.  The pattern holds every reduced block
-    that an edge reaches, exact zeros included, so it depends only on N:
-    phi enters only through the rotation R_phi applied to the data.  It is
-    symmetric, and the matrix is emitted in CSC form with sorted indices.
+    S = lattice.expand_matrix sends the block H[v, w] of a vertex pair to
+    the reduced block (m(v), m(w)) as A_v^T H[v, w] A_w.  Here m is
+    DofLayout.block and A_v is R_phi on slaves and the identity elsewhere;
+    blocks at the pinned origin (m = -1) drop out.  The pattern holds every
+    reduced block that an edge reaches, exact zeros included, so it depends
+    only on N: phi enters only through the rotation R_phi applied to the
+    data.  It is symmetric, and the matrix is emitted in CSC form with
+    sorted indices.
     """
 
     def __init__(self, graph, cmap, layout):
@@ -416,8 +417,7 @@ def assemble_full_gradient(graph, config, law):
 
 def assemble_gradient(graph, config, law, cmap, layout):
     """Reduced energy gradient (chain rule through the slave map)."""
-    g = assemble_full_gradient(graph, config, law)
-    return layout.select.T @ g.ravel()
+    return reduce_gradient(assemble_full_gradient(graph, config, law), cmap, layout)
 
 
 def assemble_hessian(graph, config, law, cmap, layout):

@@ -45,6 +45,7 @@ from .lattice import (  # noqa: F401
     Level,
     build_constraints,
     expand,
+    expand_matrix,
     reduce_config,
     rot,
 )
@@ -159,9 +160,8 @@ def prolongation_matrix(coarse, fine):
     (CSR): P @ q == fine.reduce(prolong(coarse.graph, coarse.expand(q),
     fine.graph)) up to roundoff.
 
-    The coarse layout's selection matrix expands q to all coarse vertices,
-    slaves included; each free fine vertex then averages its two coarse
-    ends, componentwise.
+    expand_matrix expands q to all coarse vertices, slaves included; each
+    free fine vertex then averages its two coarse ends, componentwise.
     """
     a, b = _coarse_ends(coarse.graph, fine.graph)
     free = fine.layout.free_ids
@@ -171,7 +171,8 @@ def prolongation_matrix(coarse, fine):
         (np.full(len(rows), 0.5), (rows, cols)),
         shape=(len(free), coarse.graph.n_vertices),
     )
-    return (sp.kron(means, sp.identity(2), format="csr") @ coarse.layout.select).tocsr()
+    return (sp.kron(means, sp.identity(2), format="csr")
+            @ expand_matrix(coarse.cmap, coarse.layout)).tocsr()
 
 
 def estimate_rate(e_eps, e_2eps, e_4eps):

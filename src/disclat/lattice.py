@@ -180,29 +180,6 @@ class DofLayout:
         self.block[self.free_ids] = np.arange(len(self.free_ids))
         self.block[cmap.slaves] = self.block.take(cmap.masters)
 
-        # sparse selection matrix S (2|V| x n_reduced) with u_full = S @ q:
-        # identity blocks on free vertices, R_phi blocks slaving Gamma2 to
-        # Gamma1.  The pinned origin row is zero.
-        c = np.arange(2)
-        n_free = len(self.free_ids)
-        pairs = (len(cmap.slaves), 2, 2)      # entry (k, a, b) holds R_phi[a, b]
-        slave_rows = 2 * cmap.slaves[:, None, None] + c[:, None]
-        master_cols = 2 * self.block[cmap.slaves][:, None, None] + c
-        rows = np.concatenate([
-            (2 * self.free_ids[:, None] + c).ravel(),
-            np.broadcast_to(slave_rows, pairs).ravel(),
-        ])
-        cols = np.concatenate([
-            np.arange(2 * n_free),
-            np.broadcast_to(master_cols, pairs).ravel(),
-        ])
-        vals = np.concatenate([
-            np.ones(2 * n_free),
-            np.broadcast_to(cmap.rotation, pairs).ravel(),
-        ])
-        self.select = sp.csr_matrix(
-            (vals, (rows, cols)), shape=(2 * nv, self.n_reduced)
-        )
         # energy.HessianPlan of this layout, built by the first Hessian
         self.hessian_plan = None
 
@@ -227,6 +204,34 @@ def expand(reduced, cmap, layout):
     u[cmap.slaves] = u.take(cmap.masters, axis=0) @ cmap.rotation.T
     u[cmap.pinned] = 0.0
     return u
+
+
+def reduce_gradient(full, cmap, layout):
+    """Full (|V|, 2) gradient -> reduced gradient, by the transpose of
+    expand: each master adds its slave's row times R_phi, and the slaves
+    and the pinned origin drop out."""
+    g = np.asarray(full, dtype=float)
+    q = g.take(layout.free_ids, axis=0)
+    m, s = layout.block.take(cmap.masters), g.take(cmap.slaves, axis=0)
+    q[m] += s[:, :1] * cmap.rotation[0]
+    q[m] += s[:, 1:] * cmap.rotation[1]
+    return q.ravel()
+
+
+def expand_matrix(cmap, layout):
+    """expand as a sparse CSR matrix S (2|V| x n_reduced), u_full = S @ q:
+    identity blocks on free vertices, R_phi blocks slaving Gamma2 to
+    Gamma1, and zero rows at the pinned origin."""
+    c, slaves, n = np.arange(2), cmap.slaves, layout.n_reduced
+    # slave entry (k, a, b) holds R_phi[a, b] in row 2 s_k + a, column 2 m_k + b
+    rows = np.broadcast_to(2 * slaves[:, None, None] + c[:, None], (len(slaves), 2, 2))
+    cols = np.broadcast_to(2 * layout.block.take(slaves)[:, None, None] + c, rows.shape)
+    vals = np.broadcast_to(cmap.rotation, rows.shape)
+    return sp.csr_matrix(
+        (np.concatenate([np.ones(n), vals.ravel()]),
+         (np.concatenate([(2 * layout.free_ids[:, None] + c).ravel(), rows.ravel()]),
+          np.concatenate([np.arange(n), cols.ravel()]))),
+        shape=(2 * layout.n_full, n))
 
 
 def reduce_config(config, layout):

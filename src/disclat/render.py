@@ -2,7 +2,8 @@
 
 Output is deterministic byte for byte: fixed float formatting, no
 timestamps, elements emitted in lattice order.  A composite render draws
-all floor(2*pi/phi) rotated copies R_phi^k(u) around the origin, which
+all floor(2*pi/phi) rotated copies R_phi^k(u) around the origin (the
+nearest integer when 2*pi/phi lies within 1e-9 relative of one), which
 reassembles the full disclination from the single computed wedge.
 
 The copies are built and drawn one at a time.  Each one's pixel
@@ -34,14 +35,17 @@ def render_svg(stream, graph, config, phi=None):
     Triangles are filled according to the sign of their determinant
     (nonpositive cells stand out), edges stroked on top.  With phi=None the
     wedge alone is drawn; with a phi, its floor(2*pi/phi) rotated images
-    are drawn in sequence.  Raises ValueError, before writing anything, if
-    a coordinate is not finite.
+    are drawn in sequence, or round(2*pi/phi) of them when 2*pi/phi is an
+    integer up to 1e-9 relative rounding (phi = 2*pi/25 gives
+    24.999999999999996).  Raises ValueError, before writing anything, if a
+    coordinate is not finite.
     """
     config = np.asarray(config, dtype=float)
     if not np.isfinite(config).all():
         raise ValueError("cannot render a configuration with non-finite "
                          "coordinates")
-    n_copies = 1 if phi is None else int(np.floor(2.0 * np.pi / phi))
+    # the floor with 1e-9 relative slack: 2pi/(2pi/k) may fall just below k
+    n_copies = 1 if phi is None else int(np.floor(2.0 * np.pi / phi * (1.0 + 1e-9)))
 
     def frame(k):
         return config @ rot(k * phi).T if k else config

@@ -262,7 +262,8 @@ class TwoGrid:
     linear and preserves energy on nested lattices, so
     P^T H_fine(P q) P = H_coarse(q): at the prolonged warm start an LU of
     H_coarse is the exact Galerkin coarse solver, and the coarser level's
-    own preconditioner a symmetric approximation of it.
+    own preconditioner a symmetric approximation of it.  The residual is
+    restricted by P.T, a transposed view of P, so each level keeps one copy.
 
     A rotation of the whole configuration costs no energy, so H_coarse(u_c)
     annihilates the gauge vector up to the size of the gradient; that
@@ -274,7 +275,6 @@ class TwoGrid:
         self.coarse_solve = coarse_solve
         self.gauge = gauge / np.linalg.norm(gauge)
         self.p = prolongation
-        self.pt = prolongation.T.tocsr()
 
     def preconditioner(self, h):
         """v -> M^-1 v for the fine matrix h: SMOOTH_SWEEPS damped 2x2
@@ -301,7 +301,7 @@ class TwoGrid:
             x = jacobi(v)
             for _ in range(SMOOTH_SWEEPS - 1):
                 x += jacobi(v - h @ x)
-            rc = self.pt @ (v - h @ x)
+            rc = self.p.T @ (v - h @ x)
             rc -= (z @ rc) * z
             ec = self.coarse_solve(rc)
             ec -= (z @ ec) * z

@@ -132,6 +132,27 @@ def test_fold_study_csv(tmp_path):
     assert len(lines) == 3
 
 
+@pytest.mark.parametrize(
+    "argv, name, summary",
+    [(["sweep", "--eps-max-exp", "2"], "sweep_phi5.csv", ["eps=2^-1 ", "eps=2^-2 "]),
+     (["fold-study", "--eps-exp", "2", "--max-folds", "1"], "fold_phi7.csv",
+      ["folds=0 ", "folds=1 "])],
+    ids=["sweep", "fold-study"],
+)
+def test_csv_alone_on_stdout_without_out(tmp_path, capsys, argv, name, summary):
+    assert main(argv + ["--out", str(tmp_path)]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0] == "wrote %s" % (tmp_path / name)
+    assert [line[:len(s)] for line, s in zip(lines[1:], summary)] == summary
+    assert len(lines) == 1 + len(summary)
+    with open(tmp_path / name, newline="") as fh:
+        want = list(csv.DictReader(fh))
+    assert main(argv) == 0
+    out = capsys.readouterr().out
+    assert list(csv.DictReader(io.StringIO(out, newline=""))) == want
+    assert out == (tmp_path / name).read_text()
+
+
 def test_fold_study_rejects_too_many_folds(tmp_path, capsys):
     # run_fold_study owns the range [0, 2^k - 1]; -1 and 2^k = 4 sit just outside
     for folds in ("9", "-1", "4"):

@@ -14,7 +14,9 @@ from disclat.lattice import (
     build_constraints,
     dump_lattice,
     expand,
+    expand_matrix,
     reduce_config,
+    reduce_gradient,
     rot,
 )
 
@@ -231,7 +233,8 @@ def test_select_matrix_matches_expand():
     rng = np.random.default_rng(4)
     q = rng.normal(size=layout.n_reduced)
     u = expand(q, cmap, layout)
-    np.testing.assert_allclose(layout.select @ q, u.ravel(), atol=1e-15)
+    s = expand_matrix(cmap, layout)
+    np.testing.assert_allclose(s @ q, u.ravel(), atol=1e-15)
 
 
 def test_shape_validation():
@@ -307,11 +310,24 @@ def test_constraints_and_select_equal_loop_build(n, phi):
     assert cmap.masters.tolist() == [vid(i, 0) for i in range(1, n + 1)]
     assert cmap.slaves.tolist() == [vid(0, i) for i in range(1, n + 1)]
     assert cmap.pinned == vid(0, 0)
-    got = DofLayout(g, cmap).select
+    got = expand_matrix(cmap, DofLayout(g, cmap))
     want = loop_select(g, cmap)
     assert got.shape == want.shape
     for name in ("data", "indices", "indptr"):
         assert np.array_equal(getattr(got, name), getattr(want, name)), name
+
+
+@given(st.integers(min_value=1, max_value=8),
+       st.floats(min_value=0.1, max_value=6.2),
+       st.integers(min_value=0, max_value=2**32 - 1))
+def test_reduce_gradient_is_select_transpose_bit_for_bit(n, phi, seed):
+    g = LatticeGraph(n)
+    cmap = build_constraints(g, phi)
+    layout = DofLayout(g, cmap)
+    full = np.random.default_rng(seed).normal(size=(g.n_vertices, 2))
+    got = reduce_gradient(full, cmap, layout)
+    want = loop_select(g, cmap).T @ full.ravel()
+    assert got.shape == want.shape and got.tobytes() == want.tobytes()
 
 
 @given(lattice_sizes, st.sampled_from([PHI5, 2.0 * np.pi / 7.0]))

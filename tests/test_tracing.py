@@ -2,7 +2,10 @@
 wrapped name must exist, and every Newton span must record its lattice."""
 
 import importlib.util
+import os
 import pathlib
+import subprocess
+import sys
 
 import numpy as np
 
@@ -45,3 +48,15 @@ def test_traced_sweep_and_fold_study_record_newton_sizes():
     expand_owners = [newton_of(s[0]) for s in tracer.spans if s[2] == "lattice.expand"]
     for s in newton:
         assert expand_owners.count(s[0]) == energy_owners.count(s[0]) > 0
+
+
+def test_package_import_loads_the_library_modules():
+    # perfbench times `import disclat` as set-up, so it must load them all
+    names = ["analysis", "energy", "experiments", "lattice", "solver"]
+    code = ("import sys, disclat; print(' '.join(n for n in %r "
+            "if 'disclat.' + n in sys.modules))" % names)
+    src = str(pathlib.Path(experiments.__file__).resolve().parents[1])
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, check=True,
+                         env=dict(os.environ, PYTHONPATH=src)).stdout
+    assert out.split() == names

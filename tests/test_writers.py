@@ -23,7 +23,11 @@ PHI5 = 2.0 * np.pi / 5.0
 def loop_render_svg(stream, graph, config, phi=None):
     """The per-polygon writer, kept as the oracle for render_svg."""
     config = np.asarray(config, dtype=float)
-    n_copies = 1 if phi is None else int(np.floor(2.0 * np.pi / phi))
+    n_copies = 1
+    if phi is not None:
+        turns = 2.0 * np.pi / phi
+        whole = abs(turns - round(turns)) <= 1e-9 * turns
+        n_copies = int(round(turns) if whole else np.floor(turns))
     frames = [config @ rot(k * phi).T if k else config for k in range(n_copies)]
 
     pts = np.vstack(frames)
@@ -132,6 +136,15 @@ def test_render_svg_marks_inverted_cells():
     svg = written(render_svg, graph, config, phi=PHI5)
     assert FILL_NONPOS in svg and FILL_POSITIVE in svg
     assert svg == written(loop_render_svg, graph, config, phi=PHI5)
+
+
+def test_render_svg_draws_one_copy_per_whole_turn():
+    # 2pi / (2pi/25) is 24.999999999999996, which still means 25 copies
+    graph = LatticeGraph(1)
+    for k in range(2, 401):
+        svg = written(render_svg, graph, graph.pos, phi=2.0 * np.pi / k)
+        assert svg.count("<polygon") == k, k
+    assert written(render_svg, graph, graph.pos, phi=1.0).count("<polygon") == 6
 
 
 @given(st.integers(min_value=1, max_value=40))
