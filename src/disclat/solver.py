@@ -66,6 +66,8 @@ SMOOTH_SWEEPS = 2
 # default, leaves the symmetric ordering on the penalized law and fills
 # several times more
 DIAG_PIVOT_THRESH = 0.1
+# the largest band a fresh factorization allocates, in 8-byte slots (1.07 GB)
+BAND_MAX_SLOTS = 2**27
 
 
 class SingularSystemError(RuntimeError):
@@ -142,8 +144,10 @@ class BandLayout:
     Data slot src[k], at row perm[i] and column perm[j] with i >= j, goes to
     slot dst[k] = j*(width+1) + i-j of a C-ordered (n, width+1) array, whose
     transpose is the Fortran band ab[i-j, j] that dpbsv reads with lower=1.
-    A band of 2^31 slots or more (17 GB) raises SingularSystemError: a level
-    that large is not factored, and int32 slots reach no further.
+    A band of BAND_MAX_SLOTS slots or more (2^27, 1.07 GB) raises
+    SingularSystemError before anything is allocated: N = 256 has 33.8M
+    slots, N = 512 would have 269.5M (2.16 GB), so the finest levels a sweep
+    solves by CG are never factored.  Below the cap every slot fits int32.
     """
 
     def __init__(self, a):
@@ -158,10 +162,9 @@ class BandLayout:
         lower = np.flatnonzero(i >= j)
         i, j = i[lower], j[lower]
         self.width = int((i - j).max(initial=0))
-        # a slot past int32 would wrap to a negative one, which numpy accepts
-        if n * (self.width + 1) >= 2**31:
+        if n * (self.width + 1) >= BAND_MAX_SLOTS:
             raise SingularSystemError(
-                "band of n = %d rows and width %d has 2^31 slots or more; "
+                "band of n = %d rows and width %d has 2^27 slots or more; "
                 "not factored" % (n, self.width))
         self.src = lower.astype(np.int32)
         self.dst = (j * (self.width + 1) + i - j).astype(np.int32)

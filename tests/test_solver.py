@@ -18,6 +18,7 @@ from disclat.energy import (
 from disclat.experiments import linear_init, prolong, prolongation_matrix
 from disclat.lattice import Level
 from disclat.solver import (
+    BAND_MAX_SLOTS,
     CG_FORCING,
     CG_MAXITER,
     DIAG_PIVOT_THRESH,
@@ -144,6 +145,19 @@ def test_band_refuses_past_int32_slots():
     assert band.dst.min() >= 0 and band.dst.max() < n * (band.width + 1)
     # the last diagonal entry starts the band's last row
     assert band.dst.max() == (n - 1) * (band.width + 1)
+
+
+def test_band_refuses_past_the_slot_cap():
+    # 12000 * 11999 slots (144M, a 1.15 GB band) pass the 2^27 cap and are
+    # refused before any slot is computed; 11000 * 10999 (121M) are laid out
+    assert 11000 * 10999 < BAND_MAX_SLOTS == 2**27 < 12000 * 11999
+    with pytest.raises(SingularSystemError,
+                       match="band of n = 12000 rows and width 11998 "):
+        BandLayout(star_pattern(12000))
+    band = BandLayout(star_pattern(11000))
+    assert band.width == 10998
+    assert band.dst.dtype == np.int32
+    assert band.dst.max() == 10999 * 10999
 
 
 def plan_pattern(n, phi):
