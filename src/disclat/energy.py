@@ -52,7 +52,7 @@ holds that assembly as the oracle).
 import numpy as np
 import scipy.sparse as sp
 
-from .lattice import SQRT3, reduce_gradient, rot
+from .lattice import SQRT3, MirrorLayout, reduce_gradient, rot
 
 BOND_FLOOR = 1e-9
 
@@ -187,18 +187,20 @@ def _edge_geometry(graph, u):
     return l1, l2, l3, cell_dets(d1, d2, eps)
 
 
-def _bonds(graph, u):
-    """Edge vectors u_b - u_a, shape (|E|, 2), and stretches |u_b - u_a|/eps.
+def _bonds(graph, u, ids=None):
+    """Edge vectors u_b - u_a, shape (|E|, 2), and stretches |u_b - u_a|/eps,
+    of the edges ids (every edge when None).
 
     Raises DegenerateCellError naming the first triangle with a bond at or
     below BOND_FLOOR: edges k, k + n_up and k + 2*n_up bound up triangle k,
     and the n_up up triangles come first.
     """
-    edges = graph.edges
+    edges = graph.edges if ids is None else graph.edges.take(ids, axis=0)
     d = u.take(edges[:, 1], axis=0) - u.take(edges[:, 0], axis=0)
     length = np.hypot(d[:, 0], d[:, 1]) / graph.eps
     bad = np.flatnonzero(length <= BOND_FLOOR)
     if len(bad):
+        bad = bad if ids is None else ids.take(bad)
         raise DegenerateCellError(int(np.min(bad % (graph.n_edges // 3))))
     return d, length
 
@@ -227,14 +229,16 @@ def _bond_gradients(graph, u, law):
     return coeff[:, None] * d
 
 
-def _bond_hessians(graph, u, law):
-    """Assembled Phi spring block of every edge, shape (|E|, 2, 2): Phi''
-    along the bond, Phi'/|bond| across it, times 2*|T|*w(e).  Entry (c, d)
-    is along*o + across*(delta_cd - o) with o = unit_c*unit_d."""
-    d, length = _bonds(graph, u)
+def _bond_hessians(graph, u, law, ids=None, weights=None):
+    """Assembled Phi spring block of the edges ids (every edge when None),
+    shape (|E|, 2, 2): Phi'' along the bond, Phi'/|bond| across it, times
+    2*|T|*w(e), where weights, when given, replaces the edges' w(e).  Entry
+    (c, d) is along*o + across*(delta_cd - o) with o = unit_c*unit_d."""
+    d, length = _bonds(graph, u, ids)
     eps = graph.eps
     r = length - 1.0
-    scale = 2.0 * graph.triangle_area() * graph.weights / (eps * eps)
+    w = graph.weights if weights is None else weights
+    scale = 2.0 * graph.triangle_area() * w / (eps * eps)
     along, across = scale * law.d2Phi(r), scale * law.dPhi(r) / length
     unit = d.T / (eps * length)
     k = np.empty((len(d), 2, 2))
@@ -299,8 +303,8 @@ class HessianPlan:
     """The fixed pattern of the reduced Hessian S^T H S, and where each
     assembled edge block goes in it.
 
-    S = lattice.expand_matrix sends the block H[v, w] of a vertex pair to
-    the reduced block (m(v), m(w)) as A_v^T H[v, w] A_w.  Here m is
+    S, the matrix of lattice.expand, sends the block H[v, w] of a vertex
+    pair to the reduced block (m(v), m(w)) as A_v^T H[v, w] A_w.  Here m is
     DofLayout.block and A_v is R_phi on slaves and the identity elsewhere;
     blocks at the pinned origin (m = -1) drop out.  The pattern holds every
     reduced block that an edge reaches, exact zeros included, so it depends
@@ -418,11 +422,13 @@ class HessianPlan:
                 self.gather[s:e] = table_pairs[h:h + e - s]
                 self.indices[2 * s:2 * e] = table_rows[h:h + e - s].ravel()
                 h += e - s
+        self.rotation = cmap.rotation
+        self.edges = self.weights = None     # every edge, at its own weight
         self.band = None             # solver.BandLayout, built by its first use
         # every matrix shares these: an in-place change would corrupt the plan
         self.indices.flags.writeable = self.indptr.flags.writeable = False
 
-    def data(self, blocks, rotation):
+    def data(self, blocks):
         """CSC data of the reduced Hessian whose edge (a, b) has the block
         B = blocks[e] at (a, a), B^T at (b, b), -B at (a, b) and -B^T at
         (b, a), rotated by R_phi on the slaved side."""
@@ -443,8 +449,8 @@ class HessianPlan:
         x = blocks.take(edges, axis=0)
         x[flip] = x[flip].swapaxes(1, 2)
         x[negate] = 0.0 - x[negate]
-        x[left] = rotation.T @ x[left]
-        x[right] = x[right] @ rotation
+        x[left] = self.rotation.T @ x[left]
+        x[right] = x[right] @ self.rotation
         table = pairs[2 * n_edges + n_bulk:].swapaxes(1, 2)
         for c in range(2):
             for d in range(2):
@@ -455,6 +461,168 @@ class HessianPlan:
         """The reduced CSC matrix with these data; it shares the index
         arrays of the plan."""
         return sp.csc_matrix((data, self.indices, self.indptr), shape=self.shape)
+
+
+class MirrorHessianPlan:
+    """The fixed pattern of the even Hessian B^T H B of a
+    lattice.MirrorLayout, and where each edge block goes in it.
+
+    B sends the even unknowns to the reduced ones: u(v) = A_v x, with x the
+    two numbers of v's block (MirrorLayout.maps).  Edge (a, b) with block B
+    puts A_a^T B A_a on the diagonal block of a, A_b^T B^T A_b on that of b,
+    -A_a^T B A_b at (a, b) and its transpose at (b, a); a single's second
+    row and column drop out.  At an even configuration an edge and its
+    mirror image put the same blocks there, so the plan sums one
+    representative of each pair (edges): an edge with both ends at i >= j
+    at twice its weight, and a cell diagonal (i+1, i)-(i, i+1), its own
+    image, at its weight (multiplicity).  The representatives are about
+    half the edges, so an even Hessian costs about half a reduced one.
+
+    A_v is the identity at every end but two kinds, whose blocks are formed
+    explicitly: the diagonal vertex (i, i), whose A_v is the rotation by
+    phi/2 (framed edges), and the end (i, i+1) of a cell diagonal, M times
+    the other end, so that the edge adds B - B M - M B^T + M B^T M to the
+    diagonal block of (i+1, i) (own edges).
+
+    data() forms a stack of 2 x 2 blocks: -B of every representative, the
+    framed edges' blocks A_a^T (-B) A_a, A_b^T (-B)^T A_b and A_a^T (-B) A_b,
+    the own edges' negated blocks, one zero block and the diagonal blocks.
+    A diagonal block is minus the sum of the blocks in_a lists for it and
+    of the transposes of those in_b lists (the plain ends b).  The
+    matrix lists the pairs' unknowns first, then the singles' (as
+    MirrorLayout does), and gather names the stack entry of every CSC data
+    slot; diagonal names the slots of the diagonal blocks, (0, 0), (0, 1),
+    (1, 0) and (1, 1) of each pair, then (0, 0) of each single.
+    """
+
+    def __init__(self, graph, cmap, unknowns):
+        i, j = graph.ij.T
+        a, b = graph.edges.T
+        # the cell diagonal of corner (k, k) is edge 2 n_up + corner number,
+        # and the corner number of vertex v is v - j(v)
+        k = np.arange((graph.n + 1) // 2)
+        image = np.zeros(graph.n_edges, dtype=bool)
+        image[2 * (graph.n_edges // 3) + graph.vertex_id(k, k) - k] = True
+        lower = i >= j
+        self.edges = np.flatnonzero((lower.take(a) & lower.take(b)) | image)
+        own = image.take(self.edges)
+        self.multiplicity = np.where(own, 1.0, 2.0)
+        self.weights = graph.weights.take(self.edges) * self.multiplicity
+        a, b = a.take(self.edges), b.take(self.edges)
+        ma, mb = unknowns.block.take(a), unknowns.block.take(b)
+        on_axis = (i == j) & (i >= 1)
+        framed = on_axis.take(a) | on_axis.take(b)
+        plain = ~(framed | own)
+        self.framed, self.own = np.flatnonzero(framed), np.flatnonzero(own)
+        maps = unknowns.maps()
+        self.frames = [maps.take(ends.take(self.framed), axis=0) for ends in (a, b)]
+        self.mirror = unknowns.mirror
+
+        n_rep, n1 = len(self.edges), len(self.framed)
+        nb, p = len(unknowns.owners), unknowns.n_pairs
+        x0 = n_rep + np.arange(n1)
+        self.zero = n_rep + 3 * n1 + len(self.own)
+        diag0 = self.zero + 1
+        ends_a = plain & (ma >= 0)
+        ends_b = plain & (mb >= 0)
+        self.in_a = _term_table(
+            np.concatenate([ma[ends_a], ma.take(self.framed), mb.take(self.framed),
+                            ma.take(self.own)]),
+            np.concatenate([np.flatnonzero(ends_a), x0, x0 + n1,
+                            n_rep + 3 * n1 + np.arange(len(self.own))]), nb, self.zero)
+        self.in_b = _term_table(mb[ends_b], np.flatnonzero(ends_b), nb, self.zero)
+
+        # block slots (row, column, stack entry, transposed): the diagonal,
+        # then (a, b) and (b, a) of the plain and the framed edges
+        both = np.flatnonzero(ends_a & ends_b)
+        m = np.arange(nb)
+        rows = np.concatenate([m, ma[both], mb[both], ma.take(self.framed), mb.take(self.framed)])
+        cols = np.concatenate([m, mb[both], ma[both], mb.take(self.framed), ma.take(self.framed)])
+        src = np.concatenate([diag0 + m, both, both, x0 + 2 * n1, x0 + 2 * n1])
+        flip = np.repeat([False, True, False, True], [nb + len(both), len(both), n1, n1])
+        order = np.argsort(cols * nb + rows)
+        rows, cols, src, flip = (x.take(order) for x in (rows, cols, src, flip))
+
+        # scalar slots: block column c has k[c] scalar columns of length[c]
+        # entries each, which list k[r] rows of every block (r, c) in turn
+        k = np.where(m < p, 2, 1)
+        offset = np.where(m < p, 2 * m, p + m)
+        k_row, k_col = k.take(rows), k.take(cols)
+        seen = np.concatenate([[0], np.cumsum(k_row)])
+        col_start = np.concatenate([[0], np.cumsum(np.bincount(cols, minlength=nb))])
+        length = np.diff(seen.take(col_start))
+        base = np.concatenate([[0], np.cumsum(k * length)])
+        n = unknowns.n_reduced
+        self.shape = (n, n)
+        self.nnz = int(base[-1])
+        self.indptr = np.empty(n + 1, dtype=np.int32)
+        self.indptr[offset] = base[:-1]
+        self.indptr[offset[:p] + 1] = base[:p] + length[:p]
+        self.indptr[n] = self.nnz
+        # slot of entry (r, q) of each block: at + r + q * stride; the
+        # entries a single lacks go to a spare slot past the end
+        at = (base[:-1] - seen.take(col_start[:-1])).take(cols) + seen[:-1]
+        stride = length.take(cols)
+        row0, src = offset.take(rows), 4 * src
+        indices = np.empty(self.nnz + 1, dtype=np.int32)
+        gather = np.empty(self.nnz + 1, dtype=np.intp)
+        # stack entry (r, q) of a block is 2 r + q, or 2 q + r when flipped
+        for q, r, entry in ((0, 0, src), (0, 1, src + 2 - flip), (1, 0, src + 1 + flip),
+                            (1, 1, src + 3)):
+            pos = at + (r + q * stride)
+            pos[(k_col <= q) | (k_row <= r)] = self.nnz
+            indices[pos] = row0 + r
+            gather[pos] = entry
+        self.indices, self.gather = indices[:-1], gather[:-1]
+        d = np.flatnonzero(src >= 4 * diag0)            # one per column, in order
+        at, stride = at.take(d), stride.take(d)
+        self.diagonal = (at[:p], at[:p] + stride[:p], at[:p] + 1, at[:p] + stride[:p] + 1,
+                         at[p:])
+        self.band = None             # solver.BandLayout, built by its first use
+        # every matrix shares these: an in-place change would corrupt the plan
+        self.indices.flags.writeable = self.indptr.flags.writeable = False
+
+    def data(self, blocks):
+        """CSC data of the even Hessian whose representative edge (a, b) has
+        the block B = blocks[e] (its multiplicity included)."""
+        n, n1 = len(blocks), len(self.framed)
+        stack = np.empty((self.zero + 1 + self.in_a.shape[1], 2, 2))
+        neg = np.subtract(0.0, blocks, out=stack[:n])
+        x = neg.take(self.framed, axis=0)
+        fa, fb = self.frames
+        stack[n:n + n1] = fa.swapaxes(1, 2) @ x @ fa
+        stack[n + n1:n + 2 * n1] = fb.swapaxes(1, 2) @ x.swapaxes(1, 2) @ fb
+        stack[n + 2 * n1:n + 3 * n1] = fa.swapaxes(1, 2) @ x @ fb
+        y, m = neg.take(self.own, axis=0), self.mirror
+        yt = y.swapaxes(1, 2)
+        stack[n + 3 * n1:self.zero] = y - y @ m - m @ yt + m @ yt @ m
+        stack[self.zero] = 0.0
+        total = stack.take(self.in_a[0], axis=0)
+        for terms in self.in_a[1:]:
+            total += stack.take(terms, axis=0)
+        below = stack.take(self.in_b[0], axis=0)
+        for terms in self.in_b[1:]:
+            below += stack.take(terms, axis=0)
+        total += below.swapaxes(1, 2)
+        np.subtract(0.0, total, out=stack[self.zero + 1:])
+        return stack.ravel().take(self.gather)
+
+    def matrix(self, data):
+        """The even CSC matrix with these data; it shares the index arrays
+        of the plan."""
+        return sp.csc_matrix((data, self.indices, self.indptr), shape=self.shape)
+
+
+def _term_table(blocks, terms, n_blocks, fill):
+    """A (K, n_blocks) table whose column m lists, in order, the terms whose
+    block is m, padded with fill; K is the most terms of any block."""
+    order = np.argsort(blocks, kind="stable")
+    blocks, terms = blocks.take(order), terms.take(order)
+    count = np.bincount(blocks, minlength=n_blocks)
+    rank = np.arange(len(blocks)) - (np.cumsum(count) - count).take(blocks)
+    table = np.full((count.max(initial=0), n_blocks), fill, dtype=np.intp)
+    table[rank, blocks] = terms
+    return table
 
 
 def assemble_energy(graph, config, law):
@@ -521,15 +689,21 @@ def assemble_gradient(graph, config, law, cmap, layout):
 
 def assemble_hessian(graph, config, law, cmap, layout):
     """Reduced sparse symmetric Hessian in CSC form, in the fixed pattern of
-    the layout's HessianPlan (built by the first call)."""
+    the layout's plan (built by the first call): the HessianPlan of a
+    DofLayout, or the MirrorHessianPlan of a lattice.MirrorLayout, whose
+    matrix is the even Hessian B^T H B at an even configuration."""
     if layout.hessian_plan is None:
-        layout.hessian_plan = HessianPlan(graph, cmap, layout)
+        kind = MirrorHessianPlan if isinstance(layout, MirrorLayout) else HessianPlan
+        layout.hessian_plan = kind(graph, cmap, layout)
     plan = layout.hessian_plan
     u = np.asarray(config, dtype=float)
-    blocks = _bond_hessians(graph, u, law)
+    blocks = _bond_hessians(graph, u, law, plan.edges, plan.weights)
     if law.psi_name != "zero":
         # det is translation invariant, so each cell's Psi Hessian is a sum
         # over its edges (a, b) of -P at (a, a), -P^T at (b, b), P at (a, b)
         # and P^T at (b, a), where P is the cell's block [a, b]
-        blocks -= _psi_edge_hessians(graph, u, law)
-    return plan.matrix(plan.data(blocks, cmap.rotation))
+        psi = _psi_edge_hessians(graph, u, law)
+        if plan.edges is not None:
+            psi = plan.multiplicity[:, None, None] * psi.take(plan.edges, axis=0)
+        blocks -= psi
+    return plan.matrix(plan.data(blocks))

@@ -23,7 +23,9 @@ Sweep.  run_sweep solves at eps = 2^-1 from the det1 linear start, then
 halves eps, warm-starting each level by prolongation of the previous
 minimizer, and records energies, determinant diagnostics and the empirical
 power-law exponents p_eps = log2((e_4eps - e_2eps)/(e_2eps - e_eps)); it
-keeps only the previous lattice.Level.  The fold study uses one Level.
+keeps only the previous level.  Its start and prolong are mirror-even, so
+every level solves on its even half (lattice.MirrorLevel).  The fold
+study's folded starts are not, and it uses one full lattice.Level.
 """
 
 import contextlib
@@ -43,9 +45,9 @@ from .lattice import (  # noqa: F401
     DofLayout,
     LatticeGraph,
     Level,
+    MirrorLevel,
     build_constraints,
     expand,
-    expand_matrix,
     reduce_config,
     rot,
 )
@@ -156,23 +158,40 @@ def prolong(coarse_graph, coarse_config, fine_graph):
 
 
 def prolongation_matrix(coarse, fine):
-    """prolong between two Levels on reduced vectors, as a sparse matrix P
-    (CSR): P @ q == fine.reduce(prolong(coarse.graph, coarse.expand(q),
-    fine.graph)) up to roundoff.
+    """prolong between two MirrorLevels on their even unknowns, as a sparse
+    matrix P (CSR): P @ x == fine.reduce(prolong(coarse.graph,
+    coarse.expand(x), fine.graph)) up to roundoff.
 
-    expand_matrix expands q to all coarse vertices, slaves included; each
-    free fine vertex then averages its two coarse ends, componentwise.
+    With u(v) = A_v x on each level (MirrorLayout.maps), the fine block of
+    vertex v takes 0.5 A_v^T A_w x_w from each of its two coarse ends w; a
+    single's unused second number and the pinned origin drop out.
     """
-    a, b = _coarse_ends(coarse.graph, fine.graph)
-    free = fine.layout.free_ids
-    rows = np.repeat(np.arange(len(free)), 2)
-    cols = np.column_stack([a[free], b[free]]).ravel()
-    means = sp.csr_matrix(
-        (np.full(len(rows), 0.5), (rows, cols)),
-        shape=(len(free), coarse.graph.n_vertices),
-    )
-    return (sp.kron(means, sp.identity(2), format="csr")
-            @ expand_matrix(coarse.cmap, coarse.layout)).tocsr()
+    fu, cu = fine.unknowns, coarse.unknowns
+    owners = fu.owners
+    frames = fu.maps().take(owners, axis=0).swapaxes(1, 2)
+    coarse_maps = cu.maps()
+    row_block = np.arange(len(owners))
+    rows, cols, vals = [], [], []
+    for ends in _coarse_ends(coarse.graph, fine.graph):
+        w = ends.take(owners)
+        col_block = cu.block.take(w)
+        coeff = 0.5 * frames @ coarse_maps.take(w, axis=0)
+        for r in range(2):
+            for c in range(2):
+                keep = ((col_block >= 0) & (coeff[:, r, c] != 0.0)
+                        & ((r == 0) | (row_block < fu.n_pairs))
+                        & ((c == 0) | (col_block < cu.n_pairs)))
+                rows.append(_even_index(row_block[keep], r, fu.n_pairs))
+                cols.append(_even_index(col_block[keep], c, cu.n_pairs))
+                vals.append(coeff[keep, r, c])
+    return sp.csr_matrix(
+        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
+        shape=(fu.n_reduced, cu.n_reduced))
+
+
+def _even_index(block, c, n_pairs):
+    """Place of number c of each block in a MirrorLayout's even vector."""
+    return np.where(block < n_pairs, 2 * block + c, n_pairs + block)
 
 
 def estimate_rate(e_eps, e_2eps, e_4eps):
@@ -254,14 +273,14 @@ def run_sweep(phi, k_max, law, opts=None, cold_start=False, keep_configs=False):
         ctypes.CDLL(None).malloc_trim(0)
     prev = prev_config = coarse = None    # the previous level, its minimizer
     for k in range(1, k_max + 1):
-        level = Level(2**k, phi)
+        level = MirrorLevel(2**k, phi)
         if prev is None or cold_start:
             init = linear_init(level.graph, phi)
         else:
             init = prolong(prev.graph, prev_config, level.graph)
         try:
             two_grid = None if coarse is None else TwoGrid(
-                *coarse, prolongation_matrix(prev, level)
+                coarse, prolongation_matrix(prev, level), level.unknowns
             )
             config, report = newton_minimize(level, law, init, opts, two_grid)
             # the hand-over runs before the finer Level is built: building

@@ -13,13 +13,13 @@ boundary segments are
 A deformation u is admissible when u(R60*x) = R_phi*u(x) for every vertex x
 on Gamma1 and u(0) = 0.  Each Gamma2 vertex (0, i) is therefore slaved to the
 Gamma1 master (i, 0), and the origin is pinned, leaving 2*(|V| - N - 1) free
-scalar unknowns.
+scalar unknowns.  The configurations that the reflection u -> M u(j, i)
+leaves fixed have half as many (MirrorLayout); the sweep solves on them.
 """
 
 import numbers
 
 import numpy as np
-import scipy.sparse as sp
 
 from .io import write_rows
 
@@ -218,22 +218,6 @@ def reduce_gradient(full, cmap, layout):
     return q.ravel()
 
 
-def expand_matrix(cmap, layout):
-    """expand as a sparse CSR matrix S (2|V| x n_reduced), u_full = S @ q:
-    identity blocks on free vertices, R_phi blocks slaving Gamma2 to
-    Gamma1, and zero rows at the pinned origin."""
-    c, slaves, n = np.arange(2), cmap.slaves, layout.n_reduced
-    # slave entry (k, a, b) holds R_phi[a, b] in row 2 s_k + a, column 2 m_k + b
-    rows = np.broadcast_to(2 * slaves[:, None, None] + c[:, None], (len(slaves), 2, 2))
-    cols = np.broadcast_to(2 * layout.block.take(slaves)[:, None, None] + c, rows.shape)
-    vals = np.broadcast_to(cmap.rotation, rows.shape)
-    return sp.csr_matrix(
-        (np.concatenate([np.ones(n), vals.ravel()]),
-         (np.concatenate([(2 * layout.free_ids[:, None] + c).ravel(), rows.ravel()]),
-          np.concatenate([np.arange(n), cols.ravel()]))),
-        shape=(2 * layout.n_full, n))
-
-
 def reduce_config(config, layout):
     """Full (|V|, 2) configuration -> reduced vector (free vertices only)."""
     config = np.asarray(config, dtype=float)
@@ -244,15 +228,108 @@ def reduce_config(config, layout):
     return config.take(layout.free_ids, axis=0).ravel()
 
 
+class MirrorLayout:
+    """The mirror-even unknowns of a lattice under the constraint map cmap.
+
+    M = [[cos phi, sin phi], [sin phi, -cos phi]] is the reflection across
+    the line at angle phi/2.  u -> M u(j, i) maps admissible configurations
+    to admissible ones of the same energy, and u is even when
+    u(j, i) = M u(i, j) at every vertex.  An even u is fixed by:
+    - the two components of each vertex (i, j) with i > j >= 1 (a pair);
+    - one number at each Gamma1 vertex (k, 0), k >= 1: its Gamma2 slave is
+      both R_phi u and M u, so u lies along e1;
+    - one number at each diagonal vertex (i, i), i >= 1: u lies along the
+      axis (cos phi/2, sin phi/2) of M.
+    Every vertex with i < j, the Gamma2 slaves included, is the image M u of
+    its mirror vertex (j, i), and the origin is pinned.  The even vector
+    lists the pairs first, two numbers each, then the single numbers, each
+    group in vertex id order: n_reduced is half of DofLayout.n_reduced.
+
+    owners lists the vertex of each block (n_pairs pairs, then the singles)
+    and axes the unit axis of each single as a complex number.  block[v] is
+    the block of vertex v: its own for i >= j, its mirror vertex's for
+    i < j, and -1 at the origin.  mirror is M, and in complex form
+    M z = w conj(z) with w = exp(i phi).
+    """
+
+    def __init__(self, graph, cmap, layout):
+        i, j = graph.ij.T
+        pairs = np.flatnonzero((i > j) & (j >= 1))
+        singles = np.flatnonzero((i >= 1) & ((j == 0) | (i == j)))
+        self.owners = np.concatenate([pairs, singles])
+        self.n_pairs = len(pairs)
+        self.n_reduced = 2 * len(pairs) + len(singles)
+        self.axes = np.where(j.take(singles) == 0, 1.0, np.exp(0.5j * cmap.phi))
+        self.w = np.exp(1j * cmap.phi)
+        self.mirror = np.array([[self.w.real, self.w.imag], [self.w.imag, -self.w.real]])
+        self.block = np.full(graph.n_vertices, -1, dtype=np.int64)
+        self.block[self.owners] = np.arange(len(self.owners))
+        self.upper = np.flatnonzero(i < j)
+        self.upper_images = graph.vertex_id(j.take(self.upper), i.take(self.upper))
+        self.block[self.upper] = self.block.take(self.upper_images)
+        # reduced blocks of the owners and of the pairs' mirror vertices
+        self._reduced = (layout.block.take(self.owners),
+                         layout.block.take(graph.vertex_id(j.take(pairs), i.take(pairs))))
+
+        # energy.MirrorHessianPlan of this layout, built by the first Hessian
+        self.hessian_plan = None
+
+    def unfold(self, even):
+        """Even vector x -> reduced vector B x: x on a pair's vertex (i, j)
+        and M x on its mirror vertex (j, i), x times the axis on a single."""
+        owners, images = self._reduced
+        p = self.n_pairs
+        q = np.empty(len(owners) + len(images), dtype=np.complex128)
+        pairs = np.ascontiguousarray(even[:2 * p]).view(np.complex128)
+        q[owners[:p]] = pairs
+        q[images] = self.w * np.conj(pairs)
+        q[owners[p:]] = even[2 * p:] * self.axes
+        return q.view(float)
+
+    def reduce(self, config):
+        """Full (|V|, 2) configuration -> even vector: the owners' values,
+        projected on their axes at the singles, so that x is
+        reduce(MirrorLevel.expand(x))."""
+        z = np.ascontiguousarray(config, dtype=float).view(np.complex128).ravel()
+        p = self.n_pairs
+        return np.concatenate([z.take(self.owners[:p]).view(float),
+                               (z.take(self.owners[p:]) * np.conj(self.axes)).real])
+
+    def fold(self, gradient):
+        """Reduced gradient g -> even gradient B^T g, B = unfold: g(i, j) +
+        M g(j, i) on a pair and the component along the axis on a
+        single."""
+        g = np.ascontiguousarray(gradient).view(np.complex128)
+        owners, images = self._reduced
+        p = self.n_pairs
+        pairs = g.take(owners[:p]) + self.w * np.conj(g.take(images))
+        return np.concatenate([pairs.view(float),
+                               (g.take(owners[p:]) * np.conj(self.axes)).real])
+
+    def maps(self):
+        """The (|V|, 2, 2) matrices A_v with u(v) = A_v x, x the two numbers
+        of block[v] (a single's second one is unused): the identity on a
+        pair, the rotation taking e1 to its axis on a single, M A_w on the
+        mirror vertex of w, and zero at the origin."""
+        a = np.zeros((len(self.block), 2, 2))
+        p = self.n_pairs
+        a[self.owners[:p]] = np.eye(2)
+        c, s = self.axes.real, self.axes.imag
+        a[self.owners[p:]] = np.stack([np.stack([c, -s], -1), np.stack([s, c], -1)], 1)
+        a[self.upper] = self.mirror @ a[self.upper_images]
+        return a
+
+
 class Level:
     """One lattice of the eps-halving family, fixed by (N, phi): its graph,
     its constraint map u(R60 x) = R_phi u(x) and the layout of its reduced
-    unknowns (which caches the energy.HessianPlan)."""
+    unknowns (which caches the energy.HessianPlan).  unknowns is the layout
+    the solver iterates on, here the reduced one."""
 
     def __init__(self, n, phi):
         self.graph = LatticeGraph(n)
         self.cmap = build_constraints(self.graph, phi)
-        self.layout = DofLayout(self.graph, self.cmap)
+        self.layout = self.unknowns = DofLayout(self.graph, self.cmap)
         self.n = self.graph.n
 
     def expand(self, reduced):
@@ -260,6 +337,30 @@ class Level:
 
     def reduce(self, config):
         return reduce_config(config, self.layout)
+
+    def fold(self, gradient):
+        """A reduced gradient in the solver's unknowns: itself."""
+        return gradient
+
+
+class MirrorLevel(Level):
+    """A Level whose solver unknowns are its mirror-even half
+    (MirrorLayout): expand (through unfold) and reduce map even vectors,
+    and fold takes a reduced gradient to the even one.  An even critical point is a critical
+    point of the whole problem (Palais, Comm. Math. Phys. 69, 1979)."""
+
+    def __init__(self, n, phi):
+        super().__init__(n, phi)
+        self.unknowns = MirrorLayout(self.graph, self.cmap, self.layout)
+
+    def expand(self, reduced):
+        return expand(self.unknowns.unfold(reduced), self.cmap, self.layout)
+
+    def reduce(self, config):
+        return self.unknowns.reduce(config)
+
+    def fold(self, gradient):
+        return self.unknowns.fold(gradient)
 
 
 def dump_lattice(graph, cmap, stream):

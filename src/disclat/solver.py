@@ -1,11 +1,14 @@
 """Newton minimization of the reduced energy.
 
-Each iteration solves (H + tau*I) s = -g.  A run can be given a TwoGrid
-preconditioner, which run_sweep builds for every level after the first:
-damped 2x2 block-Jacobi smoothing around a coarse correction through the
-coarse solve the coarser level handed over (hand_over), with the gauge mode
-(a global rotation, which costs no energy) projected out.  That coarse solve
-is the LU of the coarser level's Hessian at its minimizer or, above
+Each iteration solves (H + tau*I) s = -g on the level's unknowns: the
+reduced ones of a lattice.Level, or the mirror-even half of a
+lattice.MirrorLevel, on which run_sweep solves every level.  The gauge
+mode, a global rotation that costs no energy, is mirror-odd, so the even
+systems do not have it.  A run can be given a TwoGrid preconditioner,
+which run_sweep builds for every level after the first: damped
+block-Jacobi smoothing around a coarse correction through the coarse solve
+the coarser level handed over (hand_over).  That coarse solve is the LU of
+the coarser level's even Hessian at its minimizer or, above
 experiments.COARSE_LU_MAX, the coarser level's own two-grid preconditioner
 there; nested, these make a V-cycle with an LU only on a small level.  H
 and the preconditioner are symmetric, so preconditioned CG on it solves
@@ -14,8 +17,7 @@ step (Dembo, Eisenstat & Steihaug, SIAM J. Numer. Anal. 19, 1982), which
 converges locally at least linearly at rate CG_FORCING.  The sweep's
 Newton counts are those of exact solves, and CG buys no accuracy that the
 next iteration would discard.  CG gives up after CG_MAXITER iterations,
-or at non-positive curvature: at a warm start H can have one slightly
-negative eigenvalue along the gauge mode.  The step it returns must be a descent
+or at non-positive curvature.  The step it returns must be a descent
 direction.  The first failure drops the two-grid for the run.
 TwoGrid.solve makes that attempt; every Newton system without a two-grid
 is factored afresh, so unless CG fails a sweep never factors its finest
@@ -24,7 +26,7 @@ lattice.
 A fresh factorization is a banded Cholesky: LAPACK's dpbsv on the lower
 band of H + tau*I under a reverse Cuthill-McKee ordering (George & Liu,
 Computer Solution of Large Sparse Positive Definite Systems, 1981), laid
-out once per HessianPlan as a BandLayout.  When H + tau*I is not positive
+out once per Hessian plan as a BandLayout.  When H + tau*I is not positive
 definite, or the Cholesky step fails the tests, the same system goes to a
 sparse LU (minimum-degree ordering, threshold pivoting at
 DIAG_PIVOT_THRESH), so an indefinite system that the LU solves keeps the
@@ -34,8 +36,9 @@ accurate descent direction; past TAU_LIMIT the system is declared
 singular.  An Armijo backtracking line search guarantees energy descent; a
 trial point whose energy is not finite is rejected like one that fails the
 Armijo test.  Every function here takes the lattice as one lattice.Level
-(graph, constraint map and reduced layout).  Admissibility is exact at
-every iterate because all trial points go through Level.expand.
+(graph, constraint map, reduced layout and the unknowns).  Admissibility
+is exact at every iterate because all trial points go through
+Level.expand.
 """
 
 import numpy as np
@@ -256,59 +259,56 @@ def _cg(a, b, precond, tol):
 
 class TwoGrid:
     """Two-grid preconditioner for the Newton systems of a sweep level
-    (Briggs, Henson & McCormick, A Multigrid Tutorial, 2000).
+    (Briggs, Henson & McCormick, A Multigrid Tutorial, 2000), on the
+    level's mirror-even unknowns (lattice.MirrorLayout).
 
     coarse_solve maps a coarse residual r to a correction e for the
-    coarser level's reduced Hessian H_coarse at its minimizer u_c, gauge is
-    reduce(J u_c) there (see hand_over), and prolongation is the reduced
-    prolongation matrix P (experiments.prolongation_matrix).  prolong is
-    linear and preserves energy on nested lattices, so
-    P^T H_fine(P q) P = H_coarse(q): at the prolonged warm start an LU of
+    coarser level's even Hessian H_coarse at its minimizer (see
+    hand_over), prolongation is the even prolongation matrix P
+    (experiments.prolongation_matrix), and unknowns is the fine level's
+    MirrorLayout, whose plan knows the slots of the diagonal blocks.
+    prolong is linear and preserves energy on nested lattices, so
+    P^T H_fine(P x) P = H_coarse(x): at the prolonged warm start an LU of
     H_coarse is the exact Galerkin coarse solver, and the coarser level's
     own preconditioner a symmetric approximation of it.  The residual is
     restricted by P.T, a transposed view of P, so each level keeps one copy.
-
-    A rotation of the whole configuration costs no energy, so H_coarse(u_c)
-    annihilates the gauge vector up to the size of the gradient; that
-    direction is projected out of the restricted residual and of the coarse
-    correction, where the nearly singular coarse solve would blow it up.
+    The gauge mode, a global rotation that costs no energy, is mirror-odd,
+    so the even systems do not have it.
     """
 
-    def __init__(self, coarse_solve, gauge, prolongation):
+    def __init__(self, coarse_solve, prolongation, unknowns):
         self.coarse_solve = coarse_solve
-        self.gauge = gauge / np.linalg.norm(gauge)
         self.p = prolongation
+        self.unknowns = unknowns
 
     def preconditioner(self, h):
-        """v -> M^-1 v for the fine matrix h: SMOOTH_SWEEPS damped 2x2
-        block-Jacobi sweeps (one block per free vertex), the coarse
-        correction P coarse_solve P^T, and SMOOTH_SWEEPS sweeps again.  None
-        when a diagonal block is not positive definite."""
-        d = h.diagonal()
-        a, c = d[0::2], d[1::2]
-        b, b_low = h.diagonal(1)[0::2], h.diagonal(-1)[0::2]
+        """v -> M^-1 v for the fine matrix h: SMOOTH_SWEEPS damped
+        block-Jacobi sweeps (a 2x2 block per pair, a 1x1 per single), the
+        coarse correction P coarse_solve P^T, and SMOOTH_SWEEPS sweeps
+        again.  None when a diagonal block is not positive definite."""
+        a, b, b_low, c, d = (h.data.take(slots)
+                             for slots in self.unknowns.hessian_plan.diagonal)
         det = a * c - b * b_low
-        if not (np.all(a > 0.0) and np.all(det > 0.0)):
+        if not (np.all(a > 0.0) and np.all(det > 0.0) and np.all(d > 0.0)):
             return None
         w = SMOOTH_OMEGA / det
         i00, i01, i10, i11 = w * c, -w * b, -w * b_low, w * a
-        z = self.gauge
+        i_single = SMOOTH_OMEGA / d
+        n = 2 * len(a)
 
         def jacobi(r):
             out = np.empty_like(r)
-            out[0::2] = i00 * r[0::2] + i01 * r[1::2]
-            out[1::2] = i10 * r[0::2] + i11 * r[1::2]
+            x, y = r[0:n:2], r[1:n:2]
+            out[0:n:2] = i00 * x + i01 * y
+            out[1:n:2] = i10 * x + i11 * y
+            out[n:] = i_single * r[n:]
             return out
 
         def apply(v):
             x = jacobi(v)
             for _ in range(SMOOTH_SWEEPS - 1):
                 x += jacobi(v - h @ x)
-            rc = self.p.T @ (v - h @ x)
-            rc -= (z @ rc) * z
-            ec = self.coarse_solve(rc)
-            ec -= (z @ ec) * z
-            x += self.p @ ec
+            x += self.p @ self.coarse_solve(self.p.T @ (v - h @ x))
             for _ in range(SMOOTH_SWEEPS):
                 x += jacobi(v - h @ x)
             return x
@@ -331,36 +331,36 @@ class TwoGrid:
 
 
 def hand_over(level, law, config, two_grid=None):
-    """(coarse_solve, reduce(J config)): the coarse half of a TwoGrid for
-    the next finer level, from the reduced Hessian H at config, this level's
-    minimizer.
+    """The coarse solve of a TwoGrid for the next finer level, from the even
+    Hessian H of the lattice.MirrorLevel level at config, its minimizer.
 
-    coarse_solve is two_grid.preconditioner(H) when two_grid, the TwoGrid
-    this level ran with, is given and H has one: a cycle whose own coarse
-    solve may be a cycle again, so the chain keeps each coarse level's H and
-    P but factors only its coarsest level.  Otherwise it is the solve of the
-    LU of H.  None when that LU fails.
+    It is two_grid.preconditioner(H) when two_grid, the TwoGrid this level
+    ran with, is given and H has one: a cycle whose own coarse solve may be
+    a cycle again, so the chain keeps each coarse level's H and P but
+    factors only its coarsest level.  Otherwise it is the solve of the LU
+    of H.  None when that LU fails.
 
     The LU stays a SuperLU factorization: TwoGrid solves with it about a
     dozen times per level it serves (30-50 times for the LU of N = 32 in a
     sweep to 2^-8, which the nested cycles use up to N = 256), where a
-    banded solve is slower.  The matrix is singular along the gauge mode,
-    so it keeps SuperLU's full partial pivoting; with the diagonal
-    preferred (DIAG_PIVOT_THRESH) it hit an exactly zero pivot at N = 4 for
-    2pi/5, and the next level lost its two-grid."""
-    h = assemble_hessian(level.graph, config, law, level.cmap, level.layout)
+    banded solve is slower."""
+    h = assemble_hessian(level.graph, config, law, level.cmap, level.unknowns)
     coarse_solve = None if two_grid is None else two_grid.preconditioner(h)
     if coarse_solve is None:
         try:
             coarse_solve = splu(h.tocsc(), permc_spec="MMD_AT_PLUS_A").solve
         except RuntimeError:
             return None
-    gauge = np.column_stack([-config[:, 1], config[:, 0]])    # J u
-    return coarse_solve, level.reduce(gauge)
+    return coarse_solve
 
 
 def newton_minimize(level, law, init, opts=None, two_grid=None):
     """Minimize the reduced energy on level from an admissible config init.
+
+    Newton iterates on level.unknowns: the reduced unknowns of a Level, the
+    mirror-even ones of a lattice.MirrorLevel, whose init must be even.
+    The stopping rule reads the reduced gradient at the expanded iterate
+    either way; level.fold takes it to the unknowns.
 
     two_grid, a TwoGrid for this lattice, solves every Newton system by
     TwoGrid.solve until that first fails; every other system is factored
@@ -377,26 +377,27 @@ def newton_minimize(level, law, init, opts=None, two_grid=None):
     """
     if opts is None:
         opts = NewtonOptions()
-    graph, cmap, layout = level.graph, level.cmap, level.layout
+    graph, cmap, layout, unknowns = level.graph, level.cmap, level.layout, level.unknowns
     q = level.reduce(init)
     report = SolveReport()
     u = level.expand(q)
     f = assemble_energy(graph, u, law)
     g = assemble_gradient(graph, u, law, cmap, layout)
     gnorm = np.abs(g).max()
+    g = level.fold(g)
     report.record(f, gnorm, 0.0, 0.0)
     for _ in range(opts.max_iter):
         if gnorm <= opts.grad_tol:
             break
         h = None                       # free the last Hessian before the next
-        h = assemble_hessian(graph, u, law, cmap, layout)
+        h = assemble_hessian(graph, u, law, cmap, unknowns)
         found = two_grid and two_grid.solve(h, g)
         if found:
             s, resid, krylov_iters = found
             tau = 0.0
         else:
             two_grid = None            # the first failure ends it for the run
-            plan = layout.hessian_plan
+            plan = unknowns.hessian_plan
             if plan.band is None:
                 plan.band = BandLayout(h)
             s, tau, resid = _factor_step(h, g, plan.band)
@@ -422,6 +423,7 @@ def newton_minimize(level, law, init, opts=None, two_grid=None):
         f = assemble_energy(graph, u, law)
         g = assemble_gradient(graph, u, law, cmap, layout)
         gnorm = np.abs(g).max()
+        g = level.fold(g)
         report.record(f, gnorm, np.linalg.norm(step), tau)
         if np.linalg.norm(step) == 0.0:
             break

@@ -20,7 +20,7 @@ from disclat.experiments import (
     run_fold_study,
     run_sweep,
 )
-from disclat.lattice import LatticeGraph, Level, rot
+from disclat.lattice import LatticeGraph, Level, MirrorLevel, rot
 import disclat.experiments
 import disclat.solver
 from disclat.solver import CG_FORCING, CG_MAXITER
@@ -244,23 +244,23 @@ def test_prolong_preserves_energy_and_admissibility():
     seeds,
 )
 def test_prolongation_matrix_and_galerkin_identity(n, phi, p, psi, seed):
-    # P is prolong on reduced vectors; since prolong is linear and preserves
-    # energy, E_fine(P q) = E_coarse(q) for all q and, differentiating twice,
-    # P^T H_fine(P q) P = H_coarse(q): the coarse Hessian is the Galerkin
-    # operator of the fine one
+    # P is prolong on even vectors; since prolong is linear and preserves
+    # energy, E_fine(P x) = E_coarse(x) for all even x and, differentiating
+    # twice, P^T H_fine(P x) P = H_coarse(x): the coarse even Hessian is the
+    # Galerkin operator of the fine one
     law = MaterialLaw(p=p, psi=psi)
-    coarse, fine = Level(n, phi), Level(2 * n, phi)
+    coarse, fine = MirrorLevel(n, phi), MirrorLevel(2 * n, phi)
     rng = np.random.default_rng(seed)
-    q = coarse.reduce(linear_init(coarse.graph, phi))
-    q = q + 0.2 * coarse.graph.eps * rng.normal(size=q.shape)      # non-affine
+    x = coarse.reduce(linear_init(coarse.graph, phi))
+    x = x + 0.2 * coarse.graph.eps * rng.normal(size=x.shape)      # non-affine
     p_mat = prolongation_matrix(coarse, fine)
-    u = coarse.expand(q)
+    u = coarse.expand(x)
     expected = fine.reduce(prolong(coarse.graph, u, fine.graph))
-    assert np.abs(p_mat @ q - expected).max() <= 1e-14 * max(1.0, np.abs(q).max())
-    h_coarse = assemble_hessian(coarse.graph, u, law, coarse.cmap, coarse.layout)
-    uf = fine.expand(p_mat @ q)
+    assert np.abs(p_mat @ x - expected).max() <= 1e-14 * max(1.0, np.abs(x).max())
+    h_coarse = assemble_hessian(coarse.graph, u, law, coarse.cmap, coarse.unknowns)
+    uf = fine.expand(p_mat @ x)
     galerkin = p_mat.T @ assemble_hessian(
-        fine.graph, uf, law, fine.cmap, fine.layout) @ p_mat
+        fine.graph, uf, law, fine.cmap, fine.unknowns) @ p_mat
     assert abs(galerkin - h_coarse).max() <= 1e-12 * abs(h_coarse).max()
 
 
@@ -392,9 +392,9 @@ def assert_sweep_answers_pinned(rec):
     np.testing.assert_allclose(rec.energies, SWEEP_ENERGIES, rtol=1e-12, atol=0.0)
 
 
-def reduced(k):             # 2 unknowns per vertex off Gamma2 and the origin
-    n = 2**k
-    return 2 * (LatticeGraph(n).n_vertices - n - 1)
+def even(k):                # half the reduced unknowns: 2 per vertex off Gamma2
+    n = 2**k                # and the origin
+    return LatticeGraph(n).n_vertices - n - 1
 
 
 def test_sweep_answers_pinned():
@@ -421,7 +421,7 @@ def test_penalized_sweep_answers_pinned():
 def test_sweep_factors_first_level_and_hand_overs(monkeypatch):
     # level 1 has no coarser level and factors every Newton system afresh,
     # by banded Cholesky (dpbsv).  Each level but the last (none above
-    # COARSE_LU_MAX here) then factors its Hessian at its minimizer by
+    # COARSE_LU_MAX here) then factors its even Hessian at its minimizer by
     # SuperLU, and the next level solves every Newton system by CG on the
     # two-grid preconditioner built on that LU, so neither routine ever sees
     # the finest lattice.
@@ -462,8 +462,8 @@ def test_sweep_factors_first_level_and_hand_overs(monkeypatch):
     ]
 
     assert factored == (
-        [("dpbsv", reduced(1))] * first.iterations
-        + [("splu", reduced(k)) for k in range(1, 5)]
+        [("dpbsv", even(1))] * first.iterations
+        + [("splu", even(k)) for k in range(1, 5)]
     )
 
 
@@ -499,7 +499,7 @@ def test_sweep_hands_over_cycles_above_the_cap(monkeypatch):
     factored = counted_splu(monkeypatch)
     rec = run_sweep(PHI5, 5, LAW)
     assert_sweep_answers_pinned(rec)
-    assert factored == [reduced(1), reduced(2)]
+    assert factored == [even(1), even(2)]
     for report in rec.reports[1:]:
         assert all(1 <= k <= CG_MAXITER for k in report.krylov_iters)
 
@@ -511,7 +511,7 @@ def test_sweep_level_without_cycle_hands_over_lu(monkeypatch, lu_fails):
     # its LU instead; when that LU fails too, the next level runs without a
     # two-grid and factors its own Newton systems
     monkeypatch.setattr(disclat.experiments, "COARSE_LU_MAX", 4)
-    factored = counted_splu(monkeypatch, reduced(3) if lu_fails else None)
+    factored = counted_splu(monkeypatch, even(3) if lu_fails else None)
     real = disclat.experiments.hand_over
 
     def hand_over(level, *args):
@@ -525,12 +525,12 @@ def test_sweep_level_without_cycle_hands_over_lu(monkeypatch, lu_fails):
     rec = run_sweep(PHI5, 5, LAW)
     assert_sweep_answers_pinned(rec)
     krylov = [report.krylov_iters for report in rec.reports]
-    assert factored[:3] == [reduced(k) for k in range(1, 4)]
+    assert factored[:3] == [even(k) for k in range(1, 4)]
     if lu_fails:
         # N = 16 factors its own Newton systems and, with no two-grid to
         # build a cycle on, hands over its LU
         assert krylov.pop(3) == [0] * rec.iterations[3]
-        assert factored[3:] and set(factored[3:]) == {reduced(4)}
+        assert factored[3:] and set(factored[3:]) == {even(4)}
     else:
         assert len(factored) == 3
     for iters in krylov[1:]:

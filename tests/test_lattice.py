@@ -14,7 +14,6 @@ from disclat.lattice import (
     build_constraints,
     dump_lattice,
     expand,
-    expand_matrix,
     reduce_config,
     reduce_gradient,
     rot,
@@ -226,17 +225,6 @@ def test_expand_reduce_roundtrip_and_admissibility(n, seed):
     assert np.array_equal(expand(reduce_config(u, layout), cmap, layout), u)
 
 
-def test_select_matrix_matches_expand():
-    g = LatticeGraph(4)
-    cmap = build_constraints(g, PHI5)
-    layout = DofLayout(g, cmap)
-    rng = np.random.default_rng(4)
-    q = rng.normal(size=layout.n_reduced)
-    u = expand(q, cmap, layout)
-    s = expand_matrix(cmap, layout)
-    np.testing.assert_allclose(s @ q, u.ravel(), atol=1e-15)
-
-
 def test_shape_validation():
     g = LatticeGraph(3)
     cmap = build_constraints(g, PHI5)
@@ -310,11 +298,12 @@ def test_constraints_and_select_equal_loop_build(n, phi):
     assert cmap.masters.tolist() == [vid(i, 0) for i in range(1, n + 1)]
     assert cmap.slaves.tolist() == [vid(0, i) for i in range(1, n + 1)]
     assert cmap.pinned == vid(0, 0)
-    got = expand_matrix(cmap, DofLayout(g, cmap))
+    layout = DofLayout(g, cmap)
+    q = np.random.default_rng(n).normal(size=layout.n_reduced)
     want = loop_select(g, cmap)
-    assert got.shape == want.shape
-    for name in ("data", "indices", "indptr"):
-        assert np.array_equal(getattr(got, name), getattr(want, name)), name
+    assert want.shape == (2 * g.n_vertices, layout.n_reduced)
+    np.testing.assert_allclose(expand(q, cmap, layout).ravel(), want @ q,
+                               rtol=0.0, atol=1e-15 * np.abs(q).max())
 
 
 @given(st.integers(min_value=1, max_value=8),

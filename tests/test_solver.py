@@ -16,7 +16,7 @@ from disclat.energy import (
     assemble_hessian,
 )
 from disclat.experiments import linear_init, prolong, prolongation_matrix
-from disclat.lattice import Level
+from disclat.lattice import Level, MirrorLevel
 from disclat.solver import (
     BAND_MAX_SLOTS,
     CG_FORCING,
@@ -259,15 +259,14 @@ def test_line_search_rejects_nonfinite_trial(monkeypatch):
 
 
 def test_stale_two_grid_falls_back_to_fresh_factorization(monkeypatch):
-    coarse, level = Level(4, PHI5), Level(8, PHI5)
+    coarse, level = MirrorLevel(4, PHI5), MirrorLevel(8, PHI5)
     u_coarse = linear_init(coarse.graph, PHI5)
     u = prolong(coarse.graph, u_coarse, level.graph)
     # a coarse correction from the LU of an unrelated SPD matrix whose
     # spectrum spans eight decades: CG needs over 100 iterations to reach
     # CG_FORCING on it (a milder one, up to 1e3, converges in about 10)
-    stale = splu(sp.diags(np.geomspace(1e-8, 1.0, coarse.layout.n_reduced), format="csc"))
-    gauge = coarse.reduce(np.column_stack([-u_coarse[:, 1], u_coarse[:, 0]]))
-    two_grid = TwoGrid(stale.solve, gauge, prolongation_matrix(coarse, level))
+    stale = splu(sp.diags(np.geomspace(1e-8, 1.0, coarse.unknowns.n_reduced), format="csc"))
+    two_grid = TwoGrid(stale.solve, prolongation_matrix(coarse, level), level.unknowns)
     real = disclat.solver._cg
     tried = []
 
@@ -292,13 +291,13 @@ def test_stale_two_grid_falls_back_to_fresh_factorization(monkeypatch):
 def test_two_grid_step_is_inexact_descent_at_warm_start(phi):
     # the first Newton system of a sweep's N = 8 level, on the LU the N = 4
     # level hands over at its minimizer
-    coarse, level = Level(4, phi), Level(8, phi)
+    coarse, level = MirrorLevel(4, phi), MirrorLevel(8, phi)
     u_coarse, _ = newton_minimize(coarse, LAW, linear_init(coarse.graph, phi))
-    two_grid = TwoGrid(*hand_over(coarse, LAW, u_coarse),
-                       prolongation_matrix(coarse, level))
+    two_grid = TwoGrid(hand_over(coarse, LAW, u_coarse),
+                       prolongation_matrix(coarse, level), level.unknowns)
     u = prolong(coarse.graph, u_coarse, level.graph)
-    h = assemble_hessian(level.graph, u, LAW, level.cmap, level.layout)
-    g = assemble_gradient(level.graph, u, LAW, level.cmap, level.layout)
+    h = assemble_hessian(level.graph, u, LAW, level.cmap, level.unknowns)
+    g = level.fold(assemble_gradient(level.graph, u, LAW, level.cmap, level.layout))
     s, resid, iterations = two_grid.solve(h, g)
     assert resid <= CG_FORCING * np.linalg.norm(g)
     assert resid == pytest.approx(np.linalg.norm(h @ s + g), rel=1e-12)
@@ -335,21 +334,20 @@ def test_two_grid_preconditioner_is_spd_at_warm_start(phi, psi):
     # experiments.COARSE_LU_MAX: the N = 4 level's own cycle, built on the
     # two-grid it ran with, around an LU at N = 2
     law = MaterialLaw(p=2.0, psi=psi)
-    tiny, coarse, level = Level(2, phi), Level(4, phi), Level(8, phi)
+    tiny, coarse, level = MirrorLevel(2, phi), MirrorLevel(4, phi), MirrorLevel(8, phi)
     u_tiny, _ = newton_minimize(tiny, law, linear_init(tiny.graph, phi))
-    coarse_two_grid = TwoGrid(*hand_over(tiny, law, u_tiny),
-                              prolongation_matrix(tiny, coarse))
+    coarse_two_grid = TwoGrid(hand_over(tiny, law, u_tiny),
+                              prolongation_matrix(tiny, coarse), coarse.unknowns)
     u_coarse, _ = newton_minimize(coarse, law, prolong(tiny.graph, u_tiny, coarse.graph),
                                   two_grid=coarse_two_grid)
-    lu, gauge = hand_over(coarse, law, u_coarse)
-    cycle, cycle_gauge = hand_over(coarse, law, u_coarse, coarse_two_grid)
+    lu = hand_over(coarse, law, u_coarse)
+    cycle = hand_over(coarse, law, u_coarse, coarse_two_grid)
     assert lu.__qualname__ == "SuperLU.solve"
     assert cycle.__qualname__.startswith("TwoGrid.preconditioner.")
-    assert np.array_equal(gauge, cycle_gauge)
     u = prolong(coarse.graph, u_coarse, level.graph)
-    h = assemble_hessian(level.graph, u, law, level.cmap, level.layout)
+    h = assemble_hessian(level.graph, u, law, level.cmap, level.unknowns)
     for coarse_solve in (lu, cycle):
-        two_grid = TwoGrid(coarse_solve, gauge, prolongation_matrix(coarse, level))
+        two_grid = TwoGrid(coarse_solve, prolongation_matrix(coarse, level), level.unknowns)
         apply = two_grid.preconditioner(h)
         m_inv = np.column_stack([apply(e) for e in np.eye(h.shape[0])])
         assert np.abs(m_inv - m_inv.T).max() <= 1e-12 * np.abs(m_inv).max()
