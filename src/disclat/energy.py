@@ -47,6 +47,14 @@ off-diagonal slot copies its edge's block by one in-order gather, and each
 diagonal block sums its edges' blocks in the order of the former
 sort-and-bincount assembly, whose bits it keeps (tests/test_hessian_plan.py
 holds that assembly as the oracle).
+
+Even half.  Given a lattice.MirrorLayout and an even configuration, the
+three assemblies run on the layout's half only: the energy sums the
+densities of its cells (those off the diagonal twice), the gradient sums
+the pulls of its representative edges (and the Psi pulls of its cells) into
+the even gradient B^T S^T grad E, and the Hessian goes into the pattern of
+a MirrorHessianPlan, laid out in closed form like HessianPlan
+(tests/test_mirror_plan.py holds its sort-based predecessor as the oracle).
 """
 
 import numpy as np
@@ -169,17 +177,18 @@ def cell_dets(d1, d2, eps):
     return (d1[:, 0] * d2[:, 1] - d1[:, 1] * d2[:, 0]) / (SQRT3 / 2.0 * eps * eps)
 
 
-def cell_edges(graph, u):
+def cell_edges(graph, u, half=None):
     """Deformed edges d1 = u_b - u_a and d2 = u_c - u_a of every triangle
-    (a, b, c), each of shape (|T|, 2)."""
-    tris = graph.tris
-    ua = u.take(tris[:, 0], axis=0)
-    return u.take(tris[:, 1], axis=0) - ua, u.take(tris[:, 2], axis=0) - ua
+    (a, b, c), or of the cells of half (a lattice.MirrorLayout), each of
+    shape (|T|, 2)."""
+    a, b, c = (graph.tris[:, k] for k in range(3)) if half is None else half.cells
+    ua = u.take(a, axis=0)
+    return u.take(b, axis=0) - ua, u.take(c, axis=0) - ua
 
 
-def _edge_geometry(graph, u):
+def _edge_geometry(graph, u, half=None):
     eps = graph.eps
-    d1, d2 = cell_edges(graph, u)
+    d1, d2 = cell_edges(graph, u, half)
     d3 = d2 - d1
     l1 = np.hypot(d1[:, 0], d1[:, 1]) / eps
     l2 = np.hypot(d2[:, 0], d2[:, 1]) / eps
@@ -187,28 +196,29 @@ def _edge_geometry(graph, u):
     return l1, l2, l3, cell_dets(d1, d2, eps)
 
 
-def _bonds(graph, u, ids=None):
+def _bonds(graph, u, half=None):
     """Edge vectors u_b - u_a, shape (|E|, 2), and stretches |u_b - u_a|/eps,
-    of the edges ids (every edge when None).
+    of every edge, or of the representative edges of half (a
+    lattice.MirrorLayout).
 
     Raises DegenerateCellError naming the first triangle with a bond at or
     below BOND_FLOOR: edges k, k + n_up and k + 2*n_up bound up triangle k,
     and the n_up up triangles come first.
     """
-    edges = graph.edges if ids is None else graph.edges.take(ids, axis=0)
-    d = u.take(edges[:, 1], axis=0) - u.take(edges[:, 0], axis=0)
+    a, b = (graph.edges[:, 0], graph.edges[:, 1]) if half is None else half.ends
+    d = u.take(b, axis=0) - u.take(a, axis=0)
     length = np.hypot(d[:, 0], d[:, 1]) / graph.eps
     bad = np.flatnonzero(length <= BOND_FLOOR)
     if len(bad):
-        bad = bad if ids is None else ids.take(bad)
+        bad = bad if half is None else half.edges.take(bad)
         raise DegenerateCellError(int(np.min(bad % (graph.n_edges // 3))))
     return d, length
 
 
-def _tri_energies(graph, u, law):
-    """Per-triangle densities, shape (|T|,).  Multiply by the cell area to
-    integrate."""
-    l1, l2, l3, det = _edge_geometry(graph, u)
+def _tri_energies(graph, u, law, half=None):
+    """Per-triangle densities, shape (|T|,), of every triangle or of the
+    cells of half.  Multiply by the cell area to integrate."""
+    l1, l2, l3, det = _edge_geometry(graph, u, half)
     p = law.p
     # one division for the three edges: summing law.Phi per edge rounds
     # differently
@@ -218,26 +228,27 @@ def _tri_energies(graph, u, law):
     return dens + law.Psi(det)
 
 
-def _bond_gradients(graph, u, law):
-    """Assembled Phi pull of every edge on its second vertex, shape (|E|, 2);
-    the first vertex gets the opposite pull."""
-    d, length = _bonds(graph, u)
+def _bond_gradients(graph, u, law, half=None):
+    """Assembled Phi pull of every edge (of half's representatives, at their
+    weights) on its second vertex, shape (|E|, 2); the first vertex gets the
+    opposite pull."""
+    d, length = _bonds(graph, u, half)
     eps = graph.eps
     # d(|d|/eps - 1)/du_b = unit(d)/eps, times 2*|T|*w(e) per edge
-    scale = 2.0 * graph.triangle_area() * graph.weights
+    scale = 2.0 * graph.triangle_area() * (graph.weights if half is None else half.weights)
     coeff = scale * law.dPhi(length - 1.0) / (eps * eps * length)
     return coeff[:, None] * d
 
 
-def _bond_hessians(graph, u, law, ids=None, weights=None):
-    """Assembled Phi spring block of the edges ids (every edge when None),
-    shape (|E|, 2, 2): Phi'' along the bond, Phi'/|bond| across it, times
-    2*|T|*w(e), where weights, when given, replaces the edges' w(e).  Entry
-    (c, d) is along*o + across*(delta_cd - o) with o = unit_c*unit_d."""
-    d, length = _bonds(graph, u, ids)
+def _bond_hessians(graph, u, law, half=None):
+    """Assembled Phi spring block of every edge (of half's representatives,
+    at their weights), shape (|E|, 2, 2): Phi'' along the bond, Phi'/|bond|
+    across it, times 2*|T|*w(e).  Entry (c, d) is along*o + across*(delta_cd
+    - o) with o = unit_c*unit_d."""
+    d, length = _bonds(graph, u, half)
     eps = graph.eps
     r = length - 1.0
-    w = graph.weights if weights is None else weights
+    w = graph.weights if half is None else half.weights
     scale = 2.0 * graph.triangle_area() * w / (eps * eps)
     along, across = scale * law.d2Phi(r), scale * law.dPhi(r) / length
     unit = d.T / (eps * length)
@@ -249,22 +260,24 @@ def _bond_hessians(graph, u, law, ids=None, weights=None):
     return k
 
 
-def _det_gradients(graph, u):
+def _det_gradients(graph, u, half=None):
     """Cell determinants (|T|,) and their gradients (|T|, 3, 2) in the
-    vertex positions, vertex order (a, b, c)."""
-    d1, d2 = cell_edges(graph, u)
+    vertex positions, vertex order (a, b, c), of every triangle or of the
+    cells of half."""
+    d1, d2 = cell_edges(graph, u, half)
     det = cell_dets(d1, d2, graph.eps)
     c0 = 2.0 / (SQRT3 * graph.eps**2)
-    gdet = np.empty(graph.tris.shape + (2,))
+    gdet = np.empty((len(det), 3, 2))
     gdet[:, 1] = c0 * np.column_stack([d2[:, 1], -d2[:, 0]])   # d det / d d1
     gdet[:, 2] = -c0 * np.column_stack([d1[:, 1], -d1[:, 0]])
     gdet[:, 0] = -gdet[:, 1] - gdet[:, 2]
     return det, gdet
 
 
-def _psi_gradients(graph, u, law):
-    """Per-triangle gradients of Psi(det), shape (|T|, 3, 2)."""
-    det, gdet = _det_gradients(graph, u)
+def _psi_gradients(graph, u, law, half=None):
+    """Per-triangle gradients of Psi(det), shape (|T|, 3, 2), of every
+    triangle or of the cells of half."""
+    det, gdet = _det_gradients(graph, u, half)
     return law.dPsi(det)[:, None, None] * gdet
 
 
@@ -423,7 +436,6 @@ class HessianPlan:
                 self.indices[2 * s:2 * e] = table_rows[h:h + e - s].ravel()
                 h += e - s
         self.rotation = cmap.rotation
-        self.edges = self.weights = None     # every edge, at its own weight
         self.band = None             # solver.BandLayout, built by its first use
         # every matrix shares these: an in-place change would corrupt the plan
         self.indices.flags.writeable = self.indptr.flags.writeable = False
@@ -472,11 +484,9 @@ class MirrorHessianPlan:
     puts A_a^T B A_a on the diagonal block of a, A_b^T B^T A_b on that of b,
     -A_a^T B A_b at (a, b) and its transpose at (b, a); a single's second
     row and column drop out.  At an even configuration an edge and its
-    mirror image put the same blocks there, so the plan sums one
-    representative of each pair (edges): an edge with both ends at i >= j
-    at twice its weight, and a cell diagonal (i+1, i)-(i, i+1), its own
-    image, at its weight (multiplicity).  The representatives are about
-    half the edges, so an even Hessian costs about half a reduced one.
+    mirror image put the same blocks there, so the plan sums the layout's
+    representative edges, each at its multiplicity.  They are about half the
+    edges, so an even Hessian costs about half a reduced one.
 
     A_v is the identity at every end but two kinds, whose blocks are formed
     explicitly: the diagonal vertex (i, i), whose A_v is the rotation by
@@ -484,100 +494,174 @@ class MirrorHessianPlan:
     the other end, so that the edge adds B - B M - M B^T + M B^T M to the
     diagonal block of (i+1, i) (own edges).
 
+    The matrix lists the pairs' unknowns first, then the singles' (as
+    MirrorLayout does).  Pair (i, j), i > j >= 1, has block
+    m = (j-1)N - j(j-1) + i - j - 1, and row j holds N - 2j pairs, so a bulk
+    column, j >= 2 and j + 3 <= i < N - j, lists the pairs (i, j-1),
+    (i+1, j-1), (i-1, j), (i, j), (i+1, j), (i-1, j+1) and (i, j+1) at m
+    plus constants of the row: ascending, and each off-diagonal block is
+    one plain representative's, the R60 e1 edges at positions 0 and 6, the
+    cell diagonals at 1 and 5 and the e1 edges at 2 and 4.  The
+    representatives are numbered group by group (e1, R60 e1, cell
+    diagonals), each group row by row, so the representative at each
+    position is m plus a constant of the row too.  The O(N) seam columns
+    (j = 1, i <= j + 2 or i + j = N, and every single) come from a table of
+    their block slots sorted by (column, row); nothing else is sorted.
+
     data() forms a stack of 2 x 2 blocks: -B of every representative, the
     framed edges' blocks A_a^T (-B) A_a, A_b^T (-B)^T A_b and A_a^T (-B) A_b,
-    the own edges' negated blocks, one zero block and the diagonal blocks.
-    A diagonal block is minus the sum of the blocks in_a lists for it and
-    of the transposes of those in_b lists (the plain ends b).  The
-    matrix lists the pairs' unknowns first, then the singles' (as
-    MirrorLayout does), and gather names the stack entry of every CSC data
-    slot; diagonal names the slots of the diagonal blocks, (0, 0), (0, 1),
-    (1, 0) and (1, 1) of each pair, then (0, 0) of each single.
+    the own edges' negated blocks, then the diagonal blocks of the bulk and
+    of the seam.  A diagonal block is minus the sum of its terms: the
+    blocks at its plain a ends, its framed ends and its own edges, in that
+    order, plus the transpose of the sum of those at its plain b ends, each
+    kind in representative order.  diagonal_terms lists the three a and the
+    three b terms of each bulk block; the seam blocks sum theirs (table) by
+    np.bincount.  gather names the stack entry of every CSC data slot;
+    diagonal names the slots of the diagonal blocks, (0, 0), (0, 1), (1, 0)
+    and (1, 1) of each pair, then (0, 0) of each single.
     """
 
-    def __init__(self, graph, cmap, unknowns):
+    def __init__(self, graph, unknowns):
+        n, vid, n_up = graph.n, graph.vertex_id, graph.n_edges // 3
         i, j = graph.ij.T
-        a, b = graph.edges.T
-        # the cell diagonal of corner (k, k) is edge 2 n_up + corner number,
-        # and the corner number of vertex v is v - j(v)
-        k = np.arange((graph.n + 1) // 2)
-        image = np.zeros(graph.n_edges, dtype=bool)
-        image[2 * (graph.n_edges // 3) + graph.vertex_id(k, k) - k] = True
-        lower = i >= j
-        self.edges = np.flatnonzero((lower.take(a) & lower.take(b)) | image)
-        own = image.take(self.edges)
-        self.multiplicity = np.where(own, 1.0, 2.0)
-        self.weights = graph.weights.take(self.edges) * self.multiplicity
-        a, b = a.take(self.edges), b.take(self.edges)
+        a, b = unknowns.ends
         ma, mb = unknowns.block.take(a), unknowns.block.take(b)
         on_axis = (i == j) & (i >= 1)
         framed = on_axis.take(a) | on_axis.take(b)
-        plain = ~(framed | own)
-        self.framed, self.own = np.flatnonzero(framed), np.flatnonzero(own)
-        maps = unknowns.maps()
-        self.frames = [maps.take(ends.take(self.framed), axis=0) for ends in (a, b)]
+        plain = ~framed
+        plain[unknowns.own] = False
+        self.framed, self.own = np.flatnonzero(framed), unknowns.own
+        # A_v at a framed edge's ends: the rotation by phi/2 on the axis,
+        # the identity at the pairs and the Gamma1 singles next to it
+        axis = unknowns.axis
+        turn = np.array([[axis.real, -axis.imag], [axis.imag, axis.real]])
+        self.frames = [np.where(on_axis.take(ends.take(self.framed))[:, None, None], turn, np.eye(2))
+                       for ends in (a, b)]
         self.mirror = unknowns.mirror
 
-        n_rep, n1 = len(self.edges), len(self.framed)
+        n_rep, n1 = len(a), len(self.framed)
         nb, p = len(unknowns.owners), unknowns.n_pairs
+        m = np.arange(nb)
+        fa, fb = ma.take(self.framed), mb.take(self.framed)
         x0 = n_rep + np.arange(n1)
-        self.zero = n_rep + 3 * n1 + len(self.own)
-        diag0 = self.zero + 1
+        diag0 = n_rep + 3 * n1 + len(self.own)
+        ip, jp = i.take(unknowns.owners[:p]), j.take(unknowns.owners[:p])
+        bulk = np.zeros(nb, dtype=bool)
+        bulk[:p] = (jp >= 2) & (jp + 3 <= ip) & (ip + jp < n)
+        seam = ~bulk
+        bulk_cols, seam_cols = np.flatnonzero(bulk), np.flatnonzero(seam)
+        n_bulk, n_seam = len(bulk_cols), len(seam_cols)
+        rank = np.empty(nb, dtype=np.intp)
+        rank[bulk_cols] = np.arange(n_bulk)
+        rank[seam_cols] = n_bulk + np.arange(n_seam)
+        self.n_stack = diag0 + nb
+
+        # the stencil of each bulk row j, read at its first column
+        # (i, j) = (j + 3, j): the row block and the stack entry of each
+        # position, less m
+        rows = np.arange(2, (n - 4) // 2 + 1)
+        i0, m0 = rows + 3, unknowns.block.take(vid(rows + 3, rows))
+
+        def corner(ci, cj):
+            return vid(ci, cj) - cj
+
+        reps = np.searchsorted(unknowns.edges, [
+            n_up + corner(i0, rows - 1), 2 * n_up + corner(i0, rows - 1),
+            corner(i0 - 1, rows), corner(i0, rows),
+            2 * n_up + corner(i0 - 1, rows), n_up + corner(i0, rows)])
+        src = np.insert(reps, 3, diag0 + rank.take(m0), axis=0) - m0
+        row_off = unknowns.block.take([
+            vid(i0, rows - 1), vid(i0 + 1, rows - 1), vid(i0 - 1, rows), vid(i0, rows),
+            vid(i0 + 1, rows), vid(i0 - 1, rows + 1), vid(i0, rows + 1)]) - m0
+        # a bulk diagonal sums its a terms, the e1, R60 e1 and cell diagonal
+        # edges from (i, j), then its b terms, those into (i, j)
+        self.diagonal_terms = bulk_cols + src[[4, 6, 5, 2, 0, 1]].take(jp[bulk_cols] - 2, axis=1)
+
+        # the seam's table: its diagonal blocks' terms, at the a ends and at
+        # the b ends, and its block slots (row, column, stack entry,
+        # transposed): the diagonals, then (a, b) and (b, a) of the plain
+        # and the framed edges
         ends_a = plain & (ma >= 0)
         ends_b = plain & (mb >= 0)
-        self.in_a = _term_table(
-            np.concatenate([ma[ends_a], ma.take(self.framed), mb.take(self.framed),
-                            ma.take(self.own)]),
-            np.concatenate([np.flatnonzero(ends_a), x0, x0 + n1,
-                            n_rep + 3 * n1 + np.arange(len(self.own))]), nb, self.zero)
-        self.in_b = _term_table(mb[ends_b], np.flatnonzero(ends_b), nb, self.zero)
-
-        # block slots (row, column, stack entry, transposed): the diagonal,
-        # then (a, b) and (b, a) of the plain and the framed edges
+        table = []
+        for blocks, terms in (
+                (np.concatenate([ma[ends_a], fa, fb, ma.take(self.own)]),
+                 np.concatenate([np.flatnonzero(ends_a), x0, x0 + n1,
+                                 n_rep + 3 * n1 + np.arange(len(self.own))])),
+                (mb[ends_b], np.flatnonzero(ends_b))):
+            keep = seam.take(blocks)
+            # one bincount target per entry (c, d) of each term's block
+            target = 4 * (rank.take(blocks[keep]) - n_bulk)
+            table.append((terms[keep], (target[:, None] + np.arange(4)).ravel()))
+        self.table = table
         both = np.flatnonzero(ends_a & ends_b)
-        m = np.arange(nb)
-        rows = np.concatenate([m, ma[both], mb[both], ma.take(self.framed), mb.take(self.framed)])
-        cols = np.concatenate([m, mb[both], ma[both], mb.take(self.framed), ma.take(self.framed)])
-        src = np.concatenate([diag0 + m, both, both, x0 + 2 * n1, x0 + 2 * n1])
-        flip = np.repeat([False, True, False, True], [nb + len(both), len(both), n1, n1])
-        order = np.argsort(cols * nb + rows)
-        rows, cols, src, flip = (x.take(order) for x in (rows, cols, src, flip))
+        ab, ba = both[seam.take(mb[both])], both[seam.take(ma[both])]
+        fab, fba = np.flatnonzero(seam.take(fb)), np.flatnonzero(seam.take(fa))
+        rows_t = np.concatenate([seam_cols, ma[ab], mb[ba], fa[fab], fb[fba]])
+        cols_t = np.concatenate([seam_cols, mb[ab], ma[ba], fb[fab], fa[fba]])
+        src_t = np.concatenate([diag0 + rank.take(seam_cols), ab, ba,
+                                x0[fab] + 2 * n1, x0[fba] + 2 * n1])
+        flip = np.repeat([False, True, False, True],
+                         [n_seam + len(ab), len(ba), len(fab), len(fba)])
+        order = np.argsort(cols_t * nb + rows_t)
+        rows_t, cols_t, src_t, flip = (x.take(order) for x in (rows_t, cols_t, src_t, flip))
 
         # scalar slots: block column c has k[c] scalar columns of length[c]
-        # entries each, which list k[r] rows of every block (r, c) in turn
+        # entries each, which list k[r] rows of every block (r, c) in turn;
+        # a bulk column lists 7 pairs
         k = np.where(m < p, 2, 1)
         offset = np.where(m < p, 2 * m, p + m)
-        k_row, k_col = k.take(rows), k.take(cols)
+        k_row, k_col = k.take(rows_t), k.take(cols_t)
         seen = np.concatenate([[0], np.cumsum(k_row)])
-        col_start = np.concatenate([[0], np.cumsum(np.bincount(cols, minlength=nb))])
+        col_start = np.concatenate([[0], np.cumsum(np.bincount(cols_t, minlength=nb))])
         length = np.diff(seen.take(col_start))
+        length[bulk_cols] = 14
         base = np.concatenate([[0], np.cumsum(k * length)])
-        n = unknowns.n_reduced
-        self.shape = (n, n)
+        n_red = unknowns.n_reduced
+        self.shape = (n_red, n_red)
         self.nnz = int(base[-1])
-        self.indptr = np.empty(n + 1, dtype=np.int32)
+        self.indptr = np.empty(n_red + 1, dtype=np.int32)
         self.indptr[offset] = base[:-1]
         self.indptr[offset[:p] + 1] = base[:p] + length[:p]
-        self.indptr[n] = self.nnz
-        # slot of entry (r, q) of each block: at + r + q * stride; the
+        self.indptr[n_red] = self.nnz
+        # slot of entry (r, q) of each table block: at + r + q * stride; the
         # entries a single lacks go to a spare slot past the end
-        at = (base[:-1] - seen.take(col_start[:-1])).take(cols) + seen[:-1]
-        stride = length.take(cols)
-        row0, src = offset.take(rows), 4 * src
-        indices = np.empty(self.nnz + 1, dtype=np.int32)
-        gather = np.empty(self.nnz + 1, dtype=np.intp)
+        at = (base[:-1] - seen.take(col_start[:-1])).take(cols_t) + seen[:-1]
+        stride = length.take(cols_t)
+        row0, entry = offset.take(rows_t), 4 * src_t
+        self.indices = np.empty(self.nnz + 1, dtype=np.int32)
+        self.gather = np.empty(self.nnz + 1, dtype=np.intp)
         # stack entry (r, q) of a block is 2 r + q, or 2 q + r when flipped
-        for q, r, entry in ((0, 0, src), (0, 1, src + 2 - flip), (1, 0, src + 1 + flip),
-                            (1, 1, src + 3)):
+        for q, r, e in ((0, 0, entry), (0, 1, entry + 2 - flip), (1, 0, entry + 1 + flip),
+                        (1, 1, entry + 3)):
             pos = at + (r + q * stride)
             pos[(k_col <= q) | (k_row <= r)] = self.nnz
-            indices[pos] = row0 + r
-            gather[pos] = entry
-        self.indices, self.gather = indices[:-1], gather[:-1]
-        d = np.flatnonzero(src >= 4 * diag0)            # one per column, in order
-        at, stride = at.take(d), stride.take(d)
-        self.diagonal = (at[:p], at[:p] + stride[:p], at[:p] + 1, at[:p] + stride[:p] + 1,
-                         at[p:])
+            self.indices[pos] = row0 + r
+            self.gather[pos] = e
+        self.indices, self.gather = self.indices[:-1], self.gather[:-1]
+        # a bulk row's columns are one run of slots: scalar column 2m + q
+        # lists rows 2r and 2r + 1 of its blocks, whose stack entries are
+        # those of (r, q) in the table's rule, positions 4, 5 and 6 flipped
+        c = np.arange(2)
+        flipped = np.arange(7)[:, None] >= 4
+        pair_entry = np.where(flipped, 2 * c[:, None, None] + c, 2 * c + c[:, None, None])
+        gather_off = (4 * src.T[:, None, :, None] + pair_entry).reshape(-1, 28)
+        index_off = np.empty((len(rows), 2, 7, 2), dtype=np.int32)
+        index_off[:] = 2 * row_off.T[:, None, :, None] + c
+        index_off = index_off.reshape(-1, 28)
+        for row, lo in enumerate(m0):
+            hi = lo + n - 2 * rows[row] - 3
+            run = slice(base[lo], base[hi])
+            np.add(4 * m[lo:hi, None], gather_off[row], out=self.gather[run].reshape(-1, 28))
+            np.add(2 * m[lo:hi, None].astype(np.int32), index_off[row],
+                   out=self.indices[run].reshape(-1, 28))
+        # a bulk diagonal block follows the column's three lower blocks
+        d = np.flatnonzero(src_t >= diag0)              # one per seam column, in order
+        at_d, stride_d = np.empty(nb, dtype=np.int64), np.full(nb, 14, dtype=np.int64)
+        at_d[bulk_cols] = base.take(bulk_cols) + 6
+        at_d[seam_cols], stride_d[seam_cols] = at.take(d), stride.take(d)
+        self.diagonal = (at_d[:p], at_d[:p] + stride_d[:p], at_d[:p] + 1,
+                         at_d[:p] + stride_d[:p] + 1, at_d[p:])
         self.band = None             # solver.BandLayout, built by its first use
         # every matrix shares these: an in-place change would corrupt the plan
         self.indices.flags.writeable = self.indptr.flags.writeable = False
@@ -586,7 +670,7 @@ class MirrorHessianPlan:
         """CSC data of the even Hessian whose representative edge (a, b) has
         the block B = blocks[e] (its multiplicity included)."""
         n, n1 = len(blocks), len(self.framed)
-        stack = np.empty((self.zero + 1 + self.in_a.shape[1], 2, 2))
+        stack = np.empty((self.n_stack, 2, 2))
         neg = np.subtract(0.0, blocks, out=stack[:n])
         x = neg.take(self.framed, axis=0)
         fa, fb = self.frames
@@ -595,16 +679,24 @@ class MirrorHessianPlan:
         stack[n + 2 * n1:n + 3 * n1] = fa.swapaxes(1, 2) @ x @ fb
         y, m = neg.take(self.own, axis=0), self.mirror
         yt = y.swapaxes(1, 2)
-        stack[n + 3 * n1:self.zero] = y - y @ m - m @ yt + m @ yt @ m
-        stack[self.zero] = 0.0
-        total = stack.take(self.in_a[0], axis=0)
-        for terms in self.in_a[1:]:
-            total += stack.take(terms, axis=0)
-        below = stack.take(self.in_b[0], axis=0)
-        for terms in self.in_b[1:]:
-            below += stack.take(terms, axis=0)
-        total += below.swapaxes(1, 2)
-        np.subtract(0.0, total, out=stack[self.zero + 1:])
+        d0 = n + 3 * n1 + len(self.own)
+        d1 = d0 + self.diagonal_terms.shape[1]
+        stack[n + 3 * n1:d0] = y - y @ m - m @ yt + m @ yt @ m
+        # a block's terms are summed alone; zero blocks added to the sum
+        # could change only the sign of a zero, which 0 - S drops
+        sums = []
+        for terms in np.split(self.diagonal_terms, 2):
+            total = stack.take(terms[0], axis=0)
+            for t in terms[1:]:
+                total += stack.take(t, axis=0)
+            sums.append(total)
+        a, b = sums
+        a += b.swapaxes(1, 2)
+        np.subtract(0.0, a, out=stack[d0:d1])
+        a, b = (np.bincount(target, stack.take(terms, axis=0).ravel(),
+                            minlength=4 * (len(stack) - d1)).reshape(-1, 2, 2)
+                for terms, target in self.table)
+        np.subtract(0.0, a + b.swapaxes(1, 2), out=stack[d1:])
         return stack.ravel().take(self.gather)
 
     def matrix(self, data):
@@ -613,28 +705,24 @@ class MirrorHessianPlan:
         return sp.csc_matrix((data, self.indices, self.indptr), shape=self.shape)
 
 
-def _term_table(blocks, terms, n_blocks, fill):
-    """A (K, n_blocks) table whose column m lists, in order, the terms whose
-    block is m, padded with fill; K is the most terms of any block."""
-    order = np.argsort(blocks, kind="stable")
-    blocks, terms = blocks.take(order), terms.take(order)
-    count = np.bincount(blocks, minlength=n_blocks)
-    rank = np.arange(len(blocks)) - (np.cumsum(count) - count).take(blocks)
-    table = np.full((count.max(initial=0), n_blocks), fill, dtype=np.intp)
-    table[rank, blocks] = terms
-    return table
-
-
-def assemble_energy(graph, config, law):
+def assemble_energy(graph, config, law, layout=None):
     """Total energy: cell area times the half-fan density, summed over cells.
 
     Equals sqrt(3)/2 times the weighted bond sum plus the per-cell Psi term.
+    With a lattice.MirrorLayout, config must be even, and the sum runs over
+    the layout's cells, those off the diagonal counted twice.  Raises
+    NonFiniteEnergyError when the total is not finite.
     """
     u = np.asarray(config, dtype=float)
+    half = layout if isinstance(layout, MirrorLayout) else None
     # a non-finite configuration is reported below, not warned about here
     with np.errstate(invalid="ignore", over="ignore"):
-        dens = _tri_energies(graph, u, law)
-    total = graph.triangle_area() * float(np.sum(dens))
+        dens = _tri_energies(graph, u, law, half)
+        if half is None:
+            total = graph.triangle_area() * float(np.sum(dens))
+        else:
+            total = graph.triangle_area() * float(
+                np.sum(dens[:half.n_self]) + 2.0 * np.sum(dens[half.n_self:]))
     if not np.isfinite(total):
         raise NonFiniteEnergyError("energy is not finite")
     return total
@@ -661,9 +749,9 @@ def bond_sum_energy(graph, config, law):
 
 
 def _vertex_sums(cells, values, n_vertices):
-    """Sum per-cell vertex vectors (len(cells), k, 2) onto the vertices
-    cells (len(cells), k): shape (n_vertices, 2).  Each vertex sums its
-    terms in cell order, one bincount per component."""
+    """Sum per-cell vertex vectors values, shape cells.shape + (2,), onto
+    the vertices cells: shape (n_vertices, 2).  Each vertex sums its terms
+    in the order of cells.ravel(), one bincount per component."""
     ids = cells.ravel()
     sums = np.empty((n_vertices, 2))
     for c in range(2):
@@ -683,8 +771,21 @@ def assemble_full_gradient(graph, config, law):
 
 
 def assemble_gradient(graph, config, law, cmap, layout):
-    """Reduced energy gradient (chain rule through the slave map)."""
-    return reduce_gradient(assemble_full_gradient(graph, config, law), cmap, layout)
+    """Reduced energy gradient (chain rule through the slave map).
+
+    With a lattice.MirrorLayout and an even config it is the even gradient
+    B^T S^T grad E instead, summed from the layout's edges and cells at
+    their multiplicity (MirrorLayout.fold_half)."""
+    if not isinstance(layout, MirrorLayout):
+        return reduce_gradient(assemble_full_gradient(graph, config, law), cmap, layout)
+    u = np.asarray(config, dtype=float)
+    pull = _bond_gradients(graph, u, law, layout)
+    g = _vertex_sums(layout.ends, np.stack([-pull, pull]), graph.n_vertices)
+    if law.psi_name != "zero":
+        psi = graph.triangle_area() * _psi_gradients(graph, u, law, layout)
+        psi[layout.n_self:] *= 2.0
+        g += _vertex_sums(layout.cells, psi.swapaxes(0, 1), graph.n_vertices)
+    return layout.fold_half(g)
 
 
 def assemble_hessian(graph, config, law, cmap, layout):
@@ -692,18 +793,21 @@ def assemble_hessian(graph, config, law, cmap, layout):
     the layout's plan (built by the first call): the HessianPlan of a
     DofLayout, or the MirrorHessianPlan of a lattice.MirrorLayout, whose
     matrix is the even Hessian B^T H B at an even configuration."""
+    half = layout if isinstance(layout, MirrorLayout) else None
     if layout.hessian_plan is None:
-        kind = MirrorHessianPlan if isinstance(layout, MirrorLayout) else HessianPlan
-        layout.hessian_plan = kind(graph, cmap, layout)
+        layout.hessian_plan = (HessianPlan(graph, cmap, layout) if half is None
+                               else MirrorHessianPlan(graph, layout))
     plan = layout.hessian_plan
     u = np.asarray(config, dtype=float)
-    blocks = _bond_hessians(graph, u, law, plan.edges, plan.weights)
+    blocks = _bond_hessians(graph, u, law, half)
     if law.psi_name != "zero":
         # det is translation invariant, so each cell's Psi Hessian is a sum
         # over its edges (a, b) of -P at (a, a), -P^T at (b, b), P at (a, b)
         # and P^T at (b, a), where P is the cell's block [a, b]
         psi = _psi_edge_hessians(graph, u, law)
-        if plan.edges is not None:
-            psi = plan.multiplicity[:, None, None] * psi.take(plan.edges, axis=0)
+        if half is not None:
+            # at the representatives' multiplicity; 0.5 * (2 x) is x exactly
+            psi = 2.0 * psi.take(half.edges, axis=0)
+            psi[half.own] *= 0.5
         blocks -= psi
     return plan.matrix(plan.data(blocks))

@@ -246,10 +246,28 @@ class MirrorLayout:
     group in vertex id order: n_reduced is half of DofLayout.n_reduced.
 
     owners lists the vertex of each block (n_pairs pairs, then the singles)
-    and axes the unit axis of each single as a complex number.  block[v] is
+    and axes the unit axis of each single as a complex number: 1 on
+    Gamma1, axis = exp(i phi/2) on the diagonal.  block[v] is
     the block of vertex v: its own for i >= j, its mirror vertex's for
     i < j, and -1 at the origin.  mirror is M, and in complex form
     M z = w conj(z) with w = exp(i phi).
+
+    At an even configuration a cell or an edge and its mirror image carry
+    the same energy, so the half with i >= j determines the energy and its
+    derivatives (Palais, Comm. Math. Phys. 69, 1979).  The layout holds that
+    half, each table a C-ordered array whose rows, the vertex columns, are
+    contiguous:
+    - cells (3, K): the cells whose corner has i >= j, in the vertex order
+      of LatticeGraph.tris.  The first n_self are their own mirror images
+      (corner i == j, up cells then down cells) and count once; the rest
+      (up cells, then down cells) count twice.
+    - ends (2, R): the ends a, b of the representative edges, edges their
+      numbers and weights w(e) times their multiplicity.  An edge with both
+      ends at i >= j stands for itself and its mirror image (multiplicity
+      2); the cell diagonal (k+1, k)-(k, k+1) is its own image
+      (multiplicity 1), and own lists their places.
+    - seam (2, S): the vertices (k, k+1) at i < j that these cells and edges
+      touch, and their mirror vertices (k+1, k).
     """
 
     def __init__(self, graph, cmap, layout):
@@ -259,7 +277,8 @@ class MirrorLayout:
         self.owners = np.concatenate([pairs, singles])
         self.n_pairs = len(pairs)
         self.n_reduced = 2 * len(pairs) + len(singles)
-        self.axes = np.where(j.take(singles) == 0, 1.0, np.exp(0.5j * cmap.phi))
+        self.axis = np.exp(0.5j * cmap.phi)
+        self.axes = np.where(j.take(singles) == 0, 1.0, self.axis)
         self.w = np.exp(1j * cmap.phi)
         self.mirror = np.array([[self.w.real, self.w.imag], [self.w.imag, -self.w.real]])
         self.block = np.full(graph.n_vertices, -1, dtype=np.int64)
@@ -270,6 +289,27 @@ class MirrorLayout:
         # reduced blocks of the owners and of the pairs' mirror vertices
         self._reduced = (layout.block.take(self.owners),
                          layout.block.take(graph.vertex_id(j.take(pairs), i.take(pairs))))
+
+        # i - j of each cell's corner: the first vertex of an up cell, one
+        # step along e1 from that of a down cell
+        corner = (i - j).take(graph.tris[:, 0])
+        corner[graph.n_edges // 3:] -= 1
+        order = np.concatenate([np.flatnonzero(corner == 0), np.flatnonzero(corner > 0)])
+        self.n_self = int(np.count_nonzero(corner == 0))
+        self.cells = np.ascontiguousarray(graph.tris.take(order, axis=0).T)
+        # the cell diagonal of corner (k, k) is edge 2 n_up + corner number,
+        # and the corner number of vertex v is v - j(v)
+        k = np.arange((graph.n + 1) // 2)
+        image = np.zeros(graph.n_edges, dtype=bool)
+        image[2 * (graph.n_edges // 3) + graph.vertex_id(k, k) - k] = True
+        lower = i >= j
+        a, b = graph.edges.T
+        self.edges = np.flatnonzero((lower.take(a) & lower.take(b)) | image)
+        self.ends = np.ascontiguousarray(graph.edges.take(self.edges, axis=0).T)
+        self.own = np.flatnonzero(image.take(self.edges))
+        self.weights = 2.0 * graph.weights.take(self.edges)
+        self.weights[self.own] *= 0.5
+        self.seam = np.stack([graph.vertex_id(k, k + 1), graph.vertex_id(k + 1, k)])
 
         # energy.MirrorHessianPlan of this layout, built by the first Hessian
         self.hessian_plan = None
@@ -306,6 +346,16 @@ class MirrorLayout:
         return np.concatenate([pairs.view(float),
                                (g.take(owners[p:]) * np.conj(self.axes)).real])
 
+    def fold_half(self, gradient):
+        """Even gradient B^T S^T g of a full (|V|, 2) float gradient g that
+        vanishes at i < j off the seam, as the half's cells and edges leave
+        it: each seam row joins its mirror vertex times M, then the owners'
+        rows are read as reduce reads a configuration.  g is overwritten."""
+        z = gradient.view(np.complex128).ravel()
+        seam, images = self.seam
+        z[images] += self.w * np.conj(z.take(seam))
+        return self.reduce(gradient)
+
     def maps(self):
         """The (|V|, 2, 2) matrices A_v with u(v) = A_v x, x the two numbers
         of block[v] (a single's second one is unused): the identity on a
@@ -338,16 +388,18 @@ class Level:
     def reduce(self, config):
         return reduce_config(config, self.layout)
 
-    def fold(self, gradient):
-        """A reduced gradient in the solver's unknowns: itself."""
-        return gradient
+    def grad_inf(self, gradient):
+        """Infinity norm of the reduced gradient, given in the solver's
+        unknowns: max |g|."""
+        return np.abs(gradient).max()
 
 
 class MirrorLevel(Level):
     """A Level whose solver unknowns are its mirror-even half
     (MirrorLayout): expand (through unfold) and reduce map even vectors,
-    and fold takes a reduced gradient to the even one.  An even critical point is a critical
-    point of the whole problem (Palais, Comm. Math. Phys. 69, 1979)."""
+    and grad_inf reads the reduced gradient's norm off the even one.  An
+    even critical point is a critical point of the whole problem (Palais,
+    Comm. Math. Phys. 69, 1979)."""
 
     def __init__(self, n, phi):
         super().__init__(n, phi)
@@ -359,8 +411,15 @@ class MirrorLevel(Level):
     def reduce(self, config):
         return self.unknowns.reduce(config)
 
-    def fold(self, gradient):
-        return self.unknowns.fold(gradient)
+    def grad_inf(self, gradient):
+        """Infinity norm of the reduced gradient g at an even configuration,
+        from its even gradient x: g is even, so it is x/2 at a pair's vertex
+        (i, j) and M x/2 at (j, i), and x times the axis at a single."""
+        u = self.unknowns
+        p = 2 * u.n_pairs
+        half = 0.5 * np.ascontiguousarray(gradient[:p]).view(np.complex128)
+        parts = (half, u.w * np.conj(half), gradient[p:] * u.axes)
+        return np.abs(np.concatenate(parts).view(float)).max()
 
 
 def dump_lattice(graph, cmap, stream):

@@ -359,8 +359,10 @@ def newton_minimize(level, law, init, opts=None, two_grid=None):
 
     Newton iterates on level.unknowns: the reduced unknowns of a Level, the
     mirror-even ones of a lattice.MirrorLevel, whose init must be even.
-    The stopping rule reads the reduced gradient at the expanded iterate
-    either way; level.fold takes it to the unknowns.
+    Energy, gradient and Hessian are assembled on the unknowns' layout, so
+    a MirrorLevel evaluates only the representative half of its cells and
+    edges.  The stopping rule reads the infinity norm of the reduced
+    gradient either way (level.grad_inf).
 
     two_grid, a TwoGrid for this lattice, solves every Newton system by
     TwoGrid.solve until that first fails; every other system is factored
@@ -377,14 +379,13 @@ def newton_minimize(level, law, init, opts=None, two_grid=None):
     """
     if opts is None:
         opts = NewtonOptions()
-    graph, cmap, layout, unknowns = level.graph, level.cmap, level.layout, level.unknowns
+    graph, cmap, unknowns = level.graph, level.cmap, level.unknowns
     q = level.reduce(init)
     report = SolveReport()
     u = level.expand(q)
-    f = assemble_energy(graph, u, law)
-    g = assemble_gradient(graph, u, law, cmap, layout)
-    gnorm = np.abs(g).max()
-    g = level.fold(g)
+    f = assemble_energy(graph, u, law, unknowns)
+    g = assemble_gradient(graph, u, law, cmap, unknowns)
+    gnorm = level.grad_inf(g)
     report.record(f, gnorm, 0.0, 0.0)
     for _ in range(opts.max_iter):
         if gnorm <= opts.grad_tol:
@@ -409,7 +410,7 @@ def newton_minimize(level, law, init, opts=None, two_grid=None):
         slack = 1e-14 * (1.0 + abs(f))
         for _ in range(MAX_HALVINGS):
             try:
-                f_try = assemble_energy(graph, level.expand(q + t * s), law)
+                f_try = assemble_energy(graph, level.expand(q + t * s), law, unknowns)
             except NonFiniteEnergyError:
                 f_try = np.inf            # outside the model: reject the trial
             if f_try <= f + ARMIJO_C * t * slope + slack:
@@ -420,10 +421,9 @@ def newton_minimize(level, law, init, opts=None, two_grid=None):
         step = t * s
         q = q + step
         u = level.expand(q)
-        f = assemble_energy(graph, u, law)
-        g = assemble_gradient(graph, u, law, cmap, layout)
-        gnorm = np.abs(g).max()
-        g = level.fold(g)
+        f = assemble_energy(graph, u, law, unknowns)
+        g = assemble_gradient(graph, u, law, cmap, unknowns)
+        gnorm = level.grad_inf(g)
         report.record(f, gnorm, np.linalg.norm(step), tau)
         if np.linalg.norm(step) == 0.0:
             break

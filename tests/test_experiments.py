@@ -294,9 +294,14 @@ def test_run_sweep_structure():
     ]
     # first-level energies pinned loosely; acceptance checks the digits
     assert abs(rec.energies[0] - 2.5823e-3) <= 1e-6
-    # each level's energy is read from its report: bit for bit its minimizer's
+    # each level's energy is read from its report: bit for bit its
+    # minimizer's, summed over the even half the sweep solves on, and the
+    # full sum up to roundoff
     for k, energy in zip(rec.eps_exps, rec.energies):
-        assert energy == assemble_energy(LatticeGraph(2**k), rec.configs[k], LAW)
+        level = MirrorLevel(2**k, PHI5)
+        assert energy == assemble_energy(level.graph, rec.configs[k], LAW, level.unknowns)
+        assert energy == pytest.approx(
+            assemble_energy(LatticeGraph(2**k), rec.configs[k], LAW), rel=1e-14, abs=0.0)
 
 
 def test_run_sweep_without_malloc_trim(monkeypatch):

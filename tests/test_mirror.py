@@ -2,14 +2,25 @@
 slow oracles built from the reduced ones, and the even sweep minimizers as
 minimizers of the whole problem."""
 
+import warnings
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
 from hypothesis import given, strategies as st
 
-from disclat.energy import MaterialLaw, assemble_energy, assemble_gradient, assemble_hessian
+import disclat.experiments
+import disclat.solver
+from disclat.energy import (
+    DegenerateCellError,
+    MaterialLaw,
+    NonFiniteEnergyError,
+    assemble_energy,
+    assemble_gradient,
+    assemble_hessian,
+)
 from disclat.experiments import linear_init, prolong, prolongation_matrix, run_sweep
-from disclat.lattice import Level, MirrorLevel
+from disclat.lattice import Level, MirrorLayout, MirrorLevel
 from disclat.solver import NewtonOptions
 
 PHI5 = 2.0 * np.pi / 5.0
@@ -149,7 +160,7 @@ def test_even_operators_match_their_reduced_oracles(n, phi, psi, seed):
     # the even gradient and Hessian are B^T g and B^T H B
     g = assemble_gradient(full.graph, u, law, full.cmap, full.layout)
     gb = b.T @ g
-    assert np.abs(level.fold(g) - gb).max() <= 1e-13 * np.abs(gb).max()
+    assert np.abs(level.unknowns.fold(g) - gb).max() <= 1e-13 * np.abs(gb).max()
     h = assemble_hessian(full.graph, u, law, full.cmap, full.layout).toarray()
     hb = b.T @ h @ b
     got = assemble_hessian(level.graph, u, law, level.cmap, level.unknowns)
@@ -178,3 +189,69 @@ def test_even_operators_match_their_reduced_oracles(n, phi, psi, seed):
     h_coarse = assemble_hessian(level.graph, level.expand(x0), law, level.cmap,
                                 level.unknowns).toarray()
     assert np.abs(p_even.T @ h_fine @ p_even - h_coarse).max() <= 1e-12 * np.abs(h_coarse).max()
+
+
+@given(st.integers(min_value=1, max_value=16), phis,
+       st.sampled_from(sorted(LAWS)), st.integers(min_value=0, max_value=2**32 - 1))
+def test_half_energy_and_gradient_match_the_full_lattice(n, phi, psi, seed):
+    law = LAWS[psi]
+    level, full = MirrorLevel(n, phi), Level(n, phi)
+    half = level.unknowns
+    x = random_even(level, seed)
+    u = level.expand(x)
+    energy = assemble_energy(level.graph, u, law, half)
+    assert energy == pytest.approx(assemble_energy(full.graph, u, law), rel=1e-14, abs=0.0)
+    g = assemble_gradient(full.graph, u, law, full.cmap, full.layout)
+    folded = half.fold(g)
+    even = assemble_gradient(level.graph, u, law, level.cmap, half)
+    assert np.abs(even - folded).max() <= 1e-13 * np.abs(folded).max()
+    # the stopping rule's norm, read off the even gradient
+    assert level.grad_inf(even) == pytest.approx(np.abs(g).max(), rel=1e-14, abs=0.0)
+    assert full.grad_inf(g) == np.abs(g).max()
+    # the first single is (1, 0): at zero its bond to the pinned origin
+    # collapses, and both kernels name the up cell at the origin
+    x[2 * half.n_pairs] = 0.0
+    collapsed = level.expand(x)
+    for assemble, layout in ((assemble_gradient, half), (assemble_gradient, full.layout),
+                             (assemble_hessian, half)):
+        with pytest.raises(DegenerateCellError) as err:
+            assemble(level.graph, collapsed, law, level.cmap, layout)
+        assert err.value.triangle == 0
+    x[seed % len(x)] = np.nan
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NonFiniteEnergyError):
+            assemble_energy(level.graph, level.expand(x), law, half)
+
+
+def test_sweep_assembles_on_the_half_as_often_as_the_tracer_counts(monkeypatch):
+    # perfbench's tracer counts solver.assemble_* calls and reads the
+    # line-search backtracks of each solve as its energy calls less
+    # 1 + 2 * iterations; each solve makes 1 + iterations gradients and one
+    # Hessian per iteration, and each level but the last hands one over
+    calls = {"assemble_energy": [], "assemble_gradient": [], "assemble_hessian": []}
+    for name, log in calls.items():
+        def counted(*args, _real=getattr(disclat.solver, name), _log=log):
+            _log.append(args[-1])
+            return _real(*args)
+
+        monkeypatch.setattr(disclat.solver, name, counted)
+    solves = []
+
+    def newton(*args, _real=disclat.experiments.newton_minimize):
+        before = {name: len(log) for name, log in calls.items()}
+        config, report = _real(*args)
+        solves.append((report.iterations,
+                       {name: len(log) - before[name] for name, log in calls.items()}))
+        return config, report
+
+    monkeypatch.setattr(disclat.experiments, "newton_minimize", newton)
+    rec = run_sweep(PHI5, 5, LAWS["zero"])
+    assert rec.iterations == [4, 4, 3, 3, 3]
+    for iters, made in solves:
+        assert made["assemble_gradient"] == 1 + iters
+        assert made["assemble_hessian"] == iters
+        assert made["assemble_energy"] == 1 + 2 * iters       # no backtrack
+    assert [len(log) for log in calls.values()] == [39, 22, 17 + 4]
+    # every call passes the level's even half
+    assert all(isinstance(layout, MirrorLayout) for log in calls.values() for layout in log)

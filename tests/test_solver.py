@@ -112,8 +112,8 @@ def test_line_search_that_rejects_every_trial_stops_at_the_start(monkeypatch):
     start = level.expand(level.reduce(linear_init(level.graph, PHI5)))
     real = disclat.solver.assemble_energy
 
-    def only_the_start_is_finite(graph, config, law):
-        return real(graph, config, law) if np.array_equal(config, start) else np.inf
+    def only_the_start_is_finite(graph, config, law, layout):
+        return real(graph, config, law, layout) if np.array_equal(config, start) else np.inf
 
     monkeypatch.setattr(disclat.solver, "assemble_energy", only_the_start_is_finite)
     config, report = newton_minimize(level, LAW, start)
@@ -243,11 +243,11 @@ def test_line_search_rejects_nonfinite_trial(monkeypatch):
     real = disclat.solver.assemble_energy
     calls = []
 
-    def first_full_step_breaks_model(graph, config, law):
+    def first_full_step_breaks_model(graph, config, law, layout):
         calls.append(None)
         if len(calls) == 2:               # call 1 is the initial energy
             raise NonFiniteEnergyError("energy is not finite")
-        return real(graph, config, law)
+        return real(graph, config, law, layout)
 
     monkeypatch.setattr(disclat.solver, "assemble_energy", first_full_step_breaks_model)
     _, _, report = solve()
@@ -297,7 +297,7 @@ def test_two_grid_step_is_inexact_descent_at_warm_start(phi):
                        prolongation_matrix(coarse, level), level.unknowns)
     u = prolong(coarse.graph, u_coarse, level.graph)
     h = assemble_hessian(level.graph, u, LAW, level.cmap, level.unknowns)
-    g = level.fold(assemble_gradient(level.graph, u, LAW, level.cmap, level.layout))
+    g = level.unknowns.fold(assemble_gradient(level.graph, u, LAW, level.cmap, level.layout))
     s, resid, iterations = two_grid.solve(h, g)
     assert resid <= CG_FORCING * np.linalg.norm(g)
     assert resid == pytest.approx(np.linalg.norm(h @ s + g), rel=1e-12)
