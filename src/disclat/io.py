@@ -2,11 +2,14 @@
 
 All floats are printed with %.17g so that a dump/parse round trip
 reproduces the binary float64 values exactly.  The large tables (config and
-lattice dumps) go through write_rows, which formats a chunk of rows per
-write, so their memory stays bounded by one chunk.
+lattice dumps) go through write_rows, which formats each chunk of
+CHUNK_ROWS rows with one `%` of the row template repeated over the chunk,
+and read_config parses a config dump a chunk of lines at a time, so the
+memory of both stays bounded by one chunk.
 """
 
 import json
+from itertools import chain, islice
 
 import numpy as np
 
@@ -24,13 +27,20 @@ def write_rows(stream, line, *columns):
 
     A column is a numpy array or a range (row ids).  Arrays are converted a
     chunk at a time with .tolist(); the Python ints and floats it returns
-    print exactly as the numpy scalars would.
+    print exactly as the numpy scalars would.  A chunk of m rows is one `%`
+    of `line` repeated m times over the chunk's values, row by row.
     """
     for start in range(0, len(columns[0]), CHUNK_ROWS):
         part = slice(start, start + CHUNK_ROWS)
-        rows = zip(*[c[part] if isinstance(c, range) else c[part].tolist()
-                     for c in columns])
-        stream.write("".join([line % row for row in rows]))
+        # the tuple is built straight from the rows, and the column lists
+        # die with the zip before the text exists, as the last chunk's
+        # values die before the next chunk's lists: one copy of the values
+        # is alive at a time
+        values = tuple(chain.from_iterable(zip(*[
+            c[part] if isinstance(c, range) else c[part].tolist()
+            for c in columns])))
+        stream.write(line * (len(values) // len(columns)) % values)
+        del values
 
 
 def write_config(stream, config, phi=None, n=None, p=None, psi=None,
@@ -58,36 +68,123 @@ def write_config(stream, config, phi=None, n=None, p=None, psi=None,
     write_rows(stream, "u %d %.17g %.17g\n", range(len(ux)), ux, uy)
 
 
+def _columns(lines):
+    """The id, x and y tokens of lines that are all `u <id> <x> <y>` rows,
+    or None.
+
+    The lines are split as one text with a NUL token after each.  No line
+    may hold a NUL, so the m - 1 NULs are the separators, and they all sit
+    at every fifth token only if every line has four.
+    """
+    m = len(lines)
+    text = "\0 ".join(lines)
+    tokens = text.split()
+    if (len(tokens) != 5 * m - 1 or text.count("\0") != m - 1
+            or tokens[4::5].count("\0") != m - 1 or tokens[::5].count("u") != m):
+        return None
+    return tokens[1::5], tokens[2::5], tokens[3::5]
+
+
 def read_config(stream):
-    """Parse a configuration dump.  Returns (config, meta dict)."""
+    """Parse a configuration dump.  Returns (config, meta dict).
+
+    Reads CHUNK_ROWS lines per step.  A step splits its lines as one text,
+    converts the ids and the coordinates a column at a time (numpy parses
+    each string with int() or float(), so the values are bit for bit those
+    of a line-by-line reader) and places each row at its id.  Comments and
+    blank lines may come anywhere, and rows in any order: a step that holds
+    them looks at each line, to take the comments' key=value tokens into
+    meta and drop the blank lines.  A step whose rows do not all convert,
+    or whose ids repeat or fall outside [0, 2 * rows read), goes through
+    its rows one at a time instead: the first bad line raises, and a row
+    with an id outside the table waits aside until the table reaches it.
+    """
     meta = {}
-    rows = {}
-    for line in stream:
-        line = line.strip()
-        if not line:
-            continue
-        if line.startswith("#"):
-            for token in line[1:].split():
-                if "=" in token:
-                    key, val = token.split("=", 1)
-                    meta[key] = val
-            continue
-        parts = line.split()
-        if parts[0] != "u" or len(parts) != 4:
-            raise ValueError("bad config line: %r" % line)
-        vid = int(parts[1])
-        if vid in rows:
-            raise ValueError("config vertex id %d repeats" % vid)
-        rows[vid] = (float(parts[2]), float(parts[3]))
-    if sorted(rows) != list(range(len(rows))):
-        raise ValueError("config vertex ids are not 0..%d" % (len(rows) - 1))
-    config = np.array([rows[i] for i in range(len(rows))])
+    config = np.zeros((0, 2))       # row i is vertex i, grown as ids come
+    seen = np.zeros(0, dtype=bool)
+    strays = {}                     # id -> row, for ids outside the table
+    n = 0
+
+    def grow(size):
+        config.resize((size, 2), refcheck=False)
+        seen.resize(size, refcheck=False)
+        for vid in [vid for vid in strays if 0 <= vid < size]:
+            config[vid] = strays.pop(vid)
+            seen[vid] = True
+
+    def read_chunk():
+        # a function, so that one chunk's lines and tokens are gone before
+        # the next chunk is read
+        nonlocal n
+        lines = list(islice(stream, CHUNK_ROWS))
+        if not lines:
+            return False
+        columns = _columns(lines)
+        if columns is None:
+            # comments, blank lines or a bad line: look at each line
+            rows = []
+            for line in lines:
+                t = line.split()
+                if t and t[0].startswith("#"):
+                    for token in line.strip()[1:].split():
+                        if "=" in token:
+                            key, val = token.split("=", 1)
+                            meta[key] = val
+                elif t:
+                    rows.append(line)
+            if not rows:
+                return True
+            lines = rows
+            columns = _columns(lines)
+        fast = columns is not None
+        if fast:
+            try:
+                vid = np.array(columns[0], dtype=np.int64)
+                xy = np.array(columns[1:], dtype=float).T
+            except (ValueError, OverflowError):
+                fast = False
+        if fast:
+            order = np.sort(vid)
+            fast = (0 <= order[0] and order[-1] < 2 * (n + len(lines))
+                    and (order[1:] != order[:-1]).all())
+        if fast and order[-1] >= len(seen):
+            grow(order[-1] + 1)
+        if fast and not seen[vid].any():
+            config[vid] = xy
+            seen[vid] = True
+        else:
+            for line in lines:
+                t = line.split()
+                if t[0] != "u" or len(t) != 4:
+                    raise ValueError("bad config line: %r" % line.strip())
+                vid = int(t[1])
+                if vid in strays or 0 <= vid < len(seen) and seen[vid]:
+                    raise ValueError("config vertex id %d repeats" % vid)
+                row = (float(t[2]), float(t[3]))
+                if 0 <= vid < len(seen):
+                    config[vid] = row
+                    seen[vid] = True
+                else:
+                    strays[vid] = row
+        n += len(lines)
+        return True
+
+    while read_chunk():
+        pass
+    if len(seen) < n:
+        grow(n)
+    # n distinct ids fill [0, n) exactly when they all reached the table
+    if not seen[:n].all():
+        raise ValueError("config vertex ids are not 0..%d" % (n - 1))
+    if len(seen) > n:
+        config.resize((n, 2), refcheck=False)
     for key in ("phi", "p", "kappa", "delta"):
         if key in meta:
             meta[key] = float(meta[key])
     if "n" in meta:
         meta["n"] = int(meta["n"])
-    return config, meta
+    # an empty dump reads as np.array([]), shape (0,), as it always has
+    return config if n else np.array([]), meta
 
 
 def write_sweep_csv(stream, record):

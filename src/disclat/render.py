@@ -8,10 +8,13 @@ reassembles the full disclination from the single computed wedge.
 
 The copies are built and drawn one at a time.  Each one's pixel
 coordinates are computed per vertex with numpy and formatted once per
-vertex; the polygons then go out CHUNK_ROWS triangles per write.  So the
-writer holds one copy's vertex strings plus one chunk of lines, never the
-whole picture.
+vertex, CHUNK_ROWS vertices with one `%`; the polygons then go out
+CHUNK_ROWS triangles per write, each chunk one `%` of the polygon template
+repeated over the chunk's corner and fill strings.  So the writer holds
+one copy's vertex strings plus one chunk of lines, never the whole picture.
 """
+
+from operator import itemgetter
 
 import numpy as np
 
@@ -20,7 +23,7 @@ from .io import CHUNK_ROWS
 from .lattice import rot
 
 _FMT = "%.6f"
-_PT = _FMT + "," + _FMT
+_PT_LINE = _FMT + "," + _FMT + "\n"
 SIZE = 720.0          # pixels on the longer side, margins included
 MARGIN = 24.0
 
@@ -38,12 +41,15 @@ def render_svg(stream, graph, config, phi=None):
     are drawn in sequence, or round(2*pi/phi) of them when 2*pi/phi is an
     integer up to 1e-9 relative rounding (phi = 2*pi/25 gives
     24.999999999999996).  Raises ValueError, before writing anything, if a
-    coordinate is not finite.
+    coordinate is not finite or phi lies outside (0, 2*pi].
     """
     config = np.asarray(config, dtype=float)
     if not np.isfinite(config).all():
         raise ValueError("cannot render a configuration with non-finite "
                          "coordinates")
+    if phi is not None and not 0.0 < phi <= 2.0 * np.pi:
+        raise ValueError("cannot render copies for phi = %r: phi must lie "
+                         "in (0, 2pi]" % phi)
     # the floor with 1e-9 relative slack: 2pi/(2pi/k) may fall just below k
     n_copies = 1 if phi is None else int(np.floor(2.0 * np.pi / phi * (1.0 + 1e-9)))
 
@@ -59,12 +65,14 @@ def render_svg(stream, graph, config, phi=None):
 
     width = MARGIN * 2.0 + (hi[0] - lo[0]) * scale
     height = MARGIN * 2.0 + (hi[1] - lo[1]) * scale
-    positive = triangle_dets(graph, config) > 0.0
+    # a polygon's four strings are its corners' and its fill, which sits in
+    # a copy's list of strings after the vertices' at n_v + (det > 0)
+    n_v = len(config)
+    fill_at = n_v + (triangle_dets(graph, config) > 0.0)
     stroke_w = max(0.25, min(1.2, 60.0 * scale * graph.eps / SIZE))
     polygon = ('<polygon points="%%s %%s %%s" fill="%%s" stroke="%s" '
                'stroke-width="%s" stroke-linejoin="round"/>\n'
                % (STROKE, _FMT % stroke_w))
-    fills = (FILL_NONPOS, FILL_POSITIVE)
 
     stream.write('<?xml version="1.0" encoding="UTF-8"?>\n')
     stream.write(
@@ -75,21 +83,21 @@ def render_svg(stream, graph, config, phi=None):
     stream.write('<rect width="100%%" height="100%%" fill="#ffffff"/>\n')
     for k in range(n_copies):
         f = frame(k)
-        # pixel coordinates, y flipped because SVG grows downward
-        px = MARGIN + (f[:, 0] - lo[0]) * scale
-        py = MARGIN + (hi[1] - f[:, 1]) * scale
+        # pixel coordinates, y flipped because SVG grows downward, x and y
+        # interleaved so that a chunk of vertices is one run of values
+        pix = np.empty_like(f)
+        pix[:, 0] = MARGIN + (f[:, 0] - lo[0]) * scale
+        pix[:, 1] = MARGIN + (hi[1] - f[:, 1]) * scale
         # filled in place: growing the list chunk by chunk would reallocate
         # it over and over and leave the freed copies resident in the heap
-        pts = [None] * len(f)
-        for start in range(0, len(f), CHUNK_ROWS):
-            part = slice(start, start + CHUNK_ROWS)
-            pts[part] = [_PT % xy
-                         for xy in zip(px[part].tolist(), py[part].tolist())]
+        strings = [None] * n_v + [FILL_NONPOS, FILL_POSITIVE]
+        for start in range(0, n_v, CHUNK_ROWS):
+            part = slice(start, min(start + CHUNK_ROWS, n_v))
+            values = tuple(pix[part].ravel().tolist())
+            strings[part] = (_PT_LINE * (len(values) // 2) % values).splitlines()
         for start in range(0, len(graph.tris), CHUNK_ROWS):
             part = slice(start, start + CHUNK_ROWS)
-            corners = graph.tris[part].T.tolist()
-            stream.write("".join([
-                polygon % (pts[a], pts[b], pts[c], fills[pos])
-                for a, b, c, pos in zip(*corners, positive[part].tolist())
-            ]))
+            rows = np.column_stack((graph.tris[part], fill_at[part]))
+            stream.write(polygon * len(rows)
+                         % itemgetter(*rows.ravel().tolist())(strings))
     stream.write("</svg>\n")

@@ -1,18 +1,19 @@
-"""The chunked writers (SVG, lattice dump, config dump) against the
-one-line-at-a-time loops they replaced, byte for byte, and their memory
-bound."""
+"""The chunked writers (SVG, lattice dump, config dump) and the chunked
+config reader against the one-line-at-a-time loops they replaced, byte for
+byte and error for error, and their memory bound."""
 
 import io
+import random
 import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
 from disclat.analysis import triangle_dets
 from disclat.experiments import folded_init
-from disclat.io import write_config
+from disclat.io import CHUNK_ROWS, read_config, write_config
 from disclat.lattice import LatticeGraph, build_constraints, dump_lattice, rot
 from disclat.render import (FILL_NONPOS, FILL_POSITIVE, MARGIN, SIZE, STROKE,
                             render_svg)
@@ -106,6 +107,38 @@ def loop_write_config(stream, config, phi=None, n=None, p=None, psi=None,
         stream.write("u %d %.17g %.17g\n" % (vid, float(ux), float(uy)))
 
 
+def loop_read_config(stream):
+    """The per-line reader, kept as the oracle for read_config."""
+    meta = {}
+    rows = {}
+    for line in stream:
+        line = line.strip()
+        if not line:
+            continue
+        if line.startswith("#"):
+            for token in line[1:].split():
+                if "=" in token:
+                    key, val = token.split("=", 1)
+                    meta[key] = val
+            continue
+        parts = line.split()
+        if parts[0] != "u" or len(parts) != 4:
+            raise ValueError("bad config line: %r" % line)
+        vid = int(parts[1])
+        if vid in rows:
+            raise ValueError("config vertex id %d repeats" % vid)
+        rows[vid] = (float(parts[2]), float(parts[3]))
+    if sorted(rows) != list(range(len(rows))):
+        raise ValueError("config vertex ids are not 0..%d" % (len(rows) - 1))
+    config = np.array([rows[i] for i in range(len(rows))])
+    for key in ("phi", "p", "kappa", "delta"):
+        if key in meta:
+            meta[key] = float(meta[key])
+    if "n" in meta:
+        meta["n"] = int(meta["n"])
+    return config, meta
+
+
 def written(writer, *args, **kwargs):
     buf = io.StringIO()
     writer(buf, *args, **kwargs)
@@ -176,6 +209,105 @@ def test_write_config_matches_loop(data):
             == written(loop_write_config, config, **meta))
 
 
+# spellings float() and int() accept besides the writer's own
+COORDS = ["0", "-0", "1.5", "5e-324", "-1.7976931348623157e+308", "inf",
+          "-Infinity", "nan", "-nan", "+NaN", "1_0.5", "1e5_0", "\u0661.5"]
+ARABIC = str.maketrans("0123456789", "\u0660\u0661\u0662\u0663\u0664"
+                       "\u0665\u0666\u0667\u0668\u0669")
+
+# each kind of damage maps a data line's tokens (tag, id, x, y) to new ones;
+# None deletes the line, so that its id goes missing
+DAMAGE = {
+    "tag": lambda t, rnd, n: [rnd.choice(["v", "U", "uu", "0"])] + t[1:],
+    "3 tokens": lambda t, rnd, n: t[:3],
+    "5 tokens": lambda t, rnd, n: t + [rnd.choice(COORDS)],
+    "repeated id": lambda t, rnd, n: [t[0], str(rnd.randrange(n))] + t[2:],
+    "missing id": lambda t, rnd, n: None,
+    "negative id": lambda t, rnd, n: [t[0], str(-rnd.randint(0, 3))] + t[2:],
+    "far id": lambda t, rnd, n: [t[0], str(rnd.choice([n, 2**40, 10**30]))] + t[2:],
+    "non-integer id": lambda t, rnd, n: [t[0], rnd.choice(
+        ["1.5", "x", "0x1f", "1e3", "--1", "\u0663.0"])] + t[2:],
+    "non-numeric coordinate": lambda t, rnd, n: t[:2] + (
+        [rnd.choice(["abc", "1.2.3", "nan(1)", "1,5", "0x1p3", "1__0"])] + t[3:]
+        if rnd.random() < 0.5 else t[2:3] + ["infinit"] + t[4:]),
+    "two rows on a line": lambda t, rnd, n: t + ["u", str(rnd.randrange(n)),
+                                                 "0", "0"],
+    "a row on two lines": lambda t, rnd, n: t[:2] + ["\n".join(t[2:])],
+    "NUL": lambda t, rnd, n: t[:2] + [t[2] + "\0"] + t[3:]
+                             if rnd.random() < 0.5 else t + ["\0"],
+    # still valid: the same id and coordinates in other spellings
+    "respelled": lambda t, rnd, n: [t[0], rnd.choice(
+        ["+" + t[1], "0" + t[1], t[1].translate(ARABIC)]),
+        rnd.choice(COORDS)] + t[3:],
+}
+COMMENTS = ["#", "# phi=1.5 n=3 p=2", "#psi=zero", "# kappa=nan junk delta=-0",
+            "# n=x", "# p=", "#n=4=5"]
+BLANKS = ["", "   ", "\t", " \x0b "]
+
+
+def config_dump(rnd, n, shuffle, damage, extra):
+    """The text of an n-row config dump, rows shuffled or in order, each
+    kind in `damage` applied to a random data line (or a (kind, k) pair to
+    line k), and `extra` blank or comment lines put anywhere."""
+    ids = list(range(n))
+    if shuffle:
+        rnd.shuffle(ids)
+    rows = [["u", str(i), "%.17g" % rnd.uniform(-2.0, 2.0),
+             "%.17g" % rnd.uniform(-2.0, 2.0)] for i in ids]
+    for kind in damage:
+        kind, k = kind if isinstance(kind, tuple) else (kind, None)
+        live = [k for k, row in enumerate(rows) if row is not None]
+        if live:
+            k = rnd.choice(live) if k is None else k
+            rows[k] = DAMAGE[kind](rows[k], rnd, max(n, 1))
+    lines = [rnd.choice([" ", "  ", "\t"]).join(row)
+             for row in rows if row is not None]
+    for _ in range(extra):
+        lines.insert(rnd.randint(0, len(lines)), rnd.choice(COMMENTS + BLANKS))
+    return "\n".join(lines) + rnd.choice(["", "\n"])
+
+
+def read_outcome(reader, text):
+    """What a reader makes of a text: its config's shape, dtype and bytes and
+    its meta, or the type and message of what it raised."""
+    try:
+        config, meta = reader(io.StringIO(text))
+    except Exception as err:
+        return type(err), str(err)
+    return config.shape, config.dtype, config.tobytes(), repr(meta)
+
+
+@settings(max_examples=100)
+@given(st.data())
+def test_read_config_matches_loop(data):
+    # a seed, not st.randoms(): a dump of 4000 rows draws too much to record
+    rnd = random.Random(data.draw(st.integers(0, 2**32 - 1)))
+    n = data.draw(st.integers(0, 12)
+                  | st.integers(CHUNK_ROWS - 3, 2 * CHUNK_ROWS + 3))
+    text = config_dump(rnd, n, data.draw(st.booleans()),
+                       data.draw(st.lists(st.sampled_from(sorted(DAMAGE)),
+                                          max_size=3)),
+                       data.draw(st.integers(0, 4)))
+    assert read_outcome(read_config, text) == read_outcome(loop_read_config, text)
+
+
+@pytest.mark.parametrize("kind", sorted(DAMAGE))
+@pytest.mark.parametrize("shuffle", [False, True])
+def test_read_config_damage_matches_loop(kind, shuffle):
+    # each kind of damage alone, before a later one, and on the first and
+    # last line of a chunk, in a dump of three chunks, so that the first bad
+    # line is raised whichever chunk holds it
+    n = 2 * CHUNK_ROWS + 100
+    for seed in range(3):
+        rnd = random.Random(seed)
+        for damage, extra in (([kind], 3), ([kind, rnd.choice(sorted(DAMAGE))], 3),
+                              ([(kind, CHUNK_ROWS - 1)], 0),
+                              ([(kind, CHUNK_ROWS)], 0), ([(kind, n - 1)], 0)):
+            text = config_dump(rnd, n, shuffle, damage, extra)
+            assert (read_outcome(read_config, text)
+                    == read_outcome(loop_read_config, text)), (kind, seed)
+
+
 class Sink:
     """A stream that counts what it is given and keeps none of it."""
 
@@ -186,9 +318,13 @@ class Sink:
         self.size += len(text)
 
 
-@pytest.mark.parametrize("writer", ["render", "mesh"])
+@pytest.mark.parametrize("writer", ["render", "mesh", "config"])
 def test_writer_memory_is_a_chunk_not_the_file(writer):
-    graph = LatticeGraph(128)
+    # peaks, against half the output: render 1.83 of 6.78 MB, mesh 416 of
+    # 598 KB, config 356 KB of 3.17 MB.  The config dump is drawn at N = 512
+    # (64 chunks): at N = 128 it is 4.1 chunks, and one chunk's values and
+    # text (356 KB) alone pass half of its 391 KB
+    graph = LatticeGraph(512 if writer == "config" else 128)
     cmap = build_constraints(graph, PHI5)
     config = folded_init(graph, PHI5, 3)
     sink = Sink()
@@ -196,9 +332,45 @@ def test_writer_memory_is_a_chunk_not_the_file(writer):
     try:
         if writer == "render":
             render_svg(sink, graph, config, phi=PHI5)
-        else:
+        elif writer == "mesh":
             dump_lattice(graph, cmap, sink)
+        else:
+            write_config(sink, config, phi=PHI5, n=graph.n, p=2.0, psi="zero")
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert peak < sink.size / 2, (peak, sink.size)
+
+
+def test_reader_memory_is_a_chunk_not_the_file(tmp_path):
+    # N = 512 again: at N = 128 the peak above the returned array is
+    # 815 KB, since one chunk's lines, text and tokens pass the whole
+    # 391 KB dump.  At N = 512 it is 0.94 of the 3.17 MB bound; the
+    # line-by-line reader's is 28 MB
+    graph = LatticeGraph(512)
+    config = folded_init(graph, PHI5, 3)
+    path = tmp_path / "config.txt"
+    with open(path, "w") as fh:
+        write_config(fh, config, phi=PHI5, n=graph.n, p=2.0, psi="zero")
+    size = path.stat().st_size
+    with open(path) as fh:
+        tracemalloc.start()
+        try:
+            back, _ = read_config(fh)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert back.tobytes() == config.tobytes()
+    assert peak - back.nbytes < size / 2, (peak, back.nbytes, size)
+
+
+def test_render_svg_refuses_phi_outside_a_turn():
+    graph = LatticeGraph(2)
+    for phi in (0.0, -1.0, 7.0, float("nan")):
+        sink = Sink()
+        with pytest.raises(ValueError, match="phi"):
+            render_svg(sink, graph, graph.pos, phi=phi)
+        assert sink.size == 0, phi
+    svg = written(render_svg, graph, graph.pos, phi=2.0 * np.pi)
+    assert svg.count("<polygon") == len(graph.tris)
+    assert svg == written(loop_render_svg, graph, graph.pos, phi=2.0 * np.pi)
