@@ -206,8 +206,10 @@ def _bonds(graph, u, half=None):
     and the n_up up triangles come first.
     """
     a, b = (graph.edges[:, 0], graph.edges[:, 1]) if half is None else half.ends
-    d = u.take(b, axis=0) - u.take(a, axis=0)
-    length = np.hypot(d[:, 0], d[:, 1]) / graph.eps
+    d = u.take(b, axis=0)
+    d -= u.take(a, axis=0)
+    length = np.hypot(d[:, 0], d[:, 1])
+    length /= graph.eps
     bad = np.flatnonzero(length <= BOND_FLOOR)
     if len(bad):
         bad = bad if half is None else half.edges.take(bad)
@@ -244,18 +246,35 @@ def _bond_hessians(graph, u, law, half=None):
     """Assembled Phi spring block of every edge (of half's representatives,
     at their weights), shape (|E|, 2, 2): Phi'' along the bond, Phi'/|bond|
     across it, times 2*|T|*w(e).  Entry (c, d) is along*o + across*(delta_cd
-    - o) with o = unit_c*unit_d."""
+    - o) with o = unit_c*unit_d.
+
+    Every per-edge array is written in place by the operations of the
+    plain expressions above, at most with a product's operands swapped, so
+    the bits are theirs.  While the blocks are written, the bond vectors
+    (turned into unit vectors), along, across and one scratch array are
+    the only other per-edge arrays alive."""
     d, length = _bonds(graph, u, half)
     eps = graph.eps
     r = length - 1.0
-    w = graph.weights if half is None else half.weights
-    scale = 2.0 * graph.triangle_area() * w / (eps * eps)
-    along, across = scale * law.d2Phi(r), scale * law.dPhi(r) / length
-    unit = d.T / (eps * length)
+    along, across = law.d2Phi(r), law.dPhi(r)
+    del r
+    scale = np.multiply(2.0 * graph.triangle_area(), graph.weights if half is None else half.weights)
+    scale /= eps * eps
+    along *= scale
+    across *= scale
+    across /= length
+    del scale
+    length *= eps
+    d /= length[:, None]                 # unit vectors
+    del length
     k = np.empty((len(d), 2, 2))
+    o = np.empty(len(d))
     for c, e in ((0, 0), (0, 1), (1, 1)):
-        o = unit[c] * unit[e]
-        k[:, c, e] = along * o + across * (float(c == e) - o)
+        np.multiply(d[:, c], d[:, e], out=o)
+        np.multiply(along, o, out=k[:, c, e])
+        np.subtract(float(c == e), o, out=o)
+        o *= across
+        k[:, c, e] += o
     k[:, 1, 0] = k[:, 0, 1]
     return k
 
@@ -684,13 +703,14 @@ class MirrorHessianPlan:
         stack[n + 3 * n1:d0] = y - y @ m - m @ yt + m @ yt @ m
         # a block's terms are summed alone; zero blocks added to the sum
         # could change only the sign of a zero, which 0 - S drops
-        sums = []
-        for terms in np.split(self.diagonal_terms, 2):
+        def term_sum(terms):
             total = stack.take(terms[0], axis=0)
             for t in terms[1:]:
                 total += stack.take(t, axis=0)
-            sums.append(total)
-        a, b = sums
+            return total
+
+        # no list holds the sums, so they are freed before the final gather
+        a, b = (term_sum(terms) for terms in np.split(self.diagonal_terms, 2))
         a += b.swapaxes(1, 2)
         np.subtract(0.0, a, out=stack[d0:d1])
         a, b = (np.bincount(target, stack.take(terms, axis=0).ravel(),

@@ -23,7 +23,8 @@ Sweep.  run_sweep solves at eps = 2^-1 from the det1 linear start, then
 halves eps, warm-starting each level by prolongation of the previous
 minimizer, and records energies, determinant diagnostics and the empirical
 power-law exponents p_eps = log2((e_4eps - e_2eps)/(e_2eps - e_eps)); it
-keeps only the previous level.  Its start and prolong are mirror-even, so
+keeps the previous level only until the next level's start and prolongation
+matrix are built.  Its start and prolong are mirror-even, so
 every level solves on its even half (lattice.MirrorLevel).  The fold
 study's folded starts are not, and it uses one full lattice.Level.
 """
@@ -77,12 +78,30 @@ def linear_matrix(phi, mode="det1"):
 
 def linear_init(graph, phi, mode="det1"):
     """Admissible linear configuration u(x) = A x on all vertices."""
-    return graph.pos @ linear_matrix(phi, mode).T
+    return graph.positions() @ linear_matrix(phi, mode).T
 
 
 def fold_line_offset(graph, fold_number):
     """Distance from the origin to the fold chord, in the bisector direction."""
     return graph.eps * SQRT3 / 2.0 * (graph.n - fold_number)
+
+
+def _fold(graph, pos, fold):
+    """Apply fold number fold to the positions pos, in place."""
+    n0 = np.array([SQRT3 / 2.0, 0.5])      # corner bisector, normal to chords
+    n2 = np.array([-SQRT3 / 2.0, 0.5])     # outward normal of the Gamma2 line
+    tol = 1e-9 * graph.eps
+    # tuck the flap left hanging past Gamma2 by the previous fold
+    over = pos @ n2
+    beyond = over > tol
+    pos[beyond] -= 2.0 * over[beyond, None] * n2
+    # main fold across the chord
+    signed = pos @ n0 - fold_line_offset(graph, fold)
+    beyond = signed > tol
+    pos[beyond] -= 2.0 * signed[beyond, None] * n0
+    # the chord fold pushes the Gamma1 tail below y = 0; fold it back up
+    below = pos[:, 1] < -tol
+    pos[below, 1] = -pos[below, 1]
 
 
 def fold_reference(graph, fold_count):
@@ -92,34 +111,25 @@ def fold_reference(graph, fold_count):
             "fold count must lie in [0, N-1] = [0, %d], got %r"
             % (graph.n - 1, fold_count)
         )
-    n0 = np.array([SQRT3 / 2.0, 0.5])      # corner bisector, normal to chords
-    n2 = np.array([-SQRT3 / 2.0, 0.5])     # outward normal of the Gamma2 line
     pos = graph.pos.copy()
-    tol = 1e-9 * graph.eps
     for fold in range(1, fold_count + 1):
-        # tuck the flap left hanging past Gamma2 by the previous fold
-        over = pos @ n2
-        beyond = over > tol
-        pos[beyond] -= 2.0 * over[beyond, None] * n2
-        # main fold across the chord
-        signed = pos @ n0 - fold_line_offset(graph, fold)
-        beyond = signed > tol
-        pos[beyond] -= 2.0 * signed[beyond, None] * n0
-        # the chord fold pushes the Gamma1 tail below y = 0; fold it back up
-        below = pos[:, 1] < -tol
-        pos[below, 1] = -pos[below, 1]
+        _fold(graph, pos, fold)
     return pos
 
 
-def folded_init(graph, phi, fold_count, level=None):
+def folded_init(graph, phi, fold_count, level=None, reference=None):
     """The det1 linear map composed with the folded reference, made exactly
     admissible by recomputing the slaved vertices from their masters.
 
     level, when given, must be the Level of (graph.n, phi); otherwise one
-    is built here.
+    is built here.  reference, when given, must be
+    fold_reference(graph, fold_count), which run_fold_study carries from one
+    start to the next; otherwise it is computed here.
     """
     amat = linear_matrix(phi)
-    u = fold_reference(graph, fold_count) @ amat.T
+    if reference is None:
+        reference = fold_reference(graph, fold_count)
+    u = reference @ amat.T
     if level is None:
         level = Level(graph.n, phi)
     return level.expand(level.reduce(u))
@@ -271,17 +281,20 @@ def run_sweep(phi, k_max, law, opts=None, cold_start=False, keep_configs=False):
     # above them; hand them back so the peak does not depend on earlier work
     with contextlib.suppress(AttributeError, OSError, TypeError):
         ctypes.CDLL(None).malloc_trim(0)
-    prev = prev_config = coarse = None    # the previous level, its minimizer
+    prev = config = coarse = None    # the previous level, its minimizer
     for k in range(1, k_max + 1):
         level = MirrorLevel(2**k, phi)
         if prev is None or cold_start:
             init = linear_init(level.graph, phi)
         else:
-            init = prolong(prev.graph, prev_config, level.graph)
+            init = prolong(prev.graph, config, level.graph)
         try:
             two_grid = None if coarse is None else TwoGrid(
                 coarse, prolongation_matrix(prev, level), level.unknowns
             )
+            # with the start and P built, the coarser level and its
+            # minimizer go: the chain of coarse solves keeps only H and P
+            prev = config = coarse = None
             config, report = newton_minimize(level, law, init, opts, two_grid)
             # the hand-over runs before the finer Level is built: building
             # that first, so that hand_over could return the TwoGrid itself,
@@ -291,7 +304,7 @@ def run_sweep(phi, k_max, law, opts=None, cold_start=False, keep_configs=False):
                                    two_grid if level.n > COARSE_LU_MAX else None)
         except Exception as err:
             raise RuntimeError("sweep failed at eps = 2^-%d: %s" % (k, err)) from err
-        _, min_det, nonpos = det_summary(level.graph, config)
+        min_det, nonpos = det_summary(level.graph, config)[1:]
         record.eps_exps.append(k)
         record.energies.append(report.energy[-1])
         record.iterations.append(report.iterations)
@@ -301,7 +314,7 @@ def run_sweep(phi, k_max, law, opts=None, cold_start=False, keep_configs=False):
         record.reports.append(report)
         if keep_configs:
             record.configs[k] = config
-        prev, prev_config = level, config
+        prev = level
     return record
 
 
@@ -320,8 +333,12 @@ def run_fold_study(phi, law, eps_exp, max_folds, opts=None):
             % (level.n - 1, max_folds)
         )
     results = []
+    # each start folds the previous start's reference once more
+    reference = fold_reference(level.graph, 0)
     for folds in range(max_folds + 1):
-        init = folded_init(level.graph, phi, folds, level)
+        if folds:
+            _fold(level.graph, reference, folds)
+        init = folded_init(level.graph, phi, folds, level, reference)
         config, report = newton_minimize(level, law, init, opts)
         _, min_det, nonpos = det_summary(level.graph, config)
         results.append(

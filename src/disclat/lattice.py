@@ -17,6 +17,7 @@ scalar unknowns.  The configurations that the reflection u -> M u(j, i)
 leaves fixed have half as many (MirrorLayout); the sweep solves on them.
 """
 
+import functools
 import numbers
 
 import numpy as np
@@ -32,20 +33,55 @@ def rot(angle):
     return np.array([[c, -s], [s, c]])
 
 
+def _runs(j, lo, hi):
+    """Index pairs (i, j[r]) with lo[r] <= i < hi[r], row r by row r, as two
+    int64 arrays; a row with hi <= lo is empty.  j, lo and hi broadcast."""
+    j, lo, hi = np.broadcast_arrays(j, lo, hi)
+    counts = np.maximum(hi - lo, 0)
+    rows = np.repeat(np.arange(len(counts)), counts)
+    starts = np.cumsum(counts) - counts
+    return np.arange(len(rows)) + (lo - starts).take(rows), j.take(rows)
+
+
 def _rows(k):
     """Index pairs (i, j) with j = 0..k-1 and i = 0..k-1-j, ordered by j,
     then i, as two int64 arrays."""
-    counts = np.arange(k, 0, -1)
-    j = np.repeat(np.arange(k), counts)
-    starts = np.cumsum(counts) - counts
-    return np.arange(len(j)) - starts[j], j
+    j = np.arange(k)
+    return _runs(j, 0, k - j)
+
+
+def _edges(vid, e1, r60, diagonal):
+    """Ends (2, R) of the edges based at the corners (i, j) of each group,
+    given as (i, j) array pairs: (i, j)-(i+1, j) along e1, (i, j)-(i, j+1)
+    along R60*e1 and the cell diagonal (i+1, j)-(i, j+1)."""
+    (i1, j1), (i2, j2), (i3, j3) = e1, r60, diagonal
+    return np.concatenate([[vid(i1, j1), vid(i1 + 1, j1)], [vid(i2, j2), vid(i2, j2 + 1)],
+                           [vid(i3 + 1, j3), vid(i3, j3 + 1)]], axis=1)
+
+
+def _weights(n, e1, r60, diagonal):
+    """w(e) of the edges of _edges: 1/2 on the boundary (j = 0 along e1,
+    i = 0 along R60*e1, i + j = N - 1 for a cell diagonal), 1 inside."""
+    (i1, j1), (i2, j2), (i3, j3) = e1, r60, diagonal
+    return np.where(np.concatenate([j1 == 0, i2 == 0, i3 + j3 == n - 1]), 0.5, 1.0)
+
+
+def _cells(vid, up, down):
+    """Counter-clockwise vertex triples (3, K) of the up cells based at the
+    corners up, (i, j), (i+1, j), (i, j+1), then of the down cells based at
+    the corners down, (i+1, j), (i+1, j+1), (i, j+1)."""
+    (ui, uj), (di, dj) = up, down
+    return np.concatenate([[vid(ui, uj), vid(ui + 1, uj), vid(ui, uj + 1)],
+                           [vid(di + 1, dj), vid(di + 1, dj + 1), vid(di, dj + 1)]], axis=1)
 
 
 class LatticeGraph:
     """Vertices, weighted edges and oriented triangles of the lattice.
 
     n must be an integer >= 1 (Python or numpy); anything else raises
-    ValueError.
+    ValueError.  Only ij is built with the graph: pos, edges, weights and
+    tris are built on first read, so a level that never reads them (a
+    MirrorLevel's solve) never holds them.
 
     Attributes
     ----------
@@ -58,6 +94,9 @@ class LatticeGraph:
     pos : (|V|, 2) float array
         Reference positions eps*(i + j/2, j*sqrt(3)/2).
     edges : (|E|, 2) int array
+        Each corner (i, j) with i + j < N owns three edges: its edge along
+        e1, then along R60*e1, then the diagonal of its cell, each group
+        corner by corner (the top vertex row j = N owns none).
     weights : (|E|,) float array
         1/2 on boundary edges, 1 on interior edges.
     tris : (|T|, 3) int array
@@ -69,38 +108,10 @@ class LatticeGraph:
         if not isinstance(n, numbers.Integral) or n < 1:
             raise ValueError("need an integer N >= 1, got %r" % (n,))
         self.n = n = int(n)
-        self.eps = eps = 1.0 / n
-
+        self.eps = 1.0 / n
         # vertex rows ordered by j, then i; id(i, j) = offset[j] + i
-        i, j = _rows(n + 1)
-        ij = np.column_stack([i, j])
-        self.ij = ij
-        self.pos = eps * np.column_stack(
-            [ij[:, 0] + 0.5 * ij[:, 1], ij[:, 1] * (SQRT3 / 2.0)]
-        )
-
-        # each corner (i, j) with i + j < N owns the three edges and the up
-        # triangle based there (the top vertex row j = N owns none)
-        vid = self.vertex_id
-        i, j = _rows(n)
-        o, e1, e2 = vid(i, j), vid(i + 1, j), vid(i, j + 1)
-        self.edges = np.concatenate(
-            [
-                np.column_stack([o, e1]),             # edges along e1
-                np.column_stack([o, e2]),             # edges along R60*e1
-                np.column_stack([e1, e2]),            # diagonal edges of the cells
-            ]
-        )
-        self.weights = np.where(
-            np.concatenate([j == 0, i == 0, i + j == n - 1]), 0.5, 1.0
-        )
-
-        up = np.column_stack([o, e1, e2])             # up triangles, CCW
-        i, j = _rows(n - 1)
-        down = np.column_stack(                       # down triangles, CCW
-            [vid(i + 1, j), vid(i + 1, j + 1), vid(i, j + 1)]
-        )
-        self.tris = np.concatenate([up, down])
+        self.ij = np.column_stack(_rows(n + 1))
+        self.n_edges = 3 * (n * (n + 1) // 2)
 
     def vertex_id(self, i, j):
         """Id of vertex (i, j): offset[j] + i, where row j holds N+1-j
@@ -111,9 +122,31 @@ class LatticeGraph:
     def n_vertices(self):
         return len(self.ij)
 
-    @property
-    def n_edges(self):
-        return len(self.edges)
+    def positions(self, ids=None):
+        """Reference positions of the vertices ids (all when None): rows of
+        pos once it is built, else computed from their (i, j) alone."""
+        if "pos" in self.__dict__:
+            return self.pos if ids is None else self.pos.take(ids, axis=0)
+        ij = self.ij if ids is None else self.ij.take(ids, axis=0)
+        return self.eps * np.column_stack([ij[:, 0] + 0.5 * ij[:, 1], ij[:, 1] * (SQRT3 / 2.0)])
+
+    @functools.cached_property
+    def pos(self):
+        return self.positions()
+
+    @functools.cached_property
+    def edges(self):
+        corners = _rows(self.n)
+        return np.ascontiguousarray(_edges(self.vertex_id, corners, corners, corners).T)
+
+    @functools.cached_property
+    def weights(self):
+        corners = _rows(self.n)
+        return _weights(self.n, corners, corners, corners)
+
+    @functools.cached_property
+    def tris(self):
+        return np.ascontiguousarray(_cells(self.vertex_id, _rows(self.n), _rows(self.n - 1)).T)
 
     def triangle_area(self):
         """Reference area of every triangle: sqrt(3)*eps^2/4."""
@@ -144,12 +177,13 @@ def build_constraints(graph, phi):
     The apex (0, N) lies on both Gamma2 and Gamma3 and is slaved to (N, 0);
     the corner (N, 0) on Gamma1 and Gamma3 is an ordinary master.  Raises
     RuntimeError if a slave does not sit at R60 times its master's reference
-    position, which would indicate a broken lattice.
+    position, which would indicate a broken lattice; only these 2N rows of
+    the positions are read (LatticeGraph.positions).
     """
     k = np.arange(1, graph.n + 1)
     masters, slaves = graph.vertex_id(k, 0), graph.vertex_id(0, k)
-    rotated = graph.pos[masters] @ rot(np.pi / 3.0).T
-    gap = np.abs(rotated - graph.pos[slaves]).max(axis=1)
+    rotated = graph.positions(masters) @ rot(np.pi / 3.0).T
+    gap = np.abs(rotated - graph.positions(slaves)).max(axis=1)
     broken = ~(gap < 1e-12)               # a NaN position counts as broken
     if broken.any():
         first = int(np.argmax(broken))
@@ -268,48 +302,54 @@ class MirrorLayout:
       (multiplicity 1), and own lists their places.
     - seam (2, S): the vertices (k, k+1) at i < j that these cells and edges
       touch, and their mirror vertices (k+1, k).
+    Every table is written in closed form from the (i, j) it covers, so
+    the layout reads none of the graph's full-lattice tables (pos, edges,
+    weights, tris) and builds none of them.
     """
 
     def __init__(self, graph, cmap, layout):
-        i, j = graph.ij.T
-        pairs = np.flatnonzero((i > j) & (j >= 1))
-        singles = np.flatnonzero((i >= 1) & ((j == 0) | (i == j)))
-        self.owners = np.concatenate([pairs, singles])
+        n, vid = graph.n, graph.vertex_id
+        rows = np.arange(1, n + 1)
+        pi, pj = _runs(rows, rows + 1, n + 1 - rows)              # i > j >= 1
+        pairs = vid(pi, pj)
+        k = np.arange(1, n // 2 + 1)                               # (k, k)
+        # the Gamma1 singles (1..N, 0) are vertices 1..N
+        self.owners = np.concatenate([pairs, np.arange(1, n + 1), vid(k, k)])
         self.n_pairs = len(pairs)
-        self.n_reduced = 2 * len(pairs) + len(singles)
+        self.n_reduced = 2 * len(pairs) + n + len(k)
         self.axis = np.exp(0.5j * cmap.phi)
-        self.axes = np.where(j.take(singles) == 0, 1.0, self.axis)
+        self.axes = np.concatenate([np.ones(n, dtype=np.complex128), np.full(len(k), self.axis)])
         self.w = np.exp(1j * cmap.phi)
         self.mirror = np.array([[self.w.real, self.w.imag], [self.w.imag, -self.w.real]])
         self.block = np.full(graph.n_vertices, -1, dtype=np.int64)
         self.block[self.owners] = np.arange(len(self.owners))
-        self.upper = np.flatnonzero(i < j)
-        self.upper_images = graph.vertex_id(j.take(self.upper), i.take(self.upper))
+        ui, uj = _runs(rows, 0, np.minimum(rows, n + 1 - rows))    # i < j
+        self.upper = vid(ui, uj)
+        self.upper_images = vid(uj, ui)
         self.block[self.upper] = self.block.take(self.upper_images)
         # reduced blocks of the owners and of the pairs' mirror vertices
-        self._reduced = (layout.block.take(self.owners),
-                         layout.block.take(graph.vertex_id(j.take(pairs), i.take(pairs))))
+        self._reduced = (layout.block.take(self.owners), layout.block.take(vid(pj, pi)))
 
-        # i - j of each cell's corner: the first vertex of an up cell, one
-        # step along e1 from that of a down cell
-        corner = (i - j).take(graph.tris[:, 0])
-        corner[graph.n_edges // 3:] -= 1
-        order = np.concatenate([np.flatnonzero(corner == 0), np.flatnonzero(corner > 0)])
-        self.n_self = int(np.count_nonzero(corner == 0))
-        self.cells = np.ascontiguousarray(graph.tris.take(order, axis=0).T)
-        # the cell diagonal of corner (k, k) is edge 2 n_up + corner number,
-        # and the corner number of vertex v is v - j(v)
-        k = np.arange((graph.n + 1) // 2)
-        image = np.zeros(graph.n_edges, dtype=bool)
-        image[2 * (graph.n_edges // 3) + graph.vertex_id(k, k) - k] = True
-        lower = i >= j
-        a, b = graph.edges.T
-        self.edges = np.flatnonzero((lower.take(a) & lower.take(b)) | image)
-        self.ends = np.ascontiguousarray(graph.edges.take(self.edges, axis=0).T)
-        self.own = np.flatnonzero(image.take(self.edges))
-        self.weights = 2.0 * graph.weights.take(self.edges)
+        # the cells of corner i == j (up, then down), then those of corner
+        # i > j (up cells with i + j < N, then down cells with i + j < N - 1)
+        h = np.arange(n)
+        up, down = np.arange((n + 1) // 2), np.arange(n // 2)
+        plain = _runs(h, h + 1, n - h)
+        self.n_self = len(up) + len(down)
+        self.cells = np.concatenate([_cells(vid, (up, up), (down, down)),
+                                     _cells(vid, plain, _runs(h, h + 1, n - 1 - h))], axis=1)
+        # the edges of corners i >= j along e1 and on the cell diagonal, of
+        # corners i > j along R60*e1; edge numbers are the group's first
+        # plus the corner's number v - j(v)
+        ci, cj = corners = _runs(h, h, n - h)
+        number, n_up = vid(ci, cj) - cj, graph.n_edges // 3
+        self.edges = np.concatenate([number, n_up + vid(*plain) - plain[1], 2 * n_up + number])
+        self.ends = _edges(vid, corners, plain, corners)
+        self.own = len(ci) + len(plain[0]) + np.flatnonzero(ci == cj)
+        self.weights = 2.0 * _weights(n, corners, plain, corners)
         self.weights[self.own] *= 0.5
-        self.seam = np.stack([graph.vertex_id(k, k + 1), graph.vertex_id(k + 1, k)])
+        # the seam: the ends of the diagonals of the up cells (k, k)
+        self.seam = np.stack([vid(up, up + 1), vid(up + 1, up)])
 
         # energy.MirrorHessianPlan of this layout, built by the first Hessian
         self.hessian_plan = None

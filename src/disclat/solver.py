@@ -295,6 +295,9 @@ class TwoGrid:
         i00, i01, i10, i11 = w * c, -w * b, -w * b_low, w * a
         i_single = SMOOTH_OMEGA / d
         n = 2 * len(a)
+        # apply binds H, P, the coarse solve and the smoother's arrays, not
+        # self: a chain of coarse solves keeps no coarse level's layout or plan
+        p, coarse_solve = self.p, self.coarse_solve
 
         def jacobi(r):
             out = np.empty_like(r)
@@ -308,7 +311,7 @@ class TwoGrid:
             x = jacobi(v)
             for _ in range(SMOOTH_SWEEPS - 1):
                 x += jacobi(v - h @ x)
-            x += self.p @ self.coarse_solve(self.p.T @ (v - h @ x))
+            x += p @ coarse_solve(p.T @ (v - h @ x))
             for _ in range(SMOOTH_SWEEPS):
                 x += jacobi(v - h @ x)
             return x
@@ -390,7 +393,6 @@ def newton_minimize(level, law, init, opts=None, two_grid=None):
     for _ in range(opts.max_iter):
         if gnorm <= opts.grad_tol:
             break
-        h = None                       # free the last Hessian before the next
         h = assemble_hessian(graph, u, law, cmap, unknowns)
         found = two_grid and two_grid.solve(h, g)
         if found:
@@ -403,6 +405,8 @@ def newton_minimize(level, law, init, opts=None, two_grid=None):
                 plan.band = BandLayout(h)
             s, tau, resid = _factor_step(h, g, plan.band)
             krylov_iters = 0
+        # the line search and the next gradient run without the Hessian
+        del h
         report.record_solve(krylov_iters, resid)
         slope = g @ s
         t = 1.0

@@ -335,6 +335,32 @@ def test_run_fold_study_structure():
     assert abs(res[0]["energy"] - rec.energies[1]) <= 1e-12
 
 
+def test_fold_study_starts_are_folded_init_bytes(monkeypatch):
+    # the study folds each start's reference once more, and every start is
+    # the one folded_init builds from scratch, byte for byte
+    starts, folds = [], []
+    real_init, real_fold = disclat.experiments.folded_init, disclat.experiments._fold
+
+    def init(graph, phi, fold_count, *args):
+        u = real_init(graph, phi, fold_count, *args)
+        starts.append((graph, fold_count, u))
+        return u
+
+    def fold(graph, pos, number):
+        folds.append(number)
+        real_fold(graph, pos, number)
+
+    monkeypatch.setattr(disclat.experiments, "folded_init", init)
+    monkeypatch.setattr(disclat.experiments, "_fold", fold)
+    run_fold_study(PHI7, LAW, eps_exp=3, max_folds=7)
+    monkeypatch.undo()
+    assert folds == list(range(1, 8))
+    assert [count for _, count, _ in starts] == list(range(8))
+    for graph, count, u in starts:
+        expected = folded_init(graph, PHI7, count)
+        assert u.dtype == expected.dtype and u.tobytes() == expected.tobytes(), count
+
+
 def test_run_fold_study_checks_max_folds_before_solving(monkeypatch):
     calls = {"newton": 0, "init": 0}
 

@@ -1,6 +1,7 @@
 """Lattice construction, boundary constraint pairing, and dump round-trips."""
 
 import io
+import numbers
 
 import numpy as np
 import pytest
@@ -66,6 +67,78 @@ def loop_lattice(n):
         "weights": np.array(weights),
         "tris": np.array(tris, dtype=np.int64),
     }
+
+
+class EagerLatticeGraph(LatticeGraph):
+    """LatticeGraph with the former eager build: every table built with the
+    graph, verbatim."""
+
+    def __init__(self, n):
+        if not isinstance(n, numbers.Integral) or n < 1:
+            raise ValueError("need an integer N >= 1, got %r" % (n,))
+        self.n = n = int(n)
+        self.eps = eps = 1.0 / n
+
+        # vertex rows ordered by j, then i; id(i, j) = offset[j] + i
+        i, j = _rows(n + 1)
+        ij = np.column_stack([i, j])
+        self.ij = ij
+        self.pos = eps * np.column_stack(
+            [ij[:, 0] + 0.5 * ij[:, 1], ij[:, 1] * (SQRT3 / 2.0)]
+        )
+
+        # each corner (i, j) with i + j < N owns the three edges and the up
+        # triangle based there (the top vertex row j = N owns none)
+        vid = self.vertex_id
+        i, j = _rows(n)
+        o, e1, e2 = vid(i, j), vid(i + 1, j), vid(i, j + 1)
+        self.edges = np.concatenate(
+            [
+                np.column_stack([o, e1]),             # edges along e1
+                np.column_stack([o, e2]),             # edges along R60*e1
+                np.column_stack([e1, e2]),            # diagonal edges of the cells
+            ]
+        )
+        self.weights = np.where(
+            np.concatenate([j == 0, i == 0, i + j == n - 1]), 0.5, 1.0
+        )
+
+        up = np.column_stack([o, e1, e2])             # up triangles, CCW
+        i, j = _rows(n - 1)
+        down = np.column_stack(                       # down triangles, CCW
+            [vid(i + 1, j), vid(i + 1, j + 1), vid(i, j + 1)]
+        )
+        self.tris = np.concatenate([up, down])
+        self.n_edges = len(self.edges)
+
+
+def _rows(k):
+    """The former lattice._rows, for EagerLatticeGraph."""
+    counts = np.arange(k, 0, -1)
+    j = np.repeat(np.arange(k), counts)
+    starts = np.cumsum(counts) - counts
+    return np.arange(len(j)) - starts[j], j
+
+
+@given(st.integers(min_value=1, max_value=64), st.integers(min_value=0, max_value=2**32 - 1))
+def test_lazy_tables_equal_eager_build(n, seed):
+    eager = EagerLatticeGraph(n)
+    lazy = LatticeGraph(n)
+    assert set(vars(lazy)) == {"n", "eps", "ij", "n_edges"}
+    assert lazy.n_edges == eager.n_edges and lazy.n_vertices == eager.n_vertices
+    ids = np.random.default_rng(seed).integers(0, lazy.n_vertices, size=2 * n)
+    # rows of positions computed from (i, j) before pos exists, and read from
+    # pos once it does
+    before = lazy.positions(ids)
+    for name in ("ij", "pos", "edges", "weights", "tris"):
+        got, want = getattr(lazy, name), getattr(eager, name)
+        assert got.dtype == want.dtype and got.shape == want.shape, name
+        assert got.flags.c_contiguous and got.tobytes() == want.tobytes(), name
+    assert getattr(lazy, "pos") is lazy.pos            # built once, then kept
+    assert before.tobytes() == eager.pos[ids].tobytes()
+    lazy.pos[ids[0]] = np.nan
+    assert np.isnan(lazy.positions(ids[:1])).all()
+    assert LatticeGraph(n).positions().tobytes() == eager.pos.tobytes()
 
 
 def loop_select(graph, cmap):

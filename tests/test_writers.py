@@ -327,6 +327,9 @@ def test_writer_memory_is_a_chunk_not_the_file(writer):
     graph = LatticeGraph(512 if writer == "config" else 128)
     cmap = build_constraints(graph, PHI5)
     config = folded_init(graph, PHI5, 3)
+    # the graph's tables are the writers' input, like config: LatticeGraph
+    # builds them on first read, so they are read before the trace starts
+    graph.pos, graph.edges, graph.weights, graph.tris
     sink = Sink()
     tracemalloc.start()
     try:
