@@ -96,19 +96,41 @@ def dist_so2_squared(a):
     return float(d2) if d2.ndim == 0 else d2
 
 
-# angles per block of the dist_so2_grid scan: two buffers of this many
-# doubles stay in cache while the tables stream past
-GRID_BLOCK = 1 << 15
+# the angle grid of dist_so2_grid: theta_k = k * GRID_STEP for k = 0 ..
+# GRID_SIZE - 1, the values of np.linspace(0, 2 pi, GRID_SIZE, endpoint=False)
+GRID_SIZE = 1_000_000
+GRID_STEP = 2.0 * np.pi / GRID_SIZE
+# the coarse pass of dist_so2_grid reads every COARSE_STRIDE-th grid angle
+COARSE_STRIDE = 64
+# a coarse peak below this leaves the window's margin near the subnormal
+# rounding of t cos + d sin, so dist_so2_grid scans the full grid instead
+_MIN_COARSE_PEAK = 1e-290
+
+
+def grid_cos_sin(k):
+    """cos and sin of the grid angles k * GRID_STEP for an index array k.
+
+    Bit for bit the cos and sin of the linspace grid at those indices
+    (tests/test_analysis.py checks every index and a sweep of windows).
+    """
+    theta = k * GRID_STEP
+    return np.cos(theta), np.sin(theta)
 
 
 @functools.cache
-def _angle_table():
-    """cos and sin of the 10^6-point angle grid of dist_so2_grid (read-only)."""
-    theta = np.linspace(0.0, 2.0 * np.pi, 1_000_000, endpoint=False)
-    table = np.cos(theta), np.sin(theta)
+def coarse_table():
+    """cos and sin of every COARSE_STRIDE-th grid angle (read-only)."""
+    table = grid_cos_sin(np.arange(0, GRID_SIZE, COARSE_STRIDE))
     for column in table:
         column.flags.writeable = False
     return table
+
+
+def _projections(t, d, cos, sin):
+    # t cos + d sin, rounded as the full scan rounds it
+    proj = t * cos
+    proj += d * sin
+    return proj
 
 
 def dist_so2_grid(a):
@@ -116,23 +138,40 @@ def dist_so2_grid(a):
     |a - R(theta)|_F^2.
 
     Independent cross-check for dist_so2_squared.  |a - R|^2 = |a|^2 + 2
-    - 2*(t cos theta + d sin theta) with t = tr a, d = a21 - a12, so the
-    scan needs only t*cos + d*sin over the cached cos/sin tables, taken
-    GRID_BLOCK angles at a time into two reused buffers.
+    - 2*p(theta) with p = t cos theta + d sin theta, t = tr a and d = a21 -
+    a12, so the minimum needs the maximum of p over the grid theta_k = k *
+    GRID_STEP, the points of np.linspace(0, 2 pi, 10^6, endpoint=False).
+
+    Two passes find that maximum.  The coarse pass evaluates p on every
+    s-th grid angle (s = COARSE_STRIDE) from a cached table; the exact pass
+    evaluates p on every grid angle within s + 2 steps of the coarse peak,
+    indices taken mod 10^6 so that the window wraps at 2 pi, and returns
+    its maximum.  The window holds the grid maximum: p = R cos(theta -
+    theta*) is a single sinusoid, the coarse peak lies within s/2 steps of
+    theta*, and every grid angle outside the window lies at least about
+    R (s dtheta)^2 / 8 (2e-8 R for s = 64) below the peak, far above the
+    rounding of p.  So the result is bit for bit that of the full scan.
+    The peak is located from grid values alone, not from atan2 or hypot of
+    t and d, which would borrow the closed form this oracle checks.
+
+    The full scan runs instead when t or d is not finite, or when the coarse
+    peak (about R) is below _MIN_COARSE_PEAK, where the margin nears the
+    subnormal rounding of p.
     """
     a = np.asarray(a, dtype=float)
     t = a[0, 0] + a[1, 1]
     d = a[1, 0] - a[0, 1]
-    cos, sin = _angle_table()
-    proj = np.empty(GRID_BLOCK)
-    term = np.empty(GRID_BLOCK)
-    peaks = []
-    for start in range(0, len(cos), GRID_BLOCK):
-        n = min(GRID_BLOCK, len(cos) - start)
-        p = np.multiply(t, cos[start:start + n], out=proj[:n])
-        p += np.multiply(d, sin[start:start + n], out=term[:n])
-        peaks.append(p.max())
-    return float((a * a).sum() + 2.0 - 2.0 * np.max(peaks))
+    k = None
+    if np.isfinite(t) and np.isfinite(d):
+        coarse = _projections(t, d, *coarse_table())
+        top = coarse.argmax()
+        if coarse[top] > _MIN_COARSE_PEAK:
+            reach = COARSE_STRIDE + 2
+            k = (top * COARSE_STRIDE + np.arange(-reach, reach + 1)) % GRID_SIZE
+    if k is None:
+        k = np.arange(GRID_SIZE)
+    peak = _projections(t, d, *grid_cos_sin(k)).max()
+    return float((a * a).sum() + 2.0 - 2.0 * peak)
 
 
 def six_bond_sum(sigma1, sigma2, theta):

@@ -1,19 +1,23 @@
 """Closed-form SVD, distance to SO(2), and the structural inequality checks."""
 
+import functools
+
 import numpy as np
 import pytest
 from hypothesis import example, given, strategies as st
 
 from disclat import analysis, energy
 from disclat.analysis import (
-    GRID_BLOCK,
-    _angle_table,
+    COARSE_STRIDE,
+    GRID_SIZE,
+    GRID_STEP,
     check_laminate,
     check_lemma_a1,
     check_rigidity,
     det_summary,
     dist_so2_grid,
     dist_so2_squared,
+    grid_cos_sin,
     laminate_matrices,
     six_bond_sum,
     svd2,
@@ -84,10 +88,18 @@ def test_dist_so2_matches_grid_oracle():
             done += 1
 
 
+@functools.cache
+def linspace_grid():
+    """cos and sin of the 10^6-point grid, built as the full scan built it."""
+    theta = np.linspace(0.0, 2.0 * np.pi, GRID_SIZE, endpoint=False)
+    return np.cos(theta), np.sin(theta)
+
+
 def one_pass_dist_so2_grid(a):
-    """The single-pass scan dist_so2_grid replaced, kept as its oracle."""
+    """The single-pass scan of the whole grid that dist_so2_grid replaced,
+    kept as its oracle."""
     a = np.asarray(a, dtype=float)
-    cos, sin = _angle_table()
+    cos, sin = linspace_grid()
     proj = (a[0, 0] + a[1, 1]) * cos
     proj += (a[1, 0] - a[0, 1]) * sin
     return float((a * a).sum() + 2.0 - 2.0 * proj.max())
@@ -95,29 +107,89 @@ def one_pass_dist_so2_grid(a):
 
 def _scaled(entries, exponent, negative):
     a = np.reshape(entries, (2, 2)) * 10.0**exponent
-    if (np.linalg.det(a) < 0.0) != negative:
+    # the cofactor sign of det: LAPACK's det warns on subnormal entries
+    if (a[0, 0] * a[1, 1] - a[0, 1] * a[1, 0] < 0.0) != negative:
         a = a[::-1].copy()      # swap rows to flip the sign
     return a
 
 
-# the grid maximum of this rotation, at index 999995, lies in the final
-# partial block of the scan
-LAST_BLOCK_ROTATION = rot(2.0 * np.pi * (1.0 - 5e-6))
+# the grid maximum of this rotation, at index 999995, lies within one coarse
+# step below 2 pi, so the exact window wraps past index 0
+WRAP_ROTATION = rot(2.0 * np.pi * (1.0 - 5e-6))
+# its peak lies midway between coarse samples 5 and 6, which nearly tie
+MIDWAY_ROTATION = rot(GRID_STEP * COARSE_STRIDE * 5.5)
 
 
 @given(a=st.builds(_scaled, st.lists(st.floats(-1.0, 1.0), min_size=4, max_size=4),
                    st.floats(-3.0, 3.0), st.booleans()))
-@example(a=LAST_BLOCK_ROTATION)
-@example(a=LAST_BLOCK_ROTATION @ np.diag([1.0, -1.0]))
+@example(a=WRAP_ROTATION)
+@example(a=WRAP_ROTATION @ np.diag([1.0, -1.0]))
+@example(a=MIDWAY_ROTATION)
+@example(a=np.diag([1.0, -1.0]))          # t = d = 0: a flat p, the full scan
+@example(a=1e-150 * np.array([[0.3, -1.2], [0.7, 0.4]]))
+@example(a=1e150 * np.array([[0.3, -1.2], [0.7, 0.4]]))
+@example(a=1e-300 * np.eye(2))            # coarse peak too small: the full scan
+@example(a=np.array([[0.0, 0.0], [2.225073858507e-309, 0.1]]))   # a subnormal entry
 def test_dist_so2_grid_blocks_match_one_pass(a):
     assert dist_so2_grid(a) == one_pass_dist_so2_grid(a)
 
 
-def test_last_block_rotation_peaks_in_the_partial_block():
-    cos, sin = _angle_table()
-    assert len(cos) % GRID_BLOCK != 0
-    peak = np.argmax(np.trace(LAST_BLOCK_ROTATION) * cos + 2.0 * LAST_BLOCK_ROTATION[1, 0] * sin)
-    assert peak >= len(cos) - len(cos) % GRID_BLOCK
+def test_wrap_and_midway_rotations_peak_where_named():
+    cos, sin = linspace_grid()
+    for a, want in ((WRAP_ROTATION, 999_995), (MIDWAY_ROTATION, 11 * COARSE_STRIDE // 2)):
+        assert np.argmax(np.trace(a) * cos + (a[1, 0] - a[0, 1]) * sin) == want
+
+
+def test_exact_window_wraps_at_2pi(monkeypatch):
+    analysis.coarse_table()             # built before the spy goes in
+    windows = []
+
+    def spy(k):
+        windows.append(k)
+        return grid_cos_sin(k)
+
+    monkeypatch.setattr(analysis, "grid_cos_sin", spy)
+    dist_so2_grid(WRAP_ROTATION)
+    (k,) = windows
+    assert len(k) == 2 * COARSE_STRIDE + 5
+    assert 0 <= k.min() and k.max() < GRID_SIZE and {999_995, 0} <= set(k.tolist())
+
+
+NONFINITE = [
+    [[np.nan, 0.0], [0.0, 1.0]],
+    [[np.inf, 0.0], [0.0, 1.0]],
+    [[1.0, -np.inf], [0.0, 1.0]],
+    [[1.0, 0.0], [np.inf, 1.0]],
+    [[np.inf, 0.0], [0.0, -np.inf]],        # t = nan
+    [[1.0, np.inf], [np.inf, 1.0]],         # d = nan
+    [[1.0, 2.0], [3.0, np.nan]],
+]
+
+
+@pytest.mark.parametrize("a", NONFINITE)
+def test_dist_so2_grid_nonfinite_matches_one_pass(a):
+    with np.errstate(invalid="ignore"):
+        got, want = dist_so2_grid(a), one_pass_dist_so2_grid(a)
+    assert got == want or (np.isnan(got) and np.isnan(want))
+
+
+def test_grid_cos_sin_is_the_linspace_grid():
+    cos, sin = linspace_grid()
+    # every grid index, then the coarse table the first pass reads
+    full_cos, full_sin = grid_cos_sin(np.arange(GRID_SIZE))
+    assert full_cos.tobytes() == cos.tobytes() and full_sin.tobytes() == sin.tobytes()
+    coarse_cos, coarse_sin = analysis.coarse_table()
+    assert coarse_cos.tobytes() == cos[::COARSE_STRIDE].tobytes()
+    assert coarse_sin.tobytes() == sin[::COARSE_STRIDE].tobytes()
+    # windows of the exact pass's length, computed alone, at starts 997
+    # apart (odd, so every residue mod the SIMD widths) and across 2 pi
+    reach = COARSE_STRIDE + 2
+    offsets = np.arange(-reach, reach + 1)
+    for start in [*range(0, GRID_SIZE, 997), GRID_SIZE - 1]:
+        k = (start + offsets) % GRID_SIZE
+        win_cos, win_sin = grid_cos_sin(k)
+        assert win_cos.tobytes() == cos[k].tobytes()
+        assert win_sin.tobytes() == sin[k].tobytes()
 
 
 def test_six_bond_sum_degenerate_point():
