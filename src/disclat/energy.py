@@ -38,22 +38,20 @@ u[ids]: on the (|V|, 2) array numpy's fancy indexing takes a slow path
 Xeon host), and take gives the same bits.  _vertex_sums adds by one np.bincount per component, which
 keeps every vertex's summation order.
 
-Reduced Hessian.  A HessianPlan, built once per DofLayout, lays out the
-fixed pattern of S^T H S in closed form from the lattice's 7-point stencil,
-with a sorted table only for the O(N) boundary columns, where Gamma3 cuts
-the stencil and the Gamma1/Gamma2 seam and the pinned origin fold it.  A
-Hessian, Phi and Psi terms together, is one 2x2 block per edge; each
-off-diagonal slot copies its edge's block by one in-order gather, and each
-diagonal block sums its edges' blocks in the order of the former
-sort-and-bincount assembly, whose bits it keeps (tests/test_hessian_plan.py
-holds that assembly as the oracle).
+Reduced Hessian.  A Hessian, Phi and Psi terms together, is one 2x2 block
+per edge.  A HessianPlan, built once per DofLayout, finds the fixed pattern
+of S^T H S by sorting the block keys of every edge's four blocks and sums
+each data slot's terms by one np.bincount.  The sweep's levels assemble on
+the even half instead; the full plan serves the cold, non-symmetric starts
+of the fold study and minimize.
 
 Even half.  Given a lattice.MirrorLayout and an even configuration, the
 three assemblies run on the layout's half only: the energy sums the
 densities of its cells (those off the diagonal twice), the gradient sums
 the pulls of its representative edges (and the Psi pulls of its cells) into
 the even gradient B^T S^T grad E, and the Hessian goes into the pattern of
-a MirrorHessianPlan, laid out in closed form like HessianPlan
+a MirrorHessianPlan, laid out in closed form from the lattice's 7-point
+stencil, with a sorted table only for the O(N) seam columns
 (tests/test_mirror_plan.py holds its sort-based predecessor as the oracle).
 """
 
@@ -344,116 +342,49 @@ class HessianPlan:
     data.  It is symmetric, and the matrix is emitted in CSC form with
     sorted indices.
 
-    The pattern is the lattice's 7-point stencil.  Free vertex (i, j),
-    i >= 1, has block m = jN - j(j-1)/2 + i - 1, and row j holds N - j of
-    them, so a bulk column, i >= 2, j >= 1 and i + j < N, lists the blocks
-    of (i, j-1), (i+1, j-1), (i-1, j), (i, j), (i+1, j), (i-1, j+1) and
-    (i, j+1) at m - w - 1, m - w, m - 1, m, m + 1, m + w - 1 and m + w,
-    where w = N - j: ascending.  None of them is slaved or pinned, so each
-    off-diagonal block is one edge's: positions 2 and 4 the e1 edges,
-    0 and 6 the R60 e1 edges, 1 and 5 the cell diagonals.  Edges are
-    numbered by the corner (i, j) they start from, row by row, and that
-    corner's number is m(i, j) + 1, so the edge of each position is m plus
-    a constant of the row.  The O(N) boundary columns (i = 1, j = 0 or
-    i + j = N) come from a sorted table of the block instances that reach
-    them; nothing else is sorted.  There Gamma3 lacks positions 4 and 6, a
-    Gamma2 slave (0, k) folds onto its master (k, 0), so (k, 0)-(k+1, 0)
-    and (0, k)-(0, k+1) share a block, the origin cell's diagonal
-    (1, 0)-(0, 1) lands on the diagonal block of (1, 0), and the pinned
-    origin drops out.
-
-    data() stores every block transposed, as its two columns, in one
-    array: -B^T of each edge for the stencil's (b, a) slots, -B for its
-    (a, b) slots, the bulk diagonal blocks and the table's blocks.  gather
-    lists, for each pair of rows of the CSC data in turn, the column it
-    copies, so the data are one in-order take.  A bulk diagonal sums its
-    six edge blocks in edge order (diagonal_terms); the table's blocks sum
-    their terms by np.bincount in the order of the former four-copy scatter
-    ((a, a) blocks, then (b, b), (a, b) and (b, a), each in edge order), so
-    every slot keeps its summation order and the data their bits.
+    The build lists the blocks (a, a), (b, b), (a, b) and (b, a) of every
+    edge (a, b), finds the pattern's blocks by sorting their column-major
+    keys, and the data slots of every edge block by searchsorted.  data()
+    sums each slot's terms by one np.bincount in that order: the four kinds
+    in turn, each in edge order.
     """
 
     def __init__(self, graph, cmap, layout):
-        n, nb, block = graph.n, len(layout.free_ids), layout.block
-        n_edges, n_up = graph.n_edges, graph.n_edges // 3
-        i, j = graph.ij.take(layout.free_ids, axis=0).T
-        bulk = np.flatnonzero((i >= 2) & (j >= 1) & (i + j < n))
-        # stencil position p of column m in row j has the row block
-        # m + row_offset[j, p] and the data() block m + block_offset[j, p];
-        # the bulk diagonal (i, j) comes after the n + 2j - 1 boundary
-        # columns (i, 0), (1, 1..j) and (n-1..n-j+1, 1..j-1)
-        w = n - np.arange(n + 1)[:, None]
-        row_offset = w * [-1, -1, 0, 0, 0, 1, 1] + [-1, 0, -1, 0, 1, -1, 0]
-        block_offset = w * [-1, -1, 0, 0, 0, 0, 0] + [
-            n_edges + n_up, n_edges + 2 * n_up, n_edges, 2 * n_edges, 1, 2 * n_up, n_up + 1]
-        block_offset[:, 3] -= n + 2 * np.arange(n + 1) - 1
-        # a bulk diagonal sums its (a, a) terms, edges (i, j)-(i+1, j),
-        # (i, j)-(i, j+1) and (i, j)-(i-1, j+1), then its (b, b) terms,
-        # edges (i-1, j)-(i, j), (i, j-1)-(i, j) and (i+1, j-1)-(i, j),
-        # stored as -B^T and -B
-        self.diagonal_terms = bulk + (block_offset.T[[4, 6, 5, 2, 0, 1]].take(j[bulk], axis=1)
-                                      + np.repeat([[n_edges], [-n_edges]], 3, axis=0))
-
-        # the boundary table: the blocks (a, a), (b, b), (a, b) and (b, a)
-        # of every edge (a, b), in that order, that reach a column with
-        # i = 1, j = 0 or i + j = n
+        nb, block = len(layout.free_ids), layout.block
         slave = np.zeros(graph.n_vertices, dtype=bool)
         slave[cmap.slaves] = True
-        on_table = (graph.ij[:, 0] <= 1) | (graph.ij[:, 1] == 0) | (graph.ij.sum(axis=1) == n)
-        edges = np.flatnonzero(on_table.take(graph.edges[:, 0]) | on_table.take(graph.edges[:, 1]))
-        a, b = graph.edges.take(edges, axis=0).T
-        row_v, col_v = np.concatenate([a, b, a, b]), np.concatenate([a, b, b, a])
-        keep = (block.take(row_v) >= 0) & (block.take(col_v) >= 0) & on_table.take(col_v)
-        kind = np.repeat(np.arange(4), len(edges))[keep]
-        row_v, col_v = row_v[keep], col_v[keep]
-        keys, target = np.unique(block.take(col_v) * nb + block.take(row_v),
-                                 return_inverse=True)
-        self.table = (np.tile(edges, 4)[keep], np.flatnonzero(kind % 2), np.flatnonzero(kind >= 2),
-                      np.flatnonzero(slave.take(row_v)), np.flatnonzero(slave.take(col_v)),
-                      target.ravel(), len(keys))
-        table_col, table_row = keys // nb, keys % nb
-        count = np.bincount(table_col, minlength=nb)
-        count[bulk] = 7
-
-        self.nnz = 4 * int(count.sum())
+        a, b = graph.edges[:, 0], graph.edges[:, 1]
+        rows, cols = np.concatenate([a, b, a, b]), np.concatenate([a, b, b, a])
+        row_block, col_block = block.take(rows), block.take(cols)
+        pinned = (row_block < 0) | (col_block < 0)
+        # column-major block keys; sorted, they list the blocks in CSC order
+        edge_keys = col_block * nb + row_block
+        del row_block, col_block
+        # np.sort and a mask: numpy 2.4's np.unique takes 13x as long here
+        keys = np.sort(edge_keys[~pinned])
+        keys = keys[np.diff(keys, prepend=-1) != 0]
+        block_rows, block_cols = keys % nb, keys // nb
+        count = np.bincount(block_cols, minlength=nb)
+        first = np.cumsum(count) - count
+        self.nnz = 4 * len(keys)
         self.shape = (2 * nb, 2 * nb)
-        # scalar column 2m + d lists rows 2r and 2r + 1 of each block (r, m):
-        # the data of column m are its blocks' first columns, then their
-        # second, each a pair of rows, and pair d of data() block k is 2k + d
+        # scalar column 2m + d lists rows 2r and 2r + 1 of each block (r, m)
         self.indptr = np.zeros(2 * nb + 1, dtype=np.int32)
         np.cumsum(np.repeat(2 * count, 2), out=self.indptr[1:])
-        first = np.searchsorted(table_col, table_col)
-        at = first + np.arange(len(keys))
-        at = np.stack([at, at + count.take(table_col)])
-        table_pairs = np.empty(2 * len(keys), dtype=np.intp)
-        table_pairs[at] = 2 * (2 * n_edges + len(bulk) + np.arange(len(keys))) + np.arange(2)[:, None]
-        table_rows = np.empty((2 * len(keys), 2), dtype=np.int32)
-        table_rows[at] = 2 * table_row[:, None] + np.arange(2)
-        # a run of bulk columns lies in one row j: its pairs are 2m plus
-        # pair_offset[j] and its rows 2m plus index_offset[j]
-        c = np.arange(2)
-        pair_offset = 2 * block_offset[:, None, :] + c[:, None]
-        index_offset = np.empty((n + 1, 2, 7, 2), dtype=np.int32)
-        index_offset[:] = 2 * row_offset[:, None, :, None] + c
-        self.gather = np.empty(self.nnz // 2, dtype=np.intp)
+        # data slot of entry (c, d) of block k, which lies in block column m
+        start = 2 * first.take(block_cols) + 2 * np.arange(len(keys))
+        stride = 2 * count.take(block_cols)
+        c, d = np.arange(2)[:, None], np.arange(2)
+        slots = (start[:, None, None] + stride[:, None, None] * d + c).astype(np.int32)
         self.indices = np.empty(self.nnz, dtype=np.int32)
-        in_bulk = np.zeros(nb, dtype=bool)
-        in_bulk[bulk] = True
-        col_pair = self.indptr[::2] // 2
-        bounds = np.concatenate([[0], np.flatnonzero(in_bulk[1:] != in_bulk[:-1]) + 1, [nb]])
-        h = 0
-        for lo, hi in zip(bounds[:-1], bounds[1:]):
-            s, e = col_pair[lo], col_pair[hi]
-            if in_bulk[lo]:
-                twice_m = np.arange(2 * lo, 2 * hi, 2, dtype=np.int32)
-                np.add(twice_m[:, None, None], pair_offset[j[lo]],
-                       out=self.gather[s:e].reshape(-1, 2, 7))
-                np.add(twice_m[:, None, None, None], index_offset[j[lo]],
-                       out=self.indices[2 * s:2 * e].reshape(-1, 2, 7, 2))
-            else:
-                self.gather[s:e] = table_pairs[h:h + e - s]
-                self.indices[2 * s:2 * e] = table_rows[h:h + e - s].ravel()
-                h += e - s
+        self.indices[slots] = 2 * block_rows[:, None, None] + c
+        # the slots of every edge block, the pinned origin's in a spare slot
+        # nnz, and the edge blocks to rotate from the left and the right
+        k = np.searchsorted(keys, edge_keys)
+        k[pinned] = 0
+        self.slots = slots.take(k, axis=0)
+        self.slots[pinned] = self.nnz
+        self.left, self.right = np.flatnonzero(slave.take(rows)), np.flatnonzero(slave.take(cols))
         self.rotation = cmap.rotation
         self.band = None             # solver.BandLayout, built by its first use
         # every matrix shares these: an in-place change would corrupt the plan
@@ -463,30 +394,16 @@ class HessianPlan:
         """CSC data of the reduced Hessian whose edge (a, b) has the block
         B = blocks[e] at (a, a), B^T at (b, b), -B at (a, b) and -B^T at
         (b, a), rotated by R_phi on the slaved side."""
-        n_edges, n_bulk = len(blocks), self.diagonal_terms.shape[1]
-        edges, flip, negate, left, right, target, n_table = self.table
-        # every block stored transposed, as its two columns: -B^T for the
-        # stencil's (b, a) slots, -B for its (a, b), the bulk diagonals and
-        # the table's blocks.  0 - B has the bits of the sum 0 + (-B) into
-        # an empty slot, and 0 - S those of a sum of the terms whose
-        # negatives sum to S
-        pairs = np.empty((2 * n_edges + n_bulk + n_table, 2, 2))
-        neg = np.subtract(0.0, blocks, out=pairs[:n_edges])
-        pairs[n_edges:2 * n_edges] = neg.swapaxes(1, 2)
-        total = pairs.take(self.diagonal_terms[0], axis=0)
-        for terms in self.diagonal_terms[1:]:
-            total += pairs.take(terms, axis=0)
-        np.subtract(0.0, total, out=pairs[2 * n_edges:2 * n_edges + n_bulk])
-        x = blocks.take(edges, axis=0)
-        x[flip] = x[flip].swapaxes(1, 2)
-        x[negate] = 0.0 - x[negate]
-        x[left] = self.rotation.T @ x[left]
-        x[right] = x[right] @ self.rotation
-        table = pairs[2 * n_edges + n_bulk:].swapaxes(1, 2)
-        for c in range(2):
-            for d in range(2):
-                table[:, c, d] = np.bincount(target, x[:, c, d], minlength=n_table)
-        return pairs.view(np.complex128).ravel().take(self.gather).view(float)
+        x = np.empty((4,) + blocks.shape)
+        x[0] = blocks
+        x[1] = blocks.swapaxes(1, 2)
+        # 0 - B differs from -B only in a zero's sign, which the sum drops:
+        # np.bincount adds every term to 0.0
+        np.subtract(0.0, x[:2], out=x[2:])
+        x = x.reshape(-1, 2, 2)
+        x[self.left] = self.rotation.T @ x[self.left]
+        x[self.right] = x[self.right] @ self.rotation
+        return np.bincount(self.slots.ravel(), x.ravel(), minlength=self.nnz + 1)[:self.nnz]
 
     def matrix(self, data):
         """The reduced CSC matrix with these data; it shares the index

@@ -375,17 +375,6 @@ class MirrorLayout:
         return np.concatenate([z.take(self.owners[:p]).view(float),
                                (z.take(self.owners[p:]) * np.conj(self.axes)).real])
 
-    def fold(self, gradient):
-        """Reduced gradient g -> even gradient B^T g, B = unfold: g(i, j) +
-        M g(j, i) on a pair and the component along the axis on a
-        single."""
-        g = np.ascontiguousarray(gradient).view(np.complex128)
-        owners, images = self._reduced
-        p = self.n_pairs
-        pairs = g.take(owners[:p]) + self.w * np.conj(g.take(images))
-        return np.concatenate([pairs.view(float),
-                               (g.take(owners[p:]) * np.conj(self.axes)).real])
-
     def fold_half(self, gradient):
         """Even gradient B^T S^T g of a full (|V|, 2) float gradient g that
         vanishes at i < j off the seam, as the half's cells and edges leave

@@ -258,8 +258,20 @@ def test_render_deterministic_and_copies(tmp_path):
      (["verify", "--check", "svd2", "--check", "lemma_a1", "--check", "laminate",
        "--check", "rigidity", "--seed", "0"],
       "verify.jsonl",
-      "20a85c5ee77f7d67db8b4c3a81f72b7a5ec7f10070eeb7892a5f112590191f18")],
-    ids=["mesh", "render", "verify"],
+      "20a85c5ee77f7d67db8b4c3a81f72b7a5ec7f10070eeb7892a5f112590191f18"),
+     # full-lattice solves: cold folded starts through HessianPlan
+     (["minimize", "--phi", "7", "--eps-exp", "4", "--init", "fold:3"], "config_eps4.txt",
+      "9fe07353f22530ee80efad8569eede673edf26d5d8525707e340d8c385e07cf1"),
+     (["minimize", "--phi", "7", "--eps-exp", "4", "--init", "fold:3", "--psi", "smoothed_abs"],
+      "config_eps4.txt",
+      "fe2616a5904c0e8c814345f6589dd2d37e8d8143d2bd9d4138a67b5882eef3e2"),
+     (["fold-study", "--phi", "7", "--eps-exp", "4", "--max-folds", "3"], "fold_phi7.csv",
+      "4cda26bd295333be9c1e271ed434720ac65d0882c38b4d95caf1cd2f9fb759ed"),
+     (["fold-study", "--phi", "7", "--eps-exp", "4", "--max-folds", "3", "--psi", "smoothed_abs"],
+      "fold_phi7.csv",
+      "467cad69f5e3fa505c681010cc3745badd4f5f1a550422ebb0fc936b26a1c8b0")],
+    ids=["mesh", "render", "verify", "minimize", "minimize-penalized", "fold-study",
+         "fold-study-penalized"],
 )
 def test_output_bytes_are_pinned(tmp_path, argv, name, digest):
     assert main(argv + ["--out", str(tmp_path)]) == 0

@@ -297,7 +297,7 @@ def test_two_grid_step_is_inexact_descent_at_warm_start(phi):
                        prolongation_matrix(coarse, level), level.unknowns)
     u = prolong(coarse.graph, u_coarse, level.graph)
     h = assemble_hessian(level.graph, u, LAW, level.cmap, level.unknowns)
-    g = level.unknowns.fold(assemble_gradient(level.graph, u, LAW, level.cmap, level.layout))
+    g = assemble_gradient(level.graph, u, LAW, level.cmap, level.unknowns)
     s, resid, iterations = two_grid.solve(h, g)
     assert resid <= CG_FORCING * np.linalg.norm(g)
     assert resid == pytest.approx(np.linalg.norm(h @ s + g), rel=1e-12)
