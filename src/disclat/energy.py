@@ -5,8 +5,9 @@ Density convention.  The six-bond density
     W(A) = sum_{e in B1} Phi(|A^T e| - 1) + Psi(det A),   Phi(r) = |r|^p / p
 
 is exposed by w_density and works on the gradient A of the piecewise-linear
-interpolant, for which A^T e is the stretched image of the unit bond e
-(cell_gradient returns exactly this A).  The *assembled* energy
+interpolant, the matrix with A^T (x_b - x_a) = u_b - u_a and
+A^T (x_c - x_a) = u_c - u_a on a cell, for which A^T e is the stretched
+image of the unit bond e.  The *assembled* energy
 integrates the half-fan density (1/2) sum_{e in B1} Phi + Psi over the
 domain, which makes the triangle sum equal sqrt(3)/2 times the weighted bond
 sum: interior edges sit in two triangles and boundary edges in one, matching
@@ -139,19 +140,6 @@ class MaterialLaw:
             self.kappa * self.delta * self.delta
             / np.sqrt(t * t + self.delta**2) ** 3
         )
-
-
-def cell_gradient(xa, xb, xc, ua, ub, uc):
-    """Gradient A of the linear interpolant on one cell.
-
-    Returns the matrix with A^T (x_b - x_a) = u_b - u_a and
-    A^T (x_c - x_a) = u_c - u_a, i.e. A^T maps reference edge vectors to
-    deformed edge vectors, so |A^T e| is the stretch of the unit bond e.
-    Identical for the three cyclic labelings of the cell.
-    """
-    m = np.column_stack([np.asarray(xb) - xa, np.asarray(xc) - xa])
-    du = np.column_stack([np.asarray(ub) - ua, np.asarray(uc) - ua])
-    return (du @ np.linalg.inv(m)).T
 
 
 def w_density(a_mat, law):

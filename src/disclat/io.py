@@ -5,7 +5,9 @@ reproduces the binary float64 values exactly.  The large tables (config and
 lattice dumps) go through write_rows, which formats each chunk of
 CHUNK_ROWS rows with one `%` of the row template repeated over the chunk,
 and read_config parses a config dump a chunk of lines at a time, so the
-memory of both stays bounded by one chunk.
+memory of both stays bounded by one chunk.  A column of few distinct
+floats (the lattice dump's positions and weights) goes in as a FloatTexts,
+which formats each distinct value once and gathers a chunk's texts.
 """
 
 import json
@@ -21,14 +23,36 @@ def _fmt(x):
     return FLOAT_FMT % float(x)
 
 
+class FloatTexts:
+    """A float column that write_rows prints as text, through a %s.
+
+    Each distinct value is formatted with %.17g once.  Values are told
+    apart by their 64 bits, so -0.0 and 0.0 and NaNs of any payload keep
+    their own texts, and a chunk's rows find theirs by searchsorted on the
+    sorted distinct bits.  This pays off on columns of few distinct values,
+    such as the lattice's positions and bond weights; on one of all-distinct
+    values it costs one np.unique more than formatting each row.
+    """
+
+    def __init__(self, values):
+        self.bits = np.asarray(values, dtype=float).view(np.uint64)
+        self.keys = np.unique(self.bits)
+        self.texts = np.array([FLOAT_FMT % x for x in self.keys.view(float).tolist()],
+                              dtype=object)
+
+    def __getitem__(self, part):
+        return self.texts.take(np.searchsorted(self.keys, self.bits[part])).tolist()
+
+
 def write_rows(stream, line, *columns):
     """Write `line % row` for each row of the equal-length 1-D columns, one
     stream.write per CHUNK_ROWS rows.
 
-    A column is a numpy array or a range (row ids).  Arrays are converted a
-    chunk at a time with .tolist(); the Python ints and floats it returns
-    print exactly as the numpy scalars would.  A chunk of m rows is one `%`
-    of `line` repeated m times over the chunk's values, row by row.
+    A column is a numpy array, a range (row ids) or a FloatTexts (printed
+    with %s).  Arrays are converted a chunk at a time with .tolist(); the
+    Python ints and floats it returns print exactly as the numpy scalars
+    would.  A chunk of m rows is one `%` of `line` repeated m times over the
+    chunk's values, row by row.
     """
     for start in range(0, len(columns[0]), CHUNK_ROWS):
         part = slice(start, start + CHUNK_ROWS)
@@ -37,7 +61,7 @@ def write_rows(stream, line, *columns):
         # values die before the next chunk's lists: one copy of the values
         # is alive at a time
         values = tuple(chain.from_iterable(zip(*[
-            c[part] if isinstance(c, range) else c[part].tolist()
+            c[part].tolist() if isinstance(c, np.ndarray) else c[part]
             for c in columns])))
         stream.write(line * (len(values) // len(columns)) % values)
         del values

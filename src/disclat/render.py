@@ -8,13 +8,14 @@ reassembles the full disclination from the single computed wedge.
 
 The copies are built and drawn one at a time.  Each one's pixel
 coordinates are computed per vertex with numpy and formatted once per
-vertex, CHUNK_ROWS vertices with one `%`; the polygons then go out
-CHUNK_ROWS triangles per write, each chunk one `%` of the polygon template
-repeated over the chunk's corner and fill strings.  So the writer holds
-one copy's vertex strings plus one chunk of lines, never the whole picture.
+vertex, CHUNK_ROWS vertices with one `%`, into an object array that ends
+with the two fill strings.  The polygons then go out CHUNK_ROWS triangles
+per write: a reused (CHUNK_ROWS, 9) object array holds the polygon
+template's constant pieces in its even columns, each chunk takes its
+corner and fill strings into the odd ones, and one "".join writes it.  So
+the writer holds one copy's vertex strings plus one chunk of lines, never
+the whole picture.
 """
-
-from operator import itemgetter
 
 import numpy as np
 
@@ -32,15 +33,20 @@ FILL_NONPOS = "#e2908a"
 STROKE = "#30302c"
 
 
+def copy_count(phi):
+    """The number of rotated copies that fill a turn: floor(2*pi/phi), or
+    the nearest integer when 2*pi/phi lies within 1e-9 relative below it
+    (phi = 2*pi/25 gives 24.999999999999996)."""
+    return int(np.floor(2.0 * np.pi / phi * (1.0 + 1e-9)))
+
+
 def render_svg(stream, graph, config, phi=None):
     """Write an SVG picture of the configuration.
 
     Triangles are filled according to the sign of their determinant
     (nonpositive cells stand out), edges stroked on top.  With phi=None the
-    wedge alone is drawn; with a phi, its floor(2*pi/phi) rotated images
-    are drawn in sequence, or round(2*pi/phi) of them when 2*pi/phi is an
-    integer up to 1e-9 relative rounding (phi = 2*pi/25 gives
-    24.999999999999996).  Raises ValueError, before writing anything, if a
+    wedge alone is drawn; with a phi, its copy_count(phi) rotated images
+    are drawn in sequence.  Raises ValueError, before writing anything, if a
     coordinate is not finite or phi lies outside (0, 2*pi].
     """
     config = np.asarray(config, dtype=float)
@@ -50,8 +56,7 @@ def render_svg(stream, graph, config, phi=None):
     if phi is not None and not 0.0 < phi <= 2.0 * np.pi:
         raise ValueError("cannot render copies for phi = %r: phi must lie "
                          "in (0, 2pi]" % phi)
-    # the floor with 1e-9 relative slack: 2pi/(2pi/k) may fall just below k
-    n_copies = 1 if phi is None else int(np.floor(2.0 * np.pi / phi * (1.0 + 1e-9)))
+    n_copies = 1 if phi is None else copy_count(phi)
 
     def frame(k):
         return config @ rot(k * phi).T if k else config
@@ -65,14 +70,18 @@ def render_svg(stream, graph, config, phi=None):
 
     width = MARGIN * 2.0 + (hi[0] - lo[0]) * scale
     height = MARGIN * 2.0 + (hi[1] - lo[1]) * scale
-    # a polygon's four strings are its corners' and its fill, which sits in
-    # a copy's list of strings after the vertices' at n_v + (det > 0)
+    # a polygon is nine strings: the template's five constant pieces in the
+    # even columns, its three corners' and its fill in the odd ones.  The
+    # fill sits in a copy's strings after the vertices' at n_v + (det > 0)
     n_v = len(config)
     fill_at = n_v + (triangle_dets(graph, config) > 0.0)
     stroke_w = max(0.25, min(1.2, 60.0 * scale * graph.eps / SIZE))
-    polygon = ('<polygon points="%%s %%s %%s" fill="%%s" stroke="%s" '
-               'stroke-width="%s" stroke-linejoin="round"/>\n'
-               % (STROKE, _FMT % stroke_w))
+    polygons = np.empty((min(CHUNK_ROWS, len(graph.tris)), 9), dtype=object)
+    polygons[:, 0::2] = ['<polygon points="', " ", " ", '" fill="',
+                         '" stroke="%s" stroke-width="%s" stroke-linejoin='
+                         '"round"/>\n' % (STROKE, _FMT % stroke_w)]
+    strings = np.empty(n_v + 2, dtype=object)
+    strings[n_v:] = FILL_NONPOS, FILL_POSITIVE
 
     stream.write('<?xml version="1.0" encoding="UTF-8"?>\n')
     stream.write(
@@ -88,16 +97,15 @@ def render_svg(stream, graph, config, phi=None):
         pix = np.empty_like(f)
         pix[:, 0] = MARGIN + (f[:, 0] - lo[0]) * scale
         pix[:, 1] = MARGIN + (hi[1] - f[:, 1]) * scale
-        # filled in place: growing the list chunk by chunk would reallocate
-        # it over and over and leave the freed copies resident in the heap
-        strings = [None] * n_v + [FILL_NONPOS, FILL_POSITIVE]
         for start in range(0, n_v, CHUNK_ROWS):
             part = slice(start, min(start + CHUNK_ROWS, n_v))
             values = tuple(pix[part].ravel().tolist())
             strings[part] = (_PT_LINE * (len(values) // 2) % values).splitlines()
         for start in range(0, len(graph.tris), CHUNK_ROWS):
             part = slice(start, start + CHUNK_ROWS)
-            rows = np.column_stack((graph.tris[part], fill_at[part]))
-            stream.write(polygon * len(rows)
-                         % itemgetter(*rows.ravel().tolist())(strings))
+            tris = graph.tris[part]
+            rows = polygons[:len(tris)]
+            strings.take(tris, out=rows[:, 1:7:2])
+            strings.take(fill_at[part], out=rows[:, 7])
+            stream.write("".join(rows.ravel().tolist()))
     stream.write("</svg>\n")

@@ -271,7 +271,8 @@ class TwoGrid:
     P^T H_fine(P x) P = H_coarse(x): at the prolonged warm start an LU of
     H_coarse is the exact Galerkin coarse solver, and the coarser level's
     own preconditioner a symmetric approximation of it.  The residual is
-    restricted by P.T, a transposed view of P, so each level keeps one copy.
+    restricted by pt = P.T, a transposed view of P built once, so each
+    level keeps one copy of P's arrays.
     The gauge mode, a global rotation that costs no energy, is mirror-odd,
     so the even systems do not have it.
     """
@@ -279,6 +280,7 @@ class TwoGrid:
     def __init__(self, coarse_solve, prolongation, unknowns):
         self.coarse_solve = coarse_solve
         self.p = prolongation
+        self.pt = prolongation.T
         self.unknowns = unknowns
 
     def preconditioner(self, h):
@@ -297,7 +299,7 @@ class TwoGrid:
         n = 2 * len(a)
         # apply binds H, P, the coarse solve and the smoother's arrays, not
         # self: a chain of coarse solves keeps no coarse level's layout or plan
-        p, coarse_solve = self.p, self.coarse_solve
+        p, pt, coarse_solve = self.p, self.pt, self.coarse_solve
 
         def jacobi(r):
             out = np.empty_like(r)
@@ -311,7 +313,7 @@ class TwoGrid:
             x = jacobi(v)
             for _ in range(SMOOTH_SWEEPS - 1):
                 x += jacobi(v - h @ x)
-            x += p @ coarse_solve(p.T @ (v - h @ x))
+            x += p @ coarse_solve(pt @ (v - h @ x))
             for _ in range(SMOOTH_SWEEPS):
                 x += jacobi(v - h @ x)
             return x

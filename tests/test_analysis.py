@@ -23,9 +23,10 @@ from disclat.analysis import (
     svd2,
     triangle_dets,
 )
-from disclat.energy import MaterialLaw, cell_gradient, w_density
+from disclat.energy import MaterialLaw, w_density
 from disclat.experiments import folded_init
 from disclat.lattice import LatticeGraph, rot
+from test_energy import cell_gradient
 
 
 def test_svd2_identity():

@@ -16,7 +16,6 @@ from disclat.energy import (
     assemble_gradient,
     assemble_hessian,
     bond_sum_energy,
-    cell_gradient,
     w_density,
 )
 from disclat.experiments import folded_init
@@ -36,6 +35,19 @@ J = np.array([[0.0, -1.0], [1.0, 0.0]])       # the infinitesimal rotation
 SQRT3 = np.sqrt(3.0)
 LAW2 = MaterialLaw(p=2.0)
 LAW3S = MaterialLaw(p=3.0, psi="smoothed_abs")
+
+
+def cell_gradient(xa, xb, xc, ua, ub, uc):
+    """Gradient A of the linear interpolant on one cell.
+
+    Returns the matrix with A^T (x_b - x_a) = u_b - u_a and
+    A^T (x_c - x_a) = u_c - u_a, i.e. A^T maps reference edge vectors to
+    deformed edge vectors, so |A^T e| is the stretch of the unit bond e.
+    Identical for the three cyclic labelings of the cell.
+    """
+    m = np.column_stack([np.asarray(xb) - xa, np.asarray(xc) - xa])
+    du = np.column_stack([np.asarray(ub) - ua, np.asarray(uc) - ua])
+    return (du @ np.linalg.inv(m)).T
 
 
 def random_admissible(graph, phi, seed, scale=0.1):

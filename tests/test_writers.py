@@ -16,7 +16,7 @@ from disclat.experiments import folded_init
 from disclat.io import CHUNK_ROWS, read_config, write_config
 from disclat.lattice import LatticeGraph, build_constraints, dump_lattice, rot
 from disclat.render import (FILL_NONPOS, FILL_POSITIVE, MARGIN, SIZE, STROKE,
-                            render_svg)
+                            copy_count, render_svg)
 
 PHI5 = 2.0 * np.pi / 5.0
 
@@ -147,8 +147,12 @@ def written(writer, *args, **kwargs):
 
 @given(st.data())
 def test_render_svg_matches_loop(data):
-    n = data.draw(st.integers(min_value=1, max_value=12))
-    phi = data.draw(st.none() | st.floats(min_value=0.2, max_value=2.0 * np.pi,
+    # N = 63 has 2080 vertices and 3969 triangles: a full chunk of each and
+    # a partial last one.  Its copies are capped at three, which keeps the
+    # loop oracle's time per example near that of the small lattices'
+    n = data.draw(st.integers(min_value=1, max_value=12) | st.just(63))
+    phi = data.draw(st.none() | st.floats(min_value=0.2 if n <= 12 else 2.0,
+                                          max_value=2.0 * np.pi,
                                           exclude_min=True, exclude_max=True))
     # lattice positions, jittered up to scrambled (inverted cells), then
     # scaled so that coordinates run from about 1e-8 to 1e6
@@ -172,18 +176,39 @@ def test_render_svg_marks_inverted_cells():
 
 
 def test_render_svg_draws_one_copy_per_whole_turn():
-    # 2pi / (2pi/25) is 24.999999999999996, which still means 25 copies
-    graph = LatticeGraph(1)
+    # 2pi / (2pi/25) is 24.999999999999996, which still means 25 copies: the
+    # rule has one floating-point edge per k, so every k is counted through
+    # copy_count, and a few are drawn to see render_svg draw that many
     for k in range(2, 401):
+        assert copy_count(2.0 * np.pi / k) == k, k
+    assert copy_count(1.0) == 6
+    graph = LatticeGraph(1)
+    for k in (2, 5, 7, 25, 400):
         svg = written(render_svg, graph, graph.pos, phi=2.0 * np.pi / k)
         assert svg.count("<polygon") == k, k
     assert written(render_svg, graph, graph.pos, phi=1.0).count("<polygon") == 6
 
 
-@given(st.integers(min_value=1, max_value=40))
-def test_dump_lattice_matches_loop(n):
+# 0.0 and -0.0, NaNs of three bit patterns, the infinities and subnormals,
+# which a dump must tell apart by their bits, not by ==
+SPECIAL_FLOATS = [0.0, -0.0, np.nan, -np.nan,
+                  np.uint64(0x7FF0000000000001).view(np.float64),
+                  np.inf, -np.inf, 5e-324, -2.2250738585072e-309]
+
+
+@given(st.data())
+def test_dump_lattice_matches_loop(data):
+    n = data.draw(st.integers(min_value=1, max_value=40))
     graph = LatticeGraph(n)
     cmap = build_constraints(graph, PHI5)
+    if data.draw(st.booleans()):
+        # each position and weight drawn from a few values, the special
+        # ones among them, so that each value repeats as on the lattice; a
+        # seed, not arrays(), which would fill most entries with one value
+        pool = np.array(SPECIAL_FLOATS + data.draw(st.lists(st.floats(), max_size=4)))
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+        graph.pos = pool[rng.integers(len(pool), size=graph.pos.shape)]
+        graph.weights = pool[rng.integers(len(pool), size=graph.weights.shape)]
     expected = io.StringIO()
     loop_dump_lattice(graph, cmap, expected)
     got = io.StringIO()
