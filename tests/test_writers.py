@@ -16,7 +16,7 @@ from disclat.experiments import folded_init
 from disclat.io import CHUNK_ROWS, read_config, write_config
 from disclat.lattice import LatticeGraph, build_constraints, dump_lattice, rot
 from disclat.render import (FILL_NONPOS, FILL_POSITIVE, MARGIN, SIZE, STROKE,
-                            copy_count, render_svg)
+                            copy_count, format_points, render_svg)
 
 PHI5 = 2.0 * np.pi / 5.0
 
@@ -149,11 +149,14 @@ def written(writer, *args, **kwargs):
 def test_render_svg_matches_loop(data):
     # N = 63 has 2080 vertices and 3969 triangles: a full chunk of each and
     # a partial last one.  Its copies are capped at three, which keeps the
-    # loop oracle's time per example near that of the small lattices'
-    n = data.draw(st.integers(min_value=1, max_value=12) | st.just(63))
-    phi = data.draw(st.none() | st.floats(min_value=0.2 if n <= 12 else 2.0,
-                                          max_value=2.0 * np.pi,
-                                          exclude_min=True, exclude_max=True))
+    # loop oracle's time per example near that of the small lattices'.
+    # N = 140 (10,011 vertices, 19,600 triangles) is four full chunks and a
+    # partial one of each, drawn without copies for the same reason
+    n = data.draw(st.integers(min_value=1, max_value=12) | st.sampled_from([63, 140]))
+    phi = None if n == 140 else data.draw(
+        st.none() | st.floats(min_value=0.2 if n <= 12 else 2.0,
+                              max_value=2.0 * np.pi,
+                              exclude_min=True, exclude_max=True))
     # lattice positions, jittered up to scrambled (inverted cells), then
     # scaled so that coordinates run from about 1e-8 to 1e6
     graph = LatticeGraph(n)
@@ -164,6 +167,53 @@ def test_render_svg_matches_loop(data):
     config = (graph.pos + amplitude * jitter) * scale
     assert (written(render_svg, graph, config, phi=phi)
             == written(loop_render_svg, graph, config, phi=phi))
+
+
+def formatted(pix):
+    out = np.empty(len(pix), dtype=object)
+    format_points(np.asarray(pix, dtype=float), out)
+    return out.tolist()
+
+
+def by_percent(pix):
+    return ["%.6f,%.6f" % (x, y) for x, y in np.asarray(pix, dtype=float).tolist()]
+
+
+@given(arrays(np.float64, st.tuples(st.integers(min_value=1, max_value=64),
+                                    st.just(2)),
+              elements=st.floats(min_value=0.0, max_value=1000.0,
+                                 exclude_max=True)))
+def test_format_points_matches_percent(pix):
+    assert formatted(pix) == by_percent(pix)
+
+
+def test_format_points_on_ties_carries_and_the_fallback():
+    # exact binary ties of the sixth decimal and their neighbours, values
+    # whose rounding carries into another digit, and values outside
+    # [1, 1000) or not finite, which only % formats
+    ties = [24.0078125, 696.0078125, 1.5000005, 123.4567895]
+    special = [9.9999996, 99.9999996, 999.9999996, 0.9999996, 9.9999994,
+               1.0, 10.0, 100.0, 999.999999, -1.0, 1000.0, 0.0, -0.0,
+               5e-324, np.inf, -np.inf, np.nan, 1e300]
+    values = ties + special + [np.nextafter(t, d) for t in ties
+                               for d in (-np.inf, np.inf)]
+    # (k + 1/2) / 1e6 for drawn k at every digit count: each product v * 1e6
+    # lands on or within an ulp of a half-integer, where rint alone would
+    # round some of them the wrong way
+    rng = np.random.default_rng(38)
+    k = np.concatenate([rng.integers(10 ** (d + 5), 10 ** (d + 6), 300)
+                        for d in range(1, 4)])
+    near = (k + 0.5) / 1e6
+    values += near.tolist() + np.nextafter(near, np.inf).tolist()
+    # every value beside every other kind of value, in both columns
+    pix = np.array(values)
+    pix = np.column_stack([pix, np.roll(pix, 7)])
+    pix = np.vstack([pix, pix[:, ::-1]])
+    assert formatted(pix) == by_percent(pix)
+    # the nine digit-count groups in one block, each with a fallback row
+    grid = np.array([[x, y] for x in (7.25, 42.125, 421.0625)
+                     for y in (3.3, 33.3, 333.3, 24.0078125)])
+    assert formatted(grid) == by_percent(grid)
 
 
 def test_render_svg_marks_inverted_cells():
