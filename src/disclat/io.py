@@ -1,16 +1,22 @@
 """File formats: configuration dumps, experiment CSVs, verification JSONL.
 
 All floats are printed with %.17g so that a dump/parse round trip
-reproduces the binary float64 values exactly.  The large tables (config and
-lattice dumps) go through write_rows, which formats each chunk of
-CHUNK_ROWS rows with one `%` of the row template repeated over the chunk,
-and read_config parses a config dump a chunk of lines at a time, so the
-memory of both stays bounded by one chunk.  A column of few distinct
-floats (the lattice dump's positions and weights) goes in as a FloatTexts,
-which formats each distinct value once and gathers a chunk's texts.
+reproduces the binary float64 values exactly.  The large tables are written
+a chunk of CHUNK_ROWS rows per stream.write, so that a writer's memory stays
+bounded by one chunk, and read_config parses a config dump a chunk of lines
+at a time for the same reason.  The lattice dump, whose columns are
+non-negative integer ids and floats of few distinct values, goes through
+write_table, which lays each chunk out as ASCII bytes in a reused uint8
+array: the template's constant text sits in fixed columns, an id's digits
+are gathered in groups of three from a digit table and a float's text from
+its FloatTexts' table of distinct texts, the padding is NUL, and dropping
+the NULs leaves the chunk's text.  The config dump, whose floats are all
+distinct, goes through write_rows, one `%` of the row template repeated
+over the chunk.
 """
 
 import json
+import re
 from itertools import chain, islice
 
 import numpy as np
@@ -18,41 +24,141 @@ import numpy as np
 FLOAT_FMT = "%.17g"
 CHUNK_ROWS = 2048
 
+# "%03d" % k for k = 0..999, one row of three ASCII digits per k
+DIGITS = (np.arange(1000)[:, None] // [100, 10, 1] % 10 + ord("0")).astype(np.uint8)
+# "%3d" % k with NULs for its blanks: a number's leading group of digits
+_LEAD = DIGITS.copy()
+_LEAD[:100, 0] = 0
+_LEAD[:10, 1] = 0
+# _fill_digits' groups of three digits: "%03d" % k at row k, the leading
+# group k of a number below 1000 at row 1000 + k, and at row 2000 + k the
+# leading group k above the units, where a leading 0 is no digits at all
+_GROUPS = np.concatenate([DIGITS, _LEAD, _LEAD])
+_GROUPS[2000] = 0
+
 
 def _fmt(x):
     return FLOAT_FMT % float(x)
 
 
 class FloatTexts:
-    """A float column that write_rows prints as text, through a %s.
+    """A float column that write_table prints with %.17g, through a %s.
 
-    Each distinct value is formatted with %.17g once.  Values are told
-    apart by their 64 bits, so -0.0 and 0.0 and NaNs of any payload keep
-    their own texts, and a chunk's rows find theirs by searchsorted on the
-    sorted distinct bits.  This pays off on columns of few distinct values,
-    such as the lattice's positions and bond weights; on one of all-distinct
-    values it costs one np.unique more than formatting each row.
+    Each distinct value is formatted once, into `table`, one row of ASCII
+    bytes per value, NUL-padded to the longest text.  Values are told apart
+    by their 64 bits, so -0.0 and 0.0 and NaNs of any payload keep their own
+    texts, and a chunk's rows find theirs by searchsorted on the sorted
+    distinct bits.  This pays off on columns of few distinct values, such as
+    the lattice's positions and bond weights.
     """
 
     def __init__(self, values):
         self.bits = np.asarray(values, dtype=float).view(np.uint64)
         self.keys = np.unique(self.bits)
-        self.texts = np.array([FLOAT_FMT % x for x in self.keys.view(float).tolist()],
-                              dtype=object)
+        texts = np.array([FLOAT_FMT % x for x in self.keys.view(float).tolist()],
+                         dtype=np.bytes_)
+        self.table = texts.view(np.uint8).reshape(len(texts), texts.itemsize)
+
+    def __len__(self):
+        return len(self.bits)
 
     def __getitem__(self, part):
-        return self.texts.take(np.searchsorted(self.keys, self.bits[part])).tolist()
+        """The (m, table width) text bytes of the rows in the slice part."""
+        return self.table.take(np.searchsorted(self.keys, self.bits[part]), axis=0)
+
+
+def _fill_digits(out, v, groups):
+    """Write the decimal digits of the non-negative int64 values v, all
+    below 1000**groups, into the (m, 3 * groups) uint8 array out,
+    right-aligned, with NULs left of each number's first digit.
+
+    The g-th group from the right holds t % 1000 for t = v // 1000**g: its
+    "%03d" while t >= 1000, else its "%3d" (the value's leading group), or
+    nothing for a t of 0 above the units.  The groups' rows of _GROUPS are
+    gathered with one take.
+    """
+    row = np.empty((len(v), groups), dtype=np.int64)
+    t = v
+    lead = 1000
+    for k in range(groups - 1, 0, -1):
+        t, row[:, k] = np.divmod(t, 1000)
+        np.add(row[:, k], lead, out=row[:, k], where=t == 0)
+        lead = 2000
+    np.add(t, lead, out=row[:, 0])
+    out[...] = _GROUPS.take(row, axis=0).reshape(len(v), 3 * groups)
+
+
+def write_table(stream, line, *columns):
+    """Write `line % row` for each row of the equal-length columns, one
+    stream.write per CHUNK_ROWS rows.
+
+    In the template line, each %d is a column of non-negative integers (a
+    numpy integer array or a range) and each %s a FloatTexts; the rest is
+    written as it stands.  A chunk is laid out in a reused (m, W) uint8
+    array, one row per line: the template's constant bytes sit in fixed
+    columns, written once; each integer column has 3 * ceil(d / 3) columns
+    for the d digits of its maximum, which _fill_digits fills with groups of
+    three digits from a table; a FloatTexts column is as wide as its longest
+    text and takes its rows' texts from its table.  All padding is NUL, so
+    the array's non-NUL bytes in order are the chunk's text.  Raises
+    ValueError, before writing anything, if an integer column holds a
+    negative value.
+    """
+    pieces = re.split("(%[ds])", line)
+    n = len(columns[0])
+    fields = []             # (columns of the row, column, digit groups or 0)
+    width = 0
+    constants = []          # (columns of the row, bytes)
+    for k, piece in enumerate(pieces):
+        if k % 2 == 0:
+            text = np.frombuffer(piece.encode("ascii"), dtype=np.uint8)
+            constants.append((slice(width, width + len(text)), text))
+            width += len(text)
+            continue
+        column = columns[k // 2]
+        if piece == "%s":
+            fields.append((slice(width, width + column.table.shape[1]), column, 0))
+            width += column.table.shape[1]
+            continue
+        if not n:
+            lo = hi = 0
+        elif isinstance(column, range):
+            lo, hi = sorted((column[0], column[-1]))
+        else:
+            lo, hi = int(column.min()), int(column.max())
+        if lo < 0:
+            raise ValueError("write_table prints non-negative integers; a "
+                             "column holds %d" % lo)
+        groups = (len(str(hi)) + 2) // 3
+        fields.append((slice(width, width + 3 * groups), column, groups))
+        width += 3 * groups
+    buf = np.zeros((min(n, CHUNK_ROWS), width), dtype=np.uint8)
+    for cols, text in constants:
+        buf[:, cols] = text
+    for start in range(0, n, CHUNK_ROWS):
+        part = slice(start, start + CHUNK_ROWS)
+        rows = buf[:min(CHUNK_ROWS, n - start)]
+        for cols, column, groups in fields:
+            values = column[part]
+            if not groups:
+                rows[:, cols] = values
+                continue
+            if isinstance(values, range):
+                values = np.arange(values.start, values.stop, values.step)
+            _fill_digits(rows[:, cols], values.astype(np.int64, copy=False), groups)
+        stream.write(rows[rows != 0].tobytes().decode("ascii"))
 
 
 def write_rows(stream, line, *columns):
     """Write `line % row` for each row of the equal-length 1-D columns, one
     stream.write per CHUNK_ROWS rows.
 
-    A column is a numpy array, a range (row ids) or a FloatTexts (printed
-    with %s).  Arrays are converted a chunk at a time with .tolist(); the
-    Python ints and floats it returns print exactly as the numpy scalars
-    would.  A chunk of m rows is one `%` of `line` repeated m times over the
-    chunk's values, row by row.
+    A column is a numpy array or a range (row ids).  Arrays are converted a
+    chunk at a time with .tolist(); the Python ints and floats it returns
+    print exactly as the numpy scalars would.  A chunk of m rows is one `%`
+    of `line` repeated m times over the chunk's values, row by row.  The
+    config dump takes this path: its floats are all distinct, so
+    write_table's table of distinct texts would save nothing.
     """
     for start in range(0, len(columns[0]), CHUNK_ROWS):
         part = slice(start, start + CHUNK_ROWS)

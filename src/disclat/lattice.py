@@ -22,7 +22,7 @@ import numbers
 
 import numpy as np
 
-from .io import FloatTexts, write_rows
+from .io import FloatTexts, write_table
 
 SQRT3 = np.sqrt(3.0)
 
@@ -459,11 +459,11 @@ def dump_lattice(graph, cmap, stream):
     17 significant digits so they round-trip bit-exactly.
     """
     ij, pos, edges = graph.ij, graph.pos, graph.edges
-    write_rows(stream, "v %d %d %d %s %s\n", range(len(ij)), ij[:, 0], ij[:, 1],
-               FloatTexts(pos[:, 0]), FloatTexts(pos[:, 1]))
-    write_rows(stream, "e %d %d %d %s\n", range(len(edges)), edges[:, 0],
-               edges[:, 1], FloatTexts(graph.weights))
-    write_rows(stream, "t %d %d %d %d\n", range(len(graph.tris)), *graph.tris.T)
-    write_rows(stream, "c %d %d\n", cmap.masters, cmap.slaves)
+    write_table(stream, "v %d %d %d %s %s\n", range(len(ij)), ij[:, 0], ij[:, 1],
+                FloatTexts(pos[:, 0]), FloatTexts(pos[:, 1]))
+    write_table(stream, "e %d %d %d %s\n", range(len(edges)), edges[:, 0],
+                edges[:, 1], FloatTexts(graph.weights))
+    write_table(stream, "t %d %d %d %d\n", range(len(graph.tris)), *graph.tris.T)
+    write_table(stream, "c %d %d\n", cmap.masters, cmap.slaves)
     stream.write("pin %d\n" % cmap.pinned)
 

@@ -10,7 +10,7 @@ The copies are built and drawn one at a time.  Each one's pixel
 coordinates are computed per vertex with numpy and formatted once per
 vertex, CHUNK_ROWS vertices per format_points call, into an object array
 that ends with the two fill strings.  format_points reads the digits of
-"%.6f,%.6f" off a table of "%03d" % k for k < 1000, grouping the rows by
+"%.6f,%.6f" off io's table of "%03d" % k for k < 1000, grouping the rows by
 the digit counts of their integer parts so that each group is one array of
 fixed-width strings; the rare value it cannot round exactly this way (one
 near a rounding tie, such as 24.0078125, or one that does not round into
@@ -25,7 +25,7 @@ never the whole picture.
 import numpy as np
 
 from .analysis import triangle_dets
-from .io import CHUNK_ROWS
+from .io import CHUNK_ROWS, DIGITS
 from .lattice import rot
 
 _FMT = "%.6f"
@@ -37,8 +37,8 @@ FILL_NONPOS = "#e2908a"
 STROKE = "#30302c"
 
 
-# "%03d" % k for k = 0..999, as rows of three code points
-_DIGITS = np.array(["%03d" % k for k in range(1000)]).view(np.uint32).reshape(1000, 3)
+# io's "%03d" % k for k = 0..999, as rows of three code points
+_DIGITS = DIGITS.astype(np.uint32)
 _SEPARATORS = np.array([".,"]).view(np.uint32)
 # format_points lays a pair out in 20 columns: x's integer part and the
 # first and last three of its six decimals, three digits each, the same for

@@ -99,6 +99,10 @@ class SolveReport:
     preconditioner (0 when it factored afresh) and the residual norm of
     the Newton system it solved.
     quadratic_ratio lists g_{k+1}/g_k^2 over the final three steps.
+    stop_reason says why the run ended: "converged" (the reduced gradient
+    reached grad_tol), "max_iter" (the iterations ran out first) or
+    "stalled_line_search" (a step came out zero, as when the line search
+    accepted no trial); it is None until newton_minimize returns.
     """
 
     def __init__(self):
@@ -109,6 +113,7 @@ class SolveReport:
         self.krylov_iters = []
         self.lin_resid = []
         self.converged = False
+        self.stop_reason = None
 
     @property
     def iterations(self):
@@ -379,8 +384,8 @@ def newton_minimize(level, law, init, opts=None, two_grid=None):
 
     Returns (configuration, SolveReport).  The report's last energy is that
     of the returned configuration, bit for bit.  Its converged flag is
-    False when max_iter runs out before the reduced gradient infinity-norm
-    drops to grad_tol.
+    False when max_iter runs out or a step stalls before the reduced
+    gradient infinity-norm drops to grad_tol; its stop_reason names which.
     """
     if opts is None:
         opts = NewtonOptions()
@@ -432,6 +437,11 @@ def newton_minimize(level, law, init, opts=None, two_grid=None):
         gnorm = level.grad_inf(g)
         report.record(f, gnorm, np.linalg.norm(step), tau)
         if np.linalg.norm(step) == 0.0:
+            report.stop_reason = "stalled_line_search"
             break
     report.converged = gnorm <= opts.grad_tol
+    if report.converged:
+        report.stop_reason = "converged"
+    elif report.stop_reason is None:
+        report.stop_reason = "max_iter"
     return u, report

@@ -52,7 +52,7 @@ def test_options_validation():
 
 def test_descent_and_stationarity():
     _, _, report = solve()
-    assert report.converged
+    assert report.converged and report.stop_reason == "converged"
     assert report.grad_inf[-1] <= 1e-10
     energies = np.array(report.energy)
     # monotone descent up to the line-search roundoff slack
@@ -65,7 +65,7 @@ def test_reentry_costs_at_most_one_iteration():
     level, config, _ = solve()
     config2, report2 = newton_minimize(level, LAW, config)
     assert report2.iterations <= 1
-    assert report2.converged
+    assert report2.converged and report2.stop_reason == "converged"
     assert np.abs(config2 - config).max() <= 1e-12
 
 
@@ -86,7 +86,7 @@ def test_quadratic_ratio_bounded():
 def test_max_iter_exhaustion_reported():
     opts = NewtonOptions(max_iter=1, grad_tol=1e-14)
     _, _, report = solve(opts=opts)
-    assert not report.converged
+    assert not report.converged and report.stop_reason == "max_iter"
     assert report.iterations == 1
 
 
@@ -118,7 +118,7 @@ def test_line_search_that_rejects_every_trial_stops_at_the_start(monkeypatch):
     monkeypatch.setattr(disclat.solver, "assemble_energy", only_the_start_is_finite)
     config, report = newton_minimize(level, LAW, start)
     assert config.tobytes() == start.tobytes()
-    assert not report.converged
+    assert not report.converged and report.stop_reason == "stalled_line_search"
     assert report.iterations == 1 and report.step_norm == [0.0, 0.0]
     assert report.energy[0] == report.energy[1] == real(level.graph, start, LAW)
 

@@ -13,7 +13,7 @@ from hypothesis.extra.numpy import arrays
 
 from disclat.analysis import triangle_dets
 from disclat.experiments import folded_init
-from disclat.io import CHUNK_ROWS, read_config, write_config
+from disclat.io import CHUNK_ROWS, FloatTexts, read_config, write_config, write_table
 from disclat.lattice import LatticeGraph, build_constraints, dump_lattice, rot
 from disclat.render import (FILL_NONPOS, FILL_POSITIVE, MARGIN, SIZE, STROKE,
                             copy_count, format_points, render_svg)
@@ -266,6 +266,75 @@ def test_dump_lattice_matches_loop(data):
     assert got.getvalue() == expected.getvalue()
 
 
+def by_percent_d(line, *columns):
+    """The oracle for write_table's integer columns: `line % row` per row."""
+    return [line % row for row in zip(*[list(c) for c in columns])]
+
+
+def table_lines(*args):
+    """write_table's text as a list of lines, whose first difference pytest
+    names at once; its diff of two long strings can take minutes."""
+    return written(write_table, *args).splitlines(keepends=True)
+
+
+@given(st.data())
+def test_write_table_integers_match_percent_d(data):
+    # one to three columns beside a range of row ids, each value cut to a
+    # random digit count, up to int64's 19, so that a column's digit groups
+    # run from one to seven.  The values come from a seed, not arrays(),
+    # which takes minutes to shrink a failing table of 2049 rows
+    n = data.draw(st.integers(0, 40) | st.sampled_from([CHUNK_ROWS - 1, CHUNK_ROWS + 1]))
+    top = data.draw(st.sampled_from([9, 999, 10**6, 10**9, 2**63 - 1]))
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    columns = [rng.integers(0, top, size=n, endpoint=True) // 10 ** rng.integers(0, 19, size=n)
+               for _ in range(data.draw(st.integers(1, 3)))]
+    start = data.draw(st.integers(0, 10**7))
+    columns.insert(data.draw(st.integers(0, len(columns))), range(start, start + n))
+    line = data.draw(st.sampled_from(["", "t ", "row:"])) + " ".join(
+        ["%d"] * len(columns)) + "\n"
+    assert table_lines(line, *columns) == by_percent_d(line, *columns)
+
+
+def test_write_table_integers_at_powers_of_ten():
+    # every digit count from 1 to 10: 10**k - 1, 10**k and 10**k + 1 for
+    # k = 0..9, in one column and beside the column's maximum
+    values = np.array(sorted({v for k in range(10) for v in (10**k - 1, 10**k, 10**k + 1)}))
+    for top in values:
+        column = values[values <= top]
+        assert (table_lines("%d %d\n", column, column[::-1])
+                == by_percent_d("%d %d\n", column, column[::-1])), top
+
+
+@pytest.mark.parametrize("n", [0, 1, CHUNK_ROWS - 1, CHUNK_ROWS, CHUNK_ROWS + 1])
+def test_write_table_chunks(n):
+    ids = np.arange(n, dtype=np.int64) * 7919
+    floats = FloatTexts(np.arange(n) % 5 / 3.0)
+    assert (table_lines("r %d %d %s\n", range(n), ids, floats)
+            == ["r %d %d %.17g\n" % (k, ids[k], k % 5 / 3.0) for k in range(n)])
+
+
+def test_write_table_refuses_a_negative_value():
+    for column in (np.array([0, 5, -1, 7]), range(-2, 3)):
+        sink = Sink()
+        with pytest.raises(ValueError, match="non-negative"):
+            write_table(sink, "x %d\n", column)
+        assert sink.size == 0
+
+
+def test_float_texts_table_holds_each_bit_pattern_once():
+    # SPECIAL_FLOATS, each repeated, with ordinary values: one NUL-padded
+    # row per bit pattern, as wide as the longest text (24 characters, of
+    # -2.2250738585072e-309), so that 5e-324's 23 take one NUL
+    values = np.array(SPECIAL_FLOATS * 3 + [0.1, 1.0 / 3.0, -1e300])
+    texts = FloatTexts(values)
+    keys = np.unique(values.view(np.uint64)).view(float).tolist()
+    assert texts.table.shape == (len(keys), 24)
+    assert ([row.tobytes().rstrip(b"\0").decode() for row in texts.table]
+            == ["%.17g" % x for x in keys])
+    assert "%.17g" % 5e-324 in [row.tobytes()[:23].decode() for row in texts.table]
+    assert table_lines("%s\n", texts) == ["%.17g\n" % x for x in values.tolist()]
+
+
 @given(st.data())
 def test_write_config_matches_loop(data):
     n = data.draw(st.integers(min_value=1, max_value=40))
@@ -395,7 +464,7 @@ class Sink:
 
 @pytest.mark.parametrize("writer", ["render", "mesh", "config"])
 def test_writer_memory_is_a_chunk_not_the_file(writer):
-    # peaks, against half the output: render 1.83 of 6.78 MB, mesh 416 of
+    # peaks, against half the output: render 1.83 of 6.78 MB, mesh 311 of
     # 598 KB, config 356 KB of 3.17 MB.  The config dump is drawn at N = 512
     # (64 chunks): at N = 128 it is 4.1 chunks, and one chunk's values and
     # text (356 KB) alone pass half of its 391 KB
