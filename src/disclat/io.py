@@ -4,15 +4,15 @@ All floats are printed with %.17g so that a dump/parse round trip
 reproduces the binary float64 values exactly.  The large tables are written
 a chunk of CHUNK_ROWS rows per stream.write, so that a writer's memory stays
 bounded by one chunk, and read_config parses a config dump a chunk of lines
-at a time for the same reason.  The lattice dump, whose columns are
-non-negative integer ids and floats of few distinct values, goes through
-write_table, which lays each chunk out as ASCII bytes in a reused uint8
-array: the template's constant text sits in fixed columns, an id's digits
-are gathered in groups of three from a digit table and a float's text from
-its FloatTexts' table of distinct texts, the padding is NUL, and dropping
-the NULs leaves the chunk's text.  The config dump, whose floats are all
-distinct, goes through write_rows, one `%` of the row template repeated
-over the chunk.
+at a time for the same reason.  The lattice dump and the SVG go through
+write_table, whose columns are non-negative integers and Texts, rows of a
+table of NUL-padded ASCII texts: each chunk is laid out as ASCII bytes in a
+reused uint8 array, the template's constant text in fixed columns, an
+integer's digits gathered in groups of three from a digit table and a
+text's bytes from its table; dropping the NULs leaves the chunk's text.
+FloatTexts is the Texts of a float column, which formats each distinct
+value once.  The config dump, whose floats are all distinct, goes through
+write_rows, one `%` of the row template repeated over the chunk.
 """
 
 import json
@@ -30,7 +30,7 @@ DIGITS = (np.arange(1000)[:, None] // [100, 10, 1] % 10 + ord("0")).astype(np.ui
 _LEAD = DIGITS.copy()
 _LEAD[:100, 0] = 0
 _LEAD[:10, 1] = 0
-# _fill_digits' groups of three digits: "%03d" % k at row k, the leading
+# fill_digits' groups of three digits: "%03d" % k at row k, the leading
 # group k of a number below 1000 at row 1000 + k, and at row 2000 + k the
 # leading group k above the units, where a leading 0 is no digits at all
 _GROUPS = np.concatenate([DIGITS, _LEAD, _LEAD])
@@ -41,33 +41,46 @@ def _fmt(x):
     return FLOAT_FMT % float(x)
 
 
-class FloatTexts:
+class Texts:
+    """A %s column of write_table: row k prints table[index[k]], a row of
+    ASCII bytes NUL-padded to the table's width."""
+
+    def __init__(self, table, index):
+        self.table = table
+        self.index = index
+
+    def __len__(self):
+        return len(self.index)
+
+    def __getitem__(self, part):
+        """The (m, table width) text bytes of the rows in the slice part."""
+        return self.table.take(self.index[part], axis=0)
+
+
+class FloatTexts(Texts):
     """A float column that write_table prints with %.17g, through a %s.
 
     Each distinct value is formatted once, into `table`, one row of ASCII
     bytes per value, NUL-padded to the longest text.  Values are told apart
     by their 64 bits, so -0.0 and 0.0 and NaNs of any payload keep their own
-    texts, and a chunk's rows find theirs by searchsorted on the sorted
-    distinct bits.  This pays off on columns of few distinct values, such as
+    texts.  The index is the values' bits, which a chunk's rows look up in
+    the sorted distinct bits by searchsorted, so no whole-column index is
+    ever held.  This pays off on columns of few distinct values, such as
     the lattice's positions and bond weights.
     """
 
     def __init__(self, values):
-        self.bits = np.asarray(values, dtype=float).view(np.uint64)
-        self.keys = np.unique(self.bits)
+        bits = np.asarray(values, dtype=float).view(np.uint64)
+        self.keys = np.unique(bits)
         texts = np.array([FLOAT_FMT % x for x in self.keys.view(float).tolist()],
                          dtype=np.bytes_)
-        self.table = texts.view(np.uint8).reshape(len(texts), texts.itemsize)
-
-    def __len__(self):
-        return len(self.bits)
+        super().__init__(texts.view(np.uint8).reshape(len(texts), texts.itemsize), bits)
 
     def __getitem__(self, part):
-        """The (m, table width) text bytes of the rows in the slice part."""
-        return self.table.take(np.searchsorted(self.keys, self.bits[part]), axis=0)
+        return self.table.take(np.searchsorted(self.keys, self.index[part]), axis=0)
 
 
-def _fill_digits(out, v, groups):
+def fill_digits(out, v, groups):
     """Write the decimal digits of the non-negative int64 values v, all
     below 1000**groups, into the (m, 3 * groups) uint8 array out,
     right-aligned, with NULs left of each number's first digit.
@@ -93,16 +106,16 @@ def write_table(stream, line, *columns):
     stream.write per CHUNK_ROWS rows.
 
     In the template line, each %d is a column of non-negative integers (a
-    numpy integer array or a range) and each %s a FloatTexts; the rest is
-    written as it stands.  A chunk is laid out in a reused (m, W) uint8
-    array, one row per line: the template's constant bytes sit in fixed
-    columns, written once; each integer column has 3 * ceil(d / 3) columns
-    for the d digits of its maximum, which _fill_digits fills with groups of
-    three digits from a table; a FloatTexts column is as wide as its longest
-    text and takes its rows' texts from its table.  All padding is NUL, so
-    the array's non-NUL bytes in order are the chunk's text.  Raises
-    ValueError, before writing anything, if an integer column holds a
-    negative value.
+    numpy integer array or a range) and each %s a Texts, such as a
+    FloatTexts; the rest is written as it stands.  A chunk is laid out in a
+    reused (m, W) uint8 array, one row per line: the template's constant
+    bytes sit in fixed columns, written once; each integer column has
+    3 * ceil(d / 3) columns for the d digits of its maximum, which
+    fill_digits fills with groups of three digits from a table; a Texts
+    column is as wide as its table and takes its rows' texts from it.  All
+    padding is NUL, so the array's non-NUL bytes in order are the chunk's
+    text.  Raises ValueError, before writing anything, if an integer column
+    holds a negative value.
     """
     pieces = re.split("(%[ds])", line)
     n = len(columns[0])
@@ -145,7 +158,7 @@ def write_table(stream, line, *columns):
                 continue
             if isinstance(values, range):
                 values = np.arange(values.start, values.stop, values.step)
-            _fill_digits(rows[:, cols], values.astype(np.int64, copy=False), groups)
+            fill_digits(rows[:, cols], values.astype(np.int64, copy=False), groups)
         stream.write(rows[rows != 0].tobytes().decode("ascii"))
 
 

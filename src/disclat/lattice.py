@@ -80,8 +80,11 @@ class LatticeGraph:
 
     n must be an integer >= 1 (Python or numpy); anything else raises
     ValueError.  Only ij is built with the graph: pos, edges, weights and
-    tris are built on first read, so a level that never reads them (a
-    MirrorLevel's solve) never holds them.
+    tris are built on first read, so a level that never reads them never
+    holds them.  A MirrorLevel's solve under the bond law (psi="zero")
+    reads none; under psi="smoothed_abs", assemble_hessian's
+    _psi_edge_hessians builds tris and every cell's determinant gradient
+    (ROADMAP item 5, step 0, would form them on the half).
 
     Attributes
     ----------

@@ -7,25 +7,21 @@ nearest integer when 2*pi/phi lies within 1e-9 relative of one), which
 reassembles the full disclination from the single computed wedge.
 
 The copies are built and drawn one at a time.  Each one's pixel
-coordinates are computed per vertex with numpy and formatted once per
-vertex, CHUNK_ROWS vertices per format_points call, into an object array
-that ends with the two fill strings.  format_points reads the digits of
-"%.6f,%.6f" off io's table of "%03d" % k for k < 1000, grouping the rows by
-the digit counts of their integer parts so that each group is one array of
-fixed-width strings; the rare value it cannot round exactly this way (one
-near a rounding tie, such as 24.0078125, or one that does not round into
-[1, 1000)) is formatted with `%`.  The polygons then go out CHUNK_ROWS
-triangles per write: a reused (CHUNK_ROWS, 9) object array holds the
-polygon template's constant pieces in its even columns, each chunk takes
-its corner and fill strings into the odd ones, and one "".join writes it.
-So the writer holds one copy's vertex strings plus one chunk of lines,
-never the whole picture.
+coordinates are computed per vertex with numpy, and point_texts formats
+them once per vertex into a NUL-padded byte table of "%.6f,%.6f" texts,
+read off io's digit tables; the rare value it cannot round exactly this
+way (one near a rounding tie, such as 24.0078125, or one that does not
+round into [1, 1000)) is formatted with `%`.  The polygons then go out
+through io.write_table, CHUNK_ROWS triangles per write, their corners and
+fills as Texts columns of that table and of the two fills' texts.  So the
+writer holds one copy's vertex table plus one chunk of lines, never the
+whole picture.
 """
 
 import numpy as np
 
 from .analysis import triangle_dets
-from .io import CHUNK_ROWS, DIGITS
+from .io import DIGITS, Texts, fill_digits, write_table
 from .lattice import rot
 
 _FMT = "%.6f"
@@ -36,32 +32,24 @@ FILL_POSITIVE = "#f2f2ee"
 FILL_NONPOS = "#e2908a"
 STROKE = "#30302c"
 
-
-# io's "%03d" % k for k = 0..999, as rows of three code points
-_DIGITS = DIGITS.astype(np.uint32)
-_SEPARATORS = np.array([".,"]).view(np.uint32)
-# format_points lays a pair out in 20 columns: x's integer part and the
-# first and last three of its six decimals, three digits each, the same for
-# y, then "." and ",".  These are the columns of "x,y" when the integer
-# parts of x and y have dx and dy digits, at 3 * (dx - 1) + dy - 1
-_PAIR_COLUMNS = [np.r_[3 - dx:3, 18, 3:9, 19, 12 - dy:12, 18, 12:18]
-                 for dx in (1, 2, 3) for dy in (1, 2, 3)]
+# the fills' texts, at row 1 for a cell of positive determinant
+_FILLS = np.array([FILL_NONPOS, FILL_POSITIVE], dtype=np.bytes_).view(np.uint8).reshape(2, -1)
 
 
-def format_points(pix, out):
-    """Set out[i] = "%.6f,%.6f" % tuple(pix[i]) for the rows of the (m, 2)
-    float array pix, in the length-m object array out.
+def point_texts(pix):
+    """The "%.6f,%.6f" % tuple(pix[i]) of the rows of the (n, 2) float
+    array pix, as an (n, width) uint8 table of ASCII bytes, row i NUL-padded.
 
-    A row is formatted from the digit table when both of its values v have
+    A row is formatted from the digit tables when both of its values v have
     r = rint(v * 1e6) in [1e6, 1e9), an integer part of one to three
     digits, and v * 1e6 more than 1e-3 from a half-integer.  Below 1e9 the
     product is off by at most half an ulp, 2^-24, so r is the correctly
-    rounded %.6f, whose integer part and decimals are read off in threes.
-    The rows are sorted by the digit counts of their integer parts, so each
-    group's columns are fixed and its strings are one array of fixed width.
-    Every other row is formatted with %: values at or near a tie, such as
-    24.0078125, values below 1 (-0.0 and the subnormals among them) or from
-    1000 on, and the non-finite.
+    rounded %.6f, whose integer part and decimals are read off in threes:
+    "%3d" with NUL blanks, ".", "%03d", "%03d" for each value, in 21
+    columns with the "," between them.  Every other row is formatted with
+    %: values at or near a tie, such as 24.0078125, values below 1 (-0.0
+    and the subnormals among them) or from 1000 on, and the non-finite;
+    the table widens to the longest of those texts.
     """
     with np.errstate(over="ignore", invalid="ignore"):   # the non-finite
         p = pix * 1e6
@@ -71,20 +59,19 @@ def format_points(pix, out):
     # a row left to % reads 1e6 here, which casts to int64 without a warning
     whole, decimals = np.divmod(np.where(fast[:, None], r, 1e6).astype(np.int64),
                                 1000000)
-    more = (whole >= 10) + (whole >= 100).astype(np.intp)   # digits, less one
-    group = np.where(fast, 3 * more[:, 0] + more[:, 1], 9)
-    order = np.argsort(group)
-    bounds = np.searchsorted(group, np.arange(11), sorter=order)
-    parts = np.stack([whole, decimals // 1000, decimals % 1000], axis=2)
-    codes = np.empty((len(pix), 20), dtype=np.uint32)
-    codes[:, :18] = _DIGITS.take(parts.take(order, axis=0), axis=0).reshape(-1, 18)
-    codes[:, 18:] = _SEPARATORS
-    for g, columns in enumerate(_PAIR_COLUMNS):
-        rows = slice(bounds[g], bounds[g + 1])
-        text = codes[rows].take(columns, axis=1).view("<U%d" % len(columns))
-        out[order[rows]] = text.ravel().tolist()
-    for i in order[bounds[9]:].tolist():
-        out[i] = _FMT % pix[i, 0] + "," + _FMT % pix[i, 1]
+    slow = np.flatnonzero(~fast)
+    texts = np.array([_FMT % x + "," + _FMT % y for x, y in pix[slow].tolist()],
+                     dtype=np.bytes_)
+    width = max(21, texts.itemsize)
+    table = np.zeros((len(pix), width), dtype=np.uint8)
+    for k, at in enumerate((0, 11)):
+        fill_digits(table[:, at:at + 3], whole[:, k], 1)
+        table[:, at + 3] = ord(".")
+        table[:, at + 4:at + 7] = DIGITS.take(decimals[:, k] // 1000, axis=0)
+        table[:, at + 7:at + 10] = DIGITS.take(decimals[:, k] % 1000, axis=0)
+    table[:, 10] = ord(",")
+    table[slow] = texts.astype("S%d" % width).view(np.uint8).reshape(-1, width)
+    return table
 
 
 def copy_count(phi):
@@ -124,18 +111,10 @@ def render_svg(stream, graph, config, phi=None):
 
     width = MARGIN * 2.0 + (hi[0] - lo[0]) * scale
     height = MARGIN * 2.0 + (hi[1] - lo[1]) * scale
-    # a polygon is nine strings: the template's five constant pieces in the
-    # even columns, its three corners' and its fill in the odd ones.  The
-    # fill sits in a copy's strings after the vertices' at n_v + (det > 0)
-    n_v = len(config)
-    fill_at = n_v + (triangle_dets(graph, config) > 0.0)
+    fill = Texts(_FILLS, (triangle_dets(graph, config) > 0.0).view(np.uint8))
     stroke_w = max(0.25, min(1.2, 60.0 * scale * graph.eps / SIZE))
-    polygons = np.empty((min(CHUNK_ROWS, len(graph.tris)), 9), dtype=object)
-    polygons[:, 0::2] = ['<polygon points="', " ", " ", '" fill="',
-                         '" stroke="%s" stroke-width="%s" stroke-linejoin='
-                         '"round"/>\n' % (STROKE, _FMT % stroke_w)]
-    strings = np.empty(n_v + 2, dtype=object)
-    strings[n_v:] = FILL_NONPOS, FILL_POSITIVE
+    line = ('<polygon points="%%s %%s %%s" fill="%%s" stroke="%s" stroke-width="%s" '
+            'stroke-linejoin="round"/>\n' % (STROKE, _FMT % stroke_w))
 
     stream.write('<?xml version="1.0" encoding="UTF-8"?>\n')
     stream.write(
@@ -146,19 +125,8 @@ def render_svg(stream, graph, config, phi=None):
     stream.write('<rect width="100%%" height="100%%" fill="#ffffff"/>\n')
     for k in range(n_copies):
         f = frame(k)
-        # pixel coordinates, y flipped because SVG grows downward, x and y
-        # interleaved so that a chunk of vertices is one run of values
-        pix = np.empty_like(f)
-        pix[:, 0] = MARGIN + (f[:, 0] - lo[0]) * scale
-        pix[:, 1] = MARGIN + (hi[1] - f[:, 1]) * scale
-        for start in range(0, n_v, CHUNK_ROWS):
-            part = slice(start, min(start + CHUNK_ROWS, n_v))
-            format_points(pix[part], strings[part])
-        for start in range(0, len(graph.tris), CHUNK_ROWS):
-            part = slice(start, start + CHUNK_ROWS)
-            tris = graph.tris[part]
-            rows = polygons[:len(tris)]
-            strings.take(tris, out=rows[:, 1:7:2])
-            strings.take(fill_at[part], out=rows[:, 7])
-            stream.write("".join(rows.ravel().tolist()))
+        # pixel coordinates, y flipped because SVG grows downward
+        table = point_texts(np.column_stack([MARGIN + (f[:, 0] - lo[0]) * scale,
+                                             MARGIN + (hi[1] - f[:, 1]) * scale]))
+        write_table(stream, line, *[Texts(table, c) for c in graph.tris.T], fill)
     stream.write("</svg>\n")

@@ -102,7 +102,9 @@ class SolveReport:
     stop_reason says why the run ended: "converged" (the reduced gradient
     reached grad_tol), "max_iter" (the iterations ran out first) or
     "stalled_line_search" (a step came out zero, as when the line search
-    accepted no trial); it is None until newton_minimize returns.
+    accepted no trial), or "singular" on the report that newton_minimize
+    attaches as .report to the SingularSystemError it raises when no
+    factorization gives a step; it is None until the run ends.
     """
 
     def __init__(self):
@@ -386,6 +388,9 @@ def newton_minimize(level, law, init, opts=None, two_grid=None):
     of the returned configuration, bit for bit.  Its converged flag is
     False when max_iter runs out or a step stalls before the reduced
     gradient infinity-norm drops to grad_tol; its stop_reason names which.
+    A Newton system that BandLayout refuses or _factor_step cannot solve
+    raises SingularSystemError, whose .report is the report so far, with
+    stop_reason "singular".
     """
     if opts is None:
         opts = NewtonOptions()
@@ -408,9 +413,14 @@ def newton_minimize(level, law, init, opts=None, two_grid=None):
         else:
             two_grid = None            # the first failure ends it for the run
             plan = unknowns.hessian_plan
-            if plan.band is None:
-                plan.band = BandLayout(h)
-            s, tau, resid = _factor_step(h, g, plan.band)
+            try:
+                if plan.band is None:
+                    plan.band = BandLayout(h)
+                s, tau, resid = _factor_step(h, g, plan.band)
+            except SingularSystemError as err:
+                report.stop_reason = "singular"
+                err.report = report
+                raise
             krylov_iters = 0
         # the line search and the next gradient run without the Hessian
         del h

@@ -107,6 +107,20 @@ def test_factor_step_gives_up_past_tau_limit(monkeypatch):
         _factor_step(h, np.ones(3), BandLayout(h))
 
 
+def test_singular_system_ends_the_run_with_its_report(monkeypatch):
+    # neither factorization yields a step, so the first Newton system is
+    # refused: the error carries the report, its initial row and no solve
+    monkeypatch.setattr(disclat.solver, "_lu_solve", lambda h, tau, b: None)
+    monkeypatch.setattr(BandLayout, "solve", lambda self, h, tau, b: None)
+    level = Level(4, PHI5)
+    with pytest.raises(SingularSystemError, match="no usable step") as info:
+        newton_minimize(level, LAW, linear_init(level.graph, PHI5))
+    report = info.value.report
+    assert not report.converged and report.stop_reason == "singular"
+    assert report.iterations == 0 and len(report.energy) == 1
+    assert report.krylov_iters == [] and report.lin_resid == []
+
+
 def test_line_search_that_rejects_every_trial_stops_at_the_start(monkeypatch):
     level = Level(4, PHI5)
     start = level.expand(level.reduce(linear_init(level.graph, PHI5)))

@@ -16,7 +16,7 @@ from disclat.experiments import folded_init
 from disclat.io import CHUNK_ROWS, FloatTexts, read_config, write_config, write_table
 from disclat.lattice import LatticeGraph, build_constraints, dump_lattice, rot
 from disclat.render import (FILL_NONPOS, FILL_POSITIVE, MARGIN, SIZE, STROKE,
-                            copy_count, format_points, render_svg)
+                            copy_count, point_texts, render_svg)
 
 PHI5 = 2.0 * np.pi / 5.0
 
@@ -145,6 +145,12 @@ def written(writer, *args, **kwargs):
     return buf.getvalue()
 
 
+def written_lines(writer, *args, **kwargs):
+    """A writer's text as a list of lines, whose first difference pytest
+    names at once; its diff of two long strings can take minutes."""
+    return written(writer, *args, **kwargs).splitlines(keepends=True)
+
+
 @given(st.data())
 def test_render_svg_matches_loop(data):
     # N = 63 has 2080 vertices and 3969 triangles: a full chunk of each and
@@ -165,14 +171,14 @@ def test_render_svg_matches_loop(data):
     amplitude = data.draw(st.sampled_from([0.0, 0.3 / n, 3.0]))
     scale = 10.0 ** data.draw(st.integers(min_value=-8, max_value=6))
     config = (graph.pos + amplitude * jitter) * scale
-    assert (written(render_svg, graph, config, phi=phi)
-            == written(loop_render_svg, graph, config, phi=phi))
+    assert (written_lines(render_svg, graph, config, phi=phi)
+            == written_lines(loop_render_svg, graph, config, phi=phi))
 
 
 def formatted(pix):
-    out = np.empty(len(pix), dtype=object)
-    format_points(np.asarray(pix, dtype=float), out)
-    return out.tolist()
+    """point_texts' rows as strings, their NUL padding dropped."""
+    table = point_texts(np.asarray(pix, dtype=float))
+    return [row.tobytes().replace(b"\0", b"").decode("ascii") for row in table]
 
 
 def by_percent(pix):
@@ -183,14 +189,15 @@ def by_percent(pix):
                                     st.just(2)),
               elements=st.floats(min_value=0.0, max_value=1000.0,
                                  exclude_max=True)))
-def test_format_points_matches_percent(pix):
+def test_point_texts_matches_percent(pix):
     assert formatted(pix) == by_percent(pix)
 
 
-def test_format_points_on_ties_carries_and_the_fallback():
+def test_point_texts_on_ties_carries_and_the_fallback():
     # exact binary ties of the sixth decimal and their neighbours, values
     # whose rounding carries into another digit, and values outside
-    # [1, 1000) or not finite, which only % formats
+    # [1, 1000) or not finite, which only % formats; 1e300's text, over 300
+    # characters, widens the table
     ties = [24.0078125, 696.0078125, 1.5000005, 123.4567895]
     special = [9.9999996, 99.9999996, 999.9999996, 0.9999996, 9.9999994,
                1.0, 10.0, 100.0, 999.999999, -1.0, 1000.0, 0.0, -0.0,
@@ -210,7 +217,8 @@ def test_format_points_on_ties_carries_and_the_fallback():
     pix = np.column_stack([pix, np.roll(pix, 7)])
     pix = np.vstack([pix, pix[:, ::-1]])
     assert formatted(pix) == by_percent(pix)
-    # the nine digit-count groups in one block, each with a fallback row
+    # every pair of integer-part digit counts in one block, each with a
+    # fallback row
     grid = np.array([[x, y] for x in (7.25, 42.125, 421.0625)
                      for y in (3.3, 33.3, 333.3, 24.0078125)])
     assert formatted(grid) == by_percent(grid)
@@ -259,22 +267,13 @@ def test_dump_lattice_matches_loop(data):
         rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
         graph.pos = pool[rng.integers(len(pool), size=graph.pos.shape)]
         graph.weights = pool[rng.integers(len(pool), size=graph.weights.shape)]
-    expected = io.StringIO()
-    loop_dump_lattice(graph, cmap, expected)
-    got = io.StringIO()
-    dump_lattice(graph, cmap, got)
-    assert got.getvalue() == expected.getvalue()
+    assert (written_lines(lambda fh: dump_lattice(graph, cmap, fh))
+            == written_lines(lambda fh: loop_dump_lattice(graph, cmap, fh)))
 
 
 def by_percent_d(line, *columns):
     """The oracle for write_table's integer columns: `line % row` per row."""
     return [line % row for row in zip(*[list(c) for c in columns])]
-
-
-def table_lines(*args):
-    """write_table's text as a list of lines, whose first difference pytest
-    names at once; its diff of two long strings can take minutes."""
-    return written(write_table, *args).splitlines(keepends=True)
 
 
 @given(st.data())
@@ -292,7 +291,7 @@ def test_write_table_integers_match_percent_d(data):
     columns.insert(data.draw(st.integers(0, len(columns))), range(start, start + n))
     line = data.draw(st.sampled_from(["", "t ", "row:"])) + " ".join(
         ["%d"] * len(columns)) + "\n"
-    assert table_lines(line, *columns) == by_percent_d(line, *columns)
+    assert written_lines(write_table, line, *columns) == by_percent_d(line, *columns)
 
 
 def test_write_table_integers_at_powers_of_ten():
@@ -301,7 +300,7 @@ def test_write_table_integers_at_powers_of_ten():
     values = np.array(sorted({v for k in range(10) for v in (10**k - 1, 10**k, 10**k + 1)}))
     for top in values:
         column = values[values <= top]
-        assert (table_lines("%d %d\n", column, column[::-1])
+        assert (written_lines(write_table, "%d %d\n", column, column[::-1])
                 == by_percent_d("%d %d\n", column, column[::-1])), top
 
 
@@ -309,7 +308,7 @@ def test_write_table_integers_at_powers_of_ten():
 def test_write_table_chunks(n):
     ids = np.arange(n, dtype=np.int64) * 7919
     floats = FloatTexts(np.arange(n) % 5 / 3.0)
-    assert (table_lines("r %d %d %s\n", range(n), ids, floats)
+    assert (written_lines(write_table, "r %d %d %s\n", range(n), ids, floats)
             == ["r %d %d %.17g\n" % (k, ids[k], k % 5 / 3.0) for k in range(n)])
 
 
@@ -332,7 +331,7 @@ def test_float_texts_table_holds_each_bit_pattern_once():
     assert ([row.tobytes().rstrip(b"\0").decode() for row in texts.table]
             == ["%.17g" % x for x in keys])
     assert "%.17g" % 5e-324 in [row.tobytes()[:23].decode() for row in texts.table]
-    assert table_lines("%s\n", texts) == ["%.17g\n" % x for x in values.tolist()]
+    assert written_lines(write_table, "%s\n", texts) == ["%.17g\n" % x for x in values.tolist()]
 
 
 @given(st.data())
@@ -349,8 +348,8 @@ def test_write_config_matches_loop(data):
                 psi=data.draw(st.none() | st.sampled_from(["zero", "smoothed_abs"])),
                 kappa=data.draw(st.none() | st.floats()),
                 delta=data.draw(st.none() | st.floats()))
-    assert (written(write_config, config, **meta)
-            == written(loop_write_config, config, **meta))
+    assert (written_lines(write_config, config, **meta)
+            == written_lines(loop_write_config, config, **meta))
 
 
 # spellings float() and int() accept besides the writer's own
@@ -464,7 +463,7 @@ class Sink:
 
 @pytest.mark.parametrize("writer", ["render", "mesh", "config"])
 def test_writer_memory_is_a_chunk_not_the_file(writer):
-    # peaks, against half the output: render 1.83 of 6.78 MB, mesh 311 of
+    # peaks, against half the output: render 1.38 of 6.78 MB, mesh 353 of
     # 598 KB, config 356 KB of 3.17 MB.  The config dump is drawn at N = 512
     # (64 chunks): at N = 128 it is 4.1 chunks, and one chunk's values and
     # text (356 KB) alone pass half of its 391 KB
