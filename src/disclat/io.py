@@ -5,13 +5,13 @@ reproduces the binary float64 values exactly.  The large tables are written
 a chunk of CHUNK_ROWS rows per stream.write, so that a writer's memory stays
 bounded by one chunk, and read_config parses a config dump a chunk of lines
 at a time for the same reason.  The lattice dump and the SVG go through
-write_table, whose columns are non-negative integers and Texts, rows of a
-table of NUL-padded ASCII texts: each chunk is laid out as ASCII bytes in a
+write_table, whose columns are non-negative integers and text columns,
+rows of a table of NUL-padded ASCII texts: each chunk is laid out as ASCII bytes in a
 reused uint8 array, the template's constant text in fixed columns, an
 integer's digits gathered in groups of three from a digit table and a
 text's bytes from its table; dropping the NULs leaves the chunk's text.
-FloatTexts is the Texts of a float column, which formats each distinct
-value once.  The config dump, whose floats are all distinct, goes through
+FloatTexts, the other %s column, formats each distinct value of a float
+column once.  The config dump, whose floats are all distinct, goes through
 write_rows, one `%` of the row template repeated over the chunk.
 """
 
@@ -57,27 +57,30 @@ class Texts:
         return self.table.take(self.index[part], axis=0)
 
 
-class FloatTexts(Texts):
+class FloatTexts:
     """A float column that write_table prints with %.17g, through a %s.
 
     Each distinct value is formatted once, into `table`, one row of ASCII
     bytes per value, NUL-padded to the longest text.  Values are told apart
     by their 64 bits, so -0.0 and 0.0 and NaNs of any payload keep their own
-    texts.  The index is the values' bits, which a chunk's rows look up in
-    the sorted distinct bits by searchsorted, so no whole-column index is
-    ever held.  This pays off on columns of few distinct values, such as
-    the lattice's positions and bond weights.
+    texts.  A chunk's rows look their `bits` up in the sorted distinct bits,
+    `keys`, by searchsorted, so no whole-column index is ever held.  This
+    pays off on columns of few distinct values, such as the lattice's
+    positions and bond weights.
     """
 
     def __init__(self, values):
-        bits = np.asarray(values, dtype=float).view(np.uint64)
-        self.keys = np.unique(bits)
+        self.bits = np.asarray(values, dtype=float).view(np.uint64)
+        self.keys = np.unique(self.bits)
         texts = np.array([FLOAT_FMT % x for x in self.keys.view(float).tolist()],
                          dtype=np.bytes_)
-        super().__init__(texts.view(np.uint8).reshape(len(texts), texts.itemsize), bits)
+        self.table = texts.view(np.uint8).reshape(len(texts), texts.itemsize)
+
+    def __len__(self):
+        return len(self.bits)
 
     def __getitem__(self, part):
-        return self.table.take(np.searchsorted(self.keys, self.index[part]), axis=0)
+        return self.table.take(np.searchsorted(self.keys, self.bits[part]), axis=0)
 
 
 def fill_digits(out, v, groups):
@@ -106,12 +109,13 @@ def write_table(stream, line, *columns):
     stream.write per CHUNK_ROWS rows.
 
     In the template line, each %d is a column of non-negative integers (a
-    numpy integer array or a range) and each %s a Texts, such as a
-    FloatTexts; the rest is written as it stands.  A chunk is laid out in a
+    numpy integer array or a range) and each %s a text column, a Texts or
+    a FloatTexts: its `table` holds NUL-padded texts, and its [part] gives
+    the rows of the slice part; the rest is written as it stands.  A chunk is laid out in a
     reused (m, W) uint8 array, one row per line: the template's constant
     bytes sit in fixed columns, written once; each integer column has
     3 * ceil(d / 3) columns for the d digits of its maximum, which
-    fill_digits fills with groups of three digits from a table; a Texts
+    fill_digits fills with groups of three digits from a table; a text
     column is as wide as its table and takes its rows' texts from it.  All
     padding is NUL, so the array's non-NUL bytes in order are the chunk's
     text.  Raises ValueError, before writing anything, if an integer column
