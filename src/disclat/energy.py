@@ -54,6 +54,10 @@ the even gradient B^T S^T grad E, and the Hessian goes into the pattern of
 a MirrorHessianPlan, laid out in closed form from the lattice's 7-point
 stencil, with a sorted table only for the O(N) seam columns
 (tests/test_mirror_plan.py holds its sort-based predecessor as the oracle).
+The plan owns the stack of 2x2 blocks that its data are gathered from (by
+an int32 index), and _bond_hessians writes the representatives' blocks
+straight into the stack's first rows, so no separate array of them is
+alive.
 """
 
 import numpy as np
@@ -228,11 +232,12 @@ def _bond_gradients(graph, u, law, half=None):
     return coeff[:, None] * d
 
 
-def _bond_hessians(graph, u, law, half=None):
+def _bond_hessians(graph, u, law, half=None, out=None):
     """Assembled Phi spring block of every edge (of half's representatives,
     at their weights), shape (|E|, 2, 2): Phi'' along the bond, Phi'/|bond|
     across it, times 2*|T|*w(e).  Entry (c, d) is along*o + across*(delta_cd
-    - o) with o = unit_c*unit_d.
+    - o) with o = unit_c*unit_d.  The blocks go into out, a C-ordered
+    (|E|, 2, 2) array, when it is given, and into a new array otherwise.
 
     Every per-edge array is written in place by the operations of the
     plain expressions above, at most with a product's operands swapped, so
@@ -253,7 +258,7 @@ def _bond_hessians(graph, u, law, half=None):
     length *= eps
     d /= length[:, None]                 # unit vectors
     del length
-    k = np.empty((len(d), 2, 2))
+    k = np.empty((len(d), 2, 2)) if out is None else out
     o = np.empty(len(d))
     for c, e in ((0, 0), (0, 1), (1, 1)):
         np.multiply(d[:, c], d[:, e], out=o)
@@ -432,17 +437,24 @@ class MirrorHessianPlan:
     (j = 1, i <= j + 2 or i + j = N, and every single) come from a table of
     their block slots sorted by (column, row); nothing else is sorted.
 
-    data() forms a stack of 2 x 2 blocks: -B of every representative, the
-    framed edges' blocks A_a^T (-B) A_a, A_b^T (-B)^T A_b and A_a^T (-B) A_b,
-    the own edges' negated blocks, then the diagonal blocks of the bulk and
-    of the seam.  A diagonal block is minus the sum of its terms: the
-    blocks at its plain a ends, its framed ends and its own edges, in that
-    order, plus the transpose of the sum of those at its plain b ends, each
-    kind in representative order.  diagonal_terms lists the three a and the
+    stack() allocates the (n_stack, 2, 2) stack of 2 x 2 blocks whose
+    first n_rep rows take the representatives' blocks B; assemble_hessian
+    writes them there through _bond_hessians' out.  data() fills the rest
+    in place: it negates the first rows to -B, then writes the framed
+    edges' blocks A_a^T (-B) A_a, A_b^T (-B)^T A_b and A_a^T (-B) A_b, the
+    own edges' negated blocks, then the diagonal blocks of the bulk and of
+    the seam.  A diagonal block is minus the sum of its terms: the blocks
+    at its plain a ends, its framed ends and its own edges, in that order,
+    plus the transpose of the sum of those at its plain b ends, each kind
+    in representative order.  diagonal_terms lists the three a and the
     three b terms of each bulk block; the seam blocks sum theirs (table) by
-    np.bincount.  gather names the stack entry of every CSC data slot;
-    diagonal names the slots of the diagonal blocks, (0, 0), (0, 1), (1, 0)
-    and (1, 1) of each pair, then (0, 0) of each single.
+    np.bincount.  gather names the entry of the flat stack behind every
+    CSC data slot.  It is int32, half the size of an intp gather (which
+    would be as large as the matrix data): its entries lie below
+    4 n_stack, n_stack is about N^2 (67,325 at N = 256), so they fit up to
+    N of about 23,000, far past any lattice that fits in memory.
+    diagonal names the slots of the diagonal blocks, (0, 0), (0, 1),
+    (1, 0) and (1, 1) of each pair, then (0, 0) of each single.
     """
 
     def __init__(self, graph, unknowns):
@@ -463,7 +475,8 @@ class MirrorHessianPlan:
                        for ends in (a, b)]
         self.mirror = unknowns.mirror
 
-        n_rep, n1 = len(a), len(self.framed)
+        self.n_rep = n_rep = len(a)
+        n1 = len(self.framed)
         nb, p = len(unknowns.owners), unknowns.n_pairs
         m = np.arange(nb)
         fa, fb = ma.take(self.framed), mb.take(self.framed)
@@ -554,7 +567,7 @@ class MirrorHessianPlan:
         stride = length.take(cols_t)
         row0, entry = offset.take(rows_t), 4 * src_t
         self.indices = np.empty(self.nnz + 1, dtype=np.int32)
-        self.gather = np.empty(self.nnz + 1, dtype=np.intp)
+        self.gather = np.empty(self.nnz + 1, dtype=np.int32)
         # stack entry (r, q) of a block is 2 r + q, or 2 q + r when flipped
         for q, r, e in ((0, 0, entry), (0, 1, entry + 2 - flip), (1, 0, entry + 1 + flip),
                         (1, 1, entry + 3)):
@@ -590,12 +603,18 @@ class MirrorHessianPlan:
         # every matrix shares these: an in-place change would corrupt the plan
         self.indices.flags.writeable = self.indptr.flags.writeable = False
 
-    def data(self, blocks):
+    def stack(self):
+        """A new, unfilled stack for data(), shape (n_stack, 2, 2); the
+        caller writes the representatives' blocks into its first n_rep
+        rows."""
+        return np.empty((self.n_stack, 2, 2))
+
+    def data(self, stack):
         """CSC data of the even Hessian whose representative edge (a, b) has
-        the block B = blocks[e] (its multiplicity included)."""
-        n, n1 = len(blocks), len(self.framed)
-        stack = np.empty((self.n_stack, 2, 2))
-        neg = np.subtract(0.0, blocks, out=stack[:n])
+        the block B = stack[e] (its multiplicity included), e < n_rep.
+        The stack, from stack(), is negated and filled in place."""
+        n, n1 = self.n_rep, len(self.framed)
+        neg = np.subtract(0.0, stack[:n], out=stack[:n])
         x = neg.take(self.framed, axis=0)
         fa, fb = self.frames
         stack[n:n + n1] = fa.swapaxes(1, 2) @ x @ fa
@@ -622,7 +641,9 @@ class MirrorHessianPlan:
                             minlength=4 * (len(stack) - d1)).reshape(-1, 2, 2)
                 for terms, target in self.table)
         np.subtract(0.0, a + b.swapaxes(1, 2), out=stack[d1:])
-        return stack.ravel().take(self.gather)
+        # fancy indexing casts the int32 gather through a small buffer,
+        # where take would first copy all of it to intp
+        return stack.ravel()[self.gather]
 
     def matrix(self, data):
         """The even CSC matrix with these data; it shares the index arrays
@@ -724,15 +745,23 @@ def assemble_hessian(graph, config, law, cmap, layout):
                                else MirrorHessianPlan(graph, layout))
     plan = layout.hessian_plan
     u = np.asarray(config, dtype=float)
-    blocks = _bond_hessians(graph, u, law, half)
     if law.psi_name != "zero":
         # det is translation invariant, so each cell's Psi Hessian is a sum
         # over its edges (a, b) of -P at (a, a), -P^T at (b, b), P at (a, b)
-        # and P^T at (b, a), where P is the cell's block [a, b]
+        # and P^T at (b, a), where P is the cell's block [a, b]; formed
+        # first, so that no bond block is alive while it is
         psi = _psi_edge_hessians(graph, u, law)
         if half is not None:
             # at the representatives' multiplicity; 0.5 * (2 x) is x exactly
             psi = 2.0 * psi.take(half.edges, axis=0)
             psi[half.own] *= 0.5
+    if half is None:
+        blocks = stack = _bond_hessians(graph, u, law)
+    else:
+        # the bond blocks go straight into the first rows of the plan's stack
+        stack = plan.stack()
+        blocks = _bond_hessians(graph, u, law, half, stack[:plan.n_rep])
+    if law.psi_name != "zero":
         blocks -= psi
-    return plan.matrix(plan.data(blocks))
+        del psi
+    return plan.matrix(plan.data(stack))

@@ -84,7 +84,7 @@ class LatticeGraph:
     holds them.  A MirrorLevel's solve under the bond law (psi="zero")
     reads none; under psi="smoothed_abs", assemble_hessian's
     _psi_edge_hessians builds tris and every cell's determinant gradient
-    (ROADMAP item 5, step 0, would form them on the half).
+    (ROADMAP item 13 would form them on the half).
 
     Attributes
     ----------

@@ -269,9 +269,16 @@ def test_render_deterministic_and_copies(tmp_path):
       "4cda26bd295333be9c1e271ed434720ac65d0882c38b4d95caf1cd2f9fb759ed"),
      (["fold-study", "--phi", "7", "--eps-exp", "4", "--max-folds", "3", "--psi", "smoothed_abs"],
       "fold_phi7.csv",
-      "467cad69f5e3fa505c681010cc3745badd4f5f1a550422ebb0fc936b26a1c8b0")],
+      "467cad69f5e3fa505c681010cc3745badd4f5f1a550422ebb0fc936b26a1c8b0"),
+     # even-half solves: prolonged starts through MirrorHessianPlan
+     (["sweep", "--phi", "5", "--eps-max-exp", "5"], "sweep_phi5.csv",
+      "7ee65926d0bff8a90f43698ed48f55ad366c35ac9759e98b361fa4423956b180"),
+     (["sweep", "--phi", "7", "--eps-max-exp", "5"], "sweep_phi7.csv",
+      "96d9b015d6ba28ec7982a7d714e459cd7cfceb87a37d0901ea9cbc56cf15ac2b"),
+     (["sweep", "--phi", "5", "--eps-max-exp", "5", "--psi", "smoothed_abs"], "sweep_phi5.csv",
+      "b17e6997b4fee9d57b156a67a0d30e8386f0cd7a3d0242d670fb8dff4a8e3e71")],
     ids=["mesh", "render", "verify", "minimize", "minimize-penalized", "fold-study",
-         "fold-study-penalized"],
+         "fold-study-penalized", "sweep-5", "sweep-7", "sweep-5-penalized"],
 )
 def test_output_bytes_are_pinned(tmp_path, argv, name, digest):
     assert main(argv + ["--out", str(tmp_path)]) == 0

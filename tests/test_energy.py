@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 import scipy.sparse as sp
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from disclat.energy import (
     BOND_DIRECTIONS,
@@ -327,23 +327,29 @@ def oracle_tri_geometry(graph, u):
     return (d1, d2, d3), lengths, det
 
 
-def oracle_gradient(graph, u, law, cmap):
+def oracle_gradient(graph, u, law, cmap, magnitude=False):
+    """The reduced gradient summed triangle by triangle; with
+    magnitude=True, the same sums over the absolute values of their terms
+    (every pull, and every slave row through |R_phi|), the scale that their
+    roundoff is relative to."""
+    term, minus = (np.abs, 1.0) if magnitude else (np.positive, -1.0)
     (d1, d2, d3), lengths, det = oracle_tri_geometry(graph, u)
     eps = graph.eps
     g = np.zeros(graph.tris.shape + (2,))
     for dvec, length, s, t in zip((d1, d2, d3), lengths, (0, 0, 1), (1, 2, 2)):
-        pull = (law.dPhi(length - 1.0) / (eps * eps * length))[:, None] * dvec
+        pull = term((law.dPhi(length - 1.0) / (eps * eps * length))[:, None] * dvec)
         g[:, t] += pull
-        g[:, s] -= pull
+        g[:, s] += minus * pull
     c0 = 2.0 / (SQRT3 * eps * eps)
-    gb = (law.dPsi(det) * c0)[:, None] * np.column_stack([d2[:, 1], -d2[:, 0]])
-    gc = -(law.dPsi(det) * c0)[:, None] * np.column_stack([d1[:, 1], -d1[:, 0]])
+    gb = term((law.dPsi(det) * c0)[:, None] * np.column_stack([d2[:, 1], -d2[:, 0]]))
+    gc = term(-(law.dPsi(det) * c0)[:, None] * np.column_stack([d1[:, 1], -d1[:, 0]]))
     g[:, 1] += gb
     g[:, 2] += gc
-    g[:, 0] -= gb + gc
+    g[:, 0] += minus * (gb + gc)
     full = np.zeros_like(u)
     np.add.at(full, graph.tris, graph.triangle_area() * g)
-    return loop_select(graph, cmap).T @ full.ravel()
+    select = loop_select(graph, cmap)
+    return (abs(select) if magnitude else select).T @ full.ravel()
 
 
 def oracle_hessian(graph, u, law, cmap):
@@ -381,10 +387,42 @@ def oracle_hessian(graph, u, law, cmap):
     return (select.T @ full @ select).tocsr()
 
 
+def gradient_roundoff(graph, u, law, cmap, size):
+    """u (40 T + 6 C) for every reduced gradient entry: how far two float64
+    assemblies of it can differ when each sums the same terms in its own
+    order, from edge vectors that differ by at most 6 u size between the
+    two (a forward error analysis to first order in the unit roundoff u;
+    Higham, *Accuracy and Stability of Numerical Algorithms*, 2002,
+    ch. 3-4).
+
+    - T is the sum of the absolute values of the entry's terms.  A term
+      takes at most 6 roundings of its own after its stretch (the scale,
+      dPhi, the division by eps^2 |d| and the product with d) and at most
+      12 in the sums that carry it to the entry: in the oracle, 3 within
+      its triangle, 1 for the area, 5 over a vertex's 6 triangles and 3
+      for a slave's row through R_phi; the bond assembly and the even
+      gradient's fold take no more.  So each side lies within 18 u T of
+      the exact sum of the terms it formed, and the two within 36 u T,
+      rounded up to 40 u T.
+    - C = |H| size 1, H the Hessian, bounds the sum of the terms'
+      derivatives times an input change of size at every vertex, so the
+      two sides' inputs move their terms apart by at most 6 u C.  Near a
+      stretch of 1 this is what dominates: a term's own roundings are
+      relative to a Phi'(l - 1) that cancels, its inputs' are not."""
+    terms = oracle_gradient(graph, u, law, cmap, magnitude=True)
+    reach = abs(oracle_hessian(graph, u, law, cmap)) @ np.full(len(terms), size)
+    return np.finfo(float).eps / 2.0 * (40.0 * terms + 6.0 * reach)
+
+
 def assert_matches_oracle(g, u, law, cmap, layout):
     grad = assemble_gradient(g, u, law, cmap, layout)
     grad_ref = oracle_gradient(g, u, law, cmap)
-    assert np.abs(grad - grad_ref).max() <= 1e-13 * np.abs(grad_ref).max()
+    # each side forms every edge vector d to within 3 u |d| (the oracle's
+    # third edge is d2 - d1, the assembly's u_c - u_b), so size is the
+    # longest edge; the found example cancels to 6.2e-4 from terms of 1.5,
+    # and its two sums differ by 1.1e-16
+    size = np.hypot(*(u[g.edges[:, 1]] - u[g.edges[:, 0]]).T).max()
+    assert np.all(np.abs(grad - grad_ref) <= gradient_roundoff(g, u, law, cmap, size))
     hess = assemble_hessian(g, u, law, cmap, layout)
     hess_ref = oracle_hessian(g, u, law, cmap)
     assert hess.format == "csc" and hess.has_sorted_indices
@@ -399,6 +437,7 @@ def assert_matches_oracle(g, u, law, cmap, layout):
     st.sampled_from(["zero", "smoothed_abs"]),
     st.integers(min_value=0, max_value=2**32 - 1),
 )
+@example(n=1, phi=2.333984375, p=2.0, psi="smoothed_abs", seed=200)
 def test_bond_assembly_matches_triangle_oracle(n, phi, p, psi, seed):
     g = LatticeGraph(n)
     law = MaterialLaw(p=p, psi=psi)
