@@ -25,9 +25,9 @@ def triangle_dets(graph, config):
 
 
 def det_summary(graph, config):
-    """(per-triangle dets, min det, count of nonpositive dets)."""
+    """(min det, count of nonpositive dets) of the triangles."""
     dets = triangle_dets(graph, config)
-    return dets, float(dets.min()), int(np.sum(dets <= 0.0))
+    return float(dets.min()), int(np.sum(dets <= 0.0))
 
 
 class Svd2:

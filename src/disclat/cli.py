@@ -132,7 +132,7 @@ def cmd_mesh(args):
 
 def cmd_minimize(args):
     from .analysis import det_summary
-    from .io import write_config
+    from .io import write_config, write_csv
     from .lattice import Level
     from .solver import newton_minimize
 
@@ -143,13 +143,14 @@ def cmd_minimize(args):
     opts = make_options(args)
     init = build_init(args, level)
     config, report = newton_minimize(level, law, init, opts)
-    _, min_det, nonpos = det_summary(level.graph, config)
+    min_det, nonpos = det_summary(level.graph, config)
     energy = report.energy[-1]
     if args.out is not None:
         write_output(args, "config_eps%d.txt" % k, lambda fh: write_config(
             fh, config, phi=phi, n=level.n, p=law.p, psi=law.psi_name,
             kappa=law.kappa, delta=law.delta))
-        write_output(args, "solve_eps%d.csv" % k, report.write_csv)
+        write_output(args, "solve_eps%d.csv" % k,
+                     lambda fh: write_csv(fh, report.COLUMNS, report.rows()))
     print(
         "phi=%.6f eps=2^-%d energy=%.10e iters=%d grad_inf=%.3e "
         "min_det=%.6f nonpos_dets=%d converged=%s"
@@ -161,14 +162,14 @@ def cmd_minimize(args):
 
 def cmd_sweep(args):
     from .experiments import run_sweep
-    from .io import write_sweep_csv
+    from .io import write_csv
 
     phi = parse_phi(args.phi)
     law = make_law(args)
     opts = make_options(args)
     record = run_sweep(phi, args.eps_max_exp, law, opts, cold_start=args.cold_start)
     write_output(args, "sweep_phi%s.csv" % phi_slug(args.phi),
-                 lambda fh: write_sweep_csv(fh, record))
+                 lambda fh: write_csv(fh, record.COLUMNS, record.rows()))
     # the summary follows a CSV file; without --out stdout is the CSV alone
     rows = record.rows() if args.out is not None else []
     for _, k, energy, p_eps, min_det, _, iters, conv in rows:
@@ -183,15 +184,17 @@ def cmd_sweep(args):
 
 def cmd_fold_study(args):
     from .experiments import run_fold_study
-    from .io import write_fold_csv
+    from .io import write_csv
 
     phi = parse_phi(args.phi)
     law = make_law(args)
     opts = make_options(args)
     results = run_fold_study(phi, law, eps_exp=args.eps_exp,
                              max_folds=args.max_folds, opts=opts)
-    write_output(args, "fold_phi%s.csv" % phi_slug(args.phi),
-                 lambda fh: write_fold_csv(fh, phi, results))
+    write_output(args, "fold_phi%s.csv" % phi_slug(args.phi), lambda fh: write_csv(
+        fh, "phi,folds,energy,min_det,nonpos_det_count",
+        [(phi, r["folds"], r["energy"], r["min_det"], r["nonpos_det_count"])
+         for r in results]))
     # the summary follows a CSV file; without --out stdout is the CSV alone
     rows = results if args.out is not None else []
     for row in rows:

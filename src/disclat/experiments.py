@@ -221,7 +221,10 @@ class NonMonotoneError(RuntimeError):
 
 
 class SweepRecord:
-    """Per-level results of one eps-halving sweep (lists indexed by level)."""
+    """Per-level results of one eps-halving sweep (lists indexed by level).
+    rows() are the rows of its CSV, whose header is COLUMNS."""
+
+    COLUMNS = "phi,eps_exp,energy,p_eps,min_det,nonpos_det_count,iters,converged"
 
     def __init__(self, phi):
         self.phi = phi
@@ -249,7 +252,6 @@ class SweepRecord:
             return None
 
     def rows(self):
-        """CSV rows: phi,eps_exp,energy,p_eps,min_det,nonpos_det_count,iters,converged."""
         columns = zip(self.eps_exps, self.energies, self.min_dets,
                       self.nonpos_counts, self.iterations, self.converged)
         return [(self.phi, k, e, self.p_eps(i), d, c, it, conv)
@@ -304,7 +306,7 @@ def run_sweep(phi, k_max, law, opts=None, cold_start=False, keep_configs=False):
                                    two_grid if level.n > COARSE_LU_MAX else None)
         except Exception as err:
             raise RuntimeError("sweep failed at eps = 2^-%d: %s" % (k, err)) from err
-        min_det, nonpos = det_summary(level.graph, config)[1:]
+        min_det, nonpos = det_summary(level.graph, config)
         record.eps_exps.append(k)
         record.energies.append(report.energy[-1])
         record.iterations.append(report.iterations)
@@ -340,7 +342,7 @@ def run_fold_study(phi, law, eps_exp, max_folds, opts=None):
             _fold(level.graph, reference, folds)
         init = folded_init(level.graph, phi, folds, level, reference)
         config, report = newton_minimize(level, law, init, opts)
-        _, min_det, nonpos = det_summary(level.graph, config)
+        min_det, nonpos = det_summary(level.graph, config)
         results.append(
             {
                 "folds": folds,

@@ -1,7 +1,10 @@
 """File formats: configuration dumps, experiment CSVs, verification JSONL.
 
 All floats are printed with %.17g so that a dump/parse round trip
-reproduces the binary float64 values exactly.  The large tables are written
+reproduces the binary float64 values exactly.  The sweep, fold and solve
+CSVs go through write_csv, and their fields and the config dump's header
+values through one rule, field: None prints nothing, a str as it stands, a
+float by %.17g and any other value by %d.  The large tables are written
 a chunk of CHUNK_ROWS rows per stream.write, so that a writer's memory stays
 bounded by one chunk, and read_config parses a config dump a chunk of lines
 at a time for the same reason.  The lattice dump and the SVG go through
@@ -35,10 +38,6 @@ _LEAD[:10, 1] = 0
 # leading group k above the units, where a leading 0 is no digits at all
 _GROUPS = np.concatenate([DIGITS, _LEAD, _LEAD])
 _GROUPS[2000] = 0
-
-
-def _fmt(x):
-    return FLOAT_FMT % float(x)
 
 
 class Texts:
@@ -196,21 +195,11 @@ def write_config(stream, config, phi=None, n=None, p=None, psi=None,
     one `u <id> <ux> <uy>` line per vertex.  A parameter left at None is
     not written; MaterialLaw keeps kappa and delta None unless psi is
     smoothed_abs, the one penalty they parametrize."""
-    meta = []
-    if phi is not None:
-        meta.append("phi=" + _fmt(phi))
-    if n is not None:
-        meta.append("n=%d" % n)
-    if p is not None:
-        meta.append("p=" + _fmt(p))
-    if psi is not None:
-        meta.append("psi=%s" % psi)
-    if kappa is not None:
-        meta.append("kappa=" + _fmt(kappa))
-    if delta is not None:
-        meta.append("delta=" + _fmt(delta))
+    meta = " ".join("%s=%s" % (key, field(value)) for key, value in (
+        ("phi", phi), ("n", n), ("p", p), ("psi", psi), ("kappa", kappa),
+        ("delta", delta)) if value is not None)
     if meta:
-        stream.write("# " + " ".join(meta) + "\n")
+        stream.write("# " + meta + "\n")
     ux, uy = np.asarray(config, dtype=float).T
     write_rows(stream, "u %d %.17g %.17g\n", range(len(ux)), ux, uy)
 
@@ -334,39 +323,24 @@ def read_config(stream):
     return config if n else np.array([]), meta
 
 
-def write_sweep_csv(stream, record):
-    """phi,eps_exp,energy,p_eps,min_det,nonpos_det_count,iters,converged"""
-    stream.write("phi,eps_exp,energy,p_eps,min_det,nonpos_det_count,iters,converged\n")
-    for phi, k, energy, p_eps, min_det, nonpos, iters, conv in record.rows():
-        stream.write(
-            "%s,%d,%s,%s,%s,%d,%d,%d\n"
-            % (
-                _fmt(phi),
-                k,
-                _fmt(energy),
-                "" if p_eps is None else _fmt(p_eps),
-                _fmt(min_det),
-                nonpos,
-                iters,
-                1 if conv else 0,
-            )
-        )
+def field(x):
+    """The text of one CSV or config-header field: nothing for None, a str
+    as it stands, a float by %.17g, and every other value (a Python or
+    numpy int or bool) by %d."""
+    if x is None:
+        return ""
+    if isinstance(x, str):
+        return x
+    if isinstance(x, float):
+        return FLOAT_FMT % x
+    return "%d" % x
 
 
-def write_fold_csv(stream, phi, results):
-    """phi,folds,energy,min_det,nonpos_det_count"""
-    stream.write("phi,folds,energy,min_det,nonpos_det_count\n")
-    for row in results:
-        stream.write(
-            "%s,%d,%s,%s,%d\n"
-            % (
-                _fmt(phi),
-                row["folds"],
-                _fmt(row["energy"]),
-                _fmt(row["min_det"]),
-                row["nonpos_det_count"],
-            )
-        )
+def write_csv(stream, columns, rows):
+    """Write the header line columns, then one line per row of rows, its
+    values' fields (see field) joined by commas, in one stream.write."""
+    stream.write("".join([columns + "\n"] + [
+        ",".join(map(field, row)) + "\n" for row in rows]))
 
 
 def write_verify_jsonl(stream, results):

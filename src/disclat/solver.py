@@ -104,8 +104,12 @@ class SolveReport:
     "stalled_line_search" (a step came out zero, as when the line search
     accepted no trial), or "singular" on the report that newton_minimize
     attaches as .report to the SingularSystemError it raises when no
-    factorization gives a step; it is None until the run ends.
+    factorization gives a step; it is None until the run ends.  converged
+    is stop_reason == "converged".  rows() are the rows of its CSV, whose
+    header is COLUMNS.
     """
+
+    COLUMNS = "iter,energy,grad_inf,step_norm,tau"
 
     def __init__(self):
         self.energy = []
@@ -114,8 +118,11 @@ class SolveReport:
         self.tau = []
         self.krylov_iters = []
         self.lin_resid = []
-        self.converged = False
         self.stop_reason = None
+
+    @property
+    def converged(self):
+        return self.stop_reason == "converged"
 
     @property
     def iterations(self):
@@ -139,11 +146,9 @@ class SolveReport:
             ratios.append(g[k] / g[k - 1] ** 2 if g[k - 1] > 0 else np.inf)
         return ratios
 
-    def write_csv(self, stream):
-        stream.write("iter,energy,grad_inf,step_norm,tau\n")
-        rows = zip(self.energy, self.grad_inf, self.step_norm, self.tau)
-        for k, (e, g, s, t) in enumerate(rows):
-            stream.write("%d,%.17g,%.17g,%.17g,%.17g\n" % (k, e, g, s, t))
+    def rows(self):
+        return list(zip(range(len(self.energy)), self.energy, self.grad_inf,
+                        self.step_norm, self.tau))
 
 
 class BandLayout:
@@ -352,10 +357,12 @@ def hand_over(level, law, config, two_grid=None):
     factors only its coarsest level.  Otherwise it is the solve of the LU
     of H.  None when that LU fails.
 
-    The LU stays a SuperLU factorization: TwoGrid solves with it about a
-    dozen times per level it serves (30-50 times for the LU of N = 32 in a
-    sweep to 2^-8, which the nested cycles use up to N = 256), where a
-    banded solve is slower."""
+    The LU stays a SuperLU factorization although a banded Cholesky is
+    faster here (at N = 32, dpbtrf/dpbtrs took 0.24/0.026 ms against
+    SuperLU's 3.21/0.107 ms): perfbench's one solver.factor span wraps
+    splu, and perfbench/tests needs solver.factor_calls > 0 on the sweep,
+    so the switch (ROADMAP item 14) waits on a perfbench span for the band
+    (item 2)."""
     h = assemble_hessian(level.graph, config, law, level.cmap, level.unknowns)
     coarse_solve = None if two_grid is None else two_grid.preconditioner(h)
     if coarse_solve is None:
@@ -385,9 +392,9 @@ def newton_minimize(level, law, init, opts=None, two_grid=None):
     from that expansion, and each line-search trial expands its own point.
 
     Returns (configuration, SolveReport).  The report's last energy is that
-    of the returned configuration, bit for bit.  Its converged flag is
-    False when max_iter runs out or a step stalls before the reduced
-    gradient infinity-norm drops to grad_tol; its stop_reason names which.
+    of the returned configuration, bit for bit.  Its stop_reason is
+    "converged" when the reduced gradient infinity-norm ends at or below
+    grad_tol, else "max_iter" or "stalled_line_search".
     A Newton system that BandLayout refuses or _factor_step cannot solve
     raises SingularSystemError, whose .report is the report so far, with
     stop_reason "singular".
@@ -449,8 +456,7 @@ def newton_minimize(level, law, init, opts=None, two_grid=None):
         if np.linalg.norm(step) == 0.0:
             report.stop_reason = "stalled_line_search"
             break
-    report.converged = gnorm <= opts.grad_tol
-    if report.converged:
+    if gnorm <= opts.grad_tol:
         report.stop_reason = "converged"
     elif report.stop_reason is None:
         report.stop_reason = "max_iter"

@@ -167,11 +167,11 @@ def test_fold_study_rejects_too_many_folds(tmp_path, capsys):
 
 def test_sweep_leaves_no_partial_csv(tmp_path, monkeypatch, capsys):
     # a writer that fails after its first line takes its file with it
-    def failing_writer(fh, record):
+    def failing_writer(fh, columns, rows):
         fh.write("phi,eps_exp\n")
         raise OSError("disk full")
 
-    monkeypatch.setattr(disclat.io, "write_sweep_csv", failing_writer)
+    monkeypatch.setattr(disclat.io, "write_csv", failing_writer)
     code = main(["sweep", "--eps-max-exp", "2", "--out", str(tmp_path)])
     assert code == 1
     assert capsys.readouterr().err == "error: disk full\n"
@@ -262,6 +262,8 @@ def test_render_deterministic_and_copies(tmp_path):
      # full-lattice solves: cold folded starts through HessianPlan
      (["minimize", "--phi", "7", "--eps-exp", "4", "--init", "fold:3"], "config_eps4.txt",
       "9fe07353f22530ee80efad8569eede673edf26d5d8525707e340d8c385e07cf1"),
+     (["minimize", "--phi", "7", "--eps-exp", "4", "--init", "fold:3"], "solve_eps4.csv",
+      "70fa232e3e19a2a2d6c0eadb750ffc52b9ef8933cb9693a7120c31dc12e90342"),
      (["minimize", "--phi", "7", "--eps-exp", "4", "--init", "fold:3", "--psi", "smoothed_abs"],
       "config_eps4.txt",
       "fe2616a5904c0e8c814345f6589dd2d37e8d8143d2bd9d4138a67b5882eef3e2"),
@@ -276,9 +278,12 @@ def test_render_deterministic_and_copies(tmp_path):
      (["sweep", "--phi", "7", "--eps-max-exp", "5"], "sweep_phi7.csv",
       "96d9b015d6ba28ec7982a7d714e459cd7cfceb87a37d0901ea9cbc56cf15ac2b"),
      (["sweep", "--phi", "5", "--eps-max-exp", "5", "--psi", "smoothed_abs"], "sweep_phi5.csv",
-      "b17e6997b4fee9d57b156a67a0d30e8386f0cd7a3d0242d670fb8dff4a8e3e71")],
-    ids=["mesh", "render", "verify", "minimize", "minimize-penalized", "fold-study",
-         "fold-study-penalized", "sweep-5", "sweep-7", "sweep-5-penalized"],
+      "b17e6997b4fee9d57b156a67a0d30e8386f0cd7a3d0242d670fb8dff4a8e3e71"),
+     (["sweep", "--phi", "7", "--eps-max-exp", "5", "--psi", "smoothed_abs"], "sweep_phi7.csv",
+      "fb14d062adb05404adc354429841c7e2e8e73bf4e96647bfe221f1efe8ff898d")],
+    ids=["mesh", "render", "verify", "minimize", "minimize-solve", "minimize-penalized",
+         "fold-study", "fold-study-penalized", "sweep-5", "sweep-7", "sweep-5-penalized",
+         "sweep-7-penalized"],
 )
 def test_output_bytes_are_pinned(tmp_path, argv, name, digest):
     assert main(argv + ["--out", str(tmp_path)]) == 0

@@ -16,6 +16,7 @@ from disclat.energy import (
     assemble_hessian,
 )
 from disclat.experiments import linear_init, prolong, prolongation_matrix
+from disclat.io import write_csv
 from disclat.lattice import Level, MirrorLevel
 from disclat.solver import (
     BAND_MAX_SLOTS,
@@ -244,7 +245,7 @@ def test_indefinite_system_takes_the_lu_step(monkeypatch):
 def test_report_csv_shape():
     _, _, report = solve()
     buf = io.StringIO()
-    report.write_csv(buf)
+    write_csv(buf, report.COLUMNS, report.rows())
     lines = buf.getvalue().strip().split("\n")
     assert lines[0] == "iter,energy,grad_inf,step_norm,tau"
     assert len(lines) == report.iterations + 2     # header + rows incl. iter 0

@@ -13,7 +13,8 @@ from hypothesis.extra.numpy import arrays
 
 from disclat.analysis import triangle_dets
 from disclat.experiments import folded_init
-from disclat.io import CHUNK_ROWS, FloatTexts, read_config, write_config, write_table
+from disclat.io import (CHUNK_ROWS, FloatTexts, field, read_config, write_config,
+                        write_table)
 from disclat.lattice import LatticeGraph, build_constraints, dump_lattice, rot
 from disclat.render import (FILL_NONPOS, FILL_POSITIVE, MARGIN, SIZE, STROKE,
                             copy_count, point_texts, render_svg)
@@ -350,6 +351,19 @@ def test_write_config_matches_loop(data):
                 delta=data.draw(st.none() | st.floats()))
     assert (written_lines(write_config, config, **meta)
             == written_lines(loop_write_config, config, **meta))
+
+
+@pytest.mark.parametrize("value, text", [
+    (None, ""), ("smoothed_abs", "smoothed_abs"), (True, "1"), (False, "0"),
+    (np.True_, "1"), (np.False_, "0"), (7, "7"), (np.int64(56), "56"),
+    (2.0, "2"), (np.float64(0.1), "0.10000000000000001"),
+    (2.0 * np.pi / 5.0, "1.2566370614359172"), (-0.0, "-0"),
+    (float("nan"), "nan"), (float("inf"), "inf"), (-np.inf, "-inf")])
+def test_field_prints_the_texts_of_the_old_writers(value, text):
+    # the texts the hand-written table writers printed: "" for a missing
+    # p_eps, %s for psi, 1/0 for a converged flag, %d for counts, %.17g for
+    # floats
+    assert field(value) == text
 
 
 # spellings float() and int() accept besides the writer's own
