@@ -205,19 +205,12 @@ def _even_index(block, c, n_pairs):
 
 
 def estimate_rate(e_eps, e_2eps, e_4eps):
-    """Empirical power-law exponent from three energies at eps, 2eps, 4eps."""
-    num = e_4eps - e_2eps
+    """Empirical power-law exponent from three energies at eps, 2eps, 4eps;
+    None when it is undefined: equal energies at eps and 2eps, or energy
+    differences that change sign."""
     den = e_2eps - e_eps
-    if den == 0.0:
-        raise NonMonotoneError("equal energies, rate undefined")
-    ratio = num / den
-    if ratio <= 0.0:
-        raise NonMonotoneError("energy differences change sign (ratio %g)" % ratio)
-    return np.log2(ratio)
-
-
-class NonMonotoneError(RuntimeError):
-    pass
+    ratio = (e_4eps - e_2eps) / den if den != 0.0 else 0.0
+    return None if ratio <= 0.0 else np.log2(ratio)
 
 
 class SweepRecord:
@@ -242,14 +235,11 @@ class SweepRecord:
         levels); None when not defined."""
         if level_index < 2:
             return None
-        try:
-            return estimate_rate(
-                self.energies[level_index],
-                self.energies[level_index - 1],
-                self.energies[level_index - 2],
-            )
-        except NonMonotoneError:
-            return None
+        return estimate_rate(
+            self.energies[level_index],
+            self.energies[level_index - 1],
+            self.energies[level_index - 2],
+        )
 
     def rows(self):
         columns = zip(self.eps_exps, self.energies, self.min_dets,

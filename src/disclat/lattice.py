@@ -266,7 +266,8 @@ def reduce_config(config, layout):
 
 
 class MirrorLayout:
-    """The mirror-even unknowns of a lattice under the constraint map cmap.
+    """The mirror-even unknowns of a lattice under the constraint
+    u(R60 x) = R_phi u(x) of wedge angle phi.
 
     M = [[cos phi, sin phi], [sin phi, -cos phi]] is the reflection across
     the line at angle phi/2.  u -> M u(j, i) maps admissible configurations
@@ -281,6 +282,8 @@ class MirrorLayout:
     its mirror vertex (j, i), and the origin is pinned.  The even vector
     lists the pairs first, two numbers each, then the single numbers, each
     group in vertex id order: n_reduced is half of DofLayout.n_reduced.
+    expand writes the configuration of an even vector straight from these
+    tables, so the layout needs no DofLayout of its lattice.
 
     owners lists the vertex of each block (n_pairs pairs, then the singles)
     and axes the unit axis of each single as a complex number: 1 on
@@ -310,7 +313,7 @@ class MirrorLayout:
     weights, tris) and builds none of them.
     """
 
-    def __init__(self, graph, cmap, layout):
+    def __init__(self, graph, phi):
         n, vid = graph.n, graph.vertex_id
         rows = np.arange(1, n + 1)
         pi, pj = _runs(rows, rows + 1, n + 1 - rows)              # i > j >= 1
@@ -320,9 +323,9 @@ class MirrorLayout:
         self.owners = np.concatenate([pairs, np.arange(1, n + 1), vid(k, k)])
         self.n_pairs = len(pairs)
         self.n_reduced = 2 * len(pairs) + n + len(k)
-        self.axis = np.exp(0.5j * cmap.phi)
+        self.axis = np.exp(0.5j * phi)
         self.axes = np.concatenate([np.ones(n, dtype=np.complex128), np.full(len(k), self.axis)])
-        self.w = np.exp(1j * cmap.phi)
+        self.w = np.exp(1j * phi)
         self.mirror = np.array([[self.w.real, self.w.imag], [self.w.imag, -self.w.real]])
         self.block = np.full(graph.n_vertices, -1, dtype=np.int64)
         self.block[self.owners] = np.arange(len(self.owners))
@@ -330,8 +333,6 @@ class MirrorLayout:
         self.upper = vid(ui, uj)
         self.upper_images = vid(uj, ui)
         self.block[self.upper] = self.block.take(self.upper_images)
-        # reduced blocks of the owners and of the pairs' mirror vertices
-        self._reduced = (layout.block.take(self.owners), layout.block.take(vid(pj, pi)))
 
         # the cells of corner i == j (up, then down), then those of corner
         # i > j (up cells with i + j < N, then down cells with i + j < N - 1)
@@ -357,22 +358,22 @@ class MirrorLayout:
         # energy.MirrorHessianPlan of this layout, built by the first Hessian
         self.hessian_plan = None
 
-    def unfold(self, even):
-        """Even vector x -> reduced vector B x: x on a pair's vertex (i, j)
-        and M x on its mirror vertex (j, i), x times the axis on a single."""
-        owners, images = self._reduced
+    def expand(self, even):
+        """Even vector x -> full (|V|, 2) configuration, in one pass: x at a
+        pair's vertex, x times the axis at a single, M u(j, i) at every
+        vertex (i, j) with i < j (the Gamma2 slaves included, where it is
+        R_phi u(j, 0)) and 0 at the origin."""
         p = self.n_pairs
-        q = np.empty(len(owners) + len(images), dtype=np.complex128)
-        pairs = np.ascontiguousarray(even[:2 * p]).view(np.complex128)
-        q[owners[:p]] = pairs
-        q[images] = self.w * np.conj(pairs)
-        q[owners[p:]] = even[2 * p:] * self.axes
-        return q.view(float)
+        z = np.zeros(len(self.block), dtype=np.complex128)
+        z[self.owners[:p]] = np.ascontiguousarray(even[:2 * p]).view(np.complex128)
+        z[self.owners[p:]] = even[2 * p:] * self.axes
+        z[self.upper] = self.w * np.conj(z.take(self.upper_images))
+        return z.view(float).reshape(-1, 2)
 
     def reduce(self, config):
         """Full (|V|, 2) configuration -> even vector: the owners' values,
         projected on their axes at the singles, so that x is
-        reduce(MirrorLevel.expand(x))."""
+        reduce(expand(x))."""
         z = np.ascontiguousarray(config, dtype=float).view(np.complex128).ravel()
         p = self.n_pairs
         return np.concatenate([z.take(self.owners[:p]).view(float),
@@ -404,21 +405,21 @@ class MirrorLayout:
 
 class Level:
     """One lattice of the eps-halving family, fixed by (N, phi): its graph,
-    its constraint map u(R60 x) = R_phi u(x) and the layout of its reduced
-    unknowns (which caches the energy.HessianPlan).  unknowns is the layout
-    the solver iterates on, here the reduced one."""
+    its constraint map u(R60 x) = R_phi u(x) and unknowns, the one layout
+    the solver iterates on, here the DofLayout of the reduced unknowns
+    (which caches the energy.HessianPlan)."""
 
     def __init__(self, n, phi):
         self.graph = LatticeGraph(n)
         self.cmap = build_constraints(self.graph, phi)
-        self.layout = self.unknowns = DofLayout(self.graph, self.cmap)
+        self.unknowns = DofLayout(self.graph, self.cmap)
         self.n = self.graph.n
 
     def expand(self, reduced):
-        return expand(reduced, self.cmap, self.layout)
+        return expand(reduced, self.cmap, self.unknowns)
 
     def reduce(self, config):
-        return reduce_config(config, self.layout)
+        return reduce_config(config, self.unknowns)
 
     def grad_inf(self, gradient):
         """Infinity norm of the reduced gradient, given in the solver's
@@ -426,19 +427,22 @@ class Level:
         return np.abs(gradient).max()
 
 
-class MirrorLevel(Level):
-    """A Level whose solver unknowns are its mirror-even half
-    (MirrorLayout): expand (through unfold) and reduce map even vectors,
-    and grad_inf reads the reduced gradient's norm off the even one.  An
-    even critical point is a critical point of the whole problem (Palais,
+class MirrorLevel:
+    """The Level of (N, phi) with its mirror-even half as its one layout:
+    unknowns is a MirrorLayout (which caches the energy.MirrorHessianPlan),
+    expand and reduce map even vectors, and grad_inf reads the reduced
+    gradient's norm off the even one.  It builds no DofLayout.  An even
+    critical point is a critical point of the whole problem (Palais,
     Comm. Math. Phys. 69, 1979)."""
 
     def __init__(self, n, phi):
-        super().__init__(n, phi)
-        self.unknowns = MirrorLayout(self.graph, self.cmap, self.layout)
+        self.graph = LatticeGraph(n)
+        self.cmap = build_constraints(self.graph, phi)
+        self.unknowns = MirrorLayout(self.graph, self.cmap.phi)
+        self.n = self.graph.n
 
-    def expand(self, reduced):
-        return expand(self.unknowns.unfold(reduced), self.cmap, self.layout)
+    def expand(self, even):
+        return self.unknowns.expand(even)
 
     def reduce(self, config):
         return self.unknowns.reduce(config)

@@ -137,10 +137,10 @@ def test_vertex_sums_match_the_dof_bincount(n, phi, seed):
 def test_expand_reduce_and_prolong_match_fancy_indexing(n, phi, seed):
     level = Level(n, phi)
     rng = np.random.default_rng(seed)
-    q = rng.normal(size=level.layout.n_reduced)
+    q = rng.normal(size=level.unknowns.n_reduced)
     u = level.expand(q)
-    assert_same_bits(u, oracle_expand(q, level.cmap, level.layout))
-    assert_same_bits(reduce_config(u, level.layout), u[level.layout.free_ids].ravel())
+    assert_same_bits(u, oracle_expand(q, level.cmap, level.unknowns))
+    assert_same_bits(reduce_config(u, level.unknowns), u[level.unknowns.free_ids].ravel())
     if n <= 20:
         fine = LatticeGraph(2 * n)
         a, b = _coarse_ends(level.graph, fine)
@@ -150,10 +150,10 @@ def test_expand_reduce_and_prolong_match_fancy_indexing(n, phi, seed):
 def test_expand_of_a_strided_vector_equals_its_contiguous_copy():
     level = Level(6, PHI7)
     rng = np.random.default_rng(3)
-    columns = rng.normal(size=(level.layout.n_reduced, 3))
+    columns = rng.normal(size=(level.unknowns.n_reduced, 3))
     columns[::7, 1] = -0.0
     strided = columns[:, 1]
     assert not strided.flags.c_contiguous
-    got = expand(strided, level.cmap, level.layout)
-    assert_same_bits(got, expand(strided.copy(), level.cmap, level.layout))
-    assert_same_bits(got, oracle_expand(strided, level.cmap, level.layout))
+    got = expand(strided, level.cmap, level.unknowns)
+    assert_same_bits(got, expand(strided.copy(), level.cmap, level.unknowns))
+    assert_same_bits(got, oracle_expand(strided, level.cmap, level.unknowns))

@@ -75,13 +75,13 @@ def test_stencil_pattern_on_fine_levels(n):
     for phi in (PHI5, PHI7):
         level = Level(n, phi)
         h = assemble_hessian(level.graph, folded_init(level.graph, phi, n // 4), law,
-                             level.cmap, level.layout)
+                             level.cmap, level.unknowns)
         assert h.indptr.dtype == h.indices.dtype == np.int32
-        assert h.has_sorted_indices and h.nnz == level.layout.hessian_plan.nnz
+        assert h.has_sorted_indices and h.nnz == level.unknowns.hessian_plan.nnz
         patterns.append(h)
         # blocks per block column: the 7-point stencil, cut to 5 on Gamma3
         count = np.diff(h.indptr[::2]) // 4
-        i, j = level.graph.ij.take(level.layout.free_ids, axis=0).T
+        i, j = level.graph.ij.take(level.unknowns.free_ids, axis=0).T
         bulk = (i >= 2) & (j >= 1)
         np.testing.assert_array_equal(count[bulk], np.where(i + j == n, 5, 7)[bulk])
         assert count.max() == 7

@@ -35,10 +35,11 @@ def reflection(phi):
 
 
 def mirror_matrix(level):
-    """T, the mirror map u -> M u(j, i) on reduced vectors, vertex by vertex:
-    free vertex (i, j) takes M q(j, i) when (j, i) is free (j >= 1), and
-    M R_phi q(i, 0) when j = 0, since (0, i) is the Gamma2 slave of (i, 0)."""
-    g, block, phi = level.graph, level.layout.block, level.cmap.phi
+    """T, the mirror map u -> M u(j, i) on the reduced vectors of the full
+    Level level, vertex by vertex: free vertex (i, j) takes M q(j, i) when
+    (j, i) is free (j >= 1), and M R_phi q(i, 0) when j = 0, since (0, i)
+    is the Gamma2 slave of (i, 0)."""
+    g, block, phi = level.graph, level.unknowns.block, level.cmap.phi
     m = reflection(phi)
     rows, cols, vals = [], [], []
     for v, (i, j) in enumerate(g.ij):
@@ -50,21 +51,21 @@ def mirror_matrix(level):
                 rows.append(2 * block[v] + r)
                 cols.append(2 * block[src] + c)
                 vals.append(a[r, c])
-    n = level.layout.n_reduced
+    n = level.unknowns.n_reduced
     return sp.csr_matrix((vals, (rows, cols)), shape=(n, n))
 
 
 def even_basis(level):
-    """B, the even unknowns -> reduced vectors, from the documented layout:
-    the pairs (i, j), i > j >= 1, two numbers each, x at (i, j) and M x at
-    (j, i); then the singles, one number each along e1 on Gamma1 (k, 0)
-    and along (cos phi/2, sin phi/2) on the diagonal (i, i); vertex id
-    order within each group."""
-    g, block, phi = level.graph, level.layout.block, level.cmap.phi
+    """B, the even unknowns -> reduced vectors of the full Level level,
+    from the documented layout: the pairs (i, j), i > j >= 1, two numbers
+    each, x at (i, j) and M x at (j, i); then the singles, one number each
+    along e1 on Gamma1 (k, 0) and along (cos phi/2, sin phi/2) on the
+    diagonal (i, i); vertex id order within each group."""
+    g, block, phi = level.graph, level.unknowns.block, level.cmap.phi
     m = reflection(phi)
     pairs = [v for v, (i, j) in enumerate(g.ij) if i > j >= 1]
     singles = [v for v, (i, j) in enumerate(g.ij) if i >= 1 and (j == 0 or i == j)]
-    b = np.zeros((level.layout.n_reduced, 2 * len(pairs) + len(singles)))
+    b = np.zeros((level.unknowns.n_reduced, 2 * len(pairs) + len(singles)))
     for k, v in enumerate(pairs):
         i, j = g.ij[v]
         image = g.vertex_id(j, i)
@@ -85,18 +86,18 @@ def random_even(level, seed, scale=0.1):
 
 @pytest.mark.parametrize("n", range(1, 65))
 def test_mirror_map_is_an_orthogonal_involution_with_an_even_half(n):
-    level = MirrorLevel(n, PHI5)
-    t = mirror_matrix(level)
+    level, full = MirrorLevel(n, PHI5), Level(n, PHI5)
+    t = mirror_matrix(full)
     eye = sp.identity(t.shape[0])
     assert abs(t @ t - eye).max() <= 1e-15
     assert abs(t - t.T).max() <= 1e-15
     # trace 0: the +1 eigenspace of T is half the reduced space, and the
     # even unknowns are exactly as many
     assert abs(t.diagonal().sum()) <= 1e-13
-    assert 2 * level.unknowns.n_reduced == level.layout.n_reduced
+    assert 2 * level.unknowns.n_reduced == full.unknowns.n_reduced
     if n <= 16:
         # B spans it: T B = B, and B^T B is diagonal (2 on pairs, 1 on singles)
-        b = even_basis(level)
+        b = even_basis(full)
         assert np.abs(t @ b - b).max() <= 1e-15
         gram = b.T @ b
         assert np.abs(gram - np.diag(np.diag(gram))).max() <= 1e-15
@@ -127,13 +128,13 @@ def test_even_sweep_minimizers_minimize_the_whole_problem(phi, psi):
     assert all(rec.converged)
     for k, u in rec.configs.items():
         level = Level(2**k, phi)
-        g = assemble_gradient(level.graph, u, law, level.cmap, level.layout)
+        g = assemble_gradient(level.graph, u, law, level.cmap, level.unknowns)
         assert np.abs(g).max() <= NewtonOptions().grad_tol
         if level.n > 32:
             continue
         sign, basis = np.linalg.eigh(mirror_matrix(level).toarray())
         odd = basis[:, sign < 0.0]
-        h = assemble_hessian(level.graph, u, law, level.cmap, level.layout).toarray()
+        h = assemble_hessian(level.graph, u, law, level.cmap, level.unknowns).toarray()
         lam = np.linalg.eigvalsh(odd.T @ h @ odd)
         scale = lam[-1]
         assert abs(lam[0]) <= 1e-9 * scale
@@ -149,7 +150,7 @@ phis = st.one_of(st.sampled_from([PHI5, PHI7, np.pi / 3.0]),
 def test_even_operators_match_their_reduced_oracles(n, phi, psi, seed):
     law = LAWS[psi]
     level, full = MirrorLevel(n, phi), Level(n, phi)
-    b = even_basis(level)
+    b = even_basis(full)
     x = random_even(level, seed)
     u = level.expand(x)
     # expand and reduce: the even configuration is the full one of B x
@@ -160,7 +161,7 @@ def test_even_operators_match_their_reduced_oracles(n, phi, psi, seed):
                                    rel=1e-14, abs=0.0)
     # the even Hessian is B^T H B (the even gradient, B^T g, is checked in
     # test_half_energy_and_gradient_match_the_full_lattice)
-    h = assemble_hessian(full.graph, u, law, full.cmap, full.layout).toarray()
+    h = assemble_hessian(full.graph, u, law, full.cmap, full.unknowns).toarray()
     hb = b.T @ h @ b
     got = assemble_hessian(level.graph, u, law, level.cmap, level.unknowns)
     assert got.has_sorted_indices
@@ -180,8 +181,8 @@ def test_even_operators_match_their_reduced_oracles(n, phi, psi, seed):
     p_even = prolongation_matrix(level, fine).toarray()
     p_full = np.column_stack([
         fine_full.reduce(prolong(full.graph, full.expand(q), fine_full.graph))
-        for q in np.eye(full.layout.n_reduced)])
-    assert np.abs(even_basis(fine) @ p_even - p_full @ b).max() <= 1e-15
+        for q in np.eye(full.unknowns.n_reduced)])
+    assert np.abs(even_basis(fine_full) @ p_even - p_full @ b).max() <= 1e-15
     x0 = level.reduce(linear_init(level.graph, phi))
     h_fine = assemble_hessian(fine.graph, fine.expand(p_even @ x0), law, fine.cmap,
                               fine.unknowns).toarray()
@@ -201,8 +202,8 @@ def test_half_energy_and_gradient_match_the_full_lattice(n, phi, psi, seed):
     u = level.expand(x)
     energy = assemble_energy(level.graph, u, law, half)
     assert energy == pytest.approx(assemble_energy(full.graph, u, law), rel=1e-14, abs=0.0)
-    g = assemble_gradient(full.graph, u, law, full.cmap, full.layout)
-    folded = even_basis(level).T @ g
+    g = assemble_gradient(full.graph, u, law, full.cmap, full.unknowns)
+    folded = even_basis(full).T @ g
     even = assemble_gradient(level.graph, u, law, level.cmap, half)
     assert np.abs(even - folded).max() <= 1e-13 * np.abs(folded).max()
     # the stopping rule's norm, read off the even gradient: it reconstructs
@@ -219,7 +220,7 @@ def test_half_energy_and_gradient_match_the_full_lattice(n, phi, psi, seed):
     # collapses, and both kernels name the up cell at the origin
     x[2 * half.n_pairs] = 0.0
     collapsed = level.expand(x)
-    for assemble, layout in ((assemble_gradient, half), (assemble_gradient, full.layout),
+    for assemble, layout in ((assemble_gradient, half), (assemble_gradient, full.unknowns),
                              (assemble_hessian, half)):
         with pytest.raises(DegenerateCellError) as err:
             assemble(level.graph, collapsed, law, level.cmap, layout)

@@ -180,8 +180,8 @@ def plan_pattern(n, phi):
     its data slots."""
     level = Level(n, phi)
     assemble_hessian(level.graph, linear_init(level.graph, phi), LAW,
-                     level.cmap, level.layout)
-    plan = level.layout.hessian_plan
+                     level.cmap, level.unknowns)
+    plan = level.unknowns.hessian_plan
     cols = np.repeat(np.arange(plan.shape[0]), np.diff(plan.indptr))
     return plan, plan.indices, cols
 

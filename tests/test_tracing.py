@@ -11,6 +11,7 @@ import numpy as np
 
 from disclat import experiments
 from disclat.energy import MaterialLaw
+from disclat.lattice import MirrorLayout
 
 TRACING = pathlib.Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
 
@@ -22,10 +23,16 @@ def load_tracing():
     return module
 
 
-def test_traced_sweep_and_fold_study_record_newton_sizes():
+def test_traced_sweep_and_fold_study_record_newton_sizes(monkeypatch):
     tracing = load_tracing()
     law = MaterialLaw(p=2.0)
     with tracing.installed(tracing.Tracer()) as tracer:
+        # the sweep's levels expand by MirrorLayout.expand, which the tracer
+        # does not wrap: record it under lattice.expand, as the fold's are
+        def traced_expand(self, even, _real=MirrorLayout.expand):
+            return tracer.call("lattice.expand", _real, (self, even), {})
+
+        monkeypatch.setattr(MirrorLayout, "expand", traced_expand)
         experiments.run_sweep(2.0 * np.pi / 5.0, 3, law)
         experiments.run_fold_study(2.0 * np.pi / 7.0, law, eps_exp=2, max_folds=1)
     newton = [s for s in tracer.spans if s[2] == "solver.newton"]
