@@ -11,8 +11,6 @@ import numpy as np
 from .energy import cell_dets, cell_edges
 from .lattice import rot
 
-_SWAP = np.array([[0.0, 1.0], [1.0, 0.0]])
-
 
 def triangle_dets(graph, config):
     """det of the affine deformation gradient on every triangle, signed.
@@ -43,40 +41,45 @@ class Svd2:
         self.p2 = p2
 
     def reconstruct(self):
-        return self.p1 @ np.diag(self.sigma) @ self.p2
+        return (self.p1 * self.sigma) @ self.p2
 
 
-def _singular_values(a):
-    """Closed-form numbers of a (..., 2, 2) stack: the block coordinates
-    e, f, g, h of svd2 and the signed singular values q - r <= q + r
-    (q - r carries the sign of det a)."""
-    e = (a[..., 0, 0] + a[..., 1, 1]) / 2.0
-    f = (a[..., 0, 0] - a[..., 1, 1]) / 2.0
-    g = (a[..., 1, 0] + a[..., 0, 1]) / 2.0
-    h = (a[..., 1, 0] - a[..., 0, 1]) / 2.0
+def _singular_values(a00, a01, a10, a11):
+    """Closed-form numbers of 2x2 matrices from their entries (a stack's arrays
+    or one matrix's Python floats): e, f, g, h of svd2 and the signed singular
+    values q - r <= q + r; q - r carries the sign of det a = q^2 - r^2."""
+    e = (a00 + a11) / 2.0
+    f = (a00 - a11) / 2.0
+    g = (a10 + a01) / 2.0
+    h = (a10 - a01) / 2.0
     q = np.hypot(e, h)
     r = np.hypot(f, g)
     return e, f, g, h, q - r, q + r
 
 
 def svd2(a):
-    """Closed-form SVD of a 2x2 matrix (no iteration).
+    """Closed-form SVD of one 2x2 matrix (no iteration); other shapes raise.
 
     Writing a in the basis {I, J} blocks: with e = (a11+a22)/2,
     f = (a11-a22)/2, g = (a21+a12)/2, h = (a21-a12)/2 the singular values
     are q+r and |q-r| for q = hypot(e, h), r = hypot(f, g), and the
-    rotation angles come from atan2 of the same four numbers.
+    rotation angles come from atan2 of the same four numbers.  The numpy
+    ufuncs run on Python floats: math's libm need not give their bits.
     """
     a = np.asarray(a, dtype=float)
-    e, f, g, h, s_small, s_big = _singular_values(a)
-    theta_u = (np.arctan2(h, e) + np.arctan2(g, f)) / 2.0
-    theta_v = (np.arctan2(h, e) - np.arctan2(g, f)) / 2.0
-    # a = rot(theta_u) @ diag(s_big, s_small) @ rot(theta_v); reorder to
-    # ascending nonnegative sigma with orthogonal (reflecting) factors
-    p1 = rot(theta_u) @ _SWAP
-    p2 = _SWAP @ rot(theta_v)
-    if s_small < 0.0:
-        p1 = p1 @ np.diag([-1.0, 1.0])
+    if a.shape != (2, 2):
+        raise ValueError("svd2 takes one 2x2 matrix, got shape %s" % (a.shape,))
+    (a00, a01), (a10, a11) = a.tolist()
+    e, f, g, h, s_small, s_big = _singular_values(a00, a01, a10, a11)
+    alpha, beta = np.arctan2(h, e), np.arctan2(g, f)
+    theta_u, theta_v = (alpha + beta) / 2.0, (alpha - beta) / 2.0
+    c_u, s_u = np.cos(theta_u), np.sin(theta_u)
+    c_v, s_v = np.cos(theta_v), np.sin(theta_v)
+    # a = rot(theta_u) @ diag(q + r, q - r) @ rot(theta_v) reordered: p1 is
+    # rot(theta_u) with its columns swapped and column 0 negated if q - r < 0
+    flip = -1.0 if s_small < 0.0 else 1.0
+    p1 = np.array([[-flip * s_u, c_u], [flip * c_u, s_u]])
+    p2 = np.array([[s_v, c_v], [c_v, -s_v]])
     return Svd2(np.array([abs(s_small), s_big]), p1, p2)
 
 
@@ -85,13 +88,14 @@ def dist_so2_squared(a):
 
     (sigma1 - 1)^2 + (sigma2 - 1)^2 when det a >= 0; when det a < 0 the
     small singular value enters as (sigma1 + 1)^2 (one direction must be
-    flipped, cheapest along the weakest axis).  A (..., 2, 2) stack gives
-    an array of shape (...); a single matrix gives a float.
+    flipped, cheapest along the weakest axis); the sign of det a is that of
+    q - r, and at q = r both branches agree.  A (..., 2, 2) stack gives an
+    array of shape (...); a single matrix gives a float.
     """
     a = np.asarray(a, dtype=float)
-    *_, s_small, s_big = _singular_values(a)
+    *_, s_small, s_big = _singular_values(*(a[..., r, c] for r in (0, 1) for c in (0, 1)))
     s1 = np.abs(s_small)
-    off1 = np.where(np.linalg.det(a) >= 0.0, s1 - 1.0, s1 + 1.0)
+    off1 = np.where(s_small >= 0.0, s1 - 1.0, s1 + 1.0)
     d2 = np.square(off1) + np.square(s_big - 1.0)
     return float(d2) if d2.ndim == 0 else d2
 
@@ -230,13 +234,9 @@ def check_laminate():
     law = MaterialLaw(p=2.0, psi="zero")
     mats, weights = laminate_matrices()
     average = sum(w * m for w, m in zip(weights, mats))
-    diffs = [
-        mats[0] - mats[1],
-        mats[2] - mats[3],
-        0.5 * (mats[0] + mats[1]) - 0.5 * (mats[2] + mats[3]),
-    ]
-    rank_one_defects = [float(svd2(d).sigma[0]) for d in diffs]
-    rank_one_strengths = [float(svd2(d).sigma[1]) for d in diffs]
+    diffs = [mats[0] - mats[1], mats[2] - mats[3],
+             0.5 * (mats[0] + mats[1]) - 0.5 * (mats[2] + mats[3])]
+    sigmas = np.array([svd2(d).sigma for d in diffs])
     bond_errs = [
         float(np.abs(np.linalg.norm(BOND_DIRECTIONS @ m.T, axis=1) - 1.0).max())
         for m in mats
@@ -244,8 +244,8 @@ def check_laminate():
     energies = [w_density(m, law) for m in mats]
     return {
         "average_norm": float(np.abs(average).max()),
-        "rank_one_defects": rank_one_defects,
-        "rank_one_strengths": rank_one_strengths,
+        "rank_one_defects": sigmas[:, 0].tolist(),
+        "rank_one_strengths": sigmas[:, 1].tolist(),
         "max_bond_length_error": max(bond_errs),
         "max_energy": max(energies),
     }
@@ -258,7 +258,8 @@ def check_rigidity(law, n_samples=10_000, seed=0):
     of O(2) while the distance to SO(2) does not, and the ratio degenerates
     on the reflection component.  Samples A = R(u) diag(s1, s2) R(v) with
     singular values in [0, 5] and a random sign flip; skips samples with
-    dist < 1e-8.  Returns (min_ratio, n_used).
+    dist < 1e-8.  Returns (min_ratio, n_used); when no sample is kept the
+    minimum is no check, and it raises ValueError rather than read as a pass.
 
     All samples are drawn at once, in the order of a per-sample loop that
     takes s1, s2, u, v and the flip from one rng.random((n_samples, 5)).
@@ -269,12 +270,11 @@ def check_rigidity(law, n_samples=10_000, seed=0):
         raise ValueError("rigidity ratio needs a psi term (psi != zero)")
     _check_sample_count(n_samples)
     draws = np.random.default_rng(seed).random((n_samples, 5))
-    diag_s = 5.0 * draws[:, :2, None] * np.eye(2)
     rot_u, rot_v = (np.moveaxis(rot(2.0 * np.pi * draws[:, k]), -1, 0) for k in (2, 3))
-    mats = rot_u @ diag_s @ rot_v
+    mats = (rot_u * (5.0 * draws[:, None, :2])) @ rot_v   # R(u)'s columns scaled
     flip = draws[:, 4] < 0.5
     mats[flip] = mats[flip] @ np.diag([1.0, -1.0])
     d2 = dist_so2_squared(mats)
     keep = d2 >= 1e-8**2                  # dist below 1e-8 is skipped
     ratio = w_density(mats[keep], law) / d2[keep] ** (law.p / 2.0)
-    return float(ratio.min(initial=np.inf)), int(keep.sum())
+    return float(ratio.min()), int(keep.sum())

@@ -1,6 +1,7 @@
 """Closed-form SVD, distance to SO(2), and the structural inequality checks."""
 
 import functools
+import re
 
 import numpy as np
 import pytest
@@ -23,6 +24,7 @@ from disclat.analysis import (
     svd2,
     triangle_dets,
 )
+from disclat.cli import main
 from disclat.energy import MaterialLaw, w_density
 from disclat.experiments import folded_init
 from disclat.lattice import LatticeGraph, rot
@@ -59,6 +61,126 @@ def test_svd2_random_against_eigensolve():
             np.testing.assert_allclose(p @ p.T, np.eye(2), atol=1e-12)
         det_prod = np.linalg.det(dec.p1) * np.linalg.det(dec.p2) * s1 * s2
         assert abs(det_prod - np.linalg.det(a)) <= 1e-10 * scale**2
+
+
+def stack_singular_values(a):
+    """e, f, g, h, q - r and q + r of a (..., 2, 2) stack, read from its
+    entries as the oracles below read them."""
+    e = (a[..., 0, 0] + a[..., 1, 1]) / 2.0
+    f = (a[..., 0, 0] - a[..., 1, 1]) / 2.0
+    g = (a[..., 1, 0] + a[..., 0, 1]) / 2.0
+    h = (a[..., 1, 0] - a[..., 0, 1]) / 2.0
+    q = np.hypot(e, h)
+    r = np.hypot(f, g)
+    return e, f, g, h, q - r, q + r
+
+
+def loop_svd2(a):
+    """svd2 as it was before its closed form on Python floats, kept as its
+    oracle: each atan2 evaluated twice, the factors built by products with
+    a permutation, and its reconstruct p1 @ diag(sigma) @ p2."""
+    swap = np.array([[0.0, 1.0], [1.0, 0.0]])
+    a = np.asarray(a, dtype=float)
+    e, f, g, h, s_small, s_big = stack_singular_values(a)
+    theta_u = (np.arctan2(h, e) + np.arctan2(g, f)) / 2.0
+    theta_v = (np.arctan2(h, e) - np.arctan2(g, f)) / 2.0
+    p1 = rot(theta_u) @ swap
+    p2 = swap @ rot(theta_v)
+    if s_small < 0.0:
+        p1 = p1 @ np.diag([-1.0, 1.0])
+    sigma = np.array([abs(s_small), s_big])
+    return sigma, p1, p2, p1 @ np.diag(sigma) @ p2
+
+
+def det_sign_dist_so2_squared(a):
+    """dist_so2_squared with the sign of det a read from np.linalg.det, as
+    it was before the sign was read from q - r, kept as its oracle."""
+    a = np.asarray(a, dtype=float)
+    *_, s_small, s_big = stack_singular_values(a)
+    s1 = np.abs(s_small)
+    with np.errstate(all="ignore"):      # LAPACK's det on subnormal entries
+        nonnegative = np.linalg.det(a) >= 0.0
+    off1 = np.where(nonnegative, s1 - 1.0, s1 + 1.0)
+    return np.square(off1) + np.square(s_big - 1.0)
+
+
+def _matrix(kind, entries, angle, exponent):
+    """A 2x2 matrix of the given kind at the scale 10^exponent."""
+    x = np.reshape(entries, (2, 2))
+    if kind == "zero":
+        x = np.zeros((2, 2))
+    elif kind == "rank one":
+        x = np.outer(x[0], x[1])
+    elif kind == "reflection":
+        x = rot(angle) @ np.diag([1.0, -1.0])
+    elif kind == "reflected":
+        x = rot(angle) @ np.diag(np.abs(x[0])) @ rot(x[1, 0]) @ np.diag([1.0, -1.0])
+    elif kind == "rotation":
+        x = rot(angle)
+    return x * 10.0**exponent
+
+
+MATRICES = st.builds(
+    _matrix,
+    st.sampled_from(["general", "zero", "rank one", "reflection", "reflected", "rotation"]),
+    st.lists(st.floats(-1.0, 1.0), min_size=4, max_size=4),
+    st.floats(0.0, 2.0 * np.pi),
+    st.floats(-3.0, 3.0),
+)
+
+
+@given(a=MATRICES)
+@example(a=np.zeros((2, 2)))
+@example(a=-np.zeros((2, 2)))
+@example(a=np.eye(2))
+@example(a=np.diag([1.0, -1.0]))
+@example(a=np.array([[1.0, 2.0], [3.0, 6.0]]))     # rank one
+@example(a=np.array([[0.0, 1.0], [0.0, 0.0]]))     # nilpotent
+def test_svd2_matches_loop_oracle_bit_for_bit(a):
+    dec = svd2(a)
+    sigma, p1, p2, product = loop_svd2(a)
+    assert dec.sigma.tobytes() == sigma.tobytes()
+    assert dec.reconstruct().tobytes() == product.tobytes()
+    # the permutation products could turn the sign of a zero, nothing else
+    assert np.array_equal(dec.p1, p1) and np.array_equal(dec.p2, p2)
+
+
+@pytest.mark.parametrize("shape", [(3, 3), (4, 2, 2), (2,), (2, 3)])
+def test_svd2_takes_one_matrix(shape):
+    a = np.arange(np.prod(shape), dtype=float).reshape(shape) + 1.0
+    with pytest.raises(ValueError, match=re.escape("got shape %s" % (shape,))):
+        svd2(a)
+
+
+@given(stack=st.lists(MATRICES, min_size=1, max_size=8))
+def test_dist_so2_squared_matches_det_oracle_where_the_signs_agree(stack):
+    a = np.array(stack)
+    got, want = dist_so2_squared(a), det_sign_dist_so2_squared(a)
+    assert [dist_so2_squared(m) for m in a] == got.tolist()
+    *_, s_small, s_big = stack_singular_values(a)
+    with np.errstate(all="ignore"):
+        agree = (np.linalg.det(a) >= 0.0) == (s_small >= 0.0)
+    assert got[agree].tobytes() == want[agree].tobytes()
+    # the rules part only where det a is zero to rounding, or underflows
+    s_small, s_big = s_small[~agree], s_big[~agree]
+    assert np.all((np.abs(s_small) <= 1e-13 * s_big) | (s_big < 1e-150))
+
+
+@given(x=st.floats(-1e3, 1e3), y=st.floats(-1e3, 1e3), line=st.integers(0, 3))
+@example(x=0.0, y=0.0, line=0)
+def test_exactly_singular_matrices_take_the_nonnegative_branch(x, y, line):
+    # a zero row or column: q = r exactly, so q - r = +0 and d2 is
+    # (s1 - 1)^2 + (s2 - 1)^2 with s1 = 0, the oracle's bits
+    a = np.zeros((2, 2))
+    if line < 2:
+        a[line] = x, y
+    else:
+        a[:, line - 2] = x, y
+    *_, s_small, s_big = stack_singular_values(a)
+    assert s_small == 0.0 and not np.signbit(s_small)
+    d2 = dist_so2_squared(a)
+    assert d2 == np.square(0.0 - 1.0) + np.square(s_big - 1.0)
+    assert np.float64(d2).tobytes() == det_sign_dist_so2_squared(a).tobytes()
 
 
 def test_dist_so2_reference_points():
@@ -264,6 +386,39 @@ def test_sampled_checks_need_a_sample():
             check_rigidity(law, n_samples)
         with pytest.raises(ValueError, match="at least one sample"):
             check_lemma_a1(n_samples)
+
+
+def stacked_check_rigidity(law, n_samples=10_000, seed=0):
+    """check_rigidity as it was before it scaled columns and read the sign
+    of det from q - r, kept as its oracle: R(u) @ diag stack @ R(v), and
+    the distance by det_sign_dist_so2_squared."""
+    draws = np.random.default_rng(seed).random((n_samples, 5))
+    diag_s = 5.0 * draws[:, :2, None] * np.eye(2)
+    rot_u, rot_v = (np.moveaxis(rot(2.0 * np.pi * draws[:, k]), -1, 0) for k in (2, 3))
+    mats = rot_u @ diag_s @ rot_v
+    flip = draws[:, 4] < 0.5
+    mats[flip] = mats[flip] @ np.diag([1.0, -1.0])
+    d2 = det_sign_dist_so2_squared(mats)
+    keep = d2 >= 1e-8**2
+    ratio = w_density(mats[keep], law) / d2[keep] ** (law.p / 2.0)
+    return float(ratio.min(initial=np.inf)), int(keep.sum())
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_rigidity_matches_stacked_oracle(seed):
+    law = MaterialLaw(p=2.0, psi="smoothed_abs")
+    assert check_rigidity(law, seed=seed) == stacked_check_rigidity(law, seed=seed)
+
+
+def test_rigidity_without_a_kept_sample_raises(monkeypatch, tmp_path, capsys):
+    # every sample below the 1e-8 cut: an empty minimum is no pass
+    monkeypatch.setattr(analysis, "dist_so2_squared", lambda a: np.zeros(len(a)))
+    with pytest.raises(ValueError, match="zero-size"):
+        check_rigidity(MaterialLaw(p=2.0, psi="smoothed_abs"), 100)
+    # nor does verify report one
+    assert main(["verify", "--check", "rigidity", "--out", str(tmp_path)]) != 0
+    assert capsys.readouterr().err.startswith("error: zero-size")
+    assert not any(tmp_path.iterdir())
 
 
 def loop_check_rigidity(law, n_samples=10_000, seed=0):

@@ -53,6 +53,18 @@ def test_even_hessian_transient_is_bounded(phi):
     blocks, peak = traced(lambda: _bond_hessians(level.graph, u, LAW, level.unknowns))
     assert peak - blocks.nbytes < 1.5 * blocks.nbytes, (peak, blocks.nbytes)
     del blocks
+    # the path assemble_hessian runs: the blocks written into the first rows
+    # of the plan's stack, allocated before entry, so the whole peak is the
+    # kernel's temporaries, measured at 2.00 times the blocks (795 KB at
+    # both angles).  The margin, 0.125 times the blocks (50 KB), is half of
+    # one more per-edge float, so such an array or a copy of the blocks fails
+    plan = level.unknowns.hessian_plan
+    stack = plan.stack()
+    blocks, peak = traced(lambda: _bond_hessians(level.graph, u, LAW, level.unknowns,
+                                                 stack[:plan.n_rep]))
+    assert blocks.base is stack
+    assert peak < 2.125 * blocks.nbytes, (peak, blocks.nbytes)
+    del blocks, stack
     h, peak = traced(lambda: assemble_hessian(*args))
     assert peak - h.data.nbytes < 0.85 * h.data.nbytes, (peak, h.data.nbytes)
 
