@@ -100,6 +100,16 @@ def dist_so2_squared(a):
     return float(d2) if d2.ndim == 0 else d2
 
 
+# the sampled checks and dist_so2_grid's full scan take this many samples or
+# grid angles at a time, so their working memory does not grow with the count
+BLOCK = 2048
+
+
+def _blocks(n):
+    # (start, stop) of each block of BLOCK items, the last one shorter
+    return ((i, min(i + BLOCK, n)) for i in range(0, n, BLOCK))
+
+
 # the angle grid of dist_so2_grid: theta_k = k * GRID_STEP for k = 0 ..
 # GRID_SIZE - 1, the values of np.linspace(0, 2 pi, GRID_SIZE, endpoint=False)
 GRID_SIZE = 1_000_000
@@ -160,21 +170,25 @@ def dist_so2_grid(a):
 
     The full scan runs instead when t or d is not finite, or when the coarse
     peak (about R) is below _MIN_COARSE_PEAK, where the margin nears the
-    subnormal rounding of p.
+    subnormal rounding of p (diag(1, -1), with t = d = 0, is one such
+    input).  It takes BLOCK grid angles at a time and the max of the block
+    maxima, which is the whole scan's max to the bit, in a fixed working
+    set rather than 32 MB of grid-long arrays.
     """
     a = np.asarray(a, dtype=float)
     t = a[0, 0] + a[1, 1]
     d = a[1, 0] - a[0, 1]
-    k = None
+    peak = None
     if np.isfinite(t) and np.isfinite(d):
         coarse = _projections(t, d, *coarse_table())
         top = coarse.argmax()
         if coarse[top] > _MIN_COARSE_PEAK:
             reach = COARSE_STRIDE + 2
             k = (top * COARSE_STRIDE + np.arange(-reach, reach + 1)) % GRID_SIZE
-    if k is None:
-        k = np.arange(GRID_SIZE)
-    peak = _projections(t, d, *grid_cos_sin(k)).max()
+            peak = _projections(t, d, *grid_cos_sin(k)).max()
+    if peak is None:
+        peak = np.max([_projections(t, d, *grid_cos_sin(np.arange(i, j))).max()
+                       for i, j in _blocks(GRID_SIZE)])
     return float((a * a).sum() + 2.0 - 2.0 * peak)
 
 
@@ -197,23 +211,49 @@ def _check_sample_count(n_samples):
         raise ValueError("need at least one sample, got %r" % n_samples)
 
 
+def _lemma_a1_draws(n_samples, seed):
+    """The (lo, hi, theta) draws of check_lemma_a1, a block at a time.
+
+    Drawn whole, lo, hi and theta are n_samples uniforms each, one stream
+    after another from default_rng(seed).  Three copies of its bit
+    generator, advanced by 0, n_samples and 2 n_samples outputs, draw them
+    block by block: a float64 uniform takes one 64-bit output, so every
+    block holds the values that the whole streams held there.
+    """
+    state = np.random.default_rng(seed).bit_generator.state
+    streams = []
+    for k in range(3):
+        bits = np.random.PCG64()
+        bits.state = state
+        streams.append(np.random.Generator(bits.advance(k * n_samples)))
+    lo, hi, theta = streams
+    for i, j in _blocks(n_samples):
+        yield lo.uniform(0.0, 10.0, j - i), hi.uniform(0.0, 10.0, j - i), \
+            theta.uniform(0.0, np.pi / 3.0, j - i)
+
+
 def check_lemma_a1(n_samples=100_000, seed=0):
     """Sampled verification of 14 * six_bond_sum >= (s1-1)^2 + (s2-1)^2.
 
     Draws (sigma1, sigma2) with 0 <= sigma1 <= sigma2 <= 10 and theta in
     [0, pi/3).  Returns (violations, min_slack), slack = LHS - RHS.
+
+    The samples are evaluated BLOCK at a time from positioned draws
+    (_lemma_a1_draws), so the working memory is a fixed size and every
+    sample, and so the result, is that of drawing and evaluating them all
+    at once.
     """
     _check_sample_count(n_samples)
-    rng = np.random.default_rng(seed)
-    lo = rng.uniform(0.0, 10.0, size=n_samples)
-    hi = rng.uniform(0.0, 10.0, size=n_samples)
-    sigma1 = np.minimum(lo, hi)
-    sigma2 = np.maximum(lo, hi)
-    theta = rng.uniform(0.0, np.pi / 3.0, size=n_samples)
-    lhs = 14.0 * six_bond_sum(sigma1, sigma2, theta)
-    rhs = (sigma1 - 1.0) ** 2 + (sigma2 - 1.0) ** 2
-    slack = lhs - rhs
-    return int(np.sum(slack < 0.0)), float(slack.min())
+    violations, minima = 0, []
+    for lo, hi, theta in _lemma_a1_draws(n_samples, seed):
+        sigma1 = np.minimum(lo, hi)
+        sigma2 = np.maximum(lo, hi)
+        lhs = 14.0 * six_bond_sum(sigma1, sigma2, theta)
+        rhs = (sigma1 - 1.0) ** 2 + (sigma2 - 1.0) ** 2
+        slack = lhs - rhs
+        violations += int(np.sum(slack < 0.0))
+        minima.append(slack.min())
+    return violations, float(np.min(minima))
 
 
 def laminate_matrices():
@@ -251,6 +291,15 @@ def check_laminate():
     }
 
 
+def _rigidity_samples(draws):
+    # the matrices of check_rigidity from rows (s1/5, s2/5, u/2pi, v/2pi,
+    # flip), freeing the rotations before the density takes its temporaries
+    rot_u, rot_v = (np.moveaxis(rot(2.0 * np.pi * draws[:, k]), -1, 0) for k in (2, 3))
+    mats = (rot_u * (5.0 * draws[:, None, :2])) @ rot_v   # R(u)'s columns scaled
+    mats[draws[:, 4] < 0.5, :, 1] *= -1.0                 # A diag(1, -1)
+    return mats
+
+
 def check_rigidity(law, n_samples=10_000, seed=0):
     """Sampled minimum of w_density(A) / dist(A, SO(2))^p.
 
@@ -261,20 +310,25 @@ def check_rigidity(law, n_samples=10_000, seed=0):
     dist < 1e-8.  Returns (min_ratio, n_used); when no sample is kept the
     minimum is no check, and it raises ValueError rather than read as a pass.
 
-    All samples are drawn at once, in the order of a per-sample loop that
-    takes s1, s2, u, v and the flip from one rng.random((n_samples, 5)).
+    The samples are drawn BLOCK at a time by rng.random((m, 5)), whose rows
+    are those of one rng.random((n_samples, 5)), in the order of a
+    per-sample loop that takes s1, s2, u, v and the flip from each row; the
+    working memory is a fixed size, and the result that of one stack.
     """
     from .energy import w_density
 
     if law.psi_name == "zero":
         raise ValueError("rigidity ratio needs a psi term (psi != zero)")
     _check_sample_count(n_samples)
-    draws = np.random.default_rng(seed).random((n_samples, 5))
-    rot_u, rot_v = (np.moveaxis(rot(2.0 * np.pi * draws[:, k]), -1, 0) for k in (2, 3))
-    mats = (rot_u * (5.0 * draws[:, None, :2])) @ rot_v   # R(u)'s columns scaled
-    flip = draws[:, 4] < 0.5
-    mats[flip] = mats[flip] @ np.diag([1.0, -1.0])
-    d2 = dist_so2_squared(mats)
-    keep = d2 >= 1e-8**2                  # dist below 1e-8 is skipped
-    ratio = w_density(mats[keep], law) / d2[keep] ** (law.p / 2.0)
-    return float(ratio.min()), int(keep.sum())
+    rng = np.random.default_rng(seed)
+    used, minima = 0, []
+    for i, j in _blocks(n_samples):
+        mats = _rigidity_samples(rng.random((j - i, 5)))
+        d2 = dist_so2_squared(mats)
+        keep = d2 >= 1e-8**2                  # dist below 1e-8 is skipped
+        if keep.any():
+            ratio = w_density(mats[keep], law) / d2[keep] ** (law.p / 2.0)
+            used += int(keep.sum())
+            minima.append(ratio.min())
+    # no kept sample: numpy's zero-size ValueError
+    return float(np.min(minima)), used

@@ -14,14 +14,19 @@ bound to then (perfbench's tracer rebinds them on their defining modules to
 time each layer).  The library owns the defaults of the material law and
 the solver options and checks every value: an option the user did not give
 is not passed.  An error is one `error:` line instead of a traceback, with
-exit status 2 for a rejected input and 1 for a failed solve, write or
-allocation.
+exit status 2 for a rejected input and 1 for a failed solve, write,
+allocation or check.
 """
 
 import argparse
 import math
 import os
 import sys
+
+
+class CheckError(RuntimeError):
+    """A verify check that could not be evaluated: it fails (status 1), as
+    a check whose answer is wrong does, and is no rejected input."""
 
 
 def parse_phi(text):
@@ -302,12 +307,15 @@ def cmd_verify(args):
     args.checks = args.check or ALL_CHECKS
     results = []
     all_pass = True
-    for row in _verify_checks(args):
-        results.append(row)
-        all_pass &= bool(row["pass"])
-        print("%-22s %s  min_slack=%.3e"
-              % (row["check"], "PASS" if row["pass"] else "FAIL",
-                 row["min_slack"]))
+    try:
+        for row in _verify_checks(args):
+            results.append(row)
+            all_pass &= bool(row["pass"])
+            print("%-22s %s  min_slack=%.3e"
+                  % (row["check"], "PASS" if row["pass"] else "FAIL",
+                     row["min_slack"]))
+    except ValueError as err:
+        raise CheckError(err) from err
     if args.out is not None:
         write_output(args, "verify.jsonl",
                      lambda fh: write_verify_jsonl(fh, results))
@@ -423,7 +431,7 @@ def main(argv=None):
 
         print("error: %s" % err, file=sys.stderr)
         # run_sweep re-raises a failed solve as the cause of its RuntimeError
-        failed = (OSError, MemoryError, SingularSystemError)
+        failed = (OSError, MemoryError, SingularSystemError, CheckError)
         return 1 if any(isinstance(e, failed) for e in (err, err.__cause__)) else 2
 
 

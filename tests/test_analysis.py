@@ -9,6 +9,7 @@ from hypothesis import example, given, strategies as st
 
 from disclat import analysis, energy
 from disclat.analysis import (
+    BLOCK,
     COARSE_STRIDE,
     GRID_SIZE,
     GRID_STEP,
@@ -29,6 +30,7 @@ from disclat.energy import MaterialLaw, w_density
 from disclat.experiments import folded_init
 from disclat.lattice import LatticeGraph, rot
 from test_energy import cell_gradient
+from test_sweep_memory import traced
 
 
 def test_svd2_identity():
@@ -296,6 +298,32 @@ def test_dist_so2_grid_nonfinite_matches_one_pass(a):
     assert got == want or (np.isnan(got) and np.isnan(want))
 
 
+# t = d = 0, a coarse peak below _MIN_COARSE_PEAK and a NaN: the full scan
+FULL_SCAN = [np.diag([1.0, -1.0]), 1e-300 * np.eye(2), np.array(NONFINITE[0])]
+
+
+@pytest.mark.parametrize("a", FULL_SCAN, ids=["reflection", "tiny", "nan"])
+def test_dist_so2_grid_full_scan_is_blocked(monkeypatch, a):
+    analysis.coarse_table()             # built before the spy goes in
+    blocks = []
+
+    def spy(k):
+        blocks.append(len(k))
+        return grid_cos_sin(k)
+
+    monkeypatch.setattr(analysis, "grid_cos_sin", spy)
+    with np.errstate(invalid="ignore"):
+        got, peak = traced(lambda: dist_so2_grid(a))
+        want = one_pass_dist_so2_grid(a)
+    assert np.float64(got).tobytes() == np.float64(want).tobytes()
+    assert sum(blocks) == GRID_SIZE and max(blocks) == BLOCK
+    # measured 250 KB (99 KB for the NaN, which skips the coarse pass):
+    # the coarse pass's projections over the 15,625-angle table, two
+    # 125 KB arrays, set the peak, and a block's arrays take under 100 KB;
+    # the whole-grid arrays of the scan this replaced took 40 MB
+    assert peak < 256_000, peak
+
+
 def test_grid_cos_sin_is_the_linspace_grid():
     cos, sin = linspace_grid()
     # every grid index, then the coarse table the first pass reads
@@ -336,6 +364,92 @@ def test_six_bond_sum_identity_point():
     got = six_bond_sum(s1, s2, np.array(thetas))
     assert got[0] <= 1e-14
     assert got.tolist() == [six_bond_sum(a, b, t) for a, b, t in zip(s1, s2, thetas)]
+
+
+def whole_check_lemma_a1(n_samples=100_000, seed=0):
+    """check_lemma_a1 as it was before it took BLOCK samples at a time,
+    kept as its oracle: every sample drawn and evaluated at once."""
+    rng = np.random.default_rng(seed)
+    lo = rng.uniform(0.0, 10.0, size=n_samples)
+    hi = rng.uniform(0.0, 10.0, size=n_samples)
+    sigma1 = np.minimum(lo, hi)
+    sigma2 = np.maximum(lo, hi)
+    theta = rng.uniform(0.0, np.pi / 3.0, size=n_samples)
+    lhs = 14.0 * six_bond_sum(sigma1, sigma2, theta)
+    rhs = (sigma1 - 1.0) ** 2 + (sigma2 - 1.0) ** 2
+    slack = lhs - rhs
+    return int(np.sum(slack < 0.0)), float(slack.min())
+
+
+def whole_check_rigidity(law, n_samples=10_000, seed=0):
+    """check_rigidity as it was before it took BLOCK samples at a time,
+    kept as its oracle: one stack, the reflected samples flipped by a
+    gather, a product with diag(1, -1) and a scatter."""
+    draws = np.random.default_rng(seed).random((n_samples, 5))
+    rot_u, rot_v = (np.moveaxis(rot(2.0 * np.pi * draws[:, k]), -1, 0) for k in (2, 3))
+    mats = (rot_u * (5.0 * draws[:, None, :2])) @ rot_v
+    flip = draws[:, 4] < 0.5
+    mats[flip] = mats[flip] @ np.diag([1.0, -1.0])
+    d2 = dist_so2_squared(mats)
+    keep = d2 >= 1e-8**2
+    ratio = w_density(mats[keep], law) / d2[keep] ** (law.p / 2.0)
+    return float(ratio.min()), int(keep.sum())
+
+
+def same_tuple(got, want):
+    """Equal tuples of Python ints and floats, each float to the bit."""
+    def key(t):
+        return [(type(x), x.hex() if isinstance(x, float) else x) for x in t]
+    assert type(got) is tuple and key(got) == key(want)
+
+
+# one sample, the counts next to a block's edge, and up to five blocks
+SAMPLE_COUNTS = st.one_of(st.sampled_from([1, BLOCK - 1, BLOCK, BLOCK + 1]),
+                          st.integers(1, 5 * BLOCK))
+SEEDS = st.integers(0, 2**64 - 1)
+
+
+@given(n_samples=SAMPLE_COUNTS, seed=SEEDS)
+def test_lemma_a1_blocks_match_the_whole_draw(n_samples, seed):
+    same_tuple(check_lemma_a1(n_samples, seed), whole_check_lemma_a1(n_samples, seed))
+
+
+@given(n_samples=SAMPLE_COUNTS, seed=SEEDS)
+def test_rigidity_blocks_match_the_whole_stack(n_samples, seed):
+    law = MaterialLaw(p=2.0, psi="smoothed_abs")
+    same_tuple(check_rigidity(law, n_samples, seed), whole_check_rigidity(law, n_samples, seed))
+
+
+@given(n_samples=SAMPLE_COUNTS, seed=SEEDS)
+def test_positioned_draws_are_the_sequential_draws(n_samples, seed):
+    rng = np.random.default_rng(seed)
+    want = [rng.uniform(0.0, 10.0, n_samples), rng.uniform(0.0, 10.0, n_samples),
+            rng.uniform(0.0, np.pi / 3.0, n_samples)]
+    blocks = list(analysis._lemma_a1_draws(n_samples, seed))
+    assert [len(block[0]) for block in blocks[:-1]] == [BLOCK] * (len(blocks) - 1)
+    for k in range(3):
+        assert np.concatenate([block[k] for block in blocks]).tobytes() == want[k].tobytes()
+
+
+# peaks above entry measured at n = 200,000 (seed 3): 238 KB for Lemma A.1,
+# 2.9 KB above n = 20,000, and 787 KB for rigidity, 26 KB above; the
+# margins, 50 and 103 KB, are about three and six more float arrays of a
+# block (16 KB each).  The whole-array checks took 16.0 and 93.2 MB there
+SAMPLED_CHECKS = {
+    "lemma_a1": (lambda n: check_lemma_a1(n, seed=3), 288_000),
+    "rigidity": (lambda n: check_rigidity(MaterialLaw(p=2.0, psi="smoothed_abs"), n, seed=3),
+                 890_000),
+}
+
+
+@pytest.mark.parametrize("name", SAMPLED_CHECKS)
+def test_sampled_check_memory_does_not_grow_with_the_sample_count(name):
+    check, bound = SAMPLED_CHECKS[name]
+    check(10)                           # imports and first calls outside the trace
+    _, small = traced(lambda: check(20_000))
+    _, large = traced(lambda: check(200_000))
+    assert large - small < 64_000, (small, large)
+    assert large < bound, large
 
 
 def test_lemma_a1_holds_on_samples():
@@ -415,8 +529,8 @@ def test_rigidity_without_a_kept_sample_raises(monkeypatch, tmp_path, capsys):
     monkeypatch.setattr(analysis, "dist_so2_squared", lambda a: np.zeros(len(a)))
     with pytest.raises(ValueError, match="zero-size"):
         check_rigidity(MaterialLaw(p=2.0, psi="smoothed_abs"), 100)
-    # nor does verify report one
-    assert main(["verify", "--check", "rigidity", "--out", str(tmp_path)]) != 0
+    # nor does verify report one: it fails, with the status of a failed check
+    assert main(["verify", "--check", "rigidity", "--out", str(tmp_path)]) == 1
     assert capsys.readouterr().err.startswith("error: zero-size")
     assert not any(tmp_path.iterdir())
 
