@@ -309,11 +309,10 @@ def read_config(stream):
         pass
     if len(seen) < n:
         grow(n)
-    # n distinct ids fill [0, n) exactly when they all reached the table
+    # n distinct ids fill [0, n) exactly when they all reached the table;
+    # it grows only to an id read + 1 or to n, so then it has n rows
     if not seen[:n].all():
         raise ValueError("config vertex ids are not 0..%d" % (n - 1))
-    if len(seen) > n:
-        config.resize((n, 2), refcheck=False)
     for key in ("phi", "p", "kappa", "delta"):
         if key in meta:
             meta[key] = float(meta[key])

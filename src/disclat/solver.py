@@ -35,10 +35,10 @@ grows tau TAU_GROWTH-fold whenever neither factorization gives a finite,
 accurate descent direction; past TAU_LIMIT the system is declared
 singular.  An Armijo backtracking line search guarantees energy descent; a
 trial point whose energy is not finite is rejected like one that fails the
-Armijo test.  Every function here takes the lattice as one lattice.Level
-(graph, constraint map, reduced layout and the unknowns).  Admissibility
-is exact at every iterate because all trial points go through
-Level.expand.
+Armijo test.  Every function here takes the lattice as one lattice.Level,
+which holds the graph, the constraint map and one layout, unknowns.
+Admissibility is exact at every iterate because all trial points go
+through Level.expand.
 """
 
 import numpy as np

@@ -314,10 +314,16 @@ def test_render_nonfinite_config_exits_2(tmp_path, capsys, bad):
     assert not (out / "render_eps2.svg").exists()
 
 
-def test_bad_init_spec_exits_2(tmp_path):
+def test_bad_init_spec_exits_2(tmp_path, capsys):
     code = main(["minimize", "--eps-exp", "2", "--init", "bogus",
                  "--out", str(tmp_path)])
     assert code == 2
+    for spec in ("fold:x", "fold:1.5"):
+        capsys.readouterr()
+        assert main(["minimize", "--eps-exp", "2", "--init", spec,
+                     "--out", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: fold init needs an integer count") and err.count("\n") == 1
 
 
 @pytest.mark.parametrize(

@@ -3,16 +3,18 @@ replaced, bit for bit.
 
 The kernels gather vertex rows with ndarray.take and scatter them through
 1-D indices; the oracles below index the (|V|, 2) arrays with fancy
-indexing."""
+indexing.  The geometry oracles stay for lattices of any N: the pinned
+outputs are all at N = 2^k, where dividing by eps = 1/N and multiplying by
+N give the same bits, so only these tests see the stretches' and the
+determinants' bits at other N.  expand's oracle stays for the signed zeros
+of a strided vector, which no pinned output holds."""
 
 import numpy as np
 from hypothesis import given, strategies as st
 
 from disclat import energy
 from disclat.analysis import triangle_dets
-from disclat.energy import MaterialLaw
-from disclat.experiments import _coarse_ends, prolong
-from disclat.lattice import LatticeGraph, Level, expand, reduce_config
+from disclat.lattice import Level, expand
 
 PHI5 = 2.0 * np.pi / 5.0
 PHI7 = 2.0 * np.pi / 7.0
@@ -66,12 +68,6 @@ def oracle_det_gradients(graph, u):
     return det, gdet
 
 
-def oracle_vertex_sums(cells, values, n_vertices):
-    dof = (2 * cells[..., None] + np.arange(2)).ravel()
-    sums = np.bincount(dof, values.ravel(), minlength=2 * n_vertices)
-    return sums.reshape(n_vertices, 2)
-
-
 def oracle_triangle_dets(graph, u):
     a, b, c = graph.tris[:, 0], graph.tris[:, 1], graph.tris[:, 2]
     return energy.cell_dets(u[b] - u[a], u[c] - u[a], graph.eps)
@@ -99,52 +95,6 @@ def test_geometry_kernels_match_fancy_indexing(n, phi, seed):
                              oracle_det_gradients(graph, u)):
         assert_same_bits(got, expected)
     assert_same_bits(triangle_dets(graph, u), oracle_triangle_dets(graph, u))
-
-
-@given(sizes, angles, seeds)
-def test_cell_edges_match_fancy_indexing(n, phi, seed):
-    level = Level(n, phi)
-    graph = level.graph
-    u = random_config(level, seed)
-    a, b, c = graph.tris[:, 0], graph.tris[:, 1], graph.tris[:, 2]
-    d1, d2 = energy.cell_edges(graph, u)
-    assert_same_bits(d1, u[b] - u[a])
-    assert_same_bits(d2, u[c] - u[a])
-
-
-@given(sizes, angles, seeds)
-def test_vertex_sums_match_the_dof_bincount(n, phi, seed):
-    level = Level(n, phi)
-    graph = level.graph
-    rng = np.random.default_rng(seed)
-    for cells in (graph.edges, graph.tris):
-        values = rng.normal(size=cells.shape + (2,))
-        assert_same_bits(energy._vertex_sums(cells, values, graph.n_vertices),
-                         oracle_vertex_sums(cells, values, graph.n_vertices))
-    # and in place in the gradient of both laws
-    u = random_config(level, seed)
-    for law in (MaterialLaw(p=2.0), MaterialLaw(p=3.0, psi="smoothed_abs")):
-        pull = energy._bond_gradients(graph, u, law)
-        expected = oracle_vertex_sums(graph.edges, np.stack([-pull, pull], axis=1),
-                                      graph.n_vertices)
-        if law.psi_name != "zero":
-            psi = graph.triangle_area() * energy._psi_gradients(graph, u, law)
-            expected += oracle_vertex_sums(graph.tris, psi, graph.n_vertices)
-        assert_same_bits(energy.assemble_full_gradient(graph, u, law), expected)
-
-
-@given(sizes, angles, seeds)
-def test_expand_reduce_and_prolong_match_fancy_indexing(n, phi, seed):
-    level = Level(n, phi)
-    rng = np.random.default_rng(seed)
-    q = rng.normal(size=level.unknowns.n_reduced)
-    u = level.expand(q)
-    assert_same_bits(u, oracle_expand(q, level.cmap, level.unknowns))
-    assert_same_bits(reduce_config(u, level.unknowns), u[level.unknowns.free_ids].ravel())
-    if n <= 20:
-        fine = LatticeGraph(2 * n)
-        a, b = _coarse_ends(level.graph, fine)
-        assert_same_bits(prolong(level.graph, u, fine), 0.5 * (u[a] + u[b]))
 
 
 def test_expand_of_a_strided_vector_equals_its_contiguous_copy():

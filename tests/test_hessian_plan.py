@@ -6,7 +6,10 @@ the four copies (a, a), (b, b), (a, b) and (b, a) of every edge block, so
 its data are fixed by the blocks.  _bond_hessians writes those blocks in
 place; outer_bond_hessians is the plain outer-product form it replaced,
 which must give the same bits.  tests/test_energy.py checks the assembled
-data against a dense per-triangle oracle through S^T H S.
+data against a dense per-triangle oracle through S^T H S, to 1e-13 only,
+and the pinned outputs are all at N = 2^k, where dividing by eps^2 and
+multiplying by N^2 give the same bits: this oracle alone holds the
+blocks' bits at other N.
 """
 
 import numpy as np

@@ -302,6 +302,35 @@ def test_stale_two_grid_falls_back_to_fresh_factorization(monkeypatch):
     assert report.energy == ref.energy
 
 
+def test_two_grid_without_a_preconditioner_is_dropped(monkeypatch):
+    # the N = 8 level's prolonged warm start with (5, 2) pushed three
+    # quarters of the way to (4, 2): the diagonal block of (4, 2) alone is
+    # not positive definite, so the two-grid has no preconditioner
+    coarse, level = MirrorLevel(4, PHI5), MirrorLevel(8, PHI5)
+    u_coarse, _ = newton_minimize(coarse, LAW, linear_init(coarse.graph, PHI5))
+    two_grid = TwoGrid(hand_over(coarse, LAW, u_coarse),
+                       prolongation_matrix(coarse, level), level.unknowns)
+    u = prolong(coarse.graph, u_coarse, level.graph)
+    v, w = level.graph.vertex_id(5, 2), level.graph.vertex_id(4, 2)
+    x = level.reduce(u)
+    k = 2 * level.unknowns.block[v]
+    x[k:k + 2] += 0.75 * (u[w] - u[v])
+    start = level.expand(x)
+    h = assemble_hessian(level.graph, start, LAW, level.cmap, level.unknowns)
+    a, b, b_low, c, d = (h.data.take(slots) for slots in level.unknowns.hessian_plan.diagonal)
+    bad = np.flatnonzero((a <= 0.0) | (a * c - b * b_low <= 0.0))
+    assert bad.tolist() == [level.unknowns.block[w]] and np.all(d > 0.0)
+    assert two_grid.preconditioner(h) is None
+    monkeypatch.setattr(disclat.solver, "_cg", lambda *args: pytest.fail("CG ran"))
+    config, report = newton_minimize(level, LAW, start, two_grid=two_grid)
+    # the first system dropped the two-grid, and every system was factored,
+    # exactly as in a run without one
+    assert report.converged and report.krylov_iters == [0] * report.iterations
+    ref_config, ref = newton_minimize(level, LAW, start)
+    assert config.tobytes() == ref_config.tobytes()
+    assert report.energy == ref.energy
+
+
 @pytest.mark.parametrize("phi", [PHI5, 2.0 * np.pi / 7.0], ids=["2pi/5", "2pi/7"])
 def test_two_grid_step_is_inexact_descent_at_warm_start(phi):
     # the first Newton system of a sweep's N = 8 level, on the LU the N = 4

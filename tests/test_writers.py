@@ -409,16 +409,19 @@ def config_dump(rnd, n, shuffle, damage, extra):
     ids = list(range(n))
     if shuffle:
         rnd.shuffle(ids)
-    rows = [["u", str(i), "%.17g" % rnd.uniform(-2.0, 2.0),
-             "%.17g" % rnd.uniform(-2.0, 2.0)] for i in ids]
+    # rnd.uniform(-2.0, 2.0) is -2.0 + 4.0 * rnd.random(), bit for bit; the
+    # coordinates, x then y of each row, are printed by one %
+    draw = rnd.random
+    xy = ("%.17g " * (2 * n) % tuple([-2.0 + 4.0 * draw() for _ in range(2 * n)])).split()
+    rows = [["u", str(i), x, y] for i, x, y in zip(ids, xy[::2], xy[1::2])]
     for kind in damage:
         kind, k = kind if isinstance(kind, tuple) else (kind, None)
         live = [k for k, row in enumerate(rows) if row is not None]
         if live:
             k = rnd.choice(live) if k is None else k
             rows[k] = DAMAGE[kind](rows[k], rnd, max(n, 1))
-    lines = [rnd.choice([" ", "  ", "\t"]).join(row)
-             for row in rows if row is not None]
+    separators = [" ", "  ", "\t"]
+    lines = [rnd.choice(separators).join(row) for row in rows if row is not None]
     for _ in range(extra):
         lines.insert(rnd.randint(0, len(lines)), rnd.choice(COMMENTS + BLANKS))
     return "\n".join(lines) + rnd.choice(["", "\n"])
