@@ -12,20 +12,34 @@ from .energy import cell_dets, cell_edges
 from .lattice import rot
 
 
-def triangle_dets(graph, config):
-    """det of the affine deformation gradient on every triangle, signed.
+def triangle_dets(graph, config, cells=None):
+    """det of the affine deformation gradient on every triangle, signed, or
+    on the cells (3, K) given, each a vertex triple of LatticeGraph.tris.
 
     Positive on orientation-preserving cells; the reference configuration
     gives +1 on every triangle.
     """
-    d1, d2 = cell_edges(graph, np.asarray(config, dtype=float))
+    d1, d2 = cell_edges(graph, np.asarray(config, dtype=float), cells)
     return cell_dets(d1, d2, graph.eps)
 
 
-def det_summary(graph, config):
-    """(min det, count of nonpositive dets) of the triangles."""
-    dets = triangle_dets(graph, config)
-    return float(dets.min()), int(np.sum(dets <= 0.0))
+def det_summary(graph, config, half=None):
+    """(min det, count of nonpositive dets) of the triangles.
+
+    With half, a lattice.MirrorLayout, the triangles are read as half's
+    cells and then the mirror images of those that count twice
+    (MirrorLayout.image_cells): every cell of the lattice once, each in the
+    vertex order of LatticeGraph.tris, so the summary is the full lattice's
+    to the bit, for any config, and the graph builds no tris table.
+    """
+    if half is None:
+        parts = [triangle_dets(graph, config)]
+    else:
+        parts = [triangle_dets(graph, config, half.cells)]
+        parts.append(triangle_dets(graph, config, half.image_cells(graph)))
+    # N = 1 has no cell off the diagonal, so no image to take a minimum of
+    return (float(np.min([dets.min() for dets in parts if len(dets)])),
+            sum(int(np.count_nonzero(dets <= 0.0)) for dets in parts))
 
 
 class Svd2:

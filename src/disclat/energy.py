@@ -167,18 +167,18 @@ def cell_dets(d1, d2, eps):
     return (d1[:, 0] * d2[:, 1] - d1[:, 1] * d2[:, 0]) / (SQRT3 / 2.0 * eps * eps)
 
 
-def cell_edges(graph, u, half=None):
+def cell_edges(graph, u, cells=None):
     """Deformed edges d1 = u_b - u_a and d2 = u_c - u_a of every triangle
-    (a, b, c), or of the cells of half (a lattice.MirrorLayout), each of
-    shape (|T|, 2)."""
-    a, b, c = (graph.tris[:, k] for k in range(3)) if half is None else half.cells
+    (a, b, c), or of the cells (3, K) given (a lattice.MirrorLayout's),
+    each of shape (|T|, 2)."""
+    a, b, c = (graph.tris[:, k] for k in range(3)) if cells is None else cells
     ua = u.take(a, axis=0)
     return u.take(b, axis=0) - ua, u.take(c, axis=0) - ua
 
 
 def _edge_geometry(graph, u, half=None):
     eps = graph.eps
-    d1, d2 = cell_edges(graph, u, half)
+    d1, d2 = cell_edges(graph, u, None if half is None else half.cells)
     d3 = d2 - d1
     l1 = np.hypot(d1[:, 0], d1[:, 1]) / eps
     l2 = np.hypot(d2[:, 0], d2[:, 1]) / eps
@@ -274,7 +274,7 @@ def _det_gradients(graph, u, half=None):
     """Cell determinants (|T|,) and their gradients (|T|, 3, 2) in the
     vertex positions, vertex order (a, b, c), of every triangle or of the
     cells of half."""
-    d1, d2 = cell_edges(graph, u, half)
+    d1, d2 = cell_edges(graph, u, None if half is None else half.cells)
     det = cell_dets(d1, d2, graph.eps)
     c0 = 2.0 / (SQRT3 * graph.eps**2)
     gdet = np.empty((len(det), 3, 2))
@@ -454,7 +454,9 @@ class MirrorHessianPlan:
     4 n_stack, n_stack is about N^2 (67,325 at N = 256), so they fit up to
     N of about 23,000, far past any lattice that fits in memory.
     diagonal names the slots of the diagonal blocks, (0, 0), (0, 1),
-    (1, 0) and (1, 1) of each pair, then (0, 0) of each single.
+    (1, 0) and (1, 1) of each pair, then (0, 0) of each single.  It and
+    diagonal_terms are int32 too: their entries lie below nnz, which the
+    int32 indptr bounds, and below n_stack.
     """
 
     def __init__(self, graph, unknowns):
@@ -512,7 +514,8 @@ class MirrorHessianPlan:
             vid(i0 + 1, rows), vid(i0 - 1, rows + 1), vid(i0, rows + 1)]) - m0
         # a bulk diagonal sums its a terms, the e1, R60 e1 and cell diagonal
         # edges from (i, j), then its b terms, those into (i, j)
-        self.diagonal_terms = bulk_cols + src[[4, 6, 5, 2, 0, 1]].take(jp[bulk_cols] - 2, axis=1)
+        self.diagonal_terms = (bulk_cols + src[[4, 6, 5, 2, 0, 1]].take(jp[bulk_cols] - 2, axis=1)
+                               ).astype(np.int32)
 
         # the seam's table: its diagonal blocks' terms, at the a ends and at
         # the b ends, and its block slots (row, column, stack entry,
@@ -542,6 +545,10 @@ class MirrorHessianPlan:
                          [n_seam + len(ab), len(ba), len(fab), len(fba)])
         order = np.argsort(cols_t * nb + rows_t)
         rows_t, cols_t, src_t, flip = (x.take(order) for x in (rows_t, cols_t, src_t, flip))
+        # the per-edge and per-block temporaries go before the slot arrays
+        # are allocated, so that those and the first Hessian's arrays can
+        # reuse their memory
+        del ma, mb, rank, both, plain, framed, ends_a, ends_b, on_axis, blocks, terms, keep
 
         # scalar slots: block column c has k[c] scalar columns of length[c]
         # entries each, which list k[r] rows of every block (r, c) in turn;
@@ -594,7 +601,7 @@ class MirrorHessianPlan:
                    out=self.indices[run].reshape(-1, 28))
         # a bulk diagonal block follows the column's three lower blocks
         d = np.flatnonzero(src_t >= diag0)              # one per seam column, in order
-        at_d, stride_d = np.empty(nb, dtype=np.int64), np.full(nb, 14, dtype=np.int64)
+        at_d, stride_d = np.empty(nb, dtype=np.int32), np.full(nb, 14, dtype=np.int32)
         at_d[bulk_cols] = base.take(bulk_cols) + 6
         at_d[seam_cols], stride_d[seam_cols] = at.take(d), stride.take(d)
         self.diagonal = (at_d[:p], at_d[:p] + stride_d[:p], at_d[:p] + 1,

@@ -260,9 +260,11 @@ def run_sweep(phi, k_max, law, opts=None, cold_start=False, keep_configs=False):
     above COARSE_LU_MAX, unless a level ran without a two-grid or its
     Hessian has no preconditioner.  Each level's energy is the last one its
     SolveReport recorded, and its determinant diagnostics come from one
-    analysis.det_summary of its minimizer.  cold_start=True restarts every
-    level from the det1 linear initializer instead (sensitivity study).  Solver
-    failures propagate with the failing eps attached.  It first returns the
+    analysis.det_summary of its minimizer, read from the level's half and
+    its mirror images, so no level builds a full-lattice table.
+    cold_start=True restarts every level from the det1 linear initializer
+    instead (sensitivity study).  Solver failures propagate with the
+    failing eps attached.  It first returns the
     C heap's free pages to the OS (glibc only), so its peak memory is its
     own.  Raises ValueError before any solve unless k_max >= 1.
     """
@@ -276,10 +278,10 @@ def run_sweep(phi, k_max, law, opts=None, cold_start=False, keep_configs=False):
     prev = config = coarse = None    # the previous level, its minimizer
     for k in range(1, k_max + 1):
         level = MirrorLevel(2**k, phi)
-        if prev is None or cold_start:
-            init = linear_init(level.graph, phi)
-        else:
-            init = prolong(prev.graph, config, level.graph)
+        # the start waits in a list that the solve's call empties, so that no
+        # name here holds it once newton_minimize has reduced it
+        start = [linear_init(level.graph, phi) if prev is None or cold_start
+                 else prolong(prev.graph, config, level.graph)]
         try:
             two_grid = None if coarse is None else TwoGrid(
                 coarse, prolongation_matrix(prev, level), level.unknowns
@@ -287,7 +289,7 @@ def run_sweep(phi, k_max, law, opts=None, cold_start=False, keep_configs=False):
             # with the start and P built, the coarser level and its
             # minimizer go: the chain of coarse solves keeps only H and P
             prev = config = coarse = None
-            config, report = newton_minimize(level, law, init, opts, two_grid)
+            config, report = newton_minimize(level, law, start.pop(), opts, two_grid)
             # the hand-over runs before the finer Level is built: building
             # that first, so that hand_over could return the TwoGrid itself,
             # raised the sweep's peak RSS from about 156 to 163 MB
@@ -296,7 +298,7 @@ def run_sweep(phi, k_max, law, opts=None, cold_start=False, keep_configs=False):
                                    two_grid if level.n > COARSE_LU_MAX else None)
         except Exception as err:
             raise RuntimeError("sweep failed at eps = 2^-%d: %s" % (k, err)) from err
-        min_det, nonpos = det_summary(level.graph, config)
+        min_det, nonpos = det_summary(level.graph, config, level.unknowns)
         record.eps_exps.append(k)
         record.energies.append(report.energy[-1])
         record.iterations.append(report.iterations)

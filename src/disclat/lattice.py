@@ -75,16 +75,25 @@ def _cells(vid, up, down):
                            [vid(di + 1, dj), vid(di + 1, dj + 1), vid(di, dj + 1)]], axis=1)
 
 
+def _off_diagonal_corners(n):
+    """The corners (i, j), i > j, of the up cells (i + j < N) and of the down
+    cells (i + j < N - 1), each as (i, j) array pairs ordered by j, then i."""
+    h = np.arange(n)
+    return _runs(h, h + 1, n - h), _runs(h, h + 1, n - 1 - h)
+
+
 class LatticeGraph:
     """Vertices, weighted edges and oriented triangles of the lattice.
 
     n must be an integer >= 1 (Python or numpy); anything else raises
     ValueError.  Only ij is built with the graph: pos, edges, weights and
     tris are built on first read, so a level that never reads them never
-    holds them.  A MirrorLevel's solve under the bond law (psi="zero")
-    reads none; under psi="smoothed_abs", assemble_hessian's
-    _psi_edge_hessians builds tris and every cell's determinant gradient
-    (ROADMAP item 13 would form them on the half).
+    holds them.  A bond-law (psi="zero") sweep builds none: a MirrorLevel's
+    solve reads none, and its determinant summary reads the half's cells
+    and their mirror images (MirrorLayout.image_cells).  Under
+    psi="smoothed_abs", assemble_hessian's _psi_edge_hessians builds tris
+    and every cell's determinant gradient (ROADMAP item 13 would form them
+    on the half).
 
     Attributes
     ----------
@@ -302,10 +311,10 @@ class MirrorLayout:
       (corner i == j, up cells then down cells) and count once; the rest
       (up cells, then down cells) count twice.
     - ends (2, R): the ends a, b of the representative edges, edges their
-      numbers and weights w(e) times their multiplicity.  An edge with both
-      ends at i >= j stands for itself and its mirror image (multiplicity
-      2); the cell diagonal (k+1, k)-(k, k+1) is its own image
-      (multiplicity 1), and own lists their places.
+      numbers (int32) and weights w(e) times their multiplicity.  An edge
+      with both ends at i >= j stands for itself and its mirror image
+      (multiplicity 2); the cell diagonal (k+1, k)-(k, k+1) is its own
+      image (multiplicity 1), and own lists their places.
     - seam (2, S): the vertices (k, k+1) at i < j that these cells and edges
       touch, and their mirror vertices (k+1, k).
     Every table is written in closed form from the (i, j) it covers, so
@@ -336,18 +345,20 @@ class MirrorLayout:
 
         # the cells of corner i == j (up, then down), then those of corner
         # i > j (up cells with i + j < N, then down cells with i + j < N - 1)
-        h = np.arange(n)
         up, down = np.arange((n + 1) // 2), np.arange(n // 2)
-        plain = _runs(h, h + 1, n - h)
+        plain, plain_down = _off_diagonal_corners(n)
         self.n_self = len(up) + len(down)
         self.cells = np.concatenate([_cells(vid, (up, up), (down, down)),
-                                     _cells(vid, plain, _runs(h, h + 1, n - 1 - h))], axis=1)
+                                     _cells(vid, plain, plain_down)], axis=1)
         # the edges of corners i >= j along e1 and on the cell diagonal, of
         # corners i > j along R60*e1; edge numbers are the group's first
-        # plus the corner's number v - j(v)
+        # plus the corner's number v - j(v), int32 (below 2^31 up to N of
+        # about 37,800)
+        h = np.arange(n)
         ci, cj = corners = _runs(h, h, n - h)
         number, n_up = vid(ci, cj) - cj, graph.n_edges // 3
-        self.edges = np.concatenate([number, n_up + vid(*plain) - plain[1], 2 * n_up + number])
+        self.edges = np.concatenate([number, n_up + vid(*plain) - plain[1],
+                                     2 * n_up + number]).astype(np.int32)
         self.ends = _edges(vid, corners, plain, corners)
         self.own = len(ci) + len(plain[0]) + np.flatnonzero(ci == cj)
         self.weights = 2.0 * _weights(n, corners, plain, corners)
@@ -357,6 +368,15 @@ class MirrorLayout:
 
         # energy.MirrorHessianPlan of this layout, built by the first Hessian
         self.hessian_plan = None
+
+    def image_cells(self, graph):
+        """The mirror images of the cells that count twice, cells[:, n_self:],
+        in their order: the cells of the mirrored corners (j, i), each in the
+        vertex order of LatticeGraph.tris.  With m(i, j) = (j, i), up cell
+        (a, b, c) maps to (m(a), m(c), m(b)) and down cell (a, b, c) to
+        (m(c), m(b), m(a)).  Written in closed form on each call and not
+        kept: with cells, they are every cell of the lattice once."""
+        return _cells(graph.vertex_id, *((j, i) for i, j in _off_diagonal_corners(graph.n)))
 
     def expand(self, even):
         """Even vector x -> full (|V|, 2) configuration, in one pass: x at a

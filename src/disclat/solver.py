@@ -403,6 +403,7 @@ def newton_minimize(level, law, init, opts=None, two_grid=None):
         opts = NewtonOptions()
     graph, cmap, unknowns = level.graph, level.cmap, level.unknowns
     q = level.reduce(init)
+    del init                  # the caller's start is not kept through the solve
     report = SolveReport()
     u = level.expand(q)
     f = assemble_energy(graph, u, law, unknowns)
@@ -448,12 +449,15 @@ def newton_minimize(level, law, init, opts=None, two_grid=None):
             t = 0.0  # no acceptable step; stop making progress
         step = t * s
         q = q + step
+        step_norm = np.linalg.norm(step)
+        # the step and its direction go before the next Hessian
+        del s, step, found
         u = level.expand(q)
         f = assemble_energy(graph, u, law, unknowns)
         g = assemble_gradient(graph, u, law, cmap, unknowns)
         gnorm = level.grad_inf(g)
-        report.record(f, gnorm, np.linalg.norm(step), tau)
-        if np.linalg.norm(step) == 0.0:
+        report.record(f, gnorm, step_norm, tau)
+        if step_norm == 0.0:
             report.stop_reason = "stalled_line_search"
             break
     if gnorm <= opts.grad_tol:

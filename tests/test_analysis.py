@@ -27,8 +27,8 @@ from disclat.analysis import (
 )
 from disclat.cli import main
 from disclat.energy import MaterialLaw, w_density
-from disclat.experiments import folded_init
-from disclat.lattice import LatticeGraph, rot
+from disclat.experiments import folded_init, run_sweep
+from disclat.lattice import LatticeGraph, MirrorLevel, rot
 from test_energy import cell_gradient
 from test_sweep_memory import traced
 
@@ -583,3 +583,31 @@ def test_triangle_dets_orientation():
     expected = [np.linalg.det(cell_gradient(*g.pos[t], *u[t])) for t in g.tris]
     np.testing.assert_allclose(dets, expected, rtol=0.0, atol=1e-13)
 
+
+HALF_ANGLES = {"2pi/5": 2.0 * np.pi / 5.0, "2pi/7": 2.0 * np.pi / 7.0, "pi/3": np.pi / 3.0}
+
+
+def assert_half_summary_is_the_lattice_one(level, config):
+    graph, half = level.graph, level.unknowns
+    got = det_summary(graph, config, half)
+    assert "tris" not in vars(graph), graph.n          # read from the half alone
+    want = det_summary(graph, config)
+    assert (repr(got[0]), got[1]) == (repr(want[0]), want[1]), graph.n
+    # the cells and their images are every triangle once, in its vertex order
+    cells = np.concatenate([half.cells, half.image_cells(graph)], axis=1).T
+    assert sorted(map(tuple, cells.tolist())) == sorted(map(tuple, graph.tris.tolist()))
+
+
+@pytest.mark.parametrize("phi", HALF_ANGLES.values(), ids=HALF_ANGLES.keys())
+def test_half_det_summary_is_the_lattice_one_to_the_bit(phi):
+    # random even configurations: the dets of both signs; N = 1 has no cell
+    # off the diagonal, so its image table is empty
+    rng = np.random.default_rng(7)
+    for n in [*range(1, 33), 64, 256]:
+        level = MirrorLevel(n, phi)
+        config = level.expand(rng.normal(size=level.unknowns.n_reduced))
+        assert_half_summary_is_the_lattice_one(level, config)
+    # and the sweep's minimizers, N = 2..256
+    rec = run_sweep(phi, 8, MaterialLaw(p=2.0), keep_configs=True)
+    for k, config in rec.configs.items():
+        assert_half_summary_is_the_lattice_one(MirrorLevel(2**k, phi), config)

@@ -7,13 +7,14 @@ measurement of the kernels as they stand (see each test), with room for a
 few small temporaries; the kernels they replaced fail them.
 """
 
+import sys
 import tracemalloc
 import weakref
 
 import numpy as np
 import pytest
 
-from disclat import solver
+from disclat import experiments, solver
 from disclat.energy import MaterialLaw, _bond_hessians, assemble_hessian
 from disclat.experiments import folded_init, linear_init, prolong, prolongation_matrix
 from disclat.lattice import Level, MirrorLevel
@@ -118,3 +119,71 @@ def test_newton_holds_no_hessian_during_its_line_search(monkeypatch, case):
     assert (sum(report.krylov_iters) > 0) == (two_grid is not None)
     # an energy per trial point and per accepted iterate, none with a Hessian
     assert len(live) > 2 * report.iterations and not any(live), live
+
+
+# CPython 3.11 and later move a call's positional arguments into the
+# callee's frame; 3.10 keeps them on the caller's stack until it returns
+moves_arguments = pytest.mark.skipif(sys.version_info < (3, 11),
+                                     reason="the caller's stack holds the start")
+
+
+@moves_arguments
+@pytest.mark.parametrize("case", ["factored", "two-grid"])
+def test_newton_keeps_no_start_or_step_at_its_next_hessian(monkeypatch, case):
+    # the start is dead once reduced, and the previous iteration's step at
+    # every Hessian after the first: the solve's step by weakref, and the
+    # names of the step, its direction and the solve's result in the frame
+    coarse, level = MirrorLevel(64, PHI5), MirrorLevel(128, PHI5)
+    coarse_config, _ = newton_minimize(coarse, LAW, linear_init(coarse.graph, PHI5))
+    two_grid = None if case == "factored" else TwoGrid(
+        hand_over(coarse, LAW, coarse_config), prolongation_matrix(coarse, level),
+        level.unknowns)
+    start = [prolong(coarse.graph, coarse_config, level.graph)]
+    refs, live = {"start": weakref.ref(start[0])}, []
+    real_hessian = solver.assemble_hessian
+
+    def hessian(*args):
+        bound = {"init", "s", "step", "found"} & set(sys._getframe(1).f_locals)
+        live.append(sorted(bound | {name for name, ref in refs.items() if ref() is not None}))
+        return real_hessian(*args)
+
+    def keeping_step(solve):
+        def wrapped(*args):
+            found = solve(*args)
+            if found:
+                refs["step"] = weakref.ref(found[0])
+            return found
+        return wrapped
+
+    monkeypatch.setattr(solver, "assemble_hessian", hessian)
+    monkeypatch.setattr(solver, "_factor_step", keeping_step(solver._factor_step))
+    if two_grid is not None:
+        monkeypatch.setattr(two_grid, "solve", keeping_step(two_grid.solve))
+    _, report = newton_minimize(level, LAW, start.pop(), None, two_grid)
+    assert report.converged and len(live) == report.iterations >= 2
+    assert (sum(report.krylov_iters) > 0) == (two_grid is not None)
+    assert "step" in refs and live == [[]] * len(live), live
+
+
+@moves_arguments
+def test_sweep_holds_no_start_while_a_level_solves(monkeypatch):
+    real_newton, real_hessian = experiments.newton_minimize, solver.assemble_hessian
+    starts, live = [], []
+
+    def newton(level, law, init, opts, two_grid):
+        # hand the start on with no name or argument tuple here to keep it
+        starts.append(weakref.ref(init))
+        handed = [init]
+        del init
+        return real_newton(level, law, handed.pop(), opts, two_grid)
+
+    def hessian(*args):
+        live.append(starts[-1]() is not None)
+        return real_hessian(*args)
+
+    monkeypatch.setattr(experiments, "newton_minimize", newton)
+    monkeypatch.setattr(solver, "assemble_hessian", hessian)
+    rec = experiments.run_sweep(PHI7, 6, LAW)
+    assert all(rec.converged) and len(starts) == 6
+    # every Newton Hessian and every hand-over's but the last level's
+    assert len(live) == sum(rec.iterations) + 5 and not any(live), live
