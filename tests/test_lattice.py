@@ -70,7 +70,7 @@ def loop_lattice(n):
 
 @given(st.integers(min_value=1, max_value=64), st.integers(min_value=0, max_value=2**32 - 1))
 def test_lazy_tables_equal_loop_enumeration(n, seed):
-    vid, want = loop_lattice(n)
+    _, want = loop_lattice(n)
     ij = want["ij"]
     # the reference positions eps (i + j/2, j sqrt(3)/2), rounded as numpy
     # rounds them
@@ -78,8 +78,6 @@ def test_lazy_tables_equal_loop_enumeration(n, seed):
     lazy = LatticeGraph(n)
     assert set(vars(lazy)) == {"n", "eps", "ij", "n_edges"}
     assert lazy.n_edges == len(want["edges"]) and lazy.n_vertices == len(ij)
-    for i, j in ((0, 0), (n, 0), (0, n), (n // 2, n - n // 2)):
-        assert lazy.vertex_id(i, j) == vid(i, j)
     ids = np.random.default_rng(seed).integers(0, lazy.n_vertices, size=2 * n)
     # rows of positions computed from (i, j) before pos exists, and read from
     # pos once it does
@@ -89,7 +87,6 @@ def test_lazy_tables_equal_loop_enumeration(n, seed):
         assert got.dtype == want[name].dtype and got.shape == want[name].shape, name
         assert got.flags.c_contiguous and got.tobytes() == want[name].tobytes(), name
     assert getattr(lazy, "pos") is lazy.pos            # built once, then kept
-    assert np.array_equal(up_triangles(lazy), np.arange(n * n) < n * (n + 1) // 2)
     assert before.tobytes() == want["pos"][ids].tobytes()
     lazy.pos[ids[0]] = np.nan
     assert np.isnan(lazy.positions(ids[:1])).all()
@@ -303,6 +300,19 @@ def test_spec_validation():
         with pytest.raises(ValueError):
             LatticeGraph(bad)
     assert LatticeGraph(np.int64(4)).n == 4      # numpy integers accepted too
+
+
+@given(lattice_sizes)
+def test_graph_arrays_equal_loop_enumeration(n):
+    g = LatticeGraph(n)
+    vid, expected = loop_lattice(n)
+    for name, want in expected.items():
+        got = getattr(g, name)
+        assert got.dtype == want.dtype and got.shape == want.shape, name
+        assert np.array_equal(got, want), name
+    assert np.array_equal(up_triangles(g), np.arange(n * n) < n * (n + 1) // 2)
+    for i, j in ((0, 0), (n, 0), (0, n), (n // 2, n - n // 2)):
+        assert g.vertex_id(i, j) == vid(i, j)
 
 
 @given(lattice_sizes, st.floats(min_value=0.1, max_value=6.2))
