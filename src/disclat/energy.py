@@ -40,24 +40,24 @@ Xeon host), and take gives the same bits.  _vertex_sums adds by one np.bincount 
 keeps every vertex's summation order.
 
 Reduced Hessian.  A Hessian, Phi and Psi terms together, is one 2x2 block
-per edge.  A HessianPlan, built once per DofLayout, finds the fixed pattern
-of S^T H S by sorting the block keys of every edge's four blocks and sums
-each data slot's terms by one np.bincount.  The sweep's levels assemble on
-the even half instead; the full plan serves the cold, non-symmetric starts
-of the fold study and minimize.
+per edge.  Both plans own a stack of 2x2 blocks: the edge blocks go
+straight into its first rows, and the plan's data() fills the rest in
+place, so no separate array of the blocks is alive.  A HessianPlan, built once per DofLayout, finds the
+fixed pattern of S^T H S by sorting the block keys of every edge's four
+blocks and sums each data slot's terms by one np.bincount.  The sweep's
+levels assemble on the even half instead; the full plan serves the cold,
+non-symmetric starts of the fold study and minimize.
 
 Even half.  Given a lattice.MirrorLayout and an even configuration, the
 three assemblies run on the layout's half only: the energy sums the
-densities of its cells (those off the diagonal twice), the gradient sums
-the pulls of its representative edges (and the Psi pulls of its cells) into
-the even gradient B^T S^T grad E, and the Hessian goes into the pattern of
-a MirrorHessianPlan, laid out in closed form from the lattice's 7-point
-stencil, with a sorted table only for the O(N) seam columns
-(tests/test_mirror_plan.py holds its sort-based predecessor as the oracle).
-The plan owns the stack of 2x2 blocks that its data are gathered from (by
-an int32 index), and _bond_hessians writes the representatives' blocks
-straight into the stack's first rows, so no separate array of them is
-alive.
+densities of its cells (those off the diagonal twice), and the gradient and
+the Hessian the terms of its representative edges and cells at their
+multiplicity.  The gradient is the even gradient B^T S^T grad E, and the
+Hessian goes into the pattern of a MirrorHessianPlan, laid out in closed
+form from the lattice's 7-point stencil, with a sorted table only for the
+O(N) seam columns (tests/test_mirror_plan.py holds its sort-based
+predecessor as the oracle); its data are gathered from the stack by an
+int32 index.
 """
 
 import numpy as np
@@ -140,10 +140,7 @@ class MaterialLaw:
         if self.psi_name == "zero":
             return np.zeros_like(np.asarray(a, dtype=float))
         t = np.asarray(a, dtype=float) - 1.0
-        return (
-            self.kappa * self.delta * self.delta
-            / np.sqrt(t * t + self.delta**2) ** 3
-        )
+        return self.kappa * self.delta * self.delta / np.sqrt(t * t + self.delta**2) ** 3
 
 
 def w_density(a_mat, law):
@@ -232,12 +229,12 @@ def _bond_gradients(graph, u, law, half=None):
     return coeff[:, None] * d
 
 
-def _bond_hessians(graph, u, law, half=None, out=None):
+def _bond_hessians(graph, u, law, half, out):
     """Assembled Phi spring block of every edge (of half's representatives,
-    at their weights), shape (|E|, 2, 2): Phi'' along the bond, Phi'/|bond|
-    across it, times 2*|T|*w(e).  Entry (c, d) is along*o + across*(delta_cd
-    - o) with o = unit_c*unit_d.  The blocks go into out, a C-ordered
-    (|E|, 2, 2) array, when it is given, and into a new array otherwise.
+    at their weights), written into out, a C-ordered (|E|, 2, 2) array, and
+    returned: Phi'' along the bond, Phi'/|bond| across it, times
+    2*|T|*w(e).  Entry (c, d) is along*o + across*(delta_cd - o) with
+    o = unit_c*unit_d.
 
     Every per-edge array is written in place by the operations of the
     plain expressions above, at most with a product's operands swapped, so
@@ -258,16 +255,15 @@ def _bond_hessians(graph, u, law, half=None, out=None):
     length *= eps
     d /= length[:, None]                 # unit vectors
     del length
-    k = np.empty((len(d), 2, 2)) if out is None else out
     o = np.empty(len(d))
     for c, e in ((0, 0), (0, 1), (1, 1)):
         np.multiply(d[:, c], d[:, e], out=o)
-        np.multiply(along, o, out=k[:, c, e])
+        np.multiply(along, o, out=out[:, c, e])
         np.subtract(float(c == e), o, out=o)
         o *= across
-        k[:, c, e] += o
-    k[:, 1, 0] = k[:, 0, 1]
-    return k
+        out[:, c, e] += o
+    out[:, 1, 0] = out[:, 0, 1]
+    return out
 
 
 def _det_gradients(graph, u, half=None):
@@ -291,38 +287,78 @@ def _psi_gradients(graph, u, law, half=None):
     return law.dPsi(det)[:, None, None] * gdet
 
 
-def _psi_edge_hessians(graph, u, law):
-    """Psi Hessian of every edge (a, b), shape (|E|, 2, 2): block [a, b] of
-    the cells on it, summed.  Up cell k holds edges k, 2*n_up + k and
-    n_up + k, the last reversed; down cell (A, B, C) holds n_up + corner(A),
-    corner(C) reversed and 2*n_up + corner(A) - 1 reversed, where
-    corner(v) = v - j(v) is the number of the up cell based at v."""
-    det, gdet = _det_gradients(graph, u)
+def _psi_edge_hessians(graph, u, law, half=None):
+    """Psi Hessian of every edge (a, b), shape (|E|, 2, 2), or of half's
+    representatives at their multiplicity: block [a, b] of the cells on it,
+    the up cell's written first, then the down cell's added.  Up cell
+    (a, b, c), b = a + 1, puts [a, b], [a, c] and [b, c] on edges k,
+    n_up + k and 2*n_up + k, k = corner(a); down cell (A, B, C) puts
+    [A, B], [C, B] and [A, C] on n_up + corner(A), corner(C) and
+    2*n_up + corner(A) - 1, where corner(v) = v - j(v) numbers the up cell
+    based at v.  Both cells on a representative are half's."""
+    det, gdet = _det_gradients(graph, u, half)
     area = graph.triangle_area()
     d2 = area * law.d2Psi(det)
     # constant curvature of det itself: c0 * Z on the cyclic vertex pairs,
     # Z^T = -Z on the reversed ones
     curl = area * law.dPsi(det) * 2.0 / (SQRT3 * graph.eps**2)
+    del det
 
-    def block(cells, v, w):
-        h = d2[cells, None, None] * gdet[cells, v, :, None] * gdet[cells, w, None, :]
-        z = curl[cells] if (w - v) % 3 == 1 else -curl[cells]
-        h[:, 0, 1] += z
-        h[:, 1, 0] -= z
-        return h
-
-    n_up = graph.n_edges // 3
-    up, down = slice(None, n_up), slice(n_up, None)
-    p = np.concatenate([block(up, 0, 1), block(up, 0, 2), block(up, 1, 2)])
-    # each edge lies in at most one down cell, so the += below is exact
-    corner = graph.tris[down] - graph.ij[:, 1].take(graph.tris[down])
-    p[n_up + corner[:, 0]] += block(down, 0, 1)
-    p[corner[:, 2]] += block(down, 2, 1)
-    p[2 * n_up + corner[:, 0] - 1] += block(down, 0, 2)
+    a, b, c = graph.tris.T if half is None else half.cells
+    up, down = np.flatnonzero(b == a + 1), np.flatnonzero(b != a + 1)
+    k, kd, kc = (v - graph.ij[:, 1].take(v) for v in (a.take(up), a.take(down), c.take(down)))
+    n_up, n = graph.n_edges // 3, graph.n_edges if half is None else len(half.edges)
+    # blocks of the half's cells on edges that are no representative go to
+    # a spare row n
+    p = np.empty((n + 1, 2, 2))
+    for cells, terms in ((up, ((0, 1, k), (0, 2, n_up + k), (1, 2, 2 * n_up + k))),
+                         (down, ((0, 1, n_up + kd), (2, 1, kc), (0, 2, 2 * n_up + kd - 1)))):
+        g, h2, twist = gdet.take(cells, axis=0), d2.take(cells), curl.take(cells)
+        for v, w, number in terms:
+            at = number
+            if half is not None:
+                at = np.searchsorted(half.edges, number)
+                at[half.edges.take(at, mode="clip") != number] = n
+            h = h2[:, None, None] * g[:, v, :, None] * g[:, w, None, :]
+            z = twist if (w - v) % 3 == 1 else -twist
+            h[:, 0, 1] += z
+            h[:, 1, 0] -= z
+            if cells is up:
+                p[at] = h
+            else:
+                # each edge lies in at most one down cell, so the += is exact
+                p[at] += h
+    p = p[:n]
+    if half is not None:
+        p *= 2.0
+        p[half.own] *= 0.5           # 0.5 * (2 x) is x exactly
     return p
 
 
-class HessianPlan:
+class _StackPlan:
+    """What both Hessian plans share: a fixed CSC pattern (shape, and the
+    read-only indptr and indices), the solver's band layout of it, and a
+    stack of n_stack 2 x 2 blocks whose first n_rep rows take the edge
+    blocks; data(stack) fills the rest in place and forms the CSC data."""
+
+    def __init__(self, n_rep, n_stack, shape, indptr, indices):
+        self.n_rep, self.n_stack, self.shape = n_rep, n_stack, shape
+        # every matrix shares these: an in-place change would corrupt the plan
+        indices.flags.writeable = indptr.flags.writeable = False
+        self.indptr, self.indices = indptr, indices
+        self.band = None             # solver.BandLayout, built by its first use
+
+    def stack(self):
+        """A new, unfilled stack for data(), shape (n_stack, 2, 2); the
+        caller writes the edge blocks into its first n_rep rows."""
+        return np.empty((self.n_stack, 2, 2))
+
+    def matrix(self, data):
+        """The CSC matrix with these data, sharing the plan's index arrays."""
+        return sp.csc_matrix((data, self.indices, self.indptr), shape=self.shape)
+
+
+class HessianPlan(_StackPlan):
     """The fixed pattern of the reduced Hessian S^T H S, and where each
     assembled edge block goes in it.
 
@@ -337,9 +373,9 @@ class HessianPlan:
 
     The build lists the blocks (a, a), (b, b), (a, b) and (b, a) of every
     edge (a, b), finds the pattern's blocks by sorting their column-major
-    keys, and the data slots of every edge block by searchsorted.  data()
-    sums each slot's terms by one np.bincount in that order: the four kinds
-    in turn, each in edge order.
+    keys, and the data slots of every edge block by searchsorted.  The
+    stack holds the four kinds in turn, each in edge order, and data() sums
+    each slot's terms by one np.bincount in that order.
     """
 
     def __init__(self, graph, cmap, layout):
@@ -360,17 +396,16 @@ class HessianPlan:
         count = np.bincount(block_cols, minlength=nb)
         first = np.cumsum(count) - count
         self.nnz = 4 * len(keys)
-        self.shape = (2 * nb, 2 * nb)
         # scalar column 2m + d lists rows 2r and 2r + 1 of each block (r, m)
-        self.indptr = np.zeros(2 * nb + 1, dtype=np.int32)
-        np.cumsum(np.repeat(2 * count, 2), out=self.indptr[1:])
+        indptr = np.zeros(2 * nb + 1, dtype=np.int32)
+        np.cumsum(np.repeat(2 * count, 2), out=indptr[1:])
         # data slot of entry (c, d) of block k, which lies in block column m
         start = 2 * first.take(block_cols) + 2 * np.arange(len(keys))
         stride = 2 * count.take(block_cols)
         c, d = np.arange(2)[:, None], np.arange(2)
         slots = (start[:, None, None] + stride[:, None, None] * d + c).astype(np.int32)
-        self.indices = np.empty(self.nnz, dtype=np.int32)
-        self.indices[slots] = 2 * block_rows[:, None, None] + c
+        indices = np.empty(self.nnz, dtype=np.int32)
+        indices[slots] = 2 * block_rows[:, None, None] + c
         # the slots of every edge block, the pinned origin's in a spare slot
         # nnz, and the edge blocks to rotate from the left and the right
         k = np.searchsorted(keys, edge_keys)
@@ -379,32 +414,24 @@ class HessianPlan:
         self.slots[pinned] = self.nnz
         self.left, self.right = np.flatnonzero(slave.take(rows)), np.flatnonzero(slave.take(cols))
         self.rotation = cmap.rotation
-        self.band = None             # solver.BandLayout, built by its first use
-        # every matrix shares these: an in-place change would corrupt the plan
-        self.indices.flags.writeable = self.indptr.flags.writeable = False
+        super().__init__(graph.n_edges, 4 * graph.n_edges, (2 * nb, 2 * nb), indptr, indices)
 
-    def data(self, blocks):
+    def data(self, stack):
         """CSC data of the reduced Hessian whose edge (a, b) has the block
-        B = blocks[e] at (a, a), B^T at (b, b), -B at (a, b) and -B^T at
-        (b, a), rotated by R_phi on the slaved side."""
-        x = np.empty((4,) + blocks.shape)
-        x[0] = blocks
-        x[1] = blocks.swapaxes(1, 2)
+        B = stack[e], e < n_rep, at (a, a), B^T at (b, b), -B at (a, b) and
+        -B^T at (b, a), rotated by R_phi on the slaved side.  The stack,
+        from stack(), is filled in place."""
+        x = stack.reshape(4, self.n_rep, 2, 2)
+        x[1] = x[0].swapaxes(1, 2)
         # 0 - B differs from -B only in a zero's sign, which the sum drops:
         # np.bincount adds every term to 0.0
         np.subtract(0.0, x[:2], out=x[2:])
-        x = x.reshape(-1, 2, 2)
-        x[self.left] = self.rotation.T @ x[self.left]
-        x[self.right] = x[self.right] @ self.rotation
-        return np.bincount(self.slots.ravel(), x.ravel(), minlength=self.nnz + 1)[:self.nnz]
-
-    def matrix(self, data):
-        """The reduced CSC matrix with these data; it shares the index
-        arrays of the plan."""
-        return sp.csc_matrix((data, self.indices, self.indptr), shape=self.shape)
+        stack[self.left] = self.rotation.T @ stack[self.left]
+        stack[self.right] = stack[self.right] @ self.rotation
+        return np.bincount(self.slots.ravel(), stack.ravel(), minlength=self.nnz + 1)[:self.nnz]
 
 
-class MirrorHessianPlan:
+class MirrorHessianPlan(_StackPlan):
     """The fixed pattern of the even Hessian B^T H B of a
     lattice.MirrorLayout, and where each edge block goes in it.
 
@@ -437,26 +464,21 @@ class MirrorHessianPlan:
     (j = 1, i <= j + 2 or i + j = N, and every single) come from a table of
     their block slots sorted by (column, row); nothing else is sorted.
 
-    stack() allocates the (n_stack, 2, 2) stack of 2 x 2 blocks whose
-    first n_rep rows take the representatives' blocks B; assemble_hessian
-    writes them there through _bond_hessians' out.  data() fills the rest
-    in place: it negates the first rows to -B, then writes the framed
-    edges' blocks A_a^T (-B) A_a, A_b^T (-B)^T A_b and A_a^T (-B) A_b, the
-    own edges' negated blocks, then the diagonal blocks of the bulk and of
-    the seam.  A diagonal block is minus the sum of its terms: the blocks
-    at its plain a ends, its framed ends and its own edges, in that order,
-    plus the transpose of the sum of those at its plain b ends, each kind
-    in representative order.  diagonal_terms lists the three a and the
-    three b terms of each bulk block; the seam blocks sum theirs (table) by
-    np.bincount.  gather names the entry of the flat stack behind every
-    CSC data slot.  It is int32, half the size of an intp gather (which
-    would be as large as the matrix data): its entries lie below
-    4 n_stack, n_stack is about N^2 (67,325 at N = 256), so they fit up to
-    N of about 23,000, far past any lattice that fits in memory.
-    diagonal names the slots of the diagonal blocks, (0, 0), (0, 1),
-    (1, 0) and (1, 1) of each pair, then (0, 0) of each single.  It and
-    diagonal_terms are int32 too: their entries lie below nnz, which the
-    int32 indptr bounds, and below n_stack.
+    The first n_rep rows of the stack take the representatives' blocks B.
+    data() negates them to -B, then writes the framed edges' blocks
+    A_a^T (-B) A_a, A_b^T (-B)^T A_b and A_a^T (-B) A_b, the own edges'
+    negated blocks, then the diagonal blocks of the bulk and of the seam.
+    A diagonal block is minus the sum of its terms: the blocks at its plain
+    a ends, its framed ends and its own edges, in that order, plus the
+    transpose of the sum of those at its plain b ends, each kind in
+    representative order.  diagonal_terms lists the three a and the three b
+    terms of each bulk block; the seam blocks sum theirs (table) by
+    np.bincount.  gather names the entry of the flat stack behind every CSC
+    data slot, diagonal the slots of the diagonal blocks, (0, 0), (0, 1),
+    (1, 0) and (1, 1) of each pair, then (0, 0) of each single.  Both and
+    diagonal_terms are int32 (an intp gather would be as large as the
+    matrix data): their entries lie below nnz, which the int32 indptr
+    bounds, or 4 n_stack, about 4 N^2, which fits up to N of about 23,000.
     """
 
     def __init__(self, graph, unknowns):
@@ -477,7 +499,7 @@ class MirrorHessianPlan:
                        for ends in (a, b)]
         self.mirror = unknowns.mirror
 
-        self.n_rep = n_rep = len(a)
+        n_rep = len(a)
         n1 = len(self.framed)
         nb, p = len(unknowns.owners), unknowns.n_pairs
         m = np.arange(nb)
@@ -493,7 +515,6 @@ class MirrorHessianPlan:
         rank = np.empty(nb, dtype=np.intp)
         rank[bulk_cols] = np.arange(n_bulk)
         rank[seam_cols] = n_bulk + np.arange(n_seam)
-        self.n_stack = diag0 + nb
 
         # the stencil of each bulk row j, read at its first column
         # (i, j) = (j + 3, j): the row block and the stack entry of each
@@ -562,27 +583,26 @@ class MirrorHessianPlan:
         length[bulk_cols] = 14
         base = np.concatenate([[0], np.cumsum(k * length)])
         n_red = unknowns.n_reduced
-        self.shape = (n_red, n_red)
         self.nnz = int(base[-1])
-        self.indptr = np.empty(n_red + 1, dtype=np.int32)
-        self.indptr[offset] = base[:-1]
-        self.indptr[offset[:p] + 1] = base[:p] + length[:p]
-        self.indptr[n_red] = self.nnz
+        indptr = np.empty(n_red + 1, dtype=np.int32)
+        indptr[offset] = base[:-1]
+        indptr[offset[:p] + 1] = base[:p] + length[:p]
+        indptr[n_red] = self.nnz
         # slot of entry (r, q) of each table block: at + r + q * stride; the
         # entries a single lacks go to a spare slot past the end
         at = (base[:-1] - seen.take(col_start[:-1])).take(cols_t) + seen[:-1]
         stride = length.take(cols_t)
         row0, entry = offset.take(rows_t), 4 * src_t
-        self.indices = np.empty(self.nnz + 1, dtype=np.int32)
+        indices = np.empty(self.nnz + 1, dtype=np.int32)
         self.gather = np.empty(self.nnz + 1, dtype=np.int32)
         # stack entry (r, q) of a block is 2 r + q, or 2 q + r when flipped
         for q, r, e in ((0, 0, entry), (0, 1, entry + 2 - flip), (1, 0, entry + 1 + flip),
                         (1, 1, entry + 3)):
             pos = at + (r + q * stride)
             pos[(k_col <= q) | (k_row <= r)] = self.nnz
-            self.indices[pos] = row0 + r
+            indices[pos] = row0 + r
             self.gather[pos] = e
-        self.indices, self.gather = self.indices[:-1], self.gather[:-1]
+        indices, self.gather = indices[:-1], self.gather[:-1]
         # a bulk row's columns are one run of slots: scalar column 2m + q
         # lists rows 2r and 2r + 1 of its blocks, whose stack entries are
         # those of (r, q) in the table's rule, positions 4, 5 and 6 flipped
@@ -598,7 +618,7 @@ class MirrorHessianPlan:
             run = slice(base[lo], base[hi])
             np.add(4 * m[lo:hi, None], gather_off[row], out=self.gather[run].reshape(-1, 28))
             np.add(2 * m[lo:hi, None].astype(np.int32), index_off[row],
-                   out=self.indices[run].reshape(-1, 28))
+                   out=indices[run].reshape(-1, 28))
         # a bulk diagonal block follows the column's three lower blocks
         d = np.flatnonzero(src_t >= diag0)              # one per seam column, in order
         at_d, stride_d = np.empty(nb, dtype=np.int32), np.full(nb, 14, dtype=np.int32)
@@ -606,15 +626,7 @@ class MirrorHessianPlan:
         at_d[seam_cols], stride_d[seam_cols] = at.take(d), stride.take(d)
         self.diagonal = (at_d[:p], at_d[:p] + stride_d[:p], at_d[:p] + 1,
                          at_d[:p] + stride_d[:p] + 1, at_d[p:])
-        self.band = None             # solver.BandLayout, built by its first use
-        # every matrix shares these: an in-place change would corrupt the plan
-        self.indices.flags.writeable = self.indptr.flags.writeable = False
-
-    def stack(self):
-        """A new, unfilled stack for data(), shape (n_stack, 2, 2); the
-        caller writes the representatives' blocks into its first n_rep
-        rows."""
-        return np.empty((self.n_stack, 2, 2))
+        super().__init__(n_rep, diag0 + nb, (n_red, n_red), indptr, indices)
 
     def data(self, stack):
         """CSC data of the even Hessian whose representative edge (a, b) has
@@ -651,11 +663,6 @@ class MirrorHessianPlan:
         # fancy indexing casts the int32 gather through a small buffer,
         # where take would first copy all of it to intp
         return stack.ravel()[self.gather]
-
-    def matrix(self, data):
-        """The even CSC matrix with these data; it shares the index arrays
-        of the plan."""
-        return sp.csc_matrix((data, self.indices, self.indptr), shape=self.shape)
 
 
 def assemble_energy(graph, config, law, layout=None):
@@ -757,17 +764,10 @@ def assemble_hessian(graph, config, law, cmap, layout):
         # over its edges (a, b) of -P at (a, a), -P^T at (b, b), P at (a, b)
         # and P^T at (b, a), where P is the cell's block [a, b]; formed
         # first, so that no bond block is alive while it is
-        psi = _psi_edge_hessians(graph, u, law)
-        if half is not None:
-            # at the representatives' multiplicity; 0.5 * (2 x) is x exactly
-            psi = 2.0 * psi.take(half.edges, axis=0)
-            psi[half.own] *= 0.5
-    if half is None:
-        blocks = stack = _bond_hessians(graph, u, law)
-    else:
-        # the bond blocks go straight into the first rows of the plan's stack
-        stack = plan.stack()
-        blocks = _bond_hessians(graph, u, law, half, stack[:plan.n_rep])
+        psi = _psi_edge_hessians(graph, u, law, half)
+    # the bond blocks go straight into the first rows of the plan's stack
+    stack = plan.stack()
+    blocks = _bond_hessians(graph, u, law, half, stack[:plan.n_rep])
     if law.psi_name != "zero":
         blocks -= psi
         del psi

@@ -88,12 +88,10 @@ class LatticeGraph:
     n must be an integer >= 1 (Python or numpy); anything else raises
     ValueError.  Only ij is built with the graph: pos, edges, weights and
     tris are built on first read, so a level that never reads them never
-    holds them.  A bond-law (psi="zero") sweep builds none: a MirrorLevel's
-    solve reads none, and its determinant summary reads the half's cells
-    and their mirror images (MirrorLayout.image_cells).  Under
-    psi="smoothed_abs", assemble_hessian's _psi_edge_hessians builds tris
-    and every cell's determinant gradient (ROADMAP item 13 would form them
-    on the half).
+    holds them.  No sweep level builds any of them, under either material
+    law: a MirrorLevel's solve reads the half's cells and edges only, the
+    Psi Hessian's included, and its determinant summary reads the half's
+    cells and their mirror images (MirrorLayout.image_cells).
 
     Attributes
     ----------

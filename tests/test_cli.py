@@ -223,6 +223,31 @@ def test_verify_dist_so2_and_frustration(tmp_path, monkeypatch, off, code):
     assert rows[1]["control_energy"] <= 1e-14 and rows[1]["min_slack"] > 0.0
 
 
+def test_verify_dist_so2_skips_draws_below_grid_resolution(tmp_path, monkeypatch):
+    # every third draw reports a distance of 0, below the angle grid's
+    # resolution: it must not reach the grid oracle, and 1000 draws of each
+    # determinant sign still must
+    exact, grid = disclat.analysis.dist_so2_squared, disclat.analysis.dist_so2_grid
+    draws, signs = [], []
+
+    def squared(a):
+        draws.append(len(draws) % 3 == 2)
+        return 0.0 if draws[-1] else exact(a)
+
+    def counted_grid(a):
+        assert not draws[-1]
+        signs.append(bool(np.linalg.det(a) < 0.0))
+        return grid(a)
+
+    monkeypatch.setattr(disclat.analysis, "dist_so2_squared", squared)
+    monkeypatch.setattr(disclat.analysis, "dist_so2_grid", counted_grid)
+    assert main(["verify", "--check", "dist_so2", "--out", str(tmp_path)]) == 0
+    assert signs == [False] * 1000 + [True] * 1000
+    assert sum(draws) >= 999 and len(draws) == sum(draws) + 2000
+    row = json.loads((tmp_path / "verify.jsonl").read_text())
+    assert row["check"] == "dist_so2_oracle" and row["pass"] is True
+
+
 def test_verify_unknown_check(tmp_path, capsys):
     assert main(["verify", "--check", "bogus", "--out", str(tmp_path)]) == 2
     # the names are checked before any check runs

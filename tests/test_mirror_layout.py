@@ -124,7 +124,8 @@ def test_closed_form_layout_matches_classified_on_fine_levels(n, phi):
     assert_same_layout(n, phi)
 
 
-def test_sweep_levels_build_no_full_lattice_tables(monkeypatch):
+@pytest.mark.parametrize("psi", sorted(LAWS))
+def test_sweep_levels_build_no_full_lattice_tables(monkeypatch, psi):
     levels = []
 
     class RecordedLevel(MirrorLevel):
@@ -133,11 +134,12 @@ def test_sweep_levels_build_no_full_lattice_tables(monkeypatch):
             levels.append(self)
 
     monkeypatch.setattr(disclat.experiments, "MirrorLevel", RecordedLevel)
-    rec = disclat.experiments.run_sweep(PHI5, 5, LAW)
+    rec = disclat.experiments.run_sweep(PHI5, 5, LAWS[psi])
     assert [level.n for level in levels] == [2, 4, 8, 16, 32]
     assert all(rec.converged)
     for level in levels:
-        # the closing det_summary reads the half's cells and their images
+        # the Psi kernels read the half's cells, and the closing det_summary
+        # those and their images
         assert not set(vars(level.graph)) & set(GRAPH_TABLES), level.n
 
 

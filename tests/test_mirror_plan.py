@@ -192,10 +192,14 @@ def sorted_even_hessian(level, config, law):
     # library's kernel on the layout forms the plan's blocks
     np.testing.assert_array_equal(half.edges, plan.edges)
     assert np.array_equal(half.weights, plan.weights)
-    blocks = _bond_hessians(level.graph, u, law, half)
+    blocks = _bond_hessians(level.graph, u, law, half, np.empty((len(half.edges), 2, 2)))
     if law.psi_name != "zero":
-        psi = _psi_edge_hessians(level.graph, u, law)
-        blocks -= plan.multiplicity[:, None, None] * psi.take(plan.edges, axis=0)
+        psi = plan.multiplicity[:, None, None] * _psi_edge_hessians(level.graph, u, law).take(
+            plan.edges, axis=0)
+        # the kernel forms the same blocks from the half's cells alone
+        assert np.array_equal(_psi_edge_hessians(level.graph, u, law, half).view(np.int64),
+                              psi.view(np.int64))
+        blocks -= psi
     return plan, plan.matrix(plan.data(blocks))
 
 
